@@ -58,6 +58,7 @@ from .g2spin7 import (
     model_phi,
     model_seven,
     seven_structure,
+    star_derivative,
 )
 from .homogeneous import (
     InvariantForm,
@@ -103,7 +104,7 @@ __all__ = [
     # g2spin7
     "SevenClass", "EightClass", "BundleSplitData", "build_phi",
     "metric_vol_from_phi", "assoc_4form", "build_Phi", "bundle_Phi",
-    "seven_structure", "model_phi", "model_seven",
+    "seven_structure", "star_derivative", "model_phi", "model_seven",
     # homogeneous
     "LieAlgebraPresentation", "ReductiveSplit", "InvariantForm",
     "structure_constants", "invariant_basis", "ce_differential",

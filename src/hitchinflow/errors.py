@@ -47,3 +47,11 @@ class NonpositiveF(ValueError):
 
 class StepFailure(RuntimeError):
     """The integrator could not produce an acceptable step."""
+
+
+class ProjectionFailure(RuntimeError):
+    """A computed form left the invariant subspace it must lie in.
+
+    This signals a defect, not a numerical event, so it is deliberately
+    not a ValueError: the integrators do not retry it with a smaller step.
+    """

@@ -3,7 +3,11 @@
 Two flows are implemented on a registered homogeneous space:
 
 * the generic cocalibrated flow  d/dt *phi_t = d phi_t  for an invariant
-  G2/G2* structure, advanced by solving the star-coefficient Jacobian;
+  G2/G2* structure, advanced by solving the star-coefficient Jacobian,
+  the closed-form derivative D(*) psi = *((4/3) pi_1 + pi_7 - pi_27) psi
+  of the Hitchin map phi -> *phi (Hitchin, "Stable forms and special
+  metrics", arXiv:math/0107101; Bryant, "Some remarks on G2-structures",
+  arXiv:math/0305124);
 
 * the degenerate line-bundle flow for split data phi = f omega ^ e^phi
   + rho on the distribution Ann(e^phi), with the two equations
@@ -27,6 +31,7 @@ epsilon/2 guards the seeding error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,12 +41,13 @@ from .errors import (
     NonpositiveF,
     NotProportional,
     PreconditionFailed,
+    ProjectionFailure,
     SingularJacobian,
     StepFailure,
     UnstableForm,
 )
 from .forms import KForm, embed, form_pairing, interior, pullback, restrict, wedge
-from .g2spin7 import BundleSplitData, bundle_Phi, seven_structure
+from .g2spin7 import BundleSplitData, bundle_Phi, seven_structure, star_derivative
 from .homogeneous import HomogeneousSpace, invariant_basis, space
 
 __all__ = [
@@ -334,17 +340,16 @@ def n11_problem(
     smoothness constant +1; 'unsquared' keeps the primitive fiber, whose
     constant -2 fails the smoothness test.
     """
-    for name, val in (("a", a), ("b", b), ("c_param", c_param)):
-        if val == 0:
-            raise ValueError(f"family parameter {name} must be nonzero")
+    for name, val in (("a", a), ("b", b), ("c_param", c_param), ("theta", theta)):
+        if not isinstance(val, numbers.Real) or not math.isfinite(val):
+            raise PreconditionFailed("family_parameter", f"{name} = {val!r} is not a finite number")
+        if val == 0 and name != "theta":
+            raise PreconditionFailed("family_parameter", f"{name} must be nonzero")
+    scales = {"squared": -0.5, "unsquared": 1.0}
+    if not isinstance(bundle, str) or bundle not in scales:
+        raise PreconditionFailed("bundle", f"bundle must be 'squared' or 'unsquared', got {bundle!r}")
     omega0, rho0 = _family_forms(a, b, c_param, theta)
-    if bundle == "squared":
-        scale = -0.5
-    elif bundle == "unsquared":
-        scale = 1.0
-    else:
-        raise ValueError("bundle must be 'squared' or 'unsquared'")
-    return DegenerateProblem(space("n11"), 6, scale, omega0, rho0)
+    return DegenerateProblem(space("n11"), 6, scales[bundle], omega0, rho0)
 
 
 def flat7_problem(structure: str = "su3") -> DegenerateProblem:
@@ -472,7 +477,7 @@ def mirror_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degener
 def _check_projection(mat, coeffs, target, what: str):
     resid = float(np.max(np.abs(mat @ coeffs - target)))
     if resid > 1e-9 * max(float(np.max(np.abs(target))), 1.0):
-        raise ValueError(f"{what} leaves the invariant subspace (residual {resid:.2e})")
+        raise ProjectionFailure(f"{what} leaves the invariant subspace (residual {resid:.2e})")
 
 
 # ----------------------------------------------------------------------
@@ -576,26 +581,24 @@ def _star_coeffs(problem: GenericProblem, x: np.ndarray) -> np.ndarray:
 def generic_rhs(state: GenericFlowState) -> np.ndarray:
     """Coefficient velocity solving J_*(x) xdot = coeffs(d phi(x)).
 
-    J_* is the Jacobian of the star-coefficient map, computed by
-    centered finite differences (relative step 1e-6); raises
-    SingularJacobian when its condition number exceeds 1e12.
+    J_* is the Jacobian of the star-coefficient map, the closed-form
+    derivative of phi -> *phi (``g2spin7.star_derivative``, after Hitchin,
+    arXiv:math/0107101, and Bryant, arXiv:math/0305124) restricted to the
+    invariant bases; raises SingularJacobian when its condition number
+    exceeds 1e12.
     """
     problem = state.problem
     x = np.asarray(state.x, dtype=float)
     _, mat3, _ = problem.basis(3)
     _, mat4, pinv4 = problem.basis(4)
-    nx = len(x)
-    h = 1e-6 * max(float(np.max(np.abs(x))), 1.0)
-    jac = np.empty((nx, nx))
-    for j in range(nx):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = pinv4 @ (_star_coeffs(problem, xp) - _star_coeffs(problem, xm)) / (2 * h)
+    phi = problem.phi(x)
+    s = seven_structure(phi)
+    if not s.ok:
+        raise UnstableForm("phi left the stable orbit")
+    jac = pinv4 @ star_derivative(s) @ mat3
     cond = np.linalg.cond(jac)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularJacobian(f"star-coefficient Jacobian condition number {cond:.2e}")
-    phi = problem.phi(x)
     dphi = problem.space.d(phi)
     rhs = pinv4 @ dphi.coeffs
     _check_projection(mat4, rhs, dphi.coeffs, "d phi")

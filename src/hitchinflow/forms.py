@@ -34,6 +34,8 @@ __all__ = [
     "embed",
     "restrict",
     "merge_sign",
+    "sort_sign",
+    "hodge_matrices",
 ]
 
 
@@ -67,7 +69,7 @@ def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
     return (-1) ** inv, tuple(sorted(a + b))
 
 
-def _sort_sign(indices) -> tuple[int, tuple[int, ...]]:
+def sort_sign(indices) -> tuple[int, tuple[int, ...]]:
     """Sign of sorting an arbitrary index sequence; 0 on repeats."""
     idx = list(indices)
     if len(set(idx)) != len(idx):
@@ -109,7 +111,7 @@ class KForm:
         out = KForm.zero(dim, degree, exact=exact)
         coeffs = out.coeffs.copy()
         for raw, val in terms.items():
-            sign, srt = _sort_sign(tuple(raw))
+            sign, srt = sort_sign(tuple(raw))
             if sign == 0:
                 continue
             v = Fraction(val) if exact else float(val)
@@ -126,7 +128,7 @@ class KForm:
         return self.coeffs.dtype == object
 
     def term(self, indices) -> float | Fraction:
-        sign, srt = _sort_sign(tuple(indices))
+        sign, srt = sort_sign(tuple(indices))
         if sign == 0:
             return Fraction(0) if self.exact else 0.0
         return sign * self.coeffs[tuple_position(self.dim, srt)]
@@ -426,6 +428,17 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
     return KForm(a.dim, a.dim - a.degree, coeffs)
 
 
+def hodge_matrices(g: SymBilinear, vol: KForm, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
+    on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
+    to rounding.  The metric and volume are not re-validated."""
+    gram = _pairing_matrix(g, k)
+    pos, sg = _complement_table(g.dim, k)
+    star = np.empty_like(gram)
+    star[pos] = sg[:, None] * gram * vol.coeffs[0]
+    return gram, star
+
+
 # -- index embeddings --------------------------------------------------
 def embed(a: KForm, dim: int, index_map=None) -> KForm:
     """Embed into a larger space; index_map[i] = new index of old axis i."""
@@ -438,7 +451,7 @@ def embed(a: KForm, dim: int, index_map=None) -> KForm:
         if c == 0:
             continue
         new = tuple(index_map[i] for i in t)
-        sign, srt = _sort_sign(new)
+        sign, srt = sort_sign(new)
         coeffs[tuple_position(dim, srt)] += sign * c
     return KForm(dim, a.degree, coeffs)
 

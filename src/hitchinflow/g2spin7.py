@@ -29,7 +29,17 @@ import numpy as np
 
 from . import linalg, stable
 from .errors import NonpositiveF, UnstableForm
-from .forms import KForm, SymBilinear, embed, hodge, interior, restrict, volume_form, wedge
+from .forms import (
+    KForm,
+    SymBilinear,
+    embed,
+    hodge,
+    hodge_matrices,
+    interior,
+    restrict,
+    volume_form,
+    wedge,
+)
 
 __all__ = [
     "SevenClass",
@@ -39,6 +49,8 @@ __all__ = [
     "BundleSplitData",
     "build_phi",
     "metric_vol_from_phi",
+    "seven_structure",
+    "star_derivative",
     "assoc_4form",
     "build_Phi",
     "bundle_Phi",
@@ -125,6 +137,27 @@ def seven_structure(phi: KForm) -> SevenStructure:
     if klass is SevenClass.NOT_STABLE:
         return SevenStructure(phi, None, None, None, klass)
     return SevenStructure(phi, g7, vol7, hodge(g7, vol7, phi), klass)
+
+
+def star_derivative(s: SevenStructure) -> np.ndarray:
+    """35x35 matrix of the derivative of the Hitchin map phi -> *phi at s.
+
+    D(*) psi = *((4/3) pi_1 + pi_7 - pi_27) psi (Hitchin, "Stable forms
+    and special metrics", arXiv:math/0107101; Bryant, "Some remarks on
+    G2-structures", arXiv:math/0305124), where pi_1 and pi_7 are the
+    g-orthogonal projections onto R phi and onto {X . *phi}.  Since the
+    three projections sum to the identity, D(*) = *(-1 + (7/3) pi_1 +
+    2 pi_7) on the coefficients of 3-forms; this holds for G2 and G2*.
+    """
+    if not s.ok:
+        raise UnstableForm("structure is not stable")
+    gram, star = hodge_matrices(s.g7, s.vol7, 3)
+    p = s.phi.coeffs
+    a7 = np.stack([interior(e, s.star_phi).coeffs for e in np.eye(7)], axis=1)
+    gp, ga = gram @ p, gram @ a7
+    proj1 = np.outer(p, gp) / (p @ gp)
+    proj7 = a7 @ np.linalg.solve(a7.T @ ga, ga.T)
+    return star @ ((7.0 / 3.0) * proj1 + 2.0 * proj7 - np.eye(len(p)))
 
 
 def build_phi(omega: KForm, rho: KForm, eta: KForm) -> SevenStructure:

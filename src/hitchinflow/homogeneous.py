@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotClosed
-from .forms import KForm, increasing_tuples, interior, tuple_position, wedge
+from .forms import KForm, increasing_tuples, interior, sort_sign, tuple_position, wedge
 
 __all__ = [
     "LieAlgebraPresentation",
@@ -179,7 +179,7 @@ class HomogeneousSpace:
                             cab = bm[l, T[a], T[b]]
                             if cab == 0 or l in rest:
                                 continue
-                            s, srt = _sort_sign((l,) + rest)
+                            s, srt = sort_sign((l,) + rest)
                             D[o, tuple_position(nm, srt)] += sgn_ab * cab * s
             D.setflags(write=False)
             self._cache[key] = D
@@ -239,14 +239,6 @@ class HomogeneousSpace:
         return self._cache[key]
 
 
-def _sort_sign(indices):
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return 0, ()
-    inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j])
-    return (-1) ** inv, tuple(sorted(idx))
-
-
 def _coadjoint_matrix(ad: np.ndarray, nm: int, k: int, exact: bool) -> np.ndarray:
     """Matrix of alpha -> -sum_positions alpha(..., ad(Y_pos), ...)."""
     tups = increasing_tuples(nm, k)
@@ -260,7 +252,7 @@ def _coadjoint_matrix(ad: np.ndarray, nm: int, k: int, exact: bool) -> np.ndarra
                 if a == 0:
                     continue
                 replaced = T[:pos] + (l,) + T[pos + 1 :]
-                s, srt = _sort_sign(replaced)
+                s, srt = sort_sign(replaced)
                 if s == 0:
                     continue
                 L[row, tuple_position(nm, srt)] += -a * s

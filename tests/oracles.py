@@ -3,12 +3,16 @@
 These deliberately avoid the library's coefficient-convolution code
 paths: forms are treated as multilinear maps and products are expanded
 over shuffles, so a bug in the dense tables cannot hide in the tests
-that use them.
+that use them.  The finite-difference Jacobians are the exception: they
+differentiate the library's own map phi -> *phi, which keeps them
+independent of the closed-form derivative they are compared with.
 """
 
 import itertools
 
 import numpy as np
+
+from hitchinflow.g2spin7 import seven_structure
 
 
 def perm_sign(perm) -> int:
@@ -47,3 +51,42 @@ def pullback_eval(mat, a, vectors) -> float:
 
 def basis_vectors(dim: int):
     return [np.eye(dim)[i] for i in range(dim)]
+
+
+def fd_jacobian(fn, x, h: float) -> np.ndarray:
+    """Central-difference Jacobian of a vector map, column by column."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(len(x)):
+        step = np.zeros(len(x))
+        step[j] = h
+        cols.append((np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def fd_star_jacobian(problem, x, h: float) -> np.ndarray:
+    """Central-difference Jacobian of the invariant star-coefficient map
+    x -> pinv4 @ coeffs(*phi(x)) of a generic-flow problem: 2 n calls to
+    seven_structure, independent of the closed-form derivative."""
+    _, _, pinv4 = problem.basis(4)
+
+    def star(y):
+        s = seven_structure(problem.phi(y))
+        assert s.ok, "finite-difference step left the stable orbit"
+        return pinv4 @ s.star_phi.coeffs
+
+    return fd_jacobian(star, x, h)
+
+
+def fd_generic_rhs(state, h: float) -> np.ndarray:
+    """Generic-flow velocity solving J xdot = coeffs(d phi) with the
+    finite-difference star-Jacobian in place of the closed form."""
+    problem = state.problem
+    _, _, pinv4 = problem.basis(4)
+    jac = fd_star_jacobian(problem, state.x, h)
+    return np.linalg.solve(jac, pinv4 @ problem.space.d(state.phi_form()).coeffs)
+
+
+def relative_gap(a, b) -> float:
+    """max |a - b| / max |b| (sup norms)."""
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))

@@ -87,6 +87,12 @@ def test_set_overrides_and_bad_key(capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["a=0", "bundle=foo", "theta=abc", "b=nan"])
+def test_bad_set_values_exit_two(setting, capsys):
+    assert _run(["--scenario", "n11-spin7", "--set", setting]) == 2
+    assert "precondition failure" in capsys.readouterr().err
+
+
 def test_sweep_writes_index_and_theta_invariance(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

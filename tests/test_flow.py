@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hitchinflow import flow as fl
-from hitchinflow.errors import NotProportional, PreconditionFailed
+from hitchinflow.errors import NotProportional, PreconditionFailed, ProjectionFailure
 from hitchinflow.flow import (
     DegenerateFlowState,
     FlowConfig,
@@ -22,9 +22,11 @@ from hitchinflow.flow import (
     torsion_residual,
 )
 from hitchinflow.forms import KForm, form_pairing, wedge
-from hitchinflow.g2spin7 import model_phi
+from hitchinflow.g2spin7 import model_phi, seven_structure, star_derivative
 from hitchinflow.homogeneous import space
 from hitchinflow.stable import classify_pair
+
+from oracles import fd_generic_rhs, fd_star_jacobian, relative_gap
 
 
 # ------------------------------------------------------------ smoothness
@@ -249,6 +251,26 @@ def test_generic_stationary_abelian():
     assert np.max(torsion_residual(traj)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "params,f",
+    [
+        ({}, 1.0),
+        ({"a": 1.3, "b": -0.8, "c_param": 1.1, "theta": 0.7}, 0.3),
+        ({"a": -0.6, "b": 1.6, "c_param": 0.9, "theta": 4.0}, 1.0),
+    ],
+)
+def test_generic_jacobian_matches_finite_differences(params, f):
+    # the closed-form star-Jacobian against the central-difference oracle;
+    # at h = 1e-5 the oracle's own error is about 1e-10 relative here
+    gp = generic_problem("n11")
+    st = generic_state_from_split(gp, n11_problem(**params), f)
+    _, mat3, _ = gp.basis(3)
+    _, _, pinv4 = gp.basis(4)
+    closed = pinv4 @ star_derivative(seven_structure(st.phi_form())) @ mat3
+    assert relative_gap(closed, fd_star_jacobian(gp, st.x, 1e-5)) <= 1e-7
+    assert relative_gap(generic_rhs(st), fd_generic_rhs(st, 1e-5)) <= 1e-7
+
+
 def test_generic_equivariance():
     from hitchinflow import linalg
 
@@ -318,3 +340,21 @@ def test_richardson_startup_accuracy():
     dev4 = fl.richardson_deviation(p, 1.0, cfg4, 0.1)
     # halving epsilon should shrink the deviation by about 4 (second order)
     assert dev4 / dev2 == pytest.approx(4.0, rel=0.35)
+
+
+@pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
+def test_projection_failure_escapes_integrate(monkeypatch, integrator):
+    # a velocity outside the invariant subspace is a defect: it must
+    # surface at once, not be retried as a rejected step
+    calls = []
+
+    def broken_rhs(problem, y, branch):
+        calls.append(y)
+        fl._check_projection(np.eye(2), np.zeros(2), np.ones(2), "test velocity")
+
+    monkeypatch.setattr(fl, "_rhs_packed", broken_rhs)
+    seed = startup_seed(flat7_problem(), 1.0, 1e-4)
+    cfg = FlowConfig(space="flat7", t_end=0.05, integrator=integrator, sample_dt=0.01)
+    with pytest.raises(ProjectionFailure, match="test velocity"):
+        integrate(cfg, seed)
+    assert len(calls) == 1

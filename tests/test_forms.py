@@ -10,6 +10,7 @@ from hitchinflow.forms import (
     embed,
     form_pairing,
     hodge,
+    hodge_matrices,
     increasing_tuples,
     interior,
     pullback,
@@ -199,7 +200,8 @@ def test_hodge_model_4form():
 
 @pytest.mark.parametrize("diag", [[1] * 7, [1, -1, 1, -1, 1, -1, -1]])
 def test_hodge_defining_pairing_identity(diag):
-    # b ^ star(a) = <b, a> vol for all pairs of basis forms
+    # b ^ star(a) = <b, a> vol for all pairs of basis forms; the matrix
+    # forms of the pairing and the star agree with form_pairing and hodge
     g = _metric(diag)
     vol = volume_form(7, 1.0)
     for k in (1, 2, 3):
@@ -207,9 +209,12 @@ def test_hodge_defining_pairing_identity(diag):
         gram = np.array(
             [[float(form_pairing(g, KForm.basis(7, t), KForm.basis(7, u))) for u in tups] for t in tups]
         )
+        gram_m, star_m = hodge_matrices(g, vol, k)
+        assert np.allclose(gram_m, gram, rtol=0, atol=1e-12)
         for i, t in enumerate(tups):
             a = KForm.basis(7, t)
             star = hodge(g, vol, a)
+            assert np.allclose(star_m[:, i], star.coeffs, rtol=0, atol=1e-12)
             for j, u in enumerate(tups):
                 b = KForm.basis(7, u)
                 lhs = wedge(b, star)

@@ -27,8 +27,11 @@ from hitchinflow.g2spin7 import (
     model_phi,
     model_seven,
     seven_structure,
+    star_derivative,
 )
 from hitchinflow.stable import classify_pair, model_pair
+
+from oracles import fd_jacobian, relative_gap
 
 
 def _e7(exact=False):
@@ -229,3 +232,25 @@ def test_bundle_phi_rejects_invalid_pair():
     om, rho = model_pair("su3")
     with pytest.raises(UnstableForm):
         bundle_Phi(BundleSplitData.from_distribution(1.0, om, 2.0 * rho))
+
+
+# ------------------------------------------------------------ star derivative
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_star_derivative_matches_finite_differences(name, rng):
+    # full 35-dimensional space, GL(7) pullbacks of G2 and both G2* models;
+    # the oracle's truncation error at h = 1e-5 is below 1e-6 relative
+    def star(x):
+        return seven_structure(KForm(7, 3, x)).star_phi.coeffs
+
+    for _ in range(2):
+        phi = pullback(np.eye(7) + 0.3 * rng.normal(size=(7, 7)), model_phi(name))
+        s = seven_structure(phi)
+        closed = star_derivative(s)
+        assert relative_gap(closed, fd_jacobian(star, phi.coeffs, 1e-5)) <= 1e-5
+        # *phi is homogeneous of degree 4/3 in phi
+        assert np.allclose(closed @ phi.coeffs, (4.0 / 3.0) * s.star_phi.coeffs, atol=1e-10)
+
+
+def test_star_derivative_rejects_unstable():
+    with pytest.raises(UnstableForm):
+        star_derivative(seven_structure(KForm.zero(7, 3)))
