@@ -21,7 +21,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -118,40 +117,26 @@ def _csv_format(x: float) -> str:
     return repr(float(x))
 
 
-def _write_degenerate_csv(path: Path, traj: fl.Trajectory):
-    problem = traj.problem
-    wl = ["w_" + l for l in problem.basis_labels(2)]
-    sl = ["s_" + l for l in problem.basis_labels(3)]
-    tors = fl.torsion_residual(traj) if len(traj.samples) >= 3 else [float("nan")] * len(traj.samples)
-    header = ["t", "f", *wl, *sl, "cocal_residual", "normalization_residual", "torsion_residual"]
-    lines = [",".join(header)]
-    for i, s in enumerate(traj.samples):
-        row = [
-            _csv_format(s.t),
-            _csv_format(s.data["f"]),
-            *[_csv_format(v) for v in s.data["w"]],
-            *[_csv_format(v) for v in s.data["s"]],
-            _csv_format(s.monitors["cocal_residual"]),
-            _csv_format(s.monitors["normalization_residual"]),
-            _csv_format(tors[i]),
+def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
+    """One row per sample; the state columns follow the trajectory's kind,
+    and torsion is nan when the trajectory is too short to have one."""
+    if torsion is None:
+        torsion = [float("nan")] * len(traj.samples)
+    if traj.kind == "degenerate":
+        wl = ["w_" + l for l in traj.problem.basis_labels(2)]
+        sl = ["s_" + l for l in traj.problem.basis_labels(3)]
+        header = ["t", "f", *wl, *sl, "cocal_residual", "normalization_residual"]
+        values = lambda s: [
+            s.t, s.data["f"], *s.data["w"], *s.data["s"],
+            s.monitors["cocal_residual"], s.monitors["normalization_residual"],
         ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_generic_csv(path: Path, traj: fl.Trajectory):
-    nx = len(traj.samples[0].data["x"])
-    tors = fl.torsion_residual(traj) if len(traj.samples) >= 3 else [float("nan")] * len(traj.samples)
-    header = ["t", *[f"x_{i}" for i in range(nx)], "cocal_residual", "torsion_residual"]
-    lines = [",".join(header)]
-    for i, s in enumerate(traj.samples):
-        row = [
-            _csv_format(s.t),
-            *[_csv_format(v) for v in s.data["x"]],
-            _csv_format(s.monitors["cocal_residual"]),
-            _csv_format(tors[i]),
-        ]
-        lines.append(",".join(row))
+    else:
+        nx = len(traj.samples[0].data["x"])
+        header = ["t", *[f"x_{i}" for i in range(nx)], "cocal_residual"]
+        values = lambda s: [s.t, *s.data["x"], s.monitors["cocal_residual"]]
+    lines = [",".join([*header, "torsion_residual"])]
+    for s, tors in zip(traj.samples, torsion):
+        lines.append(",".join(_csv_format(v) for v in [*values(s), tors]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -196,31 +181,27 @@ def run_point(
             _write_report(outdir, report)
             raise PreconditionFailed("smoothness", report.refused)
         seed = fl.startup_seed(problem, sm.c, flow_cfg.startup_epsilon)
-        traj = fl.integrate(flow_cfg, seed)
-        report.max_normalization_residual = float(
-            np.max(traj.monitor("normalization_residual"))
-        )
-        report.classification_first = str(traj.samples[0].monitors["class"])
-        report.classification_last = str(traj.samples[-1].monitors["class"])
-        if outdir is not None and not report_only:
-            _write_degenerate_csv(outdir / "trajectory.csv", traj)
     else:  # flat-abelian
         gp = fl.generic_problem("abelian7")
         _, _, pinv3 = gp.basis(3)
-        x0 = pinv3 @ model_phi("su3").coeffs
-        seed = fl.GenericFlowState(0.0, x0, gp)
-        traj = fl.integrate(flow_cfg, seed)
-        report.classification_first = str(traj.samples[0].monitors["class"])
-        report.classification_last = str(traj.samples[-1].monitors["class"])
-        if outdir is not None and not report_only:
-            _write_generic_csv(outdir / "trajectory.csv", traj)
+        seed = fl.GenericFlowState(0.0, pinv3 @ model_phi("su3").coeffs, gp)
+    traj = fl.integrate(flow_cfg, seed)
+    if traj.kind == "degenerate":
+        report.max_normalization_residual = float(
+            np.max(traj.monitor("normalization_residual"))
+        )
+    report.classification_first = str(traj.samples[0].monitors["class"])
+    report.classification_last = str(traj.samples[-1].monitors["class"])
+    torsion = fl.torsion_residual(traj) if len(traj.samples) >= 3 else None
+    if outdir is not None and not report_only:
+        _write_csv(outdir / "trajectory.csv", traj, torsion)
     report.stop_reason = traj.stop_reason
     report.n_samples = len(traj.samples)
     report.t_first = float(traj.samples[0].t)
     report.t_last = float(traj.samples[-1].t)
     report.max_cocal_residual = float(np.max(traj.monitor("cocal_residual")))
-    if len(traj.samples) >= 3:
-        report.max_torsion_residual = float(np.max(fl.torsion_residual(traj)))
+    if torsion is not None:
+        report.max_torsion_residual = float(np.max(torsion))
     _write_report(outdir, report)
     return report
 
@@ -320,32 +301,19 @@ def main(argv=None) -> int:
             print(report.to_json())
         else:
             base = dict(raw.get("params", {}))
-            labels = [_point_label(p, base) for p in points]
-            reports = {}
-            with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-                futures = {
-                    label: pool.submit(
-                        run_point,
-                        scenario,
-                        point,
-                        flow_cfg,
-                        (outdir / label) if outdir else None,
-                        report_only,
-                        with_verify,
-                    )
-                    for label, point in zip(labels, points)
-                }
-                for label, fut in futures.items():
-                    reports[label] = fut.result()
-            index = [
-                {
-                    "label": label,
-                    "params": reports[label].params,
-                    "stop_reason": reports[label].stop_reason,
-                    "report": f"{label}/report.json" if outdir else None,
-                }
-                for label in labels
-            ]
+            index = []
+            for point in points:
+                label = _point_label(point, base)
+                sub = (outdir / label) if outdir else None
+                report = run_point(scenario, point, flow_cfg, sub, report_only, with_verify)
+                index.append(
+                    {
+                        "label": label,
+                        "params": report.params,
+                        "stop_reason": report.stop_reason,
+                        "report": f"{label}/report.json" if outdir else None,
+                    }
+                )
             if outdir is not None:
                 outdir.mkdir(parents=True, exist_ok=True)
                 (outdir / "index.json").write_text(

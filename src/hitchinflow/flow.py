@@ -32,12 +32,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import stable
 from .errors import (
+    DegenerateMetric,
+    DegenerateOmega,
     NonpositiveF,
     NotProportional,
     PreconditionFailed,
@@ -240,9 +243,15 @@ class DegenerateFlowState:
 
     def rho_form(self, on_distribution: bool = True) -> KForm:
         om6, s6 = self.omega_form(), self.s_form()
-        J, _, _ = stable._pair_J(om6, s6)
+        J, _, _ = stable.pair_structure(om6, s6)
         rho6 = -1.0 * pullback(J, s6)
         return rho6 if on_distribution else self.problem.from_dist(rho6)
+
+    def phi_form(self) -> KForm:
+        """phi = f omega ^ e^phi + rho on the 7-dimensional space."""
+        om7 = self.omega_form(on_distribution=False)
+        rho7 = self.problem.from_dist(self.rho_form())
+        return self.f * wedge(om7, self.problem.e_phi_form()) + rho7
 
 
 @dataclass(frozen=True)
@@ -388,7 +397,7 @@ def smoothness_check(
     """
     dist = tuple(i for i in range(sp.mdim) if i != e_phi_index)
     om6, rho6 = restrict(omega0, dist), restrict(rho0, dist)
-    J, _, _ = stable._pair_J(om6, rho6)
+    J, _, _ = stable.pair_structure(om6, rho6)
     jrho = embed(pullback(J, rho6), sp.mdim, list(dist))
     lie3 = e_phi_scale * sp.lie_matrix(e_phi_index, 3)
     lie2 = e_phi_scale * sp.lie_matrix(e_phi_index, 2)
@@ -502,7 +511,7 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     S7 = KForm(problem.mdim, 3, smat @ S)
     om6 = problem.to_dist(om7)
     S6 = problem.to_dist(S7)
-    J, g6, _ = stable._pair_J(om6, S6)
+    J, g6, _ = stable.pair_structure(om6, S6)
     rho_hat = -1.0 * pullback(J, S6)
     num = wedge(pullback(J, rho_hat), rho_hat).coeffs[0]
     den = wedge(wedge(om6, om6), om6).coeffs[0] * (2.0 / 3.0)
@@ -546,7 +555,7 @@ def degenerate_rhs(state: DegenerateFlowState) -> tuple[float, KForm, KForm]:
         raise NonpositiveF("state has negative fiber length")
     om6 = state.omega_form()
     s6 = state.s_form()
-    J, g6, _ = stable._pair_J(om6, s6)
+    J, g6, _ = stable.pair_structure(om6, s6)
     rho6 = -1.0 * pullback(J, s6)
     rho7 = problem.from_dist(rho6)
     om7 = state.omega_form(on_distribution=False)
@@ -570,12 +579,11 @@ def degenerate_rhs(state: DegenerateFlowState) -> tuple[float, KForm, KForm]:
 # ----------------------------------------------------------------------
 # generic flow right-hand side
 # ----------------------------------------------------------------------
-def _star_coeffs(problem: GenericProblem, x: np.ndarray) -> np.ndarray:
-    phi = problem.phi(x)
+def _stable_structure(phi: KForm):
     s = seven_structure(phi)
     if not s.ok:
-        raise UnstableForm("phi left the stable orbit")
-    return s.star_phi.coeffs
+        raise UnstableForm("phi is not a stable 3-form")
+    return s
 
 
 def generic_rhs(state: GenericFlowState) -> np.ndarray:
@@ -592,9 +600,7 @@ def generic_rhs(state: GenericFlowState) -> np.ndarray:
     _, mat3, _ = problem.basis(3)
     _, mat4, pinv4 = problem.basis(4)
     phi = problem.phi(x)
-    s = seven_structure(phi)
-    if not s.ok:
-        raise UnstableForm("phi left the stable orbit")
+    s = _stable_structure(phi)
     jac = pinv4 @ star_derivative(s) @ mat3
     cond = np.linalg.cond(jac)
     if not np.isfinite(cond) or cond > 1e12:
@@ -608,11 +614,10 @@ def generic_rhs(state: GenericFlowState) -> np.ndarray:
 def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
     """Sup-norm of the coefficients of d(*phi)."""
     if isinstance(state, GenericFlowState):
-        problem = state.problem
-        star = KForm(problem.space.mdim, 4, _star_coeffs(problem, state.x))
-        return float(problem.space.d(star).max_abs())
-    sigma = _degenerate_star(state)
-    return float(state.problem.space.d(sigma).max_abs())
+        star = _stable_structure(state.phi_form()).star_phi
+    else:
+        star = _degenerate_star(state)
+    return float(state.problem.space.d(star).max_abs())
 
 
 def _degenerate_star(state: DegenerateFlowState) -> KForm:
@@ -621,13 +626,6 @@ def _degenerate_star(state: DegenerateFlowState) -> KForm:
     om7 = state.omega_form(on_distribution=False)
     s7 = state.s_form(on_distribution=False)
     return 0.5 * wedge(om7, om7) + state.f * wedge(problem.e_phi_form(), s7)
-
-
-def _degenerate_phi(state: DegenerateFlowState) -> KForm:
-    problem = state.problem
-    om7 = state.omega_form(on_distribution=False)
-    rho7 = problem.from_dist(state.rho_form())
-    return state.f * wedge(om7, problem.e_phi_form()) + rho7
 
 
 # ----------------------------------------------------------------------
@@ -669,14 +667,28 @@ def _dp_step(f, t, y, h):
     return y5, err
 
 
-def _advance_rk4(f, t0, y0, t1, step, validity, max_retries):
+# Numerical events a step may run into.  The adaptive integrator retries
+# them with a smaller step and the fixed-step one stops; any other
+# exception (a DimensionMismatch, a ProjectionFailure) is a defect and
+# propagates out of integrate.
+_NUMERICAL_FAILURES = (
+    UnstableForm,
+    DegenerateOmega,
+    DegenerateMetric,
+    NonpositiveF,
+    SingularJacobian,
+    np.linalg.LinAlgError,
+)
+
+
+def _advance_rk4(f, t0, y0, t1, step, validity):
     n = max(1, int(round(abs(t1 - t0) / step)))
     h = (t1 - t0) / n
     t, y = t0, y0
     for _ in range(n):
         try:
             ynew = _rk4_step(f, t, y, h)
-        except (UnstableForm, ValueError, np.linalg.LinAlgError, SingularJacobian) as exc:
+        except _NUMERICAL_FAILURES as exc:
             raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
         if not validity(ynew):
             raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
@@ -684,21 +696,26 @@ def _advance_rk4(f, t0, y0, t1, step, validity, max_retries):
     return y
 
 
-def _advance_rk45(f, t0, y0, t1, tol, state, validity, max_retries):
+def _advance_rk45(f, t0, y0, t1, tol, h, validity, max_retries):
+    """Adaptive steps from t0 to t1, starting from step h (None for the
+    default); returns the state at t1 and the step to try next."""
     t, y = t0, y0
     direction = 1.0 if t1 >= t0 else -1.0
-    h = state.get("h", direction * min(abs(t1 - t0), 1e-2))
+    if h is None:
+        h = direction * min(abs(t1 - t0), 1e-2)
     if h * direction <= 0:
         h = direction * abs(h)
     retries = 0
     while (t1 - t) * direction > 1e-15:
         h = direction * min(abs(h), abs(t1 - t))
+        if t + h == t:
+            raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
         try:
             ynew, err = _dp_step(f, t, y, h)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
             ok = np.all(np.isfinite(ynew)) and enorm <= 1.0 and validity(ynew)
-        except (UnstableForm, ValueError, np.linalg.LinAlgError, SingularJacobian):
+        except _NUMERICAL_FAILURES:
             ok, enorm = False, np.inf
         if ok:
             t, y = t + h, ynew
@@ -710,8 +727,22 @@ def _advance_rk45(f, t0, y0, t1, tol, state, validity, max_retries):
             if retries > max_retries:
                 raise StepFailure(f"no acceptable step at t = {t:.6g}")
             h = h / 2
-    state["h"] = h
-    return y
+    return y, h
+
+
+def _advancer(config: FlowConfig, rhs, validity):
+    """advance(t0, y0, t1) -> y for the configured integrator; the
+    adaptive one carries its step from one sample interval to the next."""
+    if config.kind() == "rk4":
+        return lambda t0, y0, t1: _advance_rk4(rhs, t0, y0, t1, config.step, validity)
+    h = None
+
+    def advance(t0, y0, t1):
+        nonlocal h
+        y, h = _advance_rk45(rhs, t0, y0, t1, config.tol, h, validity, config.max_retries)
+        return y
+
+    return advance
 
 
 # ----------------------------------------------------------------------
@@ -741,22 +772,114 @@ def _degenerate_monitors(state: DegenerateFlowState) -> dict:
 def _generic_monitors(state: GenericFlowState) -> dict:
     s = seven_structure(state.phi_form())
     return {
-        "cocal_residual": cocal_residual(state) if s.ok else np.inf,
+        "cocal_residual": float(state.problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf,
         "class": s.klass.value,
     }
+
+
+@dataclass(frozen=True)
+class _Flow:
+    """One flow as the sampling loop sees it: the packed start vector,
+    the packed right-hand side rhs(t, y), the trial-state check
+    validity(y) and the recorder sample(t, y)."""
+
+    kind: str
+    y0: np.ndarray
+    rhs: Callable[[float, np.ndarray], np.ndarray]
+    validity: Callable[[np.ndarray], bool]
+    sample: Callable[[float, np.ndarray], Sample]
+
+
+def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
+    """The pair (omega, S = f J*rho) packed; f is re-derived from S."""
+    problem = seed.problem
+    branch = 1.0 if seed.f >= 0 else -1.0
+    seed_tag = stable.classify_pair(seed.omega_form(), seed.rho_form()).tag
+
+    def validity(y):
+        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
+            return True  # handled as blow-up at the next sample
+        try:
+            d = _derive_split(problem, y, branch)
+        except _NUMERICAL_FAILURES:
+            return False
+        return stable.classify_pair(d.om6, d.rho6).tag is seed_tag
+
+    def sample(t, y):
+        d = _derive_split(problem, y, branch)
+        w, S = problem.unpack(y)
+        state = DegenerateFlowState(t, d.f, w, S / d.f, problem)
+        data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
+        return Sample(t, data, _degenerate_monitors(state))
+
+    return _Flow(
+        "degenerate",
+        problem.pack(seed.w, seed.f * seed.s),
+        lambda t, y: _rhs_packed(problem, y, branch),
+        validity,
+        sample,
+    )
+
+
+def _generic_flow(seed: GenericFlowState) -> _Flow:
+    problem = seed.problem
+    seed_class = _stable_structure(seed.phi_form()).klass
+
+    def validity(y):
+        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
+            return True
+        return seven_structure(problem.phi(y)).klass is seed_class
+
+    def sample(t, y):
+        return Sample(t, {"x": y.copy()}, _generic_monitors(GenericFlowState(t, y, problem)))
+
+    return _Flow(
+        "generic",
+        np.asarray(seed.x, dtype=float),
+        lambda t, y: generic_rhs(GenericFlowState(t, y, problem)),
+        validity,
+        sample,
+    )
 
 
 def integrate(config: FlowConfig, seed) -> Trajectory:
     """Advance a seed to config.t_end, sampling every config.sample_dt.
 
+    t_end must be finite and, for a degenerate seed, lie on the side of
+    the seed away from the zero section f = 0 (raises PreconditionFailed).
     Stops early with stop_reason 'blow_up' when the coefficient norm
-    exceeds 1e8; raises StepFailure when no acceptable step exists.
+    exceeds 1e8, and with 'step_failure' when no acceptable step exists.
     """
+    if not math.isfinite(config.t_end):
+        raise PreconditionFailed("finite_t_end", f"t_end = {config.t_end}")
     if isinstance(seed, DegenerateFlowState):
-        return _integrate_degenerate(config, seed)
-    if isinstance(seed, GenericFlowState):
-        return _integrate_generic(config, seed)
-    raise TypeError(f"unknown seed type {type(seed)}")
+        if (config.t_end - seed.t) * seed.f <= 0:
+            raise PreconditionFailed(
+                "away_from_zero_section",
+                f"t_end = {config.t_end} does not lie beyond the seed at t = {seed.t}, "
+                f"f = {seed.f}",
+            )
+        flow = _degenerate_flow(seed)
+    elif isinstance(seed, GenericFlowState):
+        flow = _generic_flow(seed)
+    else:
+        raise TypeError(f"unknown seed type {type(seed)}")
+    advance = _advancer(config, flow.rhs, flow.validity)
+    times = _sample_times(seed.t, config.t_end, config.sample_dt)
+    y = flow.y0
+    samples = [flow.sample(times[0], y)]
+    stop = "completed"
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        try:
+            y = advance(t_prev, y, t_next)
+        except StepFailure:
+            stop = "step_failure"
+            break
+        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
+            stop = "blow_up"
+            break
+        samples.append(flow.sample(t_next, y))
+    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem)
 
 
 def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -768,131 +891,22 @@ def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
     return np.array(ts)
 
 
-def _integrate_degenerate(config: FlowConfig, seed: DegenerateFlowState) -> Trajectory:
-    problem = seed.problem
-    branch = 1.0 if seed.f >= 0 else -1.0
-    y = problem.pack(seed.w, seed.f * seed.s)
-    seed_tag = stable.classify_pair(seed.omega_form(), seed.rho_form()).tag
-
-    def rhs(t, yv):
-        return _rhs_packed(problem, yv, branch)
-
-    def validity(yv):
-        if float(np.max(np.abs(yv))) > _BLOWUP_NORM:
-            return True  # handled as blow-up at the next sample
-        try:
-            d = _derive_split(problem, yv, branch)
-        except (UnstableForm, ValueError):
-            return False
-        return stable.classify_pair(d.om6, d.rho6).tag is seed_tag
-
-    def to_state(t, yv) -> DegenerateFlowState:
-        d = _derive_split(problem, yv, branch)
-        w, S = problem.unpack(yv)
-        return DegenerateFlowState(t, d.f, w, S / d.f, problem)
-
-    times = _sample_times(seed.t, config.t_end, config.sample_dt)
-    samples = []
-    stop = "completed"
-    adapt_state: dict = {}
-    state = to_state(times[0], y)
-    samples.append(_record_degenerate(state))
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        try:
-            if config.kind() == "rk4":
-                y = _advance_rk4(rhs, t_prev, y, t_next, config.step, validity, config.max_retries)
-            else:
-                y = _advance_rk45(
-                    rhs, t_prev, y, t_next, config.tol, adapt_state, validity, config.max_retries
-                )
-        except StepFailure:
-            stop = "step_failure"
-            break
-        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            stop = "blow_up"
-            break
-        state = to_state(t_next, y)
-        samples.append(_record_degenerate(state))
-    return Trajectory("degenerate", tuple(samples), stop, config, problem)
-
-
-def _record_degenerate(state: DegenerateFlowState) -> Sample:
-    return Sample(
-        t=state.t,
-        data={"f": state.f, "w": state.w.copy(), "s": state.s.copy()},
-        monitors=_degenerate_monitors(state),
-    )
-
-
-def _integrate_generic(config: FlowConfig, seed: GenericFlowState) -> Trajectory:
-    problem = seed.problem
-    y = np.asarray(seed.x, dtype=float)
-    s0 = seven_structure(seed.phi_form())
-    if not s0.ok:
-        raise UnstableForm("seed is not a stable 3-form")
-    seed_class = s0.klass
-
-    def rhs(t, yv):
-        return generic_rhs(GenericFlowState(t, yv, problem))
-
-    def validity(yv):
-        if float(np.max(np.abs(yv))) > _BLOWUP_NORM:
-            return True
-        s = seven_structure(problem.phi(yv))
-        return s.klass is seed_class
-
-    times = _sample_times(seed.t, config.t_end, config.sample_dt)
-    samples = [Sample(times[0], {"x": y.copy()}, _generic_monitors(seed))]
-    stop = "completed"
-    adapt_state: dict = {}
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        try:
-            if config.kind() == "rk4":
-                y = _advance_rk4(rhs, t_prev, y, t_next, config.step, validity, config.max_retries)
-            else:
-                y = _advance_rk45(
-                    rhs, t_prev, y, t_next, config.tol, adapt_state, validity, config.max_retries
-                )
-        except StepFailure:
-            stop = "step_failure"
-            break
-        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            stop = "blow_up"
-            break
-        samples.append(
-            Sample(t_next, {"x": y.copy()}, _generic_monitors(GenericFlowState(t_next, y, problem)))
-        )
-    return Trajectory("generic", tuple(samples), stop, config, problem)
-
-
 # ----------------------------------------------------------------------
 # torsion residual and helpers
 # ----------------------------------------------------------------------
 def torsion_residual(traj: Trajectory) -> np.ndarray:
     """Per-sample residual |d/dt(*phi) - d phi| + |d(*phi)| on the stored
-    grid (centered differences inside, one-sided second order at ends)."""
+    grid (centered differences inside, one-sided second order at ends).
+
+    *phi is recomputed from each sample's phi through the 7-dimensional
+    Hodge machinery, independently of the evolution variables."""
     n = len(traj.samples)
     if n < 3:
         raise ValueError("need at least 3 samples")
     ts = traj.times()
-    if traj.kind == "degenerate":
-        # honest dual: recompute *phi through the 7-dimensional Hodge
-        # machinery, independently of the split evolution variables
-        phis = [_degenerate_phi(traj.state_at(i)) for i in range(n)]
-        stars = []
-        for phi in phis:
-            s = seven_structure(phi)
-            if not s.ok:
-                raise UnstableForm("trajectory sample is not a stable 3-form")
-            stars.append(s.star_phi)
-        sp = traj.problem.space
-    else:
-        stars = [
-            KForm(traj.problem.space.mdim, 4, _star_coeffs(traj.problem, traj.samples[i].data["x"]))
-            for i in range(n)
-        ]
-        phis = [traj.state_at(i).phi_form() for i in range(n)]
-        sp = traj.problem.space
+    phis = [traj.state_at(i).phi_form() for i in range(n)]
+    stars = [_stable_structure(phi).star_phi for phi in phis]
+    sp = traj.problem.space
     star_mat = np.stack([s.coeffs for s in stars])
     out = np.empty(n)
     for i in range(n):

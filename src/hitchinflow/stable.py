@@ -21,6 +21,7 @@ in {(6,0), (2,4), (3,3)}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,6 +49,7 @@ __all__ = [
     "lambda_invariant",
     "assoc_J",
     "assoc_metric",
+    "pair_structure",
     "classify_pair",
     "theta_deform",
     "iota",
@@ -127,6 +129,7 @@ def _vol_coeff(vol: KForm):
     return c
 
 
+@functools.lru_cache(maxsize=None)
 def _k_quadratic_tensor() -> np.ndarray:
     """Cached tensor T with K[i, j] = T[i, j, a, b] rho_a rho_b."""
     n = 6
@@ -147,10 +150,6 @@ def _k_quadratic_tensor() -> np.ndarray:
     return T
 
 
-_K_TENSOR: np.ndarray | None = None
-_WEDGE2_TENSOR: np.ndarray | None = None
-
-
 def k_endomorphism(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
     """Matrix of K with K(v) (x) vol_ref = (v . rho) ^ rho."""
     if rho.dim != 6 or rho.degree != 3:
@@ -158,10 +157,7 @@ def k_endomorphism(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
     vol = vol_ref if vol_ref is not None else _default_vol(rho)
     v0 = _vol_coeff(vol)
     if not rho.exact and not vol.exact:
-        global _K_TENSOR
-        if _K_TENSOR is None:
-            _K_TENSOR = _k_quadratic_tensor()
-        return np.einsum("ijab,a,b->ij", _K_TENSOR, rho.coeffs, rho.coeffs) / v0
+        return np.einsum("ijab,a,b->ij", _k_quadratic_tensor(), rho.coeffs, rho.coeffs) / v0
     n = 6
     K = np.zeros((n, n), dtype=object)
     # (e_i . vol) has a single coefficient (-1)^i on the complementary tuple
@@ -228,11 +224,12 @@ def _metric_from(omega: KForm, J: np.ndarray, lam_sign: int) -> SymBilinear:
     return SymBilinear((Om @ Jinv + (Om @ Jinv).T) / 2)
 
 
-def _pair_J(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
-    """J of the pair, with the Z_2 sign ambiguity resolved by the
-    normalization: the returned J makes J*rho ^ rho a positive multiple
-    of (2/3) omega^3.  On valid pairs this is the unique choice whose
-    metric signature lies in {(6,0), (2,4), (3,3)}."""
+def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
+    """(J, g, sign) of a pair: J with the Z_2 sign ambiguity resolved by
+    the normalization, so that J*rho ^ rho is a positive multiple of
+    (2/3) omega^3; g the metric with omega(v,w) = g(v, Jw); and sign the
+    sign of lambda (J^2 = sign Id).  On valid pairs this J is the unique
+    choice whose metric signature lies in {(6,0), (2,4), (3,3)}."""
     J = assoc_J(rho, vol_ref)
     lam = lambda_invariant(rho, vol_ref).value
     sgn = -1 if lam < 0 else 1
@@ -246,7 +243,7 @@ def _pair_J(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
 
 def assoc_metric(omega: KForm, rho: KForm, vol_ref: KForm | None = None) -> SymBilinear:
     """Metric associated to a pair of stable forms via omega(v,w) = g(v, Jw)."""
-    _, g, _ = _pair_J(omega, rho, vol_ref)
+    _, g, _ = pair_structure(omega, rho, vol_ref)
     return g
 
 
@@ -274,7 +271,7 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     compat = wedge(omega, rho)
     if compat.max_abs() > _rel_tol(omega) * max(rho.max_abs(), 1e-30):
         return fail("omega ^ rho != 0", lambda_value=lam)
-    J, g, sgn = _pair_J(omega, rho)
+    J, g, sgn = pair_structure(omega, rho)
     jrho = pullback(J, rho)
     norm_lhs = wedge(jrho, rho)
     scale3 = Fraction(2, 3) if omega.exact else (2.0 / 3.0)
@@ -358,6 +355,18 @@ def _form_from_matrix(m: np.ndarray) -> KForm:
     return KForm(n, 2, coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge2_tensor() -> np.ndarray:
+    """W[o, col, a]: coefficient a of omega contributing to row o of the
+    matrix column col (the map alpha -> alpha ^ omega on R^6)."""
+    W = np.zeros((15, 15, 15))
+    for col in range(15):
+        basis = KForm.basis(6, increasing_tuples(6, 2)[col])
+        for a in range(15):
+            W[:, col, a] = wedge(basis, KForm(6, 2, np.eye(15)[a])).coeffs
+    return W
+
+
 def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     """Unique alpha with alpha ^ omega = tau, for nondegenerate omega.
 
@@ -371,17 +380,7 @@ def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
         raise DegenerateOmega("omega^3 = 0")
     omega = omega.to_float()
     tau = tau.to_float()
-    global _WEDGE2_TENSOR
-    if _WEDGE2_TENSOR is None:
-        # W[o, col, a]: coefficient a of omega contributing to row o of
-        # the matrix column col (the map alpha -> alpha ^ omega)
-        W = np.zeros((15, 15, 15))
-        for col in range(15):
-            basis = KForm.basis(6, increasing_tuples(6, 2)[col])
-            for a in range(15):
-                W[:, col, a] = wedge(basis, KForm(6, 2, np.eye(15)[a])).coeffs
-        _WEDGE2_TENSOR = W
-    mat = np.einsum("oca,a->oc", _WEDGE2_TENSOR, omega.coeffs)
+    mat = np.einsum("oca,a->oc", _wedge2_tensor(), omega.coeffs)
     alpha = np.linalg.solve(mat, tau.coeffs)
     out = KForm(6, 2, alpha)
     resid = wedge(out, omega) - tau

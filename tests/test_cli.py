@@ -93,6 +93,42 @@ def test_bad_set_values_exit_two(setting, capsys):
     assert "precondition failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["-1", "0", "5e-5", "1e-4", "nan", "inf"])
+def test_bad_t_end_exits_two(t_end, capsys):
+    # t_end must be finite and lie beyond the startup seed at t = 1e-4
+    assert _run(["--scenario", "n11-spin7", "--t-end", t_end]) == 2
+    assert "precondition failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--scenario", "n11-spin7", "--t-end", "0.03", "--integrator", "rk4"],
+        ["--scenario", "flat-abelian", "--t-end", "0.1"],
+    ],
+    ids=["n11-spin7", "flat-abelian"],
+)
+def test_csv_torsion_matches_report(tmp_path, args):
+    assert _run(args + ["--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    with open(tmp_path / "trajectory.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    if args[1] == "n11-spin7":
+        head, tail = ["t", "f"], ["cocal_residual", "normalization_residual", "torsion_residual"]
+        state = header[len(head) : -len(tail)]
+        kinds = [c.split("_")[0] for c in state]
+        assert "w" in kinds and "s" in kinds
+        assert kinds == sorted(kinds, key=["w", "s"].index)
+    else:
+        head, tail = ["t"], ["cocal_residual", "torsion_residual"]
+        state = header[len(head) : -len(tail)]
+        assert state == [f"x_{i}" for i in range(35)]
+    assert header == [*head, *state, *tail]
+    assert len(rows) == report["n_samples"] >= 3
+    # repr floats round-trip, so the column maximum is the reported value
+    assert max(float(r[-1]) for r in rows) == report["max_torsion_residual"]
+
+
 def test_sweep_writes_index_and_theta_invariance(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from hitchinflow import flow as fl
-from hitchinflow.errors import NotProportional, PreconditionFailed, ProjectionFailure
+from hitchinflow.errors import (
+    DimensionMismatch,
+    NotProportional,
+    PreconditionFailed,
+    ProjectionFailure,
+)
 from hitchinflow.flow import (
     DegenerateFlowState,
     FlowConfig,
@@ -318,12 +323,12 @@ def test_generic_matches_degenerate_flow():
     gp = generic_problem("n11")
     # build the generic seed from the degenerate state at t = eps
     st0 = dtraj.state_at(0)
-    phi0 = fl._degenerate_phi(st0)
+    phi0 = st0.phi_form()
     _, mat3, pinv3 = gp.basis(3)
     gseed = GenericFlowState(eps, pinv3 @ phi0.coeffs, gp)
     gtraj = integrate(gcfg, gseed)
     for i in (1, len(dtraj.samples) - 1):
-        phi_d = fl._degenerate_phi(dtraj.state_at(i)).coeffs
+        phi_d = dtraj.state_at(i).phi_form().coeffs
         phi_g = gtraj.state_at(i).phi_form().coeffs
         assert np.max(np.abs(phi_d - phi_g)) < 1e-6
 
@@ -344,17 +349,44 @@ def test_richardson_startup_accuracy():
 
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_projection_failure_escapes_integrate(monkeypatch, integrator):
-    # a velocity outside the invariant subspace is a defect: it must
-    # surface at once, not be retried as a rejected step
-    calls = []
+    # a velocity outside the invariant subspace, or operands of different
+    # dimensions, are defects: in either flow they must surface at once,
+    # not be retried as rejected steps
+    gp = generic_problem("abelian7")
+    generic_seed = GenericFlowState(0.0, gp.basis(3)[2] @ model_phi("su3").coeffs, gp)
+    degenerate_seed = startup_seed(flat7_problem(), 1.0, 1e-4)
 
-    def broken_rhs(problem, y, branch):
-        calls.append(y)
+    def projection_failure():
         fl._check_projection(np.eye(2), np.zeros(2), np.ones(2), "test velocity")
 
-    monkeypatch.setattr(fl, "_rhs_packed", broken_rhs)
-    seed = startup_seed(flat7_problem(), 1.0, 1e-4)
-    cfg = FlowConfig(space="flat7", t_end=0.05, integrator=integrator, sample_dt=0.01)
-    with pytest.raises(ProjectionFailure, match="test velocity"):
-        integrate(cfg, seed)
-    assert len(calls) == 1
+    def dimension_mismatch():
+        wedge(KForm.zero(6, 1), KForm.zero(7, 1))
+
+    cases = [
+        ("_rhs_packed", degenerate_seed, projection_failure, ProjectionFailure),
+        ("generic_rhs", generic_seed, projection_failure, ProjectionFailure),
+        ("_rhs_packed", degenerate_seed, dimension_mismatch, DimensionMismatch),
+    ]
+    cfg = FlowConfig(t_end=0.05, integrator=integrator, sample_dt=0.01)
+    for rhs_name, seed, fail, error in cases:
+        calls = []
+
+        def broken_rhs(*args):
+            calls.append(args)
+            fail()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fl, rhs_name, broken_rhs)
+            with pytest.raises(error):
+                integrate(cfg, seed)
+        assert len(calls) == 1, (rhs_name, error)
+
+
+def test_rk45_stops_when_the_step_no_longer_advances_time():
+    # this family point degenerates at t ~ 0.428: the adaptive step
+    # shrinks until t + h == t, which must end the run, not stall it
+    p = n11_problem(a=1.3992, b=-0.6387, c_param=0.6567, theta=0.3112)
+    cfg = FlowConfig(space="n11", t_end=0.5, integrator="rk45-adaptive", tol=1e-9)
+    traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
+    assert traj.stop_reason == "step_failure"
+    assert 0.42 < traj.samples[-1].t < 0.43
