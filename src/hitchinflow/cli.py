@@ -46,6 +46,7 @@ class RunReport:
     scenario: str
     params: dict
     stop_reason: str
+    stop_cause: str | None
     n_samples: int
     t_first: float | None
     t_last: float | None
@@ -155,6 +156,7 @@ def run_point(
         scenario=scenario,
         params=dict(params),
         stop_reason="not_started",
+        stop_cause=None,
         n_samples=0,
         t_first=None,
         t_last=None,
@@ -196,6 +198,7 @@ def run_point(
     if outdir is not None and not report_only:
         _write_csv(outdir / "trajectory.csv", traj, torsion)
     report.stop_reason = traj.stop_reason
+    report.stop_cause = traj.stop_cause
     report.n_samples = len(traj.samples)
     report.t_first = float(traj.samples[0].t)
     report.t_last = float(traj.samples[-1].t)
@@ -285,17 +288,13 @@ def main(argv=None) -> int:
             flow_dict[key] = getattr(args, key)
     if args.integrator:
         flow_dict["integrator"] = args.integrator
-    try:
-        flow_cfg = _flow_config(scenario, flow_dict)
-    except TypeError as exc:
-        print(f"error: bad flow option: {exc}", file=sys.stderr)
-        return 2
     outdir = Path(args.output) if args.output else (Path(raw["output"]) if "output" in raw else None)
     report_only = args.report_only or bool(raw.get("report_only", False))
     with_verify = args.verify or bool(raw.get("verify", False))
 
     points = _sweep_points(params)
     try:
+        flow_cfg = _flow_config(scenario, flow_dict)
         if len(points) == 1:
             report = run_point(scenario, points[0], flow_cfg, outdir, report_only, with_verify)
             print(report.to_json())

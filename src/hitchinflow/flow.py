@@ -264,9 +264,17 @@ class GenericFlowState:
         return self.problem.phi(self.x)
 
 
+_INTEGRATORS = {"rk4": "rk4", "rk4-fixed": "rk4", "rk45": "rk45", "rk45-adaptive": "rk45"}
+
+
+def _is_finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integration parameters.
+    """Integration parameters, validated at construction (raises
+    PreconditionFailed).
 
     integrator is 'rk4-fixed' or 'rk45-adaptive' (aliases 'rk4'/'rk45').
     step is the fixed step; tol the adaptive error tolerance.  Samples
@@ -282,13 +290,23 @@ class FlowConfig:
     sample_dt: float = 0.01
     max_retries: int = 60
 
+    def __post_init__(self):
+        def refuse(name, want):
+            val = getattr(self, name)
+            raise PreconditionFailed("flow_config", f"{name} = {val!r} is not {want}")
+
+        if not isinstance(self.integrator, str) or self.integrator.lower() not in _INTEGRATORS:
+            refuse("integrator", f"one of {tuple(_INTEGRATORS)}")
+        for name in ("step", "tol", "sample_dt", "startup_epsilon"):
+            if not _is_finite_real(getattr(self, name)) or getattr(self, name) <= 0:
+                refuse(name, "a finite number > 0")
+        if not _is_finite_real(self.t_end):
+            refuse("t_end", "a finite number")
+        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
+            refuse("max_retries", "an integer >= 0")
+
     def kind(self) -> str:
-        name = self.integrator.lower()
-        if name in ("rk4", "rk4-fixed"):
-            return "rk4"
-        if name in ("rk45", "rk45-adaptive"):
-            return "rk45"
-        raise ValueError(f"unknown integrator '{self.integrator}'")
+        return _INTEGRATORS[self.integrator.lower()]
 
 
 @dataclass(frozen=True)
@@ -305,6 +323,7 @@ class Trajectory:
     stop_reason: str
     config: FlowConfig
     problem: DegenerateProblem | GenericProblem
+    stop_cause: str | None = None  # why the run ended early; None if completed
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -350,7 +369,7 @@ def n11_problem(
     constant -2 fails the smoothness test.
     """
     for name, val in (("a", a), ("b", b), ("c_param", c_param), ("theta", theta)):
-        if not isinstance(val, numbers.Real) or not math.isfinite(val):
+        if not _is_finite_real(val):
             raise PreconditionFailed("family_parameter", f"{name} = {val!r} is not a finite number")
         if val == 0 and name != "theta":
             raise PreconditionFailed("family_parameter", f"{name} must be nonzero")
@@ -845,13 +864,12 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
 def integrate(config: FlowConfig, seed) -> Trajectory:
     """Advance a seed to config.t_end, sampling every config.sample_dt.
 
-    t_end must be finite and, for a degenerate seed, lie on the side of
-    the seed away from the zero section f = 0 (raises PreconditionFailed).
-    Stops early with stop_reason 'blow_up' when the coefficient norm
-    exceeds 1e8, and with 'step_failure' when no acceptable step exists.
+    For a degenerate seed t_end must lie on the side of the seed away from
+    the zero section f = 0 (raises PreconditionFailed).  Stops early with
+    stop_reason 'blow_up' when the coefficient norm exceeds 1e8, and with
+    'step_failure' when no acceptable step exists; stop_cause then says
+    why.
     """
-    if not math.isfinite(config.t_end):
-        raise PreconditionFailed("finite_t_end", f"t_end = {config.t_end}")
     if isinstance(seed, DegenerateFlowState):
         if (config.t_end - seed.t) * seed.f <= 0:
             raise PreconditionFailed(
@@ -868,18 +886,19 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
     times = _sample_times(seed.t, config.t_end, config.sample_dt)
     y = flow.y0
     samples = [flow.sample(times[0], y)]
-    stop = "completed"
+    stop, cause = "completed", None
     for t_prev, t_next in zip(times[:-1], times[1:]):
         try:
             y = advance(t_prev, y, t_next)
-        except StepFailure:
-            stop = "step_failure"
+        except StepFailure as exc:
+            stop, cause = "step_failure", str(exc)
             break
-        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            stop = "blow_up"
+        norm = float(np.max(np.abs(y)))
+        if norm > _BLOWUP_NORM:
+            stop, cause = "blow_up", f"coefficient norm {norm:.3g} at t = {t_next:.6g}"
             break
         samples.append(flow.sample(t_next, y))
-    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem)
+    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause)
 
 
 def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:

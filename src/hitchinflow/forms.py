@@ -4,14 +4,15 @@ A k-form stores one coefficient per strictly increasing index tuple, in
 lexicographic order; every sign in the package flows from sorting index
 tuples and counting transpositions.  Coefficients are float64 by default;
 an exact mode (object arrays of ``fractions.Fraction``) is available for
-the model identity suite.
+the model identity suite.  Both modes share one code path: pullbacks and
+the Gram matrices behind the pairing and the Hodge star are products with
+``linalg.minors``, which picks its kernel from the dtype.
 
 Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
+from .linalg import increasing_tuples
 from .errors import DegenerateMetric, DegreeOverflow, DimensionMismatch
 
 __all__ = [
@@ -37,12 +39,6 @@ __all__ = [
     "sort_sign",
     "hodge_matrices",
 ]
-
-
-@lru_cache(maxsize=None)
-def increasing_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All strictly increasing k-tuples from {0, ..., n-1}, lexicographic."""
-    return tuple(itertools.combinations(range(n), k))
 
 
 @lru_cache(maxsize=None)
@@ -344,50 +340,16 @@ def pullback(mat: np.ndarray, a: KForm) -> KForm:
     mat = np.asarray(mat)
     if mat.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"matrix {mat.shape} vs dim {a.dim}")
-    if a.degree == 0:
-        return a
-    exact = a.exact or mat.dtype == object
-    tups = a.tuples()
-    out = KForm.zero(a.dim, a.degree, exact=exact)
-    coeffs = out.coeffs.copy()
-    if exact:
-        m = linalg.as_exact(mat)
-        for jpos, J in enumerate(tups):
-            total = Fraction(0)
-            for ipos, I in enumerate(tups):
-                c = a.coeffs[ipos]
-                if c != 0:
-                    total += c * linalg.det(m[np.ix_(I, J)])
-            coeffs[jpos] = total
-    else:
-        k = a.degree
-        nt = len(tups)
-        idx = np.array(tups)
-        # minors[i, j] = det(mat[I_i, J_j]) via batched determinants
-        sub = mat[idx[:, None, :, None], idx[None, :, None, :]]
-        minors = np.linalg.det(sub.reshape(nt, nt, k, k))
-        coeffs = a.coeffs @ minors
-    return KForm(a.dim, a.degree, coeffs)
+    if a.exact:
+        mat = linalg.as_exact(mat)
+    return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
 
 
 # -- metric pairing and Hodge star ------------------------------------
 def _pairing_matrix(g: SymBilinear, k: int) -> np.ndarray:
-    """Gram matrix of the induced metric on k-forms: det of inverse-metric
-    minors."""
-    ginv = g.inverse()
-    tups = increasing_tuples(g.dim, k)
-    nt = len(tups)
-    if k == 0:
-        return np.array([[Fraction(1)]] if g.exact else [[1.0]])
-    if g.exact:
-        out = np.empty((nt, nt), dtype=object)
-        for i, I in enumerate(tups):
-            for j, J in enumerate(tups):
-                out[i, j] = linalg.det(ginv[np.ix_(I, J)])
-        return out
-    idx = np.array(tups)
-    sub = ginv[idx[:, None, :, None], idx[None, :, None, :]]
-    return np.linalg.det(sub.reshape(nt, nt, k, k))
+    """Gram matrix of the induced metric on k-forms: the k-th compound
+    matrix of the inverse metric."""
+    return linalg.minors(g.inverse(), k)
 
 
 def form_pairing(g: SymBilinear, a: KForm, b: KForm):

@@ -197,24 +197,18 @@ class HomogeneousSpace:
             self._cache[key] = _coadjoint_matrix(ad, nm, k, exact)
         return self._cache[key]
 
-    def lie_matrix(self, mpos: int, k: int, exact: bool = False) -> np.ndarray:
+    def lie_matrix(self, mpos: int, k: int) -> np.ndarray:
         """Algebraic Lie derivative along the mpos-th m-generator, as a
         matrix on Lambda^k m* (Cartan formula in the CE complex)."""
-        key = ("lie", mpos, k, exact)
+        key = ("lie", mpos, k)
         if key not in self._cache:
             nm = self.mdim
-            one = Fraction(1) if exact else 1.0
-            x = np.zeros(nm, dtype=object if exact else float)
-            x[mpos] = one
+            x = np.zeros(nm)
+            x[mpos] = 1.0
             iota_k = _interior_matrix(x, nm, k)
             iota_k1 = _interior_matrix(x, nm, k + 1)
-            if k > 0:
-                dk_1 = self.d_matrix(k - 1, exact)
-                term2 = dk_1 @ iota_k
-            else:
-                term2 = np.zeros((1, 1), dtype=object if exact else float)
-            term1 = iota_k1 @ self.d_matrix(k, exact)
-            self._cache[key] = term1 + term2
+            term2 = self.d_matrix(k - 1) @ iota_k if k > 0 else np.zeros((1, 1))
+            self._cache[key] = iota_k1 @ self.d_matrix(k) + term2
         return self._cache[key]
 
     def d(self, form: KForm) -> KForm:
@@ -261,13 +255,9 @@ def _coadjoint_matrix(ad: np.ndarray, nm: int, k: int, exact: bool) -> np.ndarra
 
 def _interior_matrix(x: np.ndarray, nm: int, k: int) -> np.ndarray:
     """Interior product with vector x as a matrix Lambda^k -> Lambda^{k-1}."""
-    exact = x.dtype == object
     tin = increasing_tuples(nm, k)
     tout = increasing_tuples(nm, k - 1) if k >= 1 else ()
-    rows = max(len(tout), 1)
-    M = np.zeros((rows, len(tin)), dtype=object if exact else float)
-    if exact:
-        M = M + Fraction(0)
+    M = np.zeros((max(len(tout), 1), len(tin)))
     if k == 0:
         return M
     for col, T in enumerate(tin):

@@ -3,16 +3,27 @@
 Float mode uses numpy directly.  Exact mode operates on object arrays of
 ``fractions.Fraction`` so that the model identities can be verified without
 rounding; only the operations actually needed by the exact identity suite
-(solve, inverse, determinant, signature, nullspace, square roots) are
-implemented.
+(solve, inverse, minors, determinant, signature, nullspace, square roots)
+are implemented.  ``minors``, the k-th compound matrix, computes every
+minor and exact determinant in the package: batched LAPACK determinants
+for floats, a Laplace expansion that reuses the smaller minors for
+Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def increasing_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All strictly increasing k-tuples from {0, ..., n-1}, lexicographic."""
+    return tuple(itertools.combinations(range(n), k))
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -104,25 +115,49 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray):
-    """Determinant; Bareiss elimination in exact mode."""
+    """Determinant; the top compound matrix in exact mode."""
     if not is_exact(a):
         return float(np.linalg.det(a))
-    m = as_exact(a).copy()
+    return minors(a, a.shape[0])[0, 0]
+
+
+@lru_cache(maxsize=None)
+def _laplace_tables(n: int, k: int, j: int):
+    """Tables that build the j-minors on the rows that are j-suffixes of
+    k-tuples from the (j-1)-minors: row (r0,) + rest -> r0 and the position
+    of rest; column J -> J[p] and the position of J without J[p]."""
+    rows = [t for t in increasing_tuples(n, j) if t[0] >= k - j]
+    below = [t for t in increasing_tuples(n, j - 1) if t[0] >= k - j + 1]
+    below_pos = {t: i for i, t in enumerate(below)}
+    col_pos = {t: i for i, t in enumerate(increasing_tuples(n, j - 1))}
+    cols = increasing_tuples(n, j)
+    first = np.array([r[0] for r in rows])
+    rest = np.array([below_pos[r[1:]] for r in rows])
+    drop = np.array([[col_pos[c[:p] + c[p + 1 :]] for p in range(j)] for c in cols])
+    return first, rest, np.array(cols), drop
+
+
+def minors(m: np.ndarray, k: int) -> np.ndarray:
+    """k-th compound matrix of a square m: C[i, j] = det m[I_i, J_j] over
+    the increasing k-tuples I_i, J_j in lexicographic order.
+
+    Float input takes batched LAPACK determinants.  Exact (object) input
+    expands along first rows, each level of minors built from the one
+    below, so one n x n determinant costs n * 2**(n-1) products.
+    """
+    if k == 0:
+        return np.full((1, 1), Fraction(1) if is_exact(m) else 1.0)
     n = m.shape[0]
-    sign = Fraction(1)
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k, k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r, k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            m[[k, piv]] = m[[piv, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) / prev
-        prev = m[k, k]
-    return sign * m[n - 1, n - 1]
+    if not is_exact(m):
+        idx = np.array(increasing_tuples(n, k))
+        return np.linalg.det(m[idx[:, None, :, None], idx[None, :, None, :]])
+    m = as_exact(m)
+    level = m[k - 1 :]
+    for j in range(2, k + 1):
+        first, rest, col, drop = _laplace_tables(n, k, j)
+        prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
+        level = prod[..., ::2].sum(axis=-1) - prod[..., 1::2].sum(axis=-1)
+    return level
 
 
 def signature(g: np.ndarray, tol: float = 1e-10) -> tuple[int, int]:

@@ -6,9 +6,12 @@ over shuffles, so a bug in the dense tables cannot hide in the tests
 that use them.  The finite-difference Jacobians are the exception: they
 differentiate the library's own map phi -> *phi, which keeps them
 independent of the closed-form derivative they are compared with.
+``bareiss_det`` is the elimination the exact determinant used before
+``linalg.minors`` took its place.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +24,26 @@ def perm_sign(perm) -> int:
         1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
     )
     return (-1) ** inv
+
+
+def bareiss_det(a) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = np.array([[Fraction(x) for x in row] for row in a], dtype=object)
+    n = m.shape[0]
+    sign = Fraction(1)
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k, k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r, k] != 0), None)
+            if piv is None:
+                return Fraction(0)
+            m[[k, piv]] = m[[piv, k]]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) / prev
+        prev = m[k, k]
+    return sign * m[n - 1, n - 1]
 
 
 def wedge_eval(a, b, vectors) -> float:

@@ -101,6 +101,25 @@ def test_bad_t_end_exits_two(t_end, capsys):
 
 
 @pytest.mark.parametrize(
+    "flow",
+    [
+        {"integrator": "euler"},
+        {"sample_dt": 0},
+        {"t_end": "abc"},
+        {"integrator": "rk4", "step": 0},
+        {"integrator": "rk4", "step": "x"},
+        {"tol": -1},
+    ],
+    ids=["integrator=euler", "sample_dt=0", "t_end=abc", "rk4-step=0", "rk4-step=x", "tol=-1"],
+)
+def test_bad_config_flow_values_exit_two(tmp_path, flow, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "flow": flow}))
+    assert _run(["--config", str(cfg)]) == 2
+    assert "precondition failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--scenario", "n11-spin7", "--t-end", "0.03", "--integrator", "rk4"],

@@ -389,4 +389,5 @@ def test_rk45_stops_when_the_step_no_longer_advances_time():
     cfg = FlowConfig(space="n11", t_end=0.5, integrator="rk45-adaptive", tol=1e-9)
     traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
     assert traj.stop_reason == "step_failure"
+    assert "no longer advances t" in traj.stop_cause
     assert 0.42 < traj.samples[-1].t < 0.43
