@@ -40,6 +40,15 @@ _DEFAULT_PARAMS = {
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 
+# the JSON type each top-level config value must have, and its name
+_CONFIG_TYPES = {
+    "params": (dict, "an object"),
+    "flow": (dict, "an object"),
+    "output": (str, "a string"),
+    "verify": (bool, "true or false"),
+    "report_only": (bool, "true or false"),
+}
+
 
 @dataclass
 class RunReport:
@@ -47,6 +56,7 @@ class RunReport:
     params: dict
     stop_reason: str
     stop_cause: str | None
+    stats: dict | None  # what the integrator did, see flow.Trajectory.stats
     n_samples: int
     t_first: float | None
     t_last: float | None
@@ -90,19 +100,30 @@ def load_config(path: str) -> dict:
 
 
 def _validate_config(raw: dict, origin: str = "<config>"):
-    allowed_top = {"scenario", "params", "flow", "output", "verify", "report_only"}
+    if not isinstance(raw, dict):
+        raise PreconditionFailed("config_type", f"{origin}: a config must be a JSON object")
+    allowed_top = {"scenario", *_CONFIG_TYPES}
     for key in raw:
         if key not in allowed_top:
             raise PreconditionFailed("config_key", f"{origin}: unknown key '{key}'")
+    for key, (want, name) in _CONFIG_TYPES.items():
+        if key in raw and not isinstance(raw[key], want):
+            raise PreconditionFailed(
+                "config_type", f"{origin}: '{key}' must be {name}, got {raw[key]!r}"
+            )
     scenario = raw.get("scenario")
     if scenario not in _SCENARIOS:
         raise PreconditionFailed(
             "config_scenario", f"{origin}: scenario must be one of {_SCENARIOS}, got {scenario!r}"
         )
-    for key in raw.get("params", {}):
+    for key, val in raw.get("params", {}).items():
         if key not in _DEFAULT_PARAMS[scenario]:
             raise PreconditionFailed(
                 "config_key", f"{origin}: unknown parameter '{key}' for {scenario}"
+            )
+        if isinstance(val, list) and not val:
+            raise PreconditionFailed(
+                "config_sweep", f"{origin}: parameter '{key}' sweeps no value"
             )
     for key in raw.get("flow", {}):
         if key not in _FLOW_KEYS:
@@ -157,6 +178,7 @@ def run_point(
         params=dict(params),
         stop_reason="not_started",
         stop_cause=None,
+        stats=None,
         n_samples=0,
         t_first=None,
         t_last=None,
@@ -199,6 +221,7 @@ def run_point(
         _write_csv(outdir / "trajectory.csv", traj, torsion)
     report.stop_reason = traj.stop_reason
     report.stop_cause = traj.stop_cause
+    report.stats = traj.stats
     report.n_samples = len(traj.samples)
     report.t_first = float(traj.samples[0].t)
     report.t_last = float(traj.samples[-1].t)

@@ -23,6 +23,21 @@ Two flows are implemented on a registered homogeneous space:
   the geometry rather than by fiat, and makes first-order seeding of the
   singular startup second-order accurate in the state variables.
 
+  The right-hand side works in coefficient space: every linear map of the
+  two equations (d, pi, L_{e_phi}, the wedge with de^phi and the moves to
+  and from the distribution) is a matrix on the invariant coefficients,
+  built once per problem (``DegenerateProblem.operators``).  What is left
+  per evaluation is nonlinear: J from the quadratic K-tensor, one
+  pullback J*S (J*(J*S) = sign S gives the second), the normalization
+  and a 15 x 15 solve for the 2-form velocity (``stable.pair_coeffs``,
+  ``stable.solve_wedge_coeffs``).  Monitors and the torsion residual stay
+  on the KForm path and check it independently.
+
+rk4 and Dormand-Prince rk45 advance both flows; rk45 reuses the last
+stage of an accepted step as the first of the next ("first same as
+last", Hairer, Norsett & Wanner, Solving ODEs I, II.5).  Every trajectory
+counts what the integrator did in its stats.
+
 The system is singular at f = 0; trajectories start from a small-time
 Taylor seed at t = epsilon and a Richardson check over epsilon vs
 epsilon/2 guards the seeding error.
@@ -33,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +64,7 @@ from .errors import (
     StepFailure,
     UnstableForm,
 )
-from .forms import KForm, embed, form_pairing, interior, pullback, restrict, wedge
+from .forms import KForm, embed, form_pairing, increasing_tuples, interior, restrict, wedge
 from .g2spin7 import BundleSplitData, bundle_Phi, seven_structure, star_derivative
 from .homogeneous import HomogeneousSpace, invariant_basis, space
 
@@ -182,12 +197,58 @@ class DegenerateProblem:
     def from_dist(self, form: KForm) -> KForm:
         return embed(form, self.mdim, list(self.dist_axes))
 
+    def operators(self) -> "_Operators":
+        """The flow's linear maps on coefficient vectors, built on first
+        use and cached with the problem."""
+        if "operators" not in self._cache:
+            self._cache["operators"] = _Operators.build(self)
+        return self._cache["operators"]
+
     def pack(self, w_coeffs: np.ndarray, S_coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate([w_coeffs, S_coeffs])
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nw = self.w_basis()[1].shape[1]
         return y[:nw], y[nw:]
+
+
+def _matrix_of(fn: Callable[[KForm], KForm], forms) -> np.ndarray:
+    """Matrix of a linear map of forms: column i is fn(forms[i]).coeffs."""
+    return np.stack([fn(x).coeffs for x in forms], axis=1)
+
+
+@dataclass(frozen=True)
+class _Operators:
+    """The linear part of the degenerate flow, as matrices between
+    coefficient vectors: w and S in the invariant bases, omega6, rho6 and
+    the 4-form tau6 on the distribution, and the velocities on m."""
+
+    omega6: np.ndarray  # w -> omega on the distribution
+    s6: np.ndarray  # S -> S on the distribution
+    d_rho: np.ndarray  # rho6 -> to_dist(pi(d from_dist(rho6)))
+    w_de_phi: np.ndarray  # w -> to_dist(pi(omega7 ^ de^phi))
+    lie_rho: np.ndarray  # rho6 -> L_{e_phi} from_dist(rho6)
+    pi_d_w: np.ndarray  # w -> pi(d omega7)
+    from_dist2: np.ndarray  # wdot6 -> from_dist(wdot6)
+
+    @staticmethod
+    def build(problem: "DegenerateProblem") -> "_Operators":
+        w_forms, s_forms = problem.w_basis()[0], problem.s_basis()[0]
+        units = lambda k: [KForm(6, k, e) for e in np.eye(len(increasing_tuples(6, k)))]
+        return _Operators(
+            omega6=_matrix_of(problem.to_dist, w_forms),
+            s6=_matrix_of(problem.to_dist, s_forms),
+            d_rho=_matrix_of(
+                lambda r: problem.to_dist(problem.pi(problem.space.d(problem.from_dist(r)))),
+                units(3),
+            ),
+            w_de_phi=_matrix_of(
+                lambda om: problem.to_dist(problem.pi(wedge(om, problem.de_phi()))), w_forms
+            ),
+            lie_rho=problem.lie_ephi_matrix(3) @ _matrix_of(problem.from_dist, units(3)),
+            pi_d_w=_matrix_of(lambda om: problem.pi(problem.space.d(om)), w_forms),
+            from_dist2=_matrix_of(problem.from_dist, units(2)),
+        )
 
 
 @dataclass(frozen=True)
@@ -242,9 +303,7 @@ class DegenerateFlowState:
         return self.problem.to_dist(f7) if on_distribution else f7
 
     def rho_form(self, on_distribution: bool = True) -> KForm:
-        om6, s6 = self.omega_form(), self.s_form()
-        J, _, _ = stable.pair_structure(om6, s6)
-        rho6 = -1.0 * pullback(J, s6)
+        rho6 = -1.0 * stable.pair_structure(self.omega_form(), self.s_form())[3]
         return rho6 if on_distribution else self.problem.from_dist(rho6)
 
     def phi_form(self) -> KForm:
@@ -324,6 +383,8 @@ class Trajectory:
     config: FlowConfig
     problem: DegenerateProblem | GenericProblem
     stop_cause: str | None = None  # why the run ended early; None if completed
+    # rhs_evals, accepted_steps, rejected_steps, h_min, h_max (None before a step)
+    stats: dict | None = None
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -416,8 +477,7 @@ def smoothness_check(
     """
     dist = tuple(i for i in range(sp.mdim) if i != e_phi_index)
     om6, rho6 = restrict(omega0, dist), restrict(rho0, dist)
-    J, _, _ = stable.pair_structure(om6, rho6)
-    jrho = embed(pullback(J, rho6), sp.mdim, list(dist))
+    jrho = embed(stable.pair_structure(om6, rho6)[3], sp.mdim, list(dist))
     lie3 = e_phi_scale * sp.lie_matrix(e_phi_index, 3)
     lie2 = e_phi_scale * sp.lie_matrix(e_phi_index, 2)
     lrho = lie3 @ rho0.coeffs
@@ -472,7 +532,7 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
         raise PreconditionFailed(
             "smoothness_norm", f"|c| = {abs(c)} != 1: no smooth extension"
         )
-    jrho6 = pullback(cls.J, rho6)
+    jrho6 = cls.jrho
     drho = problem.space.d(problem.rho0)
     tau6 = problem.to_dist(problem.pi(drho))
     wdot0 = stable.solve_wedge_omega(om6, tau6)
@@ -512,78 +572,73 @@ def _check_projection(mat, coeffs, target, what: str):
 # degenerate flow right-hand side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _Derived:
-    om6: KForm
-    om7: KForm
-    rho6: KForm
-    s6: KForm
+class _Split:
+    """The split of a packed state (w, S = f J*rho): omega and rho on the
+    distribution as coefficient vectors, the fiber length f, and J."""
+
+    om6: np.ndarray
+    rho6: np.ndarray
     f: float
-    g6: object
     J: np.ndarray
 
 
-def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Derived:
+def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Split:
+    """f and rho from S by the normalization J*r ^ r = (2/3) omega^3 with
+    r = -J*S: since J*(J*S) = sign S, the ratio J*r ^ r / ((2/3) omega^3)
+    is -sign nu(omega, S), and one pullback of S by J is all it takes."""
+    ops = problem.operators()
     w, S = problem.unpack(y)
-    _, wmat, _ = problem.w_basis()
-    _, smat, _ = problem.s_basis()
-    om7 = KForm(problem.mdim, 2, wmat @ w)
-    S7 = KForm(problem.mdim, 3, smat @ S)
-    om6 = problem.to_dist(om7)
-    S6 = problem.to_dist(S7)
-    J, g6, _ = stable.pair_structure(om6, S6)
-    rho_hat = -1.0 * pullback(J, S6)
-    num = wedge(pullback(J, rho_hat), rho_hat).coeffs[0]
-    den = wedge(wedge(om6, om6), om6).coeffs[0] * (2.0 / 3.0)
-    ratio = num / den
+    om6 = ops.omega6 @ w
+    J, sign, jS, nu = stable.pair_coeffs(om6, ops.s6 @ S)
+    ratio = -sign * nu
     if not np.isfinite(ratio) or ratio <= 0:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    return _Derived(om6, om7, rho_hat * (1.0 / f), S6 * (1.0 / f), f, g6, J)
+    return _Split(om6, jS * (-1.0 / f), f, J)
+
+
+def _velocity(problem: DegenerateProblem, om6, rho6, f: float, w):
+    """The two flow equations on coefficients: the 2-form velocity solving
+    wdot ^ omega = pi(d rho) + f omega ^ de^phi and the 3-form velocity
+    L_{e_phi} rho - f pi(d omega), both as coefficient vectors on m."""
+    ops = problem.operators()
+    tau6 = ops.d_rho @ rho6 + f * (ops.w_de_phi @ w)
+    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(om6, tau6)
+    return wdot7, ops.lie_rho @ rho6 - f * (ops.pi_d_w @ w)
 
 
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float) -> np.ndarray:
-    d = _derive_split(problem, y, branch)
-    rho7 = problem.from_dist(d.rho6)
-    drho = problem.space.d(rho7)
-    tau7 = problem.pi(drho + d.f * wedge(d.om7, problem.de_phi()))
-    wdot6 = stable.solve_wedge_omega(d.om6, problem.to_dist(tau7))
-    lrho = KForm(problem.mdim, 3, problem.lie_ephi_matrix(3) @ rho7.coeffs)
-    pdom = problem.pi(problem.space.d(d.om7))
-    Sdot7 = lrho - d.f * pdom
+    """The packed velocity (wdot, Sdot) at a packed state."""
+    sp = _derive_split(problem, y, branch)
+    wdot7, Sdot7 = _velocity(problem, sp.om6, sp.rho6, sp.f, problem.unpack(y)[0])
     _, wmat, wpinv = problem.w_basis()
     _, smat, spinv = problem.s_basis()
-    wdot7 = problem.from_dist(wdot6)
-    wdot = wpinv @ wdot7.coeffs
-    Sdot = spinv @ Sdot7.coeffs
-    _check_projection(wmat, wdot, wdot7.coeffs, "omega velocity")
-    _check_projection(smat, Sdot, Sdot7.coeffs, "s velocity")
+    wdot = wpinv @ wdot7
+    Sdot = spinv @ Sdot7
+    _check_projection(wmat, wdot, wdot7, "omega velocity")
+    _check_projection(smat, Sdot, Sdot7, "s velocity")
     return problem.pack(wdot, Sdot)
 
 
 def degenerate_rhs(state: DegenerateFlowState) -> tuple[float, KForm, KForm]:
     """Split right-hand side (df/dt, dw/dt, ds/dt) at a state.
 
-    Implements the two flow equations with df = 0 on the slice: the
-    2-form velocity solves  wdot ^ omega = pi(d rho) + f omega ^ de^phi,
-    fdot is the g-orthogonal coefficient of RHS2 = L_{e_phi} rho
-    - f pi(d omega) along s, and sdot = (RHS2 - fdot s)/f.  At f = 0 the
-    right-hand side is purely along s and sdot = 0.
+    The two flow equations with df = 0 on the slice, from the same
+    coefficient-space velocities as the integrator: the 2-form velocity
+    solves  wdot ^ omega = pi(d rho) + f omega ^ de^phi, fdot is the
+    g-orthogonal coefficient of RHS2 = L_{e_phi} rho - f pi(d omega)
+    along s, and sdot = (RHS2 - fdot s)/f.  At f = 0 the right-hand side
+    is purely along s and sdot = 0.
     """
     problem = state.problem
     if state.f < 0:
         raise NonpositiveF("state has negative fiber length")
     om6 = state.omega_form()
     s6 = state.s_form()
-    J, g6, _ = stable.pair_structure(om6, s6)
-    rho6 = -1.0 * pullback(J, s6)
-    rho7 = problem.from_dist(rho6)
-    om7 = state.omega_form(on_distribution=False)
-    drho = problem.space.d(rho7)
-    tau7 = problem.pi(drho + state.f * wedge(om7, problem.de_phi()))
-    wdot6 = stable.solve_wedge_omega(om6, problem.to_dist(tau7))
-    lrho7 = KForm(problem.mdim, 3, problem.lie_ephi_matrix(3) @ rho7.coeffs)
-    pdom = problem.pi(problem.space.d(om7))
-    rhs2_6 = problem.to_dist(lrho7 - state.f * pdom)
+    _, g6, _, js6 = stable.pair_structure(om6, s6)
+    wdot7, rhs2_7 = _velocity(problem, om6.coeffs, -js6.coeffs, state.f, state.w)
+    wdot6 = problem.to_dist(KForm(problem.mdim, 2, wdot7))
+    rhs2_6 = problem.to_dist(KForm(problem.mdim, 3, rhs2_7))
     fdot = float(form_pairing(g6, rhs2_6, s6) / form_pairing(g6, s6, s6))
     residual = rhs2_6 - fdot * s6
     if state.f == 0:
@@ -675,15 +730,17 @@ _DP_B4 = np.array(
 )
 
 
-def _dp_step(f, t, y, h):
-    k = [f(t, y)]
+def _dp_step(f, t, y, h, k1):
+    """One Dormand-Prince step from the first stage k1 = f(t, y).  The
+    5th-order solution is the 7th stage's argument itself, so the last
+    stage f(t + h, y5) is the next step's first ("first same as last");
+    returns (y5, error estimate, last stage)."""
+    k = [k1]
     for i in range(1, 7):
         yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
         k.append(f(t + _DP_C[i] * h, yi))
-    karr = np.stack(k)
-    y5 = y + h * (_DP_B5 @ karr)
-    err = h * ((_DP_B5 - _DP_B4) @ karr)
-    return y5, err
+    err = h * ((_DP_B5 - _DP_B4) @ np.stack(k))
+    return yi, err, k[-1]
 
 
 # Numerical events a step may run into.  The adaptive integrator retries
@@ -700,7 +757,25 @@ _NUMERICAL_FAILURES = (
 )
 
 
-def _advance_rk4(f, t0, y0, t1, step, validity):
+@dataclass
+class _Stats:
+    """What the integrator did: right-hand side evaluations, accepted and
+    rejected steps, and the smallest and largest accepted |h|."""
+
+    rhs_evals: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    h_min: float | None = None
+    h_max: float | None = None
+
+    def accept(self, h: float):
+        h = abs(float(h))
+        self.accepted_steps += 1
+        self.h_min = h if self.h_min is None else min(self.h_min, h)
+        self.h_max = h if self.h_max is None else max(self.h_max, h)
+
+
+def _advance_rk4(f, t0, y0, t1, step, validity, stats):
     n = max(1, int(round(abs(t1 - t0) / step)))
     h = (t1 - t0) / n
     t, y = t0, y0
@@ -708,16 +783,22 @@ def _advance_rk4(f, t0, y0, t1, step, validity):
         try:
             ynew = _rk4_step(f, t, y, h)
         except _NUMERICAL_FAILURES as exc:
+            stats.rejected_steps += 1
             raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
         if not validity(ynew):
+            stats.rejected_steps += 1
             raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
+        stats.accept(h)
         t, y = t + h, ynew
     return y
 
 
-def _advance_rk45(f, t0, y0, t1, tol, h, validity, max_retries):
+def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, max_retries, stats):
     """Adaptive steps from t0 to t1, starting from step h (None for the
-    default); returns the state at t1 and the step to try next."""
+    default) and the first stage k1 = f(t0, y0) (None when not yet
+    evaluated); returns the state at t1, the step to try next and the
+    state's first stage.  A step starts from the last stage of the step
+    before it, or from the first stage of a rejected attempt."""
     t, y = t0, y0
     direction = 1.0 if t1 >= t0 else -1.0
     if h is None:
@@ -730,35 +811,43 @@ def _advance_rk45(f, t0, y0, t1, tol, h, validity, max_retries):
         if t + h == t:
             raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
         try:
-            ynew, err = _dp_step(f, t, y, h)
+            if k1 is None:
+                k1 = f(t, y)
+            ynew, err, klast = _dp_step(f, t, y, h, k1)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
             ok = np.all(np.isfinite(ynew)) and enorm <= 1.0 and validity(ynew)
         except _NUMERICAL_FAILURES:
             ok, enorm = False, np.inf
         if ok:
-            t, y = t + h, ynew
+            stats.accept(h)
+            t, y, k1 = t + h, ynew, klast
             retries = 0
             grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
         else:
+            stats.rejected_steps += 1
             retries += 1
             if retries > max_retries:
                 raise StepFailure(f"no acceptable step at t = {t:.6g}")
             h = h / 2
-    return y, h
+    return y, h, k1
 
 
-def _advancer(config: FlowConfig, rhs, validity):
-    """advance(t0, y0, t1) -> y for the configured integrator; the
-    adaptive one carries its step from one sample interval to the next."""
+def _advancer(config: FlowConfig, rhs, validity, stats: _Stats):
+    """advance(t0, y0, t1) -> y for the configured integrator, counting
+    its steps in stats; the adaptive one carries its step, and the last
+    stage of its last step as the next interval's first stage (both flows
+    are autonomous, so that stage is f(t0, y0) however t0 rounds)."""
     if config.kind() == "rk4":
-        return lambda t0, y0, t1: _advance_rk4(rhs, t0, y0, t1, config.step, validity)
-    h = None
+        return lambda t0, y0, t1: _advance_rk4(rhs, t0, y0, t1, config.step, validity, stats)
+    h = k1 = None
 
     def advance(t0, y0, t1):
-        nonlocal h
-        y, h = _advance_rk45(rhs, t0, y0, t1, config.tol, h, validity, config.max_retries)
+        nonlocal h, k1
+        y, h, k1 = _advance_rk45(
+            rhs, t0, y0, t1, config.tol, h, k1, validity, config.max_retries, stats
+        )
         return y
 
     return advance
@@ -768,14 +857,13 @@ def _advancer(config: FlowConfig, rhs, validity):
 # integrate
 # ----------------------------------------------------------------------
 def _degenerate_monitors(state: DegenerateFlowState) -> dict:
-    problem = state.problem
-    om6, s6 = state.omega_form(), state.s_form()
-    cls = stable.classify_pair(om6, state.rho_form())
+    om6, s6, rho6 = state.omega_form(), state.s_form(), state.rho_form()
+    cls = stable.classify_pair(om6, rho6)
     norm_resid = abs(float(form_pairing(cls.metric, s6, s6)) - 4.0) if cls.ok else np.inf
     sig8 = None
     if cls.ok and abs(state.f) > 0:
         try:
-            split = BundleSplitData.from_distribution(abs(state.f), om6, state.rho_form())
+            split = BundleSplitData.from_distribution(abs(state.f), om6, rho6)
             _, g8 = bundle_Phi(split)
             sig8 = g8.signature()
         except (ValueError, UnstableForm):
@@ -819,15 +907,15 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
             return True  # handled as blow-up at the next sample
         try:
-            d = _derive_split(problem, y, branch)
+            sp = _derive_split(problem, y, branch)
         except _NUMERICAL_FAILURES:
             return False
-        return stable.classify_pair(d.om6, d.rho6).tag is seed_tag
+        return stable.classify_pair(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag is seed_tag
 
     def sample(t, y):
-        d = _derive_split(problem, y, branch)
+        f = _derive_split(problem, y, branch).f
         w, S = problem.unpack(y)
-        state = DegenerateFlowState(t, d.f, w, S / d.f, problem)
+        state = DegenerateFlowState(t, f, w, S / f, problem)
         data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
         return Sample(t, data, _degenerate_monitors(state))
 
@@ -868,7 +956,7 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
     the zero section f = 0 (raises PreconditionFailed).  Stops early with
     stop_reason 'blow_up' when the coefficient norm exceeds 1e8, and with
     'step_failure' when no acceptable step exists; stop_cause then says
-    why.
+    why.  The trajectory's stats count what the integrator did.
     """
     if isinstance(seed, DegenerateFlowState):
         if (config.t_end - seed.t) * seed.f <= 0:
@@ -882,7 +970,13 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         flow = _generic_flow(seed)
     else:
         raise TypeError(f"unknown seed type {type(seed)}")
-    advance = _advancer(config, flow.rhs, flow.validity)
+    stats = _Stats()
+
+    def rhs(t, y):
+        stats.rhs_evals += 1
+        return flow.rhs(t, y)
+
+    advance = _advancer(config, rhs, flow.validity, stats)
     times = _sample_times(seed.t, config.t_end, config.sample_dt)
     y = flow.y0
     samples = [flow.sample(times[0], y)]
@@ -898,7 +992,7 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
             stop, cause = "blow_up", f"coefficient norm {norm:.3g} at t = {t_next:.6g}"
             break
         samples.append(flow.sample(t_next, y))
-    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause)
+    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause, asdict(stats))
 
 
 def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:

@@ -255,10 +255,7 @@ def bundle_Phi(d: BundleSplitData) -> tuple[KForm, SymBilinear]:
     cls = stable.classify_pair(om6, rho6)
     if cls.tag not in (stable.StructureClass.SU3, stable.StructureClass.SU12):
         raise UnstableForm(f"split data does not define a structure: {cls.diagnostics}")
-    from .forms import pullback
-
-    jrho6 = pullback(cls.J, rho6)
-    jrho = embed(jrho6, 8, dist_axes)
+    jrho = embed(cls.jrho, 8, dist_axes)
     f = d.f
     Phi = (
         wedge(d.omega, d.omega) * (Fraction(1, 2) if d.omega.exact else 0.5)

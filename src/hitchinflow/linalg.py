@@ -137,6 +137,16 @@ def _laplace_tables(n: int, k: int, j: int):
     return first, rest, np.array(cols), drop
 
 
+@lru_cache(maxsize=None)
+def _submatrix_index(n: int, k: int) -> np.ndarray:
+    """Flat indices into an n x n matrix of its k x k submatrices over
+    increasing k-tuples: entry [i, j, a, b] is row I_i[a], column J_j[b]."""
+    idx = np.array(increasing_tuples(n, k))
+    flat = idx[:, None, :, None] * n + idx[None, :, None, :]
+    flat.setflags(write=False)
+    return flat
+
+
 def minors(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound matrix of a square m: C[i, j] = det m[I_i, J_j] over
     the increasing k-tuples I_i, J_j in lexicographic order.
@@ -149,8 +159,7 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
         return np.full((1, 1), Fraction(1) if is_exact(m) else 1.0)
     n = m.shape[0]
     if not is_exact(m):
-        idx = np.array(increasing_tuples(n, k))
-        return np.linalg.det(m[idx[:, None, :, None], idx[None, :, None, :]])
+        return np.linalg.det(np.take(m, _submatrix_index(n, k)))
     m = as_exact(m)
     level = m[k - 1 :]
     for j in range(2, k + 1):

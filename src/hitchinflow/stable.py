@@ -22,6 +22,7 @@ in {(6,0), (2,4), (3,3)}.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .forms import (
     SymBilinear,
     increasing_tuples,
     interior,
+    merge_sign,
     pullback,
     tuple_position,
     volume_form,
@@ -50,10 +52,12 @@ __all__ = [
     "assoc_J",
     "assoc_metric",
     "pair_structure",
+    "pair_coeffs",
     "classify_pair",
     "theta_deform",
     "iota",
     "solve_wedge_omega",
+    "solve_wedge_coeffs",
     "model_pair",
     "theta_rotation_matrix",
 ]
@@ -98,6 +102,7 @@ class SixStructureClass:
     signature: tuple[int, int] | None = None
     metric: SymBilinear | None = None
     J: np.ndarray | None = None
+    jrho: KForm | None = None  # J*rho
 
     @property
     def ok(self) -> bool:
@@ -183,8 +188,8 @@ def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvarian
     return LambdaInvariant(tr / (Fraction(6) if rho.exact else 6.0), vol)
 
 
-def _stability_threshold(rho: KForm) -> float:
-    return 1e-12 * max(rho.max_abs(), 1e-30) ** 4
+def _stability_threshold(rho_max_abs: float) -> float:
+    return 1e-12 * max(rho_max_abs, 1e-30) ** 4
 
 
 def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
@@ -202,7 +207,7 @@ def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
             raise UnstableForm("lambda = 0: form is not stable")
         root = linalg.exact_sqrt(abs(lam))
     else:
-        if abs(lam) <= _stability_threshold(rho):
+        if abs(lam) <= _stability_threshold(rho.max_abs()):
             raise UnstableForm("lambda ~ 0: form is not stable")
         root = float(np.sqrt(abs(lam)))
     return K / root
@@ -225,26 +230,50 @@ def _metric_from(omega: KForm, J: np.ndarray, lam_sign: int) -> SymBilinear:
 
 
 def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
-    """(J, g, sign) of a pair: J with the Z_2 sign ambiguity resolved by
-    the normalization, so that J*rho ^ rho is a positive multiple of
-    (2/3) omega^3; g the metric with omega(v,w) = g(v, Jw); and sign the
-    sign of lambda (J^2 = sign Id).  On valid pairs this J is the unique
-    choice whose metric signature lies in {(6,0), (2,4), (3,3)}."""
+    """(J, g, sign, J*rho) of a pair: J with the Z_2 sign ambiguity
+    resolved by the normalization, so that J*rho ^ rho is a positive
+    multiple of (2/3) omega^3; g the metric with omega(v,w) = g(v, Jw);
+    sign the sign of lambda (J^2 = sign Id); and J*rho, the pullback the
+    sign test needs.  On valid pairs this J is the unique choice whose
+    metric signature lies in {(6,0), (2,4), (3,3)}."""
     J = assoc_J(rho, vol_ref)
     lam = lambda_invariant(rho, vol_ref).value
     sgn = -1 if lam < 0 else 1
     om3 = wedge(wedge(omega, omega), omega).coeffs[0]
-    num = wedge(pullback(J, rho), rho).coeffs[0]
+    jrho = pullback(J, rho)
+    num = wedge(jrho, rho).coeffs[0]
     if om3 != 0 and num != 0 and (num / om3) < 0:
-        J = -J
+        J, jrho = -J, -jrho
     g = _metric_from(omega, J, sgn)
-    return J, g, sgn
+    return J, g, sgn, jrho
+
+
+def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
+    """pair_structure in coefficient space: float coefficient vectors of a
+    2-form and a 3-form on R^6, reference volume e^{1..6}, no KForm.
+
+    Returns (J, sign, J*rho, nu) with J, sign and J*rho as pair_structure
+    gives them (J*rho from the one pullback ``rho @ minors(J, 3)``) and
+    nu = (J*rho ^ rho) / ((2/3) omega^3), which is 1 on a normalized pair
+    and nan when omega^3 = 0.  Raises UnstableForm as assoc_J does.
+    """
+    K = (_k_quadratic_tensor().reshape(-1, len(rho)) @ rho).reshape(6, 6, -1) @ rho
+    lam = np.trace(K @ K) / 6.0
+    if abs(lam) <= _stability_threshold(float(np.max(np.abs(rho)))):
+        raise UnstableForm("lambda ~ 0: form is not stable")
+    J = K / math.sqrt(abs(lam))
+    jrho = rho @ linalg.minors(J, 3)
+    om3 = _omega_cube(omega)
+    num = jrho @ _top_pairing(3) @ rho
+    if om3 != 0 and num != 0 and (num / om3) < 0:
+        J, jrho, num = -J, -jrho, -num
+    nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
+    return J, (-1 if lam < 0 else 1), jrho, nu
 
 
 def assoc_metric(omega: KForm, rho: KForm, vol_ref: KForm | None = None) -> SymBilinear:
     """Metric associated to a pair of stable forms via omega(v,w) = g(v, Jw)."""
-    _, g, _ = pair_structure(omega, rho, vol_ref)
-    return g
+    return pair_structure(omega, rho, vol_ref)[1]
 
 
 def _rel_tol(*forms: KForm) -> float:
@@ -266,13 +295,12 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     if abs(om3.coeffs[0]) <= 1e-12 * om_scale:
         return fail("omega is degenerate (omega^3 = 0)")
     lam = lambda_invariant(rho).value
-    if abs(lam) <= _stability_threshold(rho):
+    if abs(lam) <= _stability_threshold(rho.max_abs()):
         return fail("rho is not stable (lambda = 0)", lambda_value=lam)
     compat = wedge(omega, rho)
     if compat.max_abs() > _rel_tol(omega) * max(rho.max_abs(), 1e-30):
         return fail("omega ^ rho != 0", lambda_value=lam)
-    J, g, sgn = pair_structure(omega, rho)
-    jrho = pullback(J, rho)
+    J, g, sgn, jrho = pair_structure(omega, rho)
     norm_lhs = wedge(jrho, rho)
     scale3 = Fraction(2, 3) if omega.exact else (2.0 / 3.0)
     resid = norm_lhs - om3 * scale3
@@ -293,7 +321,7 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
         tag = StructureClass.SL3R
     else:
         return fail(f"unexpected signature {sig}", lambda_value=lam, signature=sig)
-    return SixStructureClass(tag, lambda_value=lam, signature=sig, metric=g, J=J)
+    return SixStructureClass(tag, lambda_value=lam, signature=sig, metric=g, J=J, jrho=jrho)
 
 
 def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
@@ -305,8 +333,7 @@ def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
     cls = classify_pair(omega, rho)
     if not cls.ok:
         raise UnstableForm(f"not a structure: {cls.diagnostics}")
-    jrho = pullback(cls.J, rho)
-    rho_f, jrho_f = rho.to_float(), jrho.to_float()
+    rho_f, jrho_f = rho.to_float(), cls.jrho.to_float()
     if cls.lambda_value < 0:
         new = float(np.cos(theta)) * rho_f + float(np.sin(theta)) * jrho_f
     else:
@@ -332,8 +359,6 @@ def theta_rotation_matrix(theta: float, para: bool = False) -> np.ndarray:
 def _dual_bivector(sigma: KForm) -> np.ndarray:
     """Matrix B with B[i,j] = coefficient of the (i,j)-complement in sigma,
     signed; for sigma = omega^2/2 this is -Pf(Omega) Omega^{-1}."""
-    from .forms import merge_sign
-
     n = sigma.dim
     B = np.zeros((n, n), dtype=object if sigma.exact else float)
     for i in range(n):
@@ -367,6 +392,25 @@ def _wedge2_tensor() -> np.ndarray:
     return W
 
 
+@functools.lru_cache(maxsize=None)
+def _top_pairing(p: int) -> np.ndarray:
+    """P with a ^ b = (a @ P @ b) e^{1..6} for a p-form a and a
+    (6-p)-form b on R^6: the merge sign of each complementary pair."""
+    ptups = increasing_tuples(6, p)
+    P = np.zeros((len(ptups), len(increasing_tuples(6, 6 - p))))
+    for i, a in enumerate(ptups):
+        comp = tuple(k for k in range(6) if k not in a)
+        P[i, tuple_position(6, comp)] = merge_sign(a, comp)[0]
+    P.setflags(write=False)
+    return P
+
+
+def _omega_cube(omega: np.ndarray) -> float:
+    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients."""
+    square = (_wedge2_tensor() @ omega) @ omega
+    return square @ _top_pairing(4) @ omega
+
+
 def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     """Unique alpha with alpha ^ omega = tau, for nondegenerate omega.
 
@@ -375,18 +419,23 @@ def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     """
     if omega.dim != 6 or omega.degree != 2 or tau.degree != 4:
         raise ValueError("expected a 2-form and a 4-form on R^6")
-    om3 = wedge(wedge(omega, omega), omega)
-    if abs(om3.coeffs[0]) <= 1e-12 * max(omega.max_abs(), 1e-30) ** 3:
+    alpha = solve_wedge_coeffs(omega.to_float().coeffs, tau.to_float().coeffs)
+    return KForm(6, 2, alpha)
+
+
+def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """solve_wedge_omega on float coefficient vectors: alpha with
+    alpha ^ omega = tau.  Raises DegenerateOmega when omega^3 = 0 (to
+    1e-12 relative) or when the solve leaves a residual above 1e-10
+    relative."""
+    if abs(_omega_cube(omega)) <= 1e-12 * max(float(np.max(np.abs(omega))), 1e-30) ** 3:
         raise DegenerateOmega("omega^3 = 0")
-    omega = omega.to_float()
-    tau = tau.to_float()
-    mat = np.einsum("oca,a->oc", _wedge2_tensor(), omega.coeffs)
-    alpha = np.linalg.solve(mat, tau.coeffs)
-    out = KForm(6, 2, alpha)
-    resid = wedge(out, omega) - tau
-    if resid.max_abs() > 1e-10 * max(tau.max_abs(), 1e-30):
+    mat = _wedge2_tensor() @ omega  # the matrix of alpha -> alpha ^ omega
+    alpha = np.linalg.solve(mat, tau)
+    resid = float(np.max(np.abs(mat @ alpha - tau)))
+    if resid > 1e-10 * max(float(np.max(np.abs(tau))), 1e-30):
         raise DegenerateOmega("wedge solve residual too large")
-    return out
+    return alpha
 
 
 def iota(sigma: KForm, sign_hint: KForm | None = None) -> KForm:

@@ -7,15 +7,22 @@ that use them.  The finite-difference Jacobians are the exception: they
 differentiate the library's own map phi -> *phi, which keeps them
 independent of the closed-form derivative they are compared with.
 ``bareiss_det`` is the elimination the exact determinant used before
-``linalg.minors`` took its place.
+``linalg.minors`` took its place.  ``degenerate_split_oracle`` and
+``degenerate_rhs_oracle`` are the KForm path of the degenerate flow that
+the coefficient-space kernel replaced: they rebuild every form, restrict
+and embed them, and pull back by J three times.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from hitchinflow.forms import KForm, pullback, wedge
 from hitchinflow.g2spin7 import seven_structure
+from hitchinflow.linalg import increasing_tuples
+from hitchinflow.stable import pair_structure
 
 
 def perm_sign(perm) -> int:
@@ -113,3 +120,39 @@ def fd_generic_rhs(state, h: float) -> np.ndarray:
 def relative_gap(a, b) -> float:
     """max |a - b| / max |b| (sup norms)."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+def degenerate_split_oracle(problem, y, branch):
+    """(omega7, omega6, rho6, f, J) of a packed degenerate state (w, S =
+    f J*rho) from the normalization J*r ^ r = (2/3) omega^3, r = -J*S,
+    evaluated with KForms."""
+    w, S = problem.unpack(y)
+    _, wmat, _ = problem.w_basis()
+    _, smat, _ = problem.s_basis()
+    om7 = KForm(problem.mdim, 2, wmat @ w)
+    om6 = problem.to_dist(om7)
+    S6 = problem.to_dist(KForm(problem.mdim, 3, smat @ S))
+    J = pair_structure(om6, S6)[0]
+    rho_hat = -1.0 * pullback(J, S6)
+    num = wedge(pullback(J, rho_hat), rho_hat).coeffs[0]
+    den = wedge(wedge(om6, om6), om6).coeffs[0] * (2.0 / 3.0)
+    f = branch * math.sqrt(num / den)
+    return om7, om6, rho_hat * (1.0 / f), f, J
+
+
+def degenerate_rhs_oracle(problem, y, branch):
+    """Packed velocity (wdot, Sdot) of the two degenerate flow equations,
+    evaluated with KForms; the 2-form velocity solves wdot ^ omega = tau
+    through the matrix of alpha -> alpha ^ omega built from wedges."""
+    om7, om6, rho6, f, _ = degenerate_split_oracle(problem, y, branch)
+    rho7 = problem.from_dist(rho6)
+    tau7 = problem.pi(problem.space.d(rho7) + f * wedge(om7, problem.de_phi()))
+    wedge_map = np.stack(
+        [wedge(KForm.basis(6, t), om6).coeffs for t in increasing_tuples(6, 2)], axis=1
+    )
+    wdot6 = KForm(6, 2, np.linalg.solve(wedge_map, problem.to_dist(tau7).coeffs))
+    lrho = KForm(problem.mdim, 3, problem.lie_ephi_matrix(3) @ rho7.coeffs)
+    Sdot7 = lrho - f * problem.pi(problem.space.d(om7))
+    _, _, wpinv = problem.w_basis()
+    _, _, spinv = problem.s_basis()
+    return problem.pack(wpinv @ problem.from_dist(wdot6).coeffs, spinv @ Sdot7.coeffs)

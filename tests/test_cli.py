@@ -120,6 +120,38 @@ def test_bad_config_flow_values_exit_two(tmp_path, flow, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [
+        {"output": 5},
+        {"params": 5},
+        {"flow": 5},
+        {"params": {"theta": []}},
+        {"verify": "yes"},
+        {"report_only": 1},
+    ],
+    ids=["output=5", "params=5", "flow=5", "theta=[]", "verify=yes", "report_only=1"],
+)
+def test_bad_config_value_types_exit_two(tmp_path, extra, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", **extra}))
+    assert _run(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failure" in err or "error:" in err
+
+
+def test_report_carries_integrator_stats(tmp_path):
+    args = ["--scenario", "n11-spin7", "--t-end", "0.03", "--integrator", "rk4"]
+    assert _run(args + ["--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys = list(report)
+    assert keys[keys.index("stop_cause") + 1] == "stats"
+    stats = report["stats"]
+    assert set(stats) == {"rhs_evals", "accepted_steps", "rejected_steps", "h_min", "h_max"}
+    assert stats["rhs_evals"] == 4 * stats["accepted_steps"] > 0
+    assert stats["rejected_steps"] == 0
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--scenario", "n11-spin7", "--t-end", "0.03", "--integrator", "rk4"],

@@ -31,7 +31,13 @@ from hitchinflow.g2spin7 import model_phi, seven_structure, star_derivative
 from hitchinflow.homogeneous import space
 from hitchinflow.stable import classify_pair
 
-from oracles import fd_generic_rhs, fd_star_jacobian, relative_gap
+from oracles import (
+    degenerate_rhs_oracle,
+    degenerate_split_oracle,
+    fd_generic_rhs,
+    fd_star_jacobian,
+    relative_gap,
+)
 
 
 # ------------------------------------------------------------ smoothness
@@ -147,7 +153,74 @@ def test_degenerate_rhs_flat_model():
     assert sdot.max_abs() < 1e-13
 
 
+def _kernel_states():
+    """Packed states (problem, y) on which the kernel is checked: three
+    samples along an n11 family trajectory and the flat su3/su12 seeds."""
+    p = n11_problem(a=1.3, b=-0.8, c_param=1.1, theta=0.7)
+    cfg = FlowConfig(space="n11", t_end=0.3, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.1)
+    traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
+    states = [traj.state_at(i) for i in (1, 2, 3)]
+    states += [startup_seed(flat7_problem(name), 1.0, 0.2) for name in ("su3", "su12")]
+    return [(st.problem, st.problem.pack(st.w, st.f * st.s)) for st in states]
+
+
+@pytest.mark.parametrize(
+    "index", range(5), ids=["n11-t0.1", "n11-t0.2", "n11-t0.3", "su3", "su12"]
+)
+def test_kernel_matches_kform_oracle(index):
+    problem, y = _kernel_states()[index]
+    _, om6, rho6, f, J = degenerate_split_oracle(problem, y, 1.0)
+    split = fl._derive_split(problem, y, 1.0)
+    assert abs(split.f - f) <= 1e-12 * abs(f)
+    assert relative_gap(split.J, J) <= 1e-12
+    assert relative_gap(split.om6, om6.coeffs) <= 1e-12
+    assert relative_gap(split.rho6, rho6.coeffs) <= 1e-12
+    velocity = fl._rhs_packed(problem, y, 1.0)
+    assert relative_gap(velocity, degenerate_rhs_oracle(problem, y, 1.0)) <= 1e-12
+
+
+def test_kernel_runs_one_pullback_and_builds_no_kform(monkeypatch):
+    from hitchinflow import linalg
+
+    problem, y = _kernel_states()[0]
+    fl._rhs_packed(problem, y, 1.0)  # the operators are built on first use
+    minors_calls, kforms = [], []
+    minors, post_init = linalg.minors, KForm.__post_init__
+    monkeypatch.setattr(linalg, "minors", lambda m, k: minors_calls.append(k) or minors(m, k))
+    monkeypatch.setattr(
+        KForm, "__post_init__", lambda self: kforms.append(self) or post_init(self)
+    )
+    fl._rhs_packed(problem, y, 1.0)
+    assert minors_calls == [3]
+    assert kforms == []
+
+
 # ------------------------------------------------------------- integration
+def test_rk4_stats_count_four_evaluations_per_step():
+    p = n11_problem()
+    cfg = FlowConfig(space="n11", t_end=0.05, integrator="rk4-fixed", step=1e-3, sample_dt=0.01)
+    traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
+    steps = sum(max(1, round(dt / cfg.step)) for dt in np.diff(traj.times()))
+    assert traj.stats["accepted_steps"] == steps
+    assert traj.stats["rhs_evals"] == 4 * steps
+    assert traj.stats["rejected_steps"] == 0
+    assert 0 < traj.stats["h_min"] <= traj.stats["h_max"] <= cfg.step * 1.01
+
+
+def test_rk45_stats_reuse_the_last_stage():
+    # first same as last: at most 6 evaluations per attempted step, plus
+    # the first stage of the seed; the last stage of a sample interval
+    # starts the next one
+    p = n11_problem()
+    cfg = FlowConfig(space="n11", t_end=0.2, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.02)
+    traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
+    st = traj.stats
+    attempts = st["accepted_steps"] + st["rejected_steps"]
+    assert st["accepted_steps"] >= len(traj.samples) - 1
+    assert st["rhs_evals"] <= 6 * attempts + 1
+    assert 0 < st["h_min"] <= st["h_max"]
+
+
 def test_flat_model_exact_linear():
     p = flat7_problem()
     seed = startup_seed(p, 1.0, 1e-4)

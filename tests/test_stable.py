@@ -14,6 +14,9 @@ from hitchinflow.stable import (
     k_endomorphism,
     lambda_invariant,
     model_pair,
+    pair_coeffs,
+    pair_structure,
+    solve_wedge_coeffs,
     solve_wedge_omega,
     theta_deform,
     theta_rotation_matrix,
@@ -153,6 +156,44 @@ def test_classify_stable_under_conjugation(rng):
                 continue
             out = classify_pair(pullback(A, om), pullback(A, rho))
             assert out.tag is tag, f"{name}: {out.diagnostics}"
+
+
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_pair_structure_jrho_is_the_pullback(rng, name):
+    # the J*rho that pair_structure returns is pullback(J, rho) for its
+    # sign-resolved J, in both scalar modes; pair_coeffs gives the same
+    # J and J*rho in coefficient space, and nu = 1 on normalized pairs
+    J, _, _, jrho = pair_structure(*model_pair(name, exact=True))
+    assert np.array_equal(jrho.coeffs, pullback(J, model_pair(name, exact=True)[1]).coeffs)
+    om0, rho0 = model_pair(name)
+    for _ in range(5):
+        A = _random_glplus(rng)
+        A = A if rng.random() < 0.5 else A[:, [1, 0, 2, 3, 4, 5]]  # both orientations
+        om, rho = pullback(A, om0), pullback(A, rho0)
+        J, _, sign, jrho = pair_structure(om, rho)
+        assert np.array_equal(jrho.coeffs, pullback(J, rho).coeffs)
+        Jc, sign_c, jrho_c, nu = pair_coeffs(om.coeffs, rho.coeffs)
+        assert sign_c == sign
+        assert np.max(np.abs(Jc - J)) <= 1e-12 * np.max(np.abs(J))
+        assert np.max(np.abs(jrho_c - jrho.coeffs)) <= 1e-12 * jrho.max_abs()
+        assert nu == pytest.approx(1.0, rel=1e-10)
+
+
+def test_pair_coeffs_refuses_unstable_rho():
+    om, _ = model_pair("su3")
+    with pytest.raises(UnstableForm):
+        pair_coeffs(om.coeffs, KForm.basis(6, (0, 1, 2)).coeffs)
+
+
+def test_solve_wedge_coeffs_matches_kform_solve(rng):
+    om, _ = model_pair("su12")
+    om = pullback(_random_glplus(rng), om)
+    tau = KForm(6, 4, rng.normal(size=15))
+    alpha = solve_wedge_coeffs(om.coeffs, tau.coeffs)
+    assert np.max(np.abs(wedge(KForm(6, 2, alpha), om).coeffs - tau.coeffs)) < 1e-10
+    assert np.array_equal(solve_wedge_omega(om, tau).coeffs, alpha)
+    with pytest.raises(DegenerateOmega):
+        solve_wedge_coeffs(KForm.basis(6, (0, 1)).coeffs, tau.coeffs)
 
 
 def test_classify_family_member():
