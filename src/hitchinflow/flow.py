@@ -134,11 +134,6 @@ class DegenerateProblem:
     def dist_axes(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.mdim) if i != self.e_phi_index)
 
-    def e_phi_vector(self) -> np.ndarray:
-        v = np.zeros(self.mdim)
-        v[self.e_phi_index] = self.e_phi_scale
-        return v
-
     def e_phi_form(self) -> KForm:
         # dual normalized so that e^phi(e_phi) = 1
         return KForm.basis(self.mdim, [self.e_phi_index]) * (1.0 / self.e_phi_scale)
@@ -327,7 +322,8 @@ _INTEGRATORS = {"rk4": "rk4", "rk4-fixed": "rk4", "rk45": "rk45", "rk45-adaptive
 
 
 def _is_finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    # bool is an Integral, but a JSON true is no number
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -361,7 +357,8 @@ class FlowConfig:
                 refuse(name, "a finite number > 0")
         if not _is_finite_real(self.t_end):
             refuse("t_end", "a finite number")
-        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
+        retries = self.max_retries
+        if not isinstance(retries, numbers.Integral) or isinstance(retries, bool) or retries < 0:
             refuse("max_retries", "an integer >= 0")
 
     def kind(self) -> str:
@@ -1009,7 +1006,8 @@ def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 def torsion_residual(traj: Trajectory) -> np.ndarray:
     """Per-sample residual |d/dt(*phi) - d phi| + |d(*phi)| on the stored
-    grid (centered differences inside, one-sided second order at ends).
+    grid (``np.gradient``: second-order centered differences inside,
+    one-sided second order at the ends).
 
     *phi is recomputed from each sample's phi through the 7-dimensional
     Hodge machinery, independently of the evolution variables."""
@@ -1020,31 +1018,9 @@ def torsion_residual(traj: Trajectory) -> np.ndarray:
     phis = [traj.state_at(i).phi_form() for i in range(n)]
     stars = [_stable_structure(phi).star_phi for phi in phis]
     sp = traj.problem.space
-    star_mat = np.stack([s.coeffs for s in stars])
+    derivs = np.gradient(np.stack([s.coeffs for s in stars]), ts, axis=0, edge_order=2)
     out = np.empty(n)
-    for i in range(n):
-        if 0 < i < n - 1:
-            dt_m, dt_p = ts[i] - ts[i - 1], ts[i + 1] - ts[i]
-            # centered difference on a possibly nonuniform grid
-            deriv = (
-                star_mat[i + 1] * dt_m / (dt_p * (dt_m + dt_p))
-                - star_mat[i - 1] * dt_p / (dt_m * (dt_m + dt_p))
-                + star_mat[i] * (dt_p - dt_m) / (dt_m * dt_p)
-            )
-        elif i == 0:
-            h1, h2 = ts[1] - ts[0], ts[2] - ts[0]
-            deriv = (
-                -star_mat[0] * (h1 + h2) / (h1 * h2)
-                + star_mat[1] * h2 / (h1 * (h2 - h1))
-                - star_mat[2] * h1 / (h2 * (h2 - h1))
-            )
-        else:
-            h1, h2 = ts[-1] - ts[-2], ts[-1] - ts[-3]
-            deriv = (
-                star_mat[-1] * (h1 + h2) / (h1 * h2)
-                - star_mat[-2] * h2 / (h1 * (h2 - h1))
-                + star_mat[-3] * h1 / (h2 * (h2 - h1))
-            )
+    for i, deriv in enumerate(derivs):
         dphi = sp.d(phis[i])
         flow_res = float(np.max(np.abs(deriv - dphi.coeffs)))
         cocal = float(sp.d(stars[i]).max_abs())

@@ -2,11 +2,18 @@
 
 A k-form stores one coefficient per strictly increasing index tuple, in
 lexicographic order; every sign in the package flows from sorting index
-tuples and counting transpositions.  Coefficients are float64 by default;
-an exact mode (object arrays of ``fractions.Fraction``) is available for
-the model identity suite.  Both modes share one code path: pullbacks and
-the Gram matrices behind the pairing and the Hodge star are products with
-``linalg.minors``, which picks its kernel from the dtype.
+tuples and counting transpositions, and those product tables live here
+alone: ``wedge`` and ``interior`` scatter through cached sign/index
+tables, and ``wedge_tensor`` and ``interior_tensor`` hold the same tables
+as integer tensors for the coefficient kernels of ``stable`` and
+``g2spin7``, which multiply with them through ``contract``.
+
+Coefficients are float64 by default; an exact mode (object arrays of
+``fractions.Fraction``) is available for the model identity suite.  Both
+modes share one code path: pullbacks and the Gram matrices behind the
+pairing and the Hodge star are products with ``linalg.minors``, and
+``contract`` with the product tables, each of which picks its kernel
+from the dtype.
 
 Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
 
 import numpy as np
 
@@ -38,6 +46,9 @@ __all__ = [
     "merge_sign",
     "sort_sign",
     "hodge_matrices",
+    "wedge_tensor",
+    "interior_tensor",
+    "contract",
 ]
 
 
@@ -240,18 +251,6 @@ class SymBilinear:
     def inverse(self) -> np.ndarray:
         return linalg.inverse(self.matrix)
 
-    def apply(self, v, w) -> float | Fraction:
-        return (np.asarray(v) @ self.matrix @ np.asarray(w))
-
-    def restrict(self, indices) -> "SymBilinear":
-        idx = list(indices)
-        return SymBilinear(self.matrix[np.ix_(idx, idx)])
-
-    def norm_sq(self, form: KForm) -> float | Fraction:
-        """Induced squared norm on k-forms (may be negative in indefinite
-        signature)."""
-        return form_pairing(self, form, form)
-
 
 def volume_form(dim: int, coeff=1, exact: bool = False) -> KForm:
     """Top-degree form coeff * e^{1...n}."""
@@ -299,13 +298,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, coeffs)
 
 
-def wedge_all(*forms: KForm) -> KForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 # -- interior product -------------------------------------------------
 @lru_cache(maxsize=None)
 def _interior_table(n: int, k: int):
@@ -334,6 +326,55 @@ def interior(v, a: KForm) -> KForm:
     return KForm(a.dim, a.degree - 1, coeffs)
 
 
+# -- product tables ----------------------------------------------------
+@lru_cache(maxsize=None)
+def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
+    """Integer tensor W of the wedge on R^n, (a ^ b)[o] = sum W[o, i, j]
+    a[i] b[j] for a p-form a and a q-form b, stored as float64 so that
+    float products need no cast.  ``contract(W, b)`` is the matrix of
+    a -> a ^ b; ``wedge_tensor(n, p, n - p)[0]`` the top-degree pairing."""
+    ai, bi, oi, sg = _wedge_table(n, p, q)
+    W = np.zeros((comb(n, p + q), comb(n, p), comb(n, q)))
+    W[oi, ai, bi] = sg
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=None)
+def interior_tensor(n: int, k: int) -> np.ndarray:
+    """Integer tensor I of the interior product on k-forms on R^n, stored
+    like ``wedge_tensor``: (v . a)[o] = sum I[c, o, i] v[c] a[i], so
+    ``I[c]`` is the matrix of a -> e_c . a."""
+    ii, vc, oi, sg = _interior_table(n, k)
+    I = np.zeros((n, comb(n, k - 1), comb(n, k)))
+    I[vc, oi, ii] = sg
+    I.setflags(write=False)
+    return I
+
+
+def contract(table: np.ndarray, *vectors: np.ndarray):
+    """Contract the last axes of a table from ``wedge_tensor`` or
+    ``interior_tensor`` (or built from them) with the vectors, the last
+    vector with the last axis: ``contract(W, a, b)`` is a ^ b for
+    ``W = wedge_tensor(n, p, q)``.  Float vectors take ``table @ v`` or,
+    for several, one ``np.einsum``; exact (object) vectors a scatter over
+    the nonzero entries, as ``wedge`` does, so no Fraction meets a zero."""
+    lead = table.shape[: table.ndim - len(vectors)]
+    if all(v.dtype != object for v in vectors):
+        if len(vectors) == 1:
+            return table @ vectors[0]
+        operands = [x for i, v in enumerate(vectors) for x in (v, [i])]
+        return np.einsum(table, [..., *range(len(vectors))], *operands, [...])
+    flat = table.reshape((prod(lead),) + table.shape[len(lead) :])
+    nz = np.nonzero(flat)
+    vals = flat[nz].astype(int).astype(object)
+    for v, idx in zip(vectors, nz[1:]):
+        vals = vals * v[idx]
+    out = np.full(len(flat), Fraction(0), dtype=object)
+    np.add.at(out, nz[0], vals)
+    return out.reshape(lead)[()]
+
+
 # -- pullback ---------------------------------------------------------
 def pullback(mat: np.ndarray, a: KForm) -> KForm:
     """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk)."""
@@ -359,19 +400,6 @@ def form_pairing(g: SymBilinear, a: KForm, b: KForm):
     return a.coeffs @ gram @ b.coeffs
 
 
-@lru_cache(maxsize=None)
-def _complement_table(n: int, k: int):
-    """(complement position, merge sign) for each increasing k-tuple."""
-    out_index = _tuple_index(n, n - k)
-    rows = []
-    for t in increasing_tuples(n, k):
-        comp = tuple(i for i in range(n) if i not in t)
-        sign, _ = merge_sign(t, comp)
-        rows.append((out_index[comp], sign))
-    pos, sg = zip(*rows)
-    return np.array(pos), np.array(sg)
-
-
 def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
     """Hodge star defined by  b ^ star(a) = <b, a>_g vol  for all b."""
     if vol.degree != vol.dim or vol.dim != a.dim or g.dim != a.dim:
@@ -380,25 +408,19 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
         raise DegenerateMetric("volume form vanishes")
     if not g.is_nondegenerate():
         raise DegenerateMetric("metric is degenerate")
-    v0 = vol.coeffs[0]
-    gram = _pairing_matrix(g, a.degree)
-    paired = gram @ a.coeffs  # <e^J, a> per increasing J
-    pos, sg = _complement_table(a.dim, a.degree)
-    out = KForm.zero(a.dim, a.dim - a.degree, exact=a.exact or g.exact or vol.exact)
-    coeffs = out.coeffs.copy()
-    coeffs[pos] = sg * paired * v0
-    return KForm(a.dim, a.dim - a.degree, coeffs)
+    paired = _pairing_matrix(g, a.degree) @ a.coeffs  # <e^J, a> per increasing J
+    # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
+    top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
+    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])
 
 
 def hodge_matrices(g: SymBilinear, vol: KForm, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
     on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
-    to rounding.  The metric and volume are not re-validated."""
+    to rounding.  Float metrics only; they and the volume are not re-validated."""
     gram = _pairing_matrix(g, k)
-    pos, sg = _complement_table(g.dim, k)
-    star = np.empty_like(gram)
-    star[pos] = sg[:, None] * gram * vol.coeffs[0]
-    return gram, star
+    top = wedge_tensor(g.dim, k, g.dim - k)[0]
+    return gram, top.T @ gram * vol.coeffs[0]
 
 
 # -- index embeddings --------------------------------------------------

@@ -11,6 +11,9 @@ contraction acting in the first slot) and the associated metric and
 volume are recovered by the normalization
 g7 = B det(B)^{-1/9}, vol7 = det(B)^{1/9} vol_ref (signed ninth root);
 the exponent is the unique one scaling correctly under rescalings of phi.
+B is computed once, for floats and Fractions alike, as C M C^T / 6 with
+C[i] = e_i . phi and M[a, b] = e^a ^ e^b ^ phi on e^{1..7}, both read off
+the ``forms`` product tensors.
 
 The associated 4-form of an 8-dimensional structure Phi = e8 ^ phi + *phi
 has volume vol8 := (1/14) Phi ^ Phi = e8 ^ vol7.  Recognition of
@@ -32,13 +35,16 @@ from .errors import NonpositiveF, UnstableForm
 from .forms import (
     KForm,
     SymBilinear,
+    contract,
     embed,
     hodge,
     hodge_matrices,
     interior,
+    interior_tensor,
     restrict,
     volume_form,
     wedge,
+    wedge_tensor,
 )
 
 __all__ = [
@@ -98,19 +104,11 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     exact = phi.exact
-    one = Fraction(1) if exact else 1.0
-    contractions = []
-    for i in range(7):
-        v = np.zeros(7, dtype=object if exact else float)
-        v[i] = one
-        contractions.append(interior(v, phi))
-    B = np.zeros((7, 7), dtype=object if exact else float)
-    for i in range(7):
-        for j in range(i, 7):
-            top = wedge(wedge(contractions[i], contractions[j]), phi)
-            val = top.coeffs[0] / (6 * one)
-            B[i, j] = val
-            B[j, i] = val
+    # B = C M C^T / 6 with C[i] = e_i . phi and M[a, b] = e^a ^ e^b ^ phi
+    C = contract(interior_tensor(7, 3), phi.coeffs)
+    p4 = contract(wedge_tensor(7, 4, 3)[0], phi.coeffs)  # 4-forms ^ phi on e^{1..7}
+    B = C @ contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4) @ C.T
+    B = (B + B.T) / 12  # symmetric to the last bit in floats
     d = linalg.det(B)
     scale = max(float(max(abs(x) for x in B.reshape(-1))), 1e-30)
     if (exact and d == 0) or (not exact and abs(d) <= 1e-12 * scale**7):

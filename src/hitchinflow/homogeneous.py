@@ -22,7 +22,15 @@ import numpy as np
 
 from . import linalg
 from .errors import NotClosed
-from .forms import KForm, increasing_tuples, interior, sort_sign, tuple_position, wedge
+from .forms import (
+    KForm,
+    increasing_tuples,
+    interior,
+    interior_tensor,
+    sort_sign,
+    tuple_position,
+    wedge,
+)
 
 __all__ = [
     "LieAlgebraPresentation",
@@ -202,13 +210,10 @@ class HomogeneousSpace:
         matrix on Lambda^k m* (Cartan formula in the CE complex)."""
         key = ("lie", mpos, k)
         if key not in self._cache:
-            nm = self.mdim
-            x = np.zeros(nm)
-            x[mpos] = 1.0
-            iota_k = _interior_matrix(x, nm, k)
-            iota_k1 = _interior_matrix(x, nm, k + 1)
-            term2 = self.d_matrix(k - 1) @ iota_k if k > 0 else np.zeros((1, 1))
-            self._cache[key] = iota_k1 @ self.d_matrix(k) + term2
+            iota = lambda j: interior_tensor(self.mdim, j)[mpos]
+            term1 = iota(k + 1) @ self.d_matrix(k) if k < self.mdim else 0.0
+            term2 = self.d_matrix(k - 1) @ iota(k) if k > 0 else 0.0
+            self._cache[key] = term1 + term2
         return self._cache[key]
 
     def d(self, form: KForm) -> KForm:
@@ -251,22 +256,6 @@ def _coadjoint_matrix(ad: np.ndarray, nm: int, k: int, exact: bool) -> np.ndarra
                     continue
                 L[row, tuple_position(nm, srt)] += -a * s
     return L
-
-
-def _interior_matrix(x: np.ndarray, nm: int, k: int) -> np.ndarray:
-    """Interior product with vector x as a matrix Lambda^k -> Lambda^{k-1}."""
-    tin = increasing_tuples(nm, k)
-    tout = increasing_tuples(nm, k - 1) if k >= 1 else ()
-    M = np.zeros((max(len(tout), 1), len(tin)))
-    if k == 0:
-        return M
-    for col, T in enumerate(tin):
-        for pos, comp in enumerate(T):
-            if x[comp] == 0:
-                continue
-            rest = T[:pos] + T[pos + 1 :]
-            M[tuple_position(nm, rest), col] += ((-1) ** pos) * x[comp]
-    return M
 
 
 @dataclass(frozen=True)

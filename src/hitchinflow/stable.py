@@ -17,6 +17,14 @@ normalization, picking the J with J*rho ^ rho a positive multiple of
 (2/3) omega^3; this is the choice under which the standard model values
 hold on both orientation components of the orbit, with metric signature
 in {(6,0), (2,4), (3,3)}.
+
+One core serves floats and Fractions alike.  K is a quadratic
+contraction of rho's coefficients with an integer table built from the
+``forms`` product tensors; J and lambda come from K in one helper, and
+the Z_2 sign rule is one helper too.  The KForm functions (``assoc_J``,
+``pair_structure``, ``classify_pair``) and the coefficient-space
+``pair_coeffs`` of the flow kernel all call these; ``classify_pair``
+computes K, omega^3 and the pullback J*rho once each.
 """
 
 from __future__ import annotations
@@ -34,13 +42,12 @@ from .errors import DegenerateOmega, UnstableForm
 from .forms import (
     KForm,
     SymBilinear,
-    increasing_tuples,
-    interior,
-    merge_sign,
+    contract,
+    interior_tensor,
     pullback,
-    tuple_position,
     volume_form,
     wedge,
+    wedge_tensor,
 )
 
 __all__ = [
@@ -121,10 +128,6 @@ class LambdaInvariant:
     reference_volume: KForm
 
 
-def _default_vol(rho: KForm) -> KForm:
-    return volume_form(rho.dim, 1, exact=rho.exact)
-
-
 def _vol_coeff(vol: KForm):
     if vol.degree != vol.dim:
         raise ValueError("reference volume must be top degree")
@@ -135,45 +138,62 @@ def _vol_coeff(vol: KForm):
 
 
 @functools.lru_cache(maxsize=None)
-def _k_quadratic_tensor() -> np.ndarray:
-    """Cached tensor T with K[i, j] = T[i, j, a, b] rho_a rho_b."""
-    n = 6
-    nt = len(increasing_tuples(n, 3))
-    T = np.zeros((n, n, nt, nt))
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        for a in range(nt):
-            ra = KForm(n, 3, np.eye(nt)[a])
-            ia = interior(ej, ra)
-            for b in range(nt):
-                rb = KForm(n, 3, np.eye(nt)[b])
-                five = wedge(ia, rb)
-                for i in range(n):
-                    comp = tuple(k for k in range(n) if k != i)
-                    T[i, j, a, b] = five.coeffs[tuple_position(n, comp)] * ((-1) ** i)
+def _k_table() -> np.ndarray:
+    """Integer tensor T with K[i, j] = sum_ab T[i, j, a, b] rho_a rho_b for
+    the reference volume e^{1..6}: the 5-form (e_j . rho) ^ rho, read as a
+    vector through e_i . vol."""
+    vol = interior_tensor(6, 6)[:, :, 0]
+    T = np.einsum("io,oxb,jxa->ijab", vol, wedge_tensor(6, 2, 3), interior_tensor(6, 3))
+    T.setflags(write=False)
     return T
+
+
+def _k_matrix(rho: np.ndarray, v0=1) -> np.ndarray:
+    """K from the coefficients of a 3-form on R^6 and the coefficient v0
+    of the reference volume."""
+    return contract(_k_table(), rho, rho) / v0
 
 
 def k_endomorphism(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
     """Matrix of K with K(v) (x) vol_ref = (v . rho) ^ rho."""
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("expected a 3-form on a 6-dimensional space")
-    vol = vol_ref if vol_ref is not None else _default_vol(rho)
-    v0 = _vol_coeff(vol)
-    if not rho.exact and not vol.exact:
-        return np.einsum("ijab,a,b->ij", _k_quadratic_tensor(), rho.coeffs, rho.coeffs) / v0
-    n = 6
-    K = np.zeros((n, n), dtype=object)
-    # (e_i . vol) has a single coefficient (-1)^i on the complementary tuple
-    for j in range(n):
-        ej = np.zeros(n, dtype=object)
-        ej[j] = Fraction(1)
-        five = wedge(interior(ej, rho), rho)
-        for i in range(n):
-            comp = tuple(k for k in range(n) if k != i)
-            K[i, j] = five.coeffs[tuple_position(n, comp)] * ((-1) ** i) / v0
-    return K
+    return _k_matrix(rho.coeffs, 1 if vol_ref is None else _vol_coeff(vol_ref))
+
+
+def _lambda(K: np.ndarray):
+    return np.trace(K @ K) / 6
+
+
+def _lambda_and_J(K: np.ndarray, rho: np.ndarray):
+    """(lambda, J = K / sqrt|lambda|) for the K of a 3-form with
+    coefficients rho.  Raises UnstableForm when |lambda| is at or below
+    1e-12 max|rho|^4; an exact K needs a rational sqrt|lambda|."""
+    lam = _lambda(K)
+    if abs(lam) <= 1e-12 * max(float(np.max(np.abs(rho))), 1e-30) ** 4:
+        raise UnstableForm("lambda ~ 0: form is not stable")
+    return lam, K / linalg.sqrt_scalar(abs(lam))
+
+
+def _omega_cube(omega: np.ndarray):
+    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients."""
+    square = contract(wedge_tensor(6, 2, 2), omega) @ omega
+    return contract(wedge_tensor(6, 4, 2)[0].T, square) @ omega
+
+
+def _orient(J: np.ndarray, jrho: np.ndarray, rho: np.ndarray, om3):
+    """The Z_2 sign rule: flip (J, J*rho) unless J*rho ^ rho is a positive
+    multiple of omega^3.  Returns (J, J*rho, J*rho ^ rho on e^{1..6})."""
+    num = contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
+    if num * om3 < 0:
+        return -J, -jrho, -num
+    return J, jrho, num
+
+
+def _metric(omega: np.ndarray, J: np.ndarray, sign: int) -> SymBilinear:
+    # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^{-1} = sign J
+    G = contract(interior_tensor(6, 2), omega) @ (J * sign)
+    return SymBilinear((G + G.T) / 2)
 
 
 def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvariant:
@@ -182,14 +202,8 @@ def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvarian
     Negative on the complex-type orbit, positive on the para-complex
     orbit, zero exactly on unstable forms.
     """
-    vol = vol_ref if vol_ref is not None else _default_vol(rho)
-    K = k_endomorphism(rho, vol)
-    tr = np.trace(K @ K)
-    return LambdaInvariant(tr / (Fraction(6) if rho.exact else 6.0), vol)
-
-
-def _stability_threshold(rho_max_abs: float) -> float:
-    return 1e-12 * max(rho_max_abs, 1e-30) ** 4
+    vol = vol_ref if vol_ref is not None else volume_form(6, 1, exact=rho.exact)
+    return LambdaInvariant(_lambda(k_endomorphism(rho, vol)), vol)
 
 
 def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
@@ -199,34 +213,7 @@ def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
     Invariant under positive rescaling of vol_ref; flips sign under
     orientation reversal.
     """
-    vol = vol_ref if vol_ref is not None else _default_vol(rho)
-    K = k_endomorphism(rho, vol)
-    lam = np.trace(K @ K) / (Fraction(6) if rho.exact else 6.0)
-    if rho.exact:
-        if lam == 0:
-            raise UnstableForm("lambda = 0: form is not stable")
-        root = linalg.exact_sqrt(abs(lam))
-    else:
-        if abs(lam) <= _stability_threshold(rho.max_abs()):
-            raise UnstableForm("lambda ~ 0: form is not stable")
-        root = float(np.sqrt(abs(lam)))
-    return K / root
-
-
-def _omega_matrix(omega: KForm) -> np.ndarray:
-    n = omega.dim
-    m = np.zeros((n, n), dtype=object if omega.exact else float)
-    for pos, (i, j) in enumerate(omega.tuples()):
-        m[i, j] = omega.coeffs[pos]
-        m[j, i] = -omega.coeffs[pos]
-    return m
-
-
-def _metric_from(omega: KForm, J: np.ndarray, lam_sign: int) -> SymBilinear:
-    # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^2 = lam_sign Id
-    Om = _omega_matrix(omega)
-    Jinv = J * lam_sign  # J^{-1} = -J (complex) or +J (para-complex)
-    return SymBilinear((Om @ Jinv + (Om @ Jinv).T) / 2)
+    return _lambda_and_J(k_endomorphism(rho, vol_ref), rho.coeffs)[1]
 
 
 def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
@@ -236,16 +223,10 @@ def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
     sign the sign of lambda (J^2 = sign Id); and J*rho, the pullback the
     sign test needs.  On valid pairs this J is the unique choice whose
     metric signature lies in {(6,0), (2,4), (3,3)}."""
-    J = assoc_J(rho, vol_ref)
-    lam = lambda_invariant(rho, vol_ref).value
-    sgn = -1 if lam < 0 else 1
-    om3 = wedge(wedge(omega, omega), omega).coeffs[0]
-    jrho = pullback(J, rho)
-    num = wedge(jrho, rho).coeffs[0]
-    if om3 != 0 and num != 0 and (num / om3) < 0:
-        J, jrho = -J, -jrho
-    g = _metric_from(omega, J, sgn)
-    return J, g, sgn, jrho
+    lam, J = _lambda_and_J(k_endomorphism(rho, vol_ref), rho.coeffs)
+    J, jrho, _ = _orient(J, pullback(J, rho).coeffs, rho.coeffs, _omega_cube(omega.coeffs))
+    sign = -1 if lam < 0 else 1
+    return J, _metric(omega.coeffs, J, sign), sign, KForm(6, 3, jrho)
 
 
 def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
@@ -257,16 +238,9 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
     nu = (J*rho ^ rho) / ((2/3) omega^3), which is 1 on a normalized pair
     and nan when omega^3 = 0.  Raises UnstableForm as assoc_J does.
     """
-    K = (_k_quadratic_tensor().reshape(-1, len(rho)) @ rho).reshape(6, 6, -1) @ rho
-    lam = np.trace(K @ K) / 6.0
-    if abs(lam) <= _stability_threshold(float(np.max(np.abs(rho)))):
-        raise UnstableForm("lambda ~ 0: form is not stable")
-    J = K / math.sqrt(abs(lam))
-    jrho = rho @ linalg.minors(J, 3)
+    lam, J = _lambda_and_J(_k_matrix(rho), rho)
     om3 = _omega_cube(omega)
-    num = jrho @ _top_pairing(3) @ rho
-    if om3 != 0 and num != 0 and (num / om3) < 0:
-        J, jrho, num = -J, -jrho, -num
+    J, jrho, num = _orient(J, rho @ linalg.minors(J, 3), rho, om3)
     nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
     return J, (-1 if lam < 0 else 1), jrho, nu
 
@@ -274,10 +248,6 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
 def assoc_metric(omega: KForm, rho: KForm, vol_ref: KForm | None = None) -> SymBilinear:
     """Metric associated to a pair of stable forms via omega(v,w) = g(v, Jw)."""
     return pair_structure(omega, rho, vol_ref)[1]
-
-
-def _rel_tol(*forms: KForm) -> float:
-    return 1e-10 * max(max(f.max_abs() for f in forms), 1e-30)
 
 
 def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
@@ -290,25 +260,24 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     fail = lambda why, **kw: SixStructureClass(
         StructureClass.NOT_A_STRUCTURE, diagnostics=why, **kw
     )
-    om3 = wedge(wedge(omega, omega), omega)
-    om_scale = max(omega.max_abs(), 1e-30) ** 3
-    if abs(om3.coeffs[0]) <= 1e-12 * om_scale:
+    om3 = _omega_cube(omega.coeffs)
+    if abs(om3) <= 1e-12 * max(omega.max_abs(), 1e-30) ** 3:
         return fail("omega is degenerate (omega^3 = 0)")
-    lam = lambda_invariant(rho).value
-    if abs(lam) <= _stability_threshold(rho.max_abs()):
-        return fail("rho is not stable (lambda = 0)", lambda_value=lam)
-    compat = wedge(omega, rho)
-    if compat.max_abs() > _rel_tol(omega) * max(rho.max_abs(), 1e-30):
+    K = k_endomorphism(rho)
+    try:
+        lam, J = _lambda_and_J(K, rho.coeffs)
+    except UnstableForm:
+        return fail("rho is not stable (lambda = 0)", lambda_value=_lambda(K))
+    scale = max(omega.max_abs(), 1e-30) * max(rho.max_abs(), 1e-30)
+    if wedge(omega, rho).max_abs() > 1e-10 * scale:
         return fail("omega ^ rho != 0", lambda_value=lam)
-    J, g, sgn, jrho = pair_structure(omega, rho)
-    norm_lhs = wedge(jrho, rho)
-    scale3 = Fraction(2, 3) if omega.exact else (2.0 / 3.0)
-    resid = norm_lhs - om3 * scale3
-    if resid.max_abs() > 1e-10 * max(norm_lhs.max_abs(), abs(om3.coeffs[0]), 1e-30):
+    J, jrho, num = _orient(J, pullback(J, rho).coeffs, rho.coeffs, om3)
+    if abs(num - om3 * Fraction(2, 3)) > 1e-10 * max(abs(num), abs(om3), 1e-30):
         return fail(
             "normalization J*rho ^ rho != (2/3) omega^3",
             lambda_value=lam,
         )
+    g = _metric(omega.coeffs, J, -1 if lam < 0 else 1)
     try:
         sig = g.signature()
     except ValueError:
@@ -321,7 +290,9 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
         tag = StructureClass.SL3R
     else:
         return fail(f"unexpected signature {sig}", lambda_value=lam, signature=sig)
-    return SixStructureClass(tag, lambda_value=lam, signature=sig, metric=g, J=J, jrho=jrho)
+    return SixStructureClass(
+        tag, lambda_value=lam, signature=sig, metric=g, J=J, jrho=KForm(6, 3, jrho)
+    )
 
 
 def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
@@ -356,61 +327,6 @@ def theta_rotation_matrix(theta: float, para: bool = False) -> np.ndarray:
 
 
 # -- the quadratic 4-form inverse ---------------------------------------
-def _dual_bivector(sigma: KForm) -> np.ndarray:
-    """Matrix B with B[i,j] = coefficient of the (i,j)-complement in sigma,
-    signed; for sigma = omega^2/2 this is -Pf(Omega) Omega^{-1}."""
-    n = sigma.dim
-    B = np.zeros((n, n), dtype=object if sigma.exact else float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comp = tuple(k for k in range(n) if k not in (i, j))
-            sign, _ = merge_sign((i, j), comp)
-            val = sign * sigma.coeffs[tuple_position(n, comp)]
-            B[i, j] = val
-            B[j, i] = -val
-    return B
-
-
-def _form_from_matrix(m: np.ndarray) -> KForm:
-    n = m.shape[0]
-    out = KForm.zero(n, 2, exact=m.dtype == object)
-    coeffs = out.coeffs.copy()
-    for pos, (i, j) in enumerate(increasing_tuples(n, 2)):
-        coeffs[pos] = m[i, j]
-    return KForm(n, 2, coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def _wedge2_tensor() -> np.ndarray:
-    """W[o, col, a]: coefficient a of omega contributing to row o of the
-    matrix column col (the map alpha -> alpha ^ omega on R^6)."""
-    W = np.zeros((15, 15, 15))
-    for col in range(15):
-        basis = KForm.basis(6, increasing_tuples(6, 2)[col])
-        for a in range(15):
-            W[:, col, a] = wedge(basis, KForm(6, 2, np.eye(15)[a])).coeffs
-    return W
-
-
-@functools.lru_cache(maxsize=None)
-def _top_pairing(p: int) -> np.ndarray:
-    """P with a ^ b = (a @ P @ b) e^{1..6} for a p-form a and a
-    (6-p)-form b on R^6: the merge sign of each complementary pair."""
-    ptups = increasing_tuples(6, p)
-    P = np.zeros((len(ptups), len(increasing_tuples(6, 6 - p))))
-    for i, a in enumerate(ptups):
-        comp = tuple(k for k in range(6) if k not in a)
-        P[i, tuple_position(6, comp)] = merge_sign(a, comp)[0]
-    P.setflags(write=False)
-    return P
-
-
-def _omega_cube(omega: np.ndarray) -> float:
-    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients."""
-    square = (_wedge2_tensor() @ omega) @ omega
-    return square @ _top_pairing(4) @ omega
-
-
 def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     """Unique alpha with alpha ^ omega = tau, for nondegenerate omega.
 
@@ -430,7 +346,7 @@ def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     relative."""
     if abs(_omega_cube(omega)) <= 1e-12 * max(float(np.max(np.abs(omega))), 1e-30) ** 3:
         raise DegenerateOmega("omega^3 = 0")
-    mat = _wedge2_tensor() @ omega  # the matrix of alpha -> alpha ^ omega
+    mat = contract(wedge_tensor(6, 2, 2), omega)  # the matrix of alpha -> alpha ^ omega
     alpha = np.linalg.solve(mat, tau)
     resid = float(np.max(np.abs(mat @ alpha - tau)))
     if resid > 1e-10 * max(float(np.max(np.abs(tau))), 1e-30):
@@ -450,11 +366,14 @@ def iota(sigma: KForm, sign_hint: KForm | None = None) -> KForm:
     if sigma.dim != 6 or sigma.degree != 4:
         raise ValueError("expected a 4-form on R^6")
     sigma = sigma.to_float()
-    B = _dual_bivector(sigma)
+    # the dual bivector: B[i, j] = (e^i ^ e^j ^ sigma) on e^{1..6}, which
+    # is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
+    I2 = interior_tensor(6, 2)
+    B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs))
     if abs(np.linalg.det(B)) < 1e-14 * max(sigma.max_abs(), 1e-30) ** 3:
         raise UnstableForm("4-form is not a nondegenerate half-square")
-    cand_m = np.linalg.inv(B)
-    cand = _form_from_matrix((cand_m - cand_m.T) / 2)
+    # the 2-form of the antisymmetric part of B^{-1}
+    cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
     sq = wedge(cand, cand) * 0.5
     ratio = (sq.coeffs @ sigma.coeffs) / max(sq.coeffs @ sq.coeffs, 1e-300)
     if ratio <= 0:

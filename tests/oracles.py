@@ -10,7 +10,9 @@ independent of the closed-form derivative they are compared with.
 ``linalg.minors`` took its place.  ``degenerate_split_oracle`` and
 ``degenerate_rhs_oracle`` are the KForm path of the degenerate flow that
 the coefficient-space kernel replaced: they rebuild every form, restrict
-and embed them, and pull back by J three times.
+and embed them, and pull back by J three times.  ``metric_vol_oracle`` is
+the 56-wedge loop that built the 7-dimensional bilinear form B before
+the product tables replaced it.
 """
 
 import itertools
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from hitchinflow.forms import KForm, pullback, wedge
+from hitchinflow import linalg
+from hitchinflow.forms import KForm, interior, pullback, wedge
 from hitchinflow.g2spin7 import seven_structure
 from hitchinflow.linalg import increasing_tuples
 from hitchinflow.stable import pair_structure
@@ -156,3 +159,22 @@ def degenerate_rhs_oracle(problem, y, branch):
     _, _, wpinv = problem.w_basis()
     _, _, spinv = problem.s_basis()
     return problem.pack(wpinv @ problem.from_dist(wdot6).coeffs, spinv @ Sdot7.coeffs)
+
+
+def metric_vol_oracle(phi):
+    """(g7 matrix, vol7 coefficient) of a stable 3-form on R^7 from
+    B(e_i, e_j) = (1/6) (e_i . phi) ^ (e_j . phi) ^ phi, one pair of
+    wedges per entry, and g7 = B det(B)^(-1/9), vol7 = det(B)^(1/9)."""
+    one = Fraction(1) if phi.exact else 1.0
+    contractions = []
+    for i in range(7):
+        v = np.zeros(7, dtype=object if phi.exact else float)
+        v[i] = one
+        contractions.append(interior(v, phi))
+    B = np.zeros((7, 7), dtype=object if phi.exact else float)
+    for i in range(7):
+        for j in range(i, 7):
+            top = wedge(wedge(contractions[i], contractions[j]), phi)
+            B[i, j] = B[j, i] = top.coeffs[0] / (6 * one)
+    s9 = linalg.nth_root_signed(linalg.det(B), 9)
+    return B / s9, s9

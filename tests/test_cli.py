@@ -109,8 +109,17 @@ def test_bad_t_end_exits_two(t_end, capsys):
         {"integrator": "rk4", "step": 0},
         {"integrator": "rk4", "step": "x"},
         {"tol": -1},
+        {"t_end": True, "tol": True},
     ],
-    ids=["integrator=euler", "sample_dt=0", "t_end=abc", "rk4-step=0", "rk4-step=x", "tol=-1"],
+    ids=[
+        "integrator=euler",
+        "sample_dt=0",
+        "t_end=abc",
+        "rk4-step=0",
+        "rk4-step=x",
+        "tol=-1",
+        "t_end=tol=true",
+    ],
 )
 def test_bad_config_flow_values_exit_two(tmp_path, flow, capsys):
     cfg = tmp_path / "cfg.json"
@@ -128,8 +137,9 @@ def test_bad_config_flow_values_exit_two(tmp_path, flow, capsys):
         {"params": {"theta": []}},
         {"verify": "yes"},
         {"report_only": 1},
+        {"params": {"a": True}},
     ],
-    ids=["output=5", "params=5", "flow=5", "theta=[]", "verify=yes", "report_only=1"],
+    ids=["output=5", "params=5", "flow=5", "theta=[]", "verify=yes", "report_only=1", "a=true"],
 )
 def test_bad_config_value_types_exit_two(tmp_path, extra, capsys):
     cfg = tmp_path / "cfg.json"

@@ -122,6 +122,13 @@ def test_startup_rejects_nonclosed_omega():
     assert err.value.condition == "cocalibration"
 
 
+def test_flow_config_refuses_boolean_max_retries():
+    # bool is an int subclass; the other fields are covered by test_cli
+    with pytest.raises(PreconditionFailed) as err:
+        FlowConfig(max_retries=True)
+    assert err.value.condition == "flow_config"
+
+
 # ---------------------------------------------------------- right-hand side
 def test_degenerate_rhs_f0_limit():
     p = n11_problem()

@@ -7,17 +7,21 @@ from hitchinflow.errors import DegenerateMetric, DegreeOverflow, DimensionMismat
 from hitchinflow.forms import (
     KForm,
     SymBilinear,
+    contract,
     embed,
     form_pairing,
     hodge,
     hodge_matrices,
     increasing_tuples,
     interior,
+    interior_tensor,
     pullback,
     restrict,
     volume_form,
     wedge,
+    wedge_tensor,
 )
+from hitchinflow.linalg import as_exact
 from hitchinflow.stable import model_pair
 
 from oracles import wedge_eval
@@ -129,6 +133,26 @@ def test_interior_model_contractions():
 def test_interior_rejects_degree_zero():
     with pytest.raises(DegreeOverflow):
         interior(np.zeros(6), KForm.zero(6, 0))
+
+
+# -------------------------------------------------------- product tables
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_product_tensors_match_wedge_and_interior(n, rng):
+    def form(k):  # thirds, so that a float anywhere in the exact path shows
+        return KForm(n, k, as_exact(rng.integers(-4, 5, size=len(increasing_tuples(n, k)))) / 3)
+
+    for p in range(1, n):
+        for q in range(1, n - p + 1):
+            a, b = form(p), form(q)
+            W = wedge_tensor(n, p, q)
+            assert all(contract(W, a.coeffs, b.coeffs) == wedge(a, b).coeffs)
+            assert all(contract(W, b.coeffs) @ a.coeffs == wedge(a, b).coeffs)
+            af, bf = a.to_float(), b.to_float()
+            assert np.allclose(contract(W, af.coeffs, bf.coeffs), wedge(af, bf).coeffs, 0, 1e-12)
+    for k in range(1, n + 1):
+        a, v = form(k), as_exact(rng.integers(-4, 5, size=n))
+        assert all(v @ contract(interior_tensor(n, k), a.coeffs) == interior(v, a).coeffs)
+        assert all(interior_tensor(n, k)[2] @ a.to_float().coeffs == interior(np.eye(n)[2], a).coeffs)
 
 
 # ------------------------------------------------------------- pullback

@@ -31,7 +31,8 @@ from hitchinflow.g2spin7 import (
 )
 from hitchinflow.stable import classify_pair, model_pair
 
-from oracles import fd_jacobian, relative_gap
+from hitchinflow.linalg import as_exact
+from oracles import fd_jacobian, metric_vol_oracle, relative_gap
 
 
 def _e7(exact=False):
@@ -77,6 +78,24 @@ def test_metric_vol_quarter_identity():
         quarter = wedge(wedge(embed(jr, 7), embed(rho, 7)), _e7(True)) * Fraction(1, 4)
         _, vol7, _ = metric_vol_from_phi(model_phi(name, exact=True))
         assert all(vol7.coeffs == (sign * quarter).coeffs)
+
+
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_metric_vol_matches_wedge_oracle(name, rng):
+    # GL(7) pullbacks: integer matrices keep det(B)^(1/9) rational
+    for _ in range(2):
+        A = rng.integers(-2, 3, size=(7, 7)) + 3 * np.eye(7, dtype=int)
+        phi = pullback(as_exact(A), model_phi(name, exact=True))
+        g7, vol7, _ = metric_vol_from_phi(phi)
+        g_want, vol_want = metric_vol_oracle(phi)
+        assert np.all(g7.matrix == g_want) and vol7.coeffs[0] == vol_want
+    # in floats det(B)^(1/9) amplifies the last bits of B by cond(B), so
+    # compare B = g7 vol7 itself
+    for _ in range(5):
+        phi = pullback(np.eye(7) + 0.4 * rng.normal(size=(7, 7)), model_phi(name))
+        g7, vol7, _ = metric_vol_from_phi(phi)
+        g_want, vol_want = metric_vol_oracle(phi)
+        assert relative_gap(g7.matrix * vol7.coeffs[0], g_want * vol_want) <= 1e-14
 
 
 def test_metric_vol_unstable_returns_not_stable():

@@ -132,6 +132,20 @@ def test_classify_models():
     assert classify_pair(*model_pair("sl3r")).tag is StructureClass.SL3R
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_classify_pair_builds_k_once_and_pulls_back_once(monkeypatch, exact):
+    from hitchinflow import stable
+
+    calls = []
+    for name in ("k_endomorphism", "pullback"):
+        fn = getattr(stable, name)
+        monkeypatch.setattr(
+            stable, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+        )
+    assert classify_pair(*model_pair("sl3r", exact=exact)).tag is StructureClass.SL3R
+    assert sorted(calls) == ["k_endomorphism", "pullback"]
+
+
 def test_classify_rejects_bad_normalization():
     om, rho = model_pair("su3")
     out = classify_pair(om, 2.0 * rho)
