@@ -21,11 +21,13 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+import time
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import flow as fl
 from .errors import PreconditionFailed, SingularJacobian, StepFailure
 from .g2spin7 import model_phi
@@ -37,6 +39,9 @@ _DEFAULT_PARAMS = {
     "n11-spin7": {"a": 1.0, "b": 1.0, "c_param": 1.0, "theta": 0.0, "bundle": "squared"},
     "flat-abelian": {},
 }
+
+# the layout of report.json: raised when a key is removed or changes meaning
+_SCHEMA_VERSION = 1
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 
@@ -50,22 +55,27 @@ _CONFIG_TYPES = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
+    schema_version: int = _SCHEMA_VERSION
+    version: str = __version__  # of the hitchinflow package
     scenario: str
     params: dict
-    stop_reason: str
-    stop_cause: str | None
-    stats: dict | None  # what the integrator did, see flow.Trajectory.stats
-    n_samples: int
-    t_first: float | None
-    t_last: float | None
-    max_cocal_residual: float | None
-    max_torsion_residual: float | None
-    max_normalization_residual: float | None
-    smoothness: dict | None
-    classification_first: str | None
-    classification_last: str | None
+    stop_reason: str = "not_started"
+    stop_cause: str | None = None
+    stats: dict | None = None  # what the integrator did, see flow.Trajectory.stats
+    # wall seconds per finished phase: seed_s, integrate_s (of which
+    # sample_s recorded samples), torsion_s and io_s (the trajectory CSV)
+    timings: dict = field(default_factory=dict)
+    n_samples: int = 0
+    t_first: float | None = None
+    t_last: float | None = None
+    max_cocal_residual: float | None = None
+    max_torsion_residual: float | None = None
+    max_normalization_residual: float | None = None
+    smoothness: dict | None = None
+    classification_first: str | None = None
+    classification_last: str | None = None
     refused: str | None = None
     identity_suite: dict | None = None
 
@@ -173,28 +183,15 @@ def run_point(
     """Execute one scenario point: startup, integration, monitors, files."""
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    report = RunReport(
-        scenario=scenario,
-        params=dict(params),
-        stop_reason="not_started",
-        stop_cause=None,
-        stats=None,
-        n_samples=0,
-        t_first=None,
-        t_last=None,
-        max_cocal_residual=None,
-        max_torsion_residual=None,
-        max_normalization_residual=None,
-        smoothness=None,
-        classification_first=None,
-        classification_last=None,
-    )
+    report = RunReport(scenario=scenario, params=dict(params))
+    timings = report.timings
     if with_verify:
         checks = verify_identities()
         report.identity_suite = {
             "passed": sum(c.passed for c in checks),
             "total": len(checks),
         }
+    start = time.perf_counter()
     if scenario == "n11-spin7":
         problem = fl.n11_problem(**params)
         sm = fl.problem_smoothness(problem)
@@ -209,16 +206,24 @@ def run_point(
         gp = fl.generic_problem("abelian7")
         _, _, pinv3 = gp.basis(3)
         seed = fl.GenericFlowState(0.0, pinv3 @ model_phi("su3").coeffs, gp)
+    timings["seed_s"] = time.perf_counter() - start
+    start = time.perf_counter()
     traj = fl.integrate(flow_cfg, seed)
+    timings["integrate_s"] = time.perf_counter() - start
+    timings["sample_s"] = traj.sample_s
     if traj.kind == "degenerate":
         report.max_normalization_residual = float(
             np.max(traj.monitor("normalization_residual"))
         )
     report.classification_first = str(traj.samples[0].monitors["class"])
     report.classification_last = str(traj.samples[-1].monitors["class"])
+    start = time.perf_counter()
     torsion = fl.torsion_residual(traj) if len(traj.samples) >= 3 else None
+    timings["torsion_s"] = time.perf_counter() - start
+    start = time.perf_counter()
     if outdir is not None and not report_only:
         _write_csv(outdir / "trajectory.csv", traj, torsion)
+    timings["io_s"] = time.perf_counter() - start
     report.stop_reason = traj.stop_reason
     report.stop_cause = traj.stop_cause
     report.stats = traj.stats

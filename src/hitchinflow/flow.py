@@ -30,8 +30,16 @@ Two flows are implemented on a registered homogeneous space:
   per evaluation is nonlinear: J from the quadratic K-tensor, one
   pullback J*S (J*(J*S) = sign S gives the second), the normalization
   and a 15 x 15 solve for the 2-form velocity (``stable.pair_coeffs``,
-  ``stable.solve_wedge_coeffs``).  Monitors and the torsion residual stay
-  on the KForm path and check it independently.
+  ``stable.solve_wedge_coeffs``).
+
+  Checks: a trial step is valid when the class read off its split (the
+  kernel's J, sign and S) is the seed's.  A sample makes one
+  ``seven_structure`` call on phi and takes its class, normalization and
+  g8 signature from g7 alone; the cocalibration residual comes from the
+  split formula *phi = omega^2/2 + f e^phi ^ s, and the torsion residual
+  differences the stored *phi.  ``bundle_Phi`` of the seed, through
+  ``classify_pair`` on the KForm path, is the reference the first sample
+  must reproduce.
 
 rk4 and Dormand-Prince rk45 advance both flows; rk45 reuses the last
 stage of an accepted step as the first of the next ("first same as
@@ -47,12 +55,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import stable
+from . import linalg, stable
 from .errors import (
     DegenerateMetric,
     DegenerateOmega,
@@ -64,8 +73,9 @@ from .errors import (
     StepFailure,
     UnstableForm,
 )
-from .forms import KForm, embed, form_pairing, increasing_tuples, interior, restrict, wedge
-from .g2spin7 import BundleSplitData, bundle_Phi, seven_structure, star_derivative
+from .forms import (KForm, SymBilinear, contract, embed, form_pairing, increasing_tuples, interior,
+                    interior_tensor, restrict, wedge, wedge_tensor)
+from .g2spin7 import BundleSplitData, SevenStructure, bundle_Phi, seven_structure, star_derivative
 from .homogeneous import HomogeneousSpace, invariant_basis, space
 
 __all__ = [
@@ -93,6 +103,12 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
+# Work caps, checked before a run starts.  A degenerate sample holds about
+# 1.8 kB and takes about 1 ms: 10^5 samples are 180 MB and minutes of work.
+_MAX_SAMPLES = 10**5
+# A degenerate rk4 step (4 rhs and a validity check) takes about 1.4 ms:
+# 10^6 steps are about 25 minutes.
+_MAX_RK4_STEPS = 10**6
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +241,14 @@ class _Operators:
     lie_rho: np.ndarray  # rho6 -> L_{e_phi} from_dist(rho6)
     pi_d_w: np.ndarray  # w -> pi(d omega7)
     from_dist2: np.ndarray  # wdot6 -> from_dist(wdot6)
+    w_e_phi: np.ndarray  # w -> omega7 ^ e^phi
+    from_dist3: np.ndarray  # rho6 -> from_dist(rho6)
 
     @staticmethod
     def build(problem: "DegenerateProblem") -> "_Operators":
         w_forms, s_forms = problem.w_basis()[0], problem.s_basis()[0]
         units = lambda k: [KForm(6, k, e) for e in np.eye(len(increasing_tuples(6, k)))]
+        from_dist3 = _matrix_of(problem.from_dist, units(3))
         return _Operators(
             omega6=_matrix_of(problem.to_dist, w_forms),
             s6=_matrix_of(problem.to_dist, s_forms),
@@ -240,9 +259,11 @@ class _Operators:
             w_de_phi=_matrix_of(
                 lambda om: problem.to_dist(problem.pi(wedge(om, problem.de_phi()))), w_forms
             ),
-            lie_rho=problem.lie_ephi_matrix(3) @ _matrix_of(problem.from_dist, units(3)),
+            lie_rho=problem.lie_ephi_matrix(3) @ from_dist3,
             pi_d_w=_matrix_of(lambda om: problem.pi(problem.space.d(om)), w_forms),
             from_dist2=_matrix_of(problem.from_dist, units(2)),
+            w_e_phi=_matrix_of(lambda om: wedge(om, problem.e_phi_form()), w_forms),
+            from_dist3=from_dist3,
         )
 
 
@@ -382,6 +403,7 @@ class Trajectory:
     stop_cause: str | None = None  # why the run ended early; None if completed
     # rhs_evals, accepted_steps, rejected_steps, h_min, h_max (None before a step)
     stats: dict | None = None
+    sample_s: float = 0.0  # seconds integrate spent recording samples
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -570,13 +592,16 @@ def _check_projection(mat, coeffs, target, what: str):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _Split:
-    """The split of a packed state (w, S = f J*rho): omega and rho on the
-    distribution as coefficient vectors, the fiber length f, and J."""
+    """The split of a packed state (w, S = f J*rho): omega, rho and S on
+    the distribution as coefficient vectors, the fiber length f, J and
+    the sign of lambda (J^2 = sign Id)."""
 
     om6: np.ndarray
     rho6: np.ndarray
+    S6: np.ndarray
     f: float
     J: np.ndarray
+    sign: int
 
 
 def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Split:
@@ -585,13 +610,42 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     is -sign nu(omega, S), and one pullback of S by J is all it takes."""
     ops = problem.operators()
     w, S = problem.unpack(y)
-    om6 = ops.omega6 @ w
-    J, sign, jS, nu = stable.pair_coeffs(om6, ops.s6 @ S)
+    om6, S6 = ops.omega6 @ w, ops.s6 @ S
+    J, sign, jS, nu = stable.pair_coeffs(om6, S6)
     ratio = -sign * nu
     if not np.isfinite(ratio) or ratio <= 0:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    return _Split(om6, jS * (-1.0 / f), f, J)
+    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign)
+
+
+_SC = stable.StructureClass
+# the structure class of a pair by the signature of its metric on the distribution
+_SIX_CLASS = {(6, 0): _SC.SU3, (2, 4): _SC.SU12, (3, 3): _SC.SL3R}
+
+
+def _split_class(sp: _Split) -> stable.StructureClass:
+    """``stable.classify_pair`` of (omega6, rho6) with its checks and
+    thresholds, read off the split: omega^3 != 0, omega ^ rho = 0, the
+    normalization J*rho ^ rho = (2/3) omega^3 with J*rho = -sign S/f (no
+    pullback), and the signature of G = Omega (sign J) together with the
+    sign of lambda.  The split itself has already refused lambda ~ 0."""
+    om, rho = sp.om6, sp.rho6
+    om_max, rho_max = max(float(np.max(np.abs(om))), 1e-30), max(float(np.max(np.abs(rho))), 1e-30)
+    om3 = contract(wedge_tensor(6, 4, 2)[0].T, contract(wedge_tensor(6, 2, 2), om) @ om) @ om
+    if abs(om3) <= 1e-12 * om_max**3:
+        return _SC.NOT_A_STRUCTURE
+    if float(np.max(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ om))) > 1e-10 * om_max * rho_max:
+        return _SC.NOT_A_STRUCTURE
+    num = contract(wedge_tensor(6, 3, 3)[0].T, (-sp.sign / sp.f) * sp.S6) @ rho
+    if abs(num - om3 * (2.0 / 3.0)) > 1e-10 * max(abs(num), abs(om3), 1e-30):
+        return _SC.NOT_A_STRUCTURE
+    G = contract(interior_tensor(6, 2), om) @ (sp.J * sp.sign)
+    try:
+        tag = _SIX_CLASS.get(linalg.signature((G + G.T) / 2))
+    except ValueError:
+        return _SC.NOT_A_STRUCTURE
+    return tag if tag is not None and (tag is _SC.SL3R) == (sp.sign > 0) else _SC.NOT_A_STRUCTURE
 
 
 def _velocity(problem: DegenerateProblem, om6, rho6, f: float, w):
@@ -853,52 +907,69 @@ def _advancer(config: FlowConfig, rhs, validity, stats: _Stats):
 # ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------
-def _degenerate_monitors(state: DegenerateFlowState) -> dict:
-    om6, s6, rho6 = state.omega_form(), state.s_form(), state.rho_form()
-    cls = stable.classify_pair(om6, rho6)
-    norm_resid = abs(float(form_pairing(cls.metric, s6, s6)) - 4.0) if cls.ok else np.inf
-    sig8 = None
-    if cls.ok and abs(state.f) > 0:
+def _seven(data: dict, phi: np.ndarray) -> SevenStructure:
+    """The 7-dimensional structure of phi's coefficients on m, the one
+    ``seven_structure`` call of a sample; phi and *phi (None when phi is
+    not stable) go into the sample data, where torsion_residual reads them."""
+    s = seven_structure(KForm(7, 3, phi))
+    data["phi"], data["star_phi"] = phi, (s.star_phi.coeffs if s.ok else None)
+    return s
+
+
+def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarray) -> dict:
+    """The class, |s|^2 - 4 and the signature of g8 = g7 + dr^2 from the
+    metric g7 of phi alone: on the distribution g7 is the metric g6 of
+    (omega, rho), whose signature gives the class."""
+    tag = None
+    if s7.ok:
+        g6 = SymBilinear(s7.g7.matrix[np.ix_(problem.dist_axes, problem.dist_axes)])
         try:
-            split = BundleSplitData.from_distribution(abs(state.f), om6, rho6)
-            _, g8 = bundle_Phi(split)
-            sig8 = g8.signature()
-        except (ValueError, UnstableForm):
-            sig8 = None
-    return {
-        "cocal_residual": cocal_residual(state),
-        "normalization_residual": norm_resid,
-        "class": cls.tag.value,
-        "g8_signature": sig8,
-    }
-
-
-def _generic_monitors(state: GenericFlowState) -> dict:
-    s = seven_structure(state.phi_form())
-    return {
-        "cocal_residual": float(state.problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf,
-        "class": s.klass.value,
-    }
+            tag = _SIX_CLASS.get(g6.signature())
+        except ValueError:  # g6 is degenerate
+            pass
+    if tag is None:
+        return {"normalization_residual": np.inf, "class": _SC.NOT_A_STRUCTURE.value,
+                "g8_signature": None}
+    s6, (p, q) = KForm(6, 3, s6), s7.g7.signature()
+    return {"normalization_residual": abs(float(form_pairing(g6, s6, s6)) - 4.0),
+            "class": tag.value, "g8_signature": (p + 1, q)}
 
 
 @dataclass(frozen=True)
 class _Flow:
     """One flow as the sampling loop sees it: the packed start vector,
     the packed right-hand side rhs(t, y), the trial-state check
-    validity(y) and the recorder sample(t, y)."""
+    validity(y), the recorder sample(t, y) and the monitors the first
+    sample must reproduce (None when there is no reference)."""
 
     kind: str
     y0: np.ndarray
     rhs: Callable[[float, np.ndarray], np.ndarray]
     validity: Callable[[np.ndarray], bool]
     sample: Callable[[float, np.ndarray], Sample]
+    reference: dict | None = None
 
 
 def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
-    """The pair (omega, S = f J*rho) packed; f is re-derived from S."""
-    problem = seed.problem
+    """The pair (omega, S = f J*rho) packed; f is re-derived from S.
+
+    A trial state is valid when its split has the seed's class.  A sample
+    classifies from the metric of phi = f omega ^ e^phi + rho instead.
+    When the seed's own pair is an SU(3) or SU(1,2) structure, the first
+    sample must reproduce the seed's class and the g8 signature of
+    ``bundle_Phi``, the 8-form construction on the KForm path."""
+    problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
-    seed_tag = stable.classify_pair(seed.omega_form(), seed.rho_form()).tag
+    y0 = problem.pack(seed.w, seed.f * seed.s)
+    seed_tag = _split_class(_derive_split(problem, y0, branch))
+    reference = None
+    try:
+        split = BundleSplitData.from_distribution(abs(seed.f), seed.omega_form(), seed.rho_form())
+        g8 = bundle_Phi(split)[1]
+        sig8 = g8.signature() if g8.is_nondegenerate() else None
+        reference = {"class": seed_tag.value, "g8_signature": sig8}
+    except UnstableForm:  # classify_pair refuses the seed's pair: nothing to compare
+        pass
 
     def validity(y):
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
@@ -907,21 +978,25 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
             sp = _derive_split(problem, y, branch)
         except _NUMERICAL_FAILURES:
             return False
-        return stable.classify_pair(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag is seed_tag
+        return _split_class(sp) is seed_tag
 
     def sample(t, y):
-        f = _derive_split(problem, y, branch).f
+        sp = _derive_split(problem, y, branch)
         w, S = problem.unpack(y)
-        state = DegenerateFlowState(t, f, w, S / f, problem)
+        state = DegenerateFlowState(t, sp.f, w, S / sp.f, problem)
         data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
-        return Sample(t, data, _degenerate_monitors(state))
+        s7 = _seven(data, sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6)
+        monitors = {"cocal_residual": cocal_residual(state)}
+        monitors.update(_split_monitors(problem, s7, ops.s6 @ state.s))
+        return Sample(t, data, monitors)
 
     return _Flow(
         "degenerate",
-        problem.pack(seed.w, seed.f * seed.s),
+        y0,
         lambda t, y: _rhs_packed(problem, y, branch),
         validity,
         sample,
+        reference,
     )
 
 
@@ -935,7 +1010,10 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
         return seven_structure(problem.phi(y)).klass is seed_class
 
     def sample(t, y):
-        return Sample(t, {"x": y.copy()}, _generic_monitors(GenericFlowState(t, y, problem)))
+        data = {"x": y.copy()}
+        s = _seven(data, problem.phi(y).coeffs)
+        cocal = float(problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf
+        return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
 
     return _Flow(
         "generic",
@@ -954,7 +1032,18 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
     stop_reason 'blow_up' when the coefficient norm exceeds 1e8, and with
     'step_failure' when no acceptable step exists; stop_cause then says
     why.  The trajectory's stats count what the integrator did.
+
+    Raises PreconditionFailed before any step when the run would record
+    more than _MAX_SAMPLES samples or take more than _MAX_RK4_STEPS rk4
+    steps, and when the first sample does not reproduce the seed's
+    reference class and g8 signature.
     """
+    span = abs(config.t_end - seed.t)
+    steps = span / config.step if config.kind() == "rk4" else 0.0
+    for what, count, cap in (("samples", span / config.sample_dt, _MAX_SAMPLES),
+                             ("rk4 steps", steps, _MAX_RK4_STEPS)):
+        if count > cap:
+            raise PreconditionFailed("work_cap", f"{count:.3g} {what} exceed the cap {cap}")
     if isinstance(seed, DegenerateFlowState):
         if (config.t_end - seed.t) * seed.f <= 0:
             raise PreconditionFailed(
@@ -973,10 +1062,23 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         stats.rhs_evals += 1
         return flow.rhs(t, y)
 
+    sample_s = 0.0
+
+    def sample(t, y):
+        nonlocal sample_s
+        start = time.perf_counter()
+        out = flow.sample(t, y)
+        sample_s += time.perf_counter() - start
+        return out
+
     advance = _advancer(config, rhs, flow.validity, stats)
     times = _sample_times(seed.t, config.t_end, config.sample_dt)
     y = flow.y0
-    samples = [flow.sample(times[0], y)]
+    samples = [sample(times[0], y)]
+    first = samples[0].monitors
+    if flow.reference and any(first[k] != v for k, v in flow.reference.items()):
+        found = {k: first[k] for k in flow.reference}
+        raise PreconditionFailed("seed_reference", f"first sample {found} != seed {flow.reference}")
     stop, cause = "completed", None
     for t_prev, t_next in zip(times[:-1], times[1:]):
         try:
@@ -988,8 +1090,9 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         if norm > _BLOWUP_NORM:
             stop, cause = "blow_up", f"coefficient norm {norm:.3g} at t = {t_next:.6g}"
             break
-        samples.append(flow.sample(t_next, y))
-    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause, asdict(stats))
+        samples.append(sample(t_next, y))
+    return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause,
+                      asdict(stats), sample_s)
 
 
 def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -1009,23 +1112,19 @@ def torsion_residual(traj: Trajectory) -> np.ndarray:
     grid (``np.gradient``: second-order centered differences inside,
     one-sided second order at the ends).
 
-    *phi is recomputed from each sample's phi through the 7-dimensional
-    Hodge machinery, independently of the evolution variables."""
+    Reads phi and *phi as each sample stored them from its 7-dimensional
+    structure, independently of the evolution variables; raises
+    UnstableForm when a sample's phi is not stable."""
     n = len(traj.samples)
     if n < 3:
         raise ValueError("need at least 3 samples")
-    ts = traj.times()
-    phis = [traj.state_at(i).phi_form() for i in range(n)]
-    stars = [_stable_structure(phi).star_phi for phi in phis]
+    if any(s.data["star_phi"] is None for s in traj.samples):
+        raise UnstableForm("phi is not a stable 3-form")
     sp = traj.problem.space
-    derivs = np.gradient(np.stack([s.coeffs for s in stars]), ts, axis=0, edge_order=2)
-    out = np.empty(n)
-    for i, deriv in enumerate(derivs):
-        dphi = sp.d(phis[i])
-        flow_res = float(np.max(np.abs(deriv - dphi.coeffs)))
-        cocal = float(sp.d(stars[i]).max_abs())
-        out[i] = flow_res + cocal
-    return out
+    stars = traj.series("star_phi")
+    derivs = np.gradient(stars, traj.times(), axis=0, edge_order=2)
+    flow_res = np.max(np.abs(derivs - traj.series("phi") @ sp.d_matrix(3).T), axis=1)
+    return flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
 
 
 def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowState:

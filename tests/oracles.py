@@ -12,7 +12,10 @@ independent of the closed-form derivative they are compared with.
 the coefficient-space kernel replaced: they rebuild every form, restrict
 and embed them, and pull back by J three times.  ``metric_vol_oracle`` is
 the 56-wedge loop that built the 7-dimensional bilinear form B before
-the product tables replaced it.
+the product tables replaced it.  ``degenerate_monitors_oracle`` and
+``torsion_residual_oracle`` are the KForm monitors and the torsion
+residual that recomputed ``seven_structure`` per sample, before samples
+took their checks from one 7-dimensional structure and stored *phi.
 """
 
 import itertools
@@ -22,10 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from hitchinflow import linalg
-from hitchinflow.forms import KForm, interior, pullback, wedge
-from hitchinflow.g2spin7 import seven_structure
+from hitchinflow.errors import UnstableForm
+from hitchinflow.flow import cocal_residual
+from hitchinflow.forms import KForm, form_pairing, interior, pullback, wedge
+from hitchinflow.g2spin7 import BundleSplitData, bundle_Phi, seven_structure
 from hitchinflow.linalg import increasing_tuples
-from hitchinflow.stable import pair_structure
+from hitchinflow.stable import classify_pair, pair_structure
 
 
 def perm_sign(perm) -> int:
@@ -178,3 +183,44 @@ def metric_vol_oracle(phi):
             B[i, j] = B[j, i] = top.coeffs[0] / (6 * one)
     s9 = linalg.nth_root_signed(linalg.det(B), 9)
     return B / s9, s9
+
+
+def degenerate_monitors_oracle(state) -> dict:
+    """Monitors of a degenerate state on the KForm path: classify_pair of
+    (omega6, rho6), |s|_g^2 - 4 in its metric, and the signature of the
+    g8 that bundle_Phi assembles (None when it fails)."""
+    om6, s6, rho6 = state.omega_form(), state.s_form(), state.rho_form()
+    cls = classify_pair(om6, rho6)
+    norm_resid = abs(float(form_pairing(cls.metric, s6, s6)) - 4.0) if cls.ok else np.inf
+    sig8 = None
+    if cls.ok and abs(state.f) > 0:
+        try:
+            _, g8 = bundle_Phi(BundleSplitData.from_distribution(abs(state.f), om6, rho6))
+            sig8 = g8.signature()
+        except (ValueError, UnstableForm):
+            sig8 = None
+    return {
+        "cocal_residual": cocal_residual(state),
+        "normalization_residual": norm_resid,
+        "class": cls.tag.value,
+        "g8_signature": sig8,
+    }
+
+
+def torsion_residual_oracle(traj) -> np.ndarray:
+    """|d/dt(*phi) - d phi| + |d(*phi)| per sample with *phi recomputed by
+    seven_structure from each sample's state, one sample at a time."""
+    ts = traj.times()
+    phis = [traj.state_at(i).phi_form() for i in range(len(traj.samples))]
+    stars = []
+    for phi in phis:
+        s = seven_structure(phi)
+        if not s.ok:
+            raise UnstableForm("phi is not a stable 3-form")
+        stars.append(s.star_phi)
+    sp = traj.problem.space
+    derivs = np.gradient(np.stack([s.coeffs for s in stars]), ts, axis=0, edge_order=2)
+    return np.array([
+        float(np.max(np.abs(deriv - sp.d(phi).coeffs))) + float(sp.d(star).max_abs())
+        for deriv, phi, star in zip(derivs, phis, stars)
+    ])

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,41 @@ def test_report_carries_integrator_stats(tmp_path):
     assert set(stats) == {"rhs_evals", "accepted_steps", "rejected_steps", "h_min", "h_max"}
     assert stats["rhs_evals"] == 4 * stats["accepted_steps"] > 0
     assert stats["rejected_steps"] == 0
+
+
+def test_report_carries_version_and_timings(tmp_path):
+    from hitchinflow import __version__
+
+    assert _run(["--scenario", "n11-spin7", "--t-end", "0.05", "--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys = list(report)
+    assert keys[:2] == ["schema_version", "version"]
+    assert report["schema_version"] == 1 and report["version"] == __version__
+    assert keys[keys.index("stats") + 1] == "timings"
+    timings = report["timings"]
+    assert list(timings) == ["seed_s", "integrate_s", "sample_s", "torsion_s", "io_s"]
+    assert all(v > 0 for v in timings.values())
+    assert timings["sample_s"] < timings["integrate_s"]
+
+
+@pytest.mark.parametrize(
+    "args,flow",
+    [
+        (["--scenario", "flat-abelian", "--t-end", "1e9"], None),
+        (["--config"], {"sample_dt": 1e-9}),
+        (["--config"], {"integrator": "rk4", "step": 1e-9}),
+    ],
+    ids=["flat-abelian-t_end=1e9", "sample_dt=1e-9", "rk4-step=1e-9"],
+)
+def test_unbounded_work_exits_two_at_once(tmp_path, args, flow, capsys):
+    if flow is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "n11-spin7", "flow": flow}))
+        args = args + [str(cfg)]
+    start = time.perf_counter()
+    assert _run(args + ["--report-only"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "work_cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

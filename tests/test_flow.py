@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hitchinflow import flow as fl
+from hitchinflow import stable
 from hitchinflow.errors import (
     DimensionMismatch,
     NotProportional,
@@ -27,16 +28,24 @@ from hitchinflow.flow import (
     torsion_residual,
 )
 from hitchinflow.forms import KForm, form_pairing, wedge
-from hitchinflow.g2spin7 import model_phi, seven_structure, star_derivative
+from hitchinflow.g2spin7 import (
+    BundleSplitData,
+    bundle_Phi,
+    model_phi,
+    seven_structure,
+    star_derivative,
+)
 from hitchinflow.homogeneous import space
 from hitchinflow.stable import classify_pair
 
 from oracles import (
+    degenerate_monitors_oracle,
     degenerate_rhs_oracle,
     degenerate_split_oracle,
     fd_generic_rhs,
     fd_star_jacobian,
     relative_gap,
+    torsion_residual_oracle,
 )
 
 
@@ -471,3 +480,139 @@ def test_rk45_stops_when_the_step_no_longer_advances_time():
     assert traj.stop_reason == "step_failure"
     assert "no longer advances t" in traj.stop_cause
     assert 0.42 < traj.samples[-1].t < 0.43
+
+
+# ------------------------------------------------------ step and sample checks
+def _n11_run(integrator, t_end=0.3):
+    p = n11_problem(a=1.3, b=-0.8, c_param=1.1, theta=0.7)
+    cfg = FlowConfig(space="n11", t_end=t_end, integrator=integrator, step=2e-3, sample_dt=0.02)
+    return integrate(cfg, startup_seed(p, 1.0, 1e-4))
+
+
+def _split_of_pair(om6, rho6, f=1.0):
+    """A split made from a pair directly, with rho = -J*S/f as the kernel
+    has it, for pairs the flow's normalization would refuse as well."""
+    J, sign, jrho, _ = stable.pair_coeffs(om6.coeffs, rho6.coeffs)
+    return fl._Split(om6.coeffs, rho6.coeffs, -sign * f * jrho, f, J, sign)
+
+
+@pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
+def test_split_class_matches_classify_pair_on_every_step(monkeypatch, integrator):
+    splits = []
+    split_class = fl._split_class
+    monkeypatch.setattr(fl, "_split_class", lambda sp: splits.append(sp) or split_class(sp))
+    traj = _n11_run(integrator, t_end=0.1)
+    assert len(splits) >= traj.stats["accepted_steps"] >= 5
+    for sp in splits:
+        want = classify_pair(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag
+        assert split_class(sp) is want is stable.StructureClass.SU3
+
+
+def test_split_class_on_the_flat_su12_seed():
+    p = flat7_problem("su12")
+    seed = startup_seed(p, 1.0, 1e-3)
+    sp = fl._derive_split(p, p.pack(seed.w, seed.f * seed.s), 1.0)
+    assert fl._split_class(sp) is stable.StructureClass.SU12
+    assert classify_pair(seed.omega_form(), seed.rho_form()).tag is stable.StructureClass.SU12
+
+
+def _e(*idx):
+    return KForm.basis(6, [i - 1 for i in idx])
+
+
+@pytest.mark.parametrize(
+    "case,want",
+    [
+        ("su3", "SU3"),
+        ("su12", "SU12"),
+        ("sl3r", "SL3R"),
+        ("omega^3=0", "NotAStructure"),
+        ("omega^rho!=0", "NotAStructure"),
+    ],
+)
+def test_split_class_matches_classify_pair_on_model_and_failing_pairs(case, want):
+    if case in ("su3", "su12", "sl3r"):
+        om, rho = stable.model_pair(case)
+    elif case == "omega^3=0":
+        om, rho = stable.model_pair("su3")[0] - _e(5, 6), stable.model_pair("su3")[1]
+    else:
+        om, rho = stable.model_pair("su3")[0], stable.model_pair("su3")[1] + 1e-3 * _e(1, 2, 3)
+    cls = classify_pair(om, rho)
+    assert cls.tag.value == want
+    if case == "omega^rho!=0":
+        assert cls.diagnostics == "omega ^ rho != 0"
+    for f in (1.0, 0.3):
+        assert fl._split_class(_split_of_pair(om, rho, f)) is cls.tag
+
+
+def test_bundle_phi_metric_is_g7_plus_dr2():
+    # g8 of the 8-form construction against the metric of phi alone: the
+    # 7-dimensional frame has e_phi = scale e_7, the 8-dimensional one e_phi
+    traj = _n11_run("rk45-adaptive")
+    p = traj.problem
+    axes = [*p.dist_axes, p.e_phi_index]
+    T = np.diag([1.0] * 6 + [p.e_phi_scale])
+    for i, sample in enumerate(traj.samples):
+        st = traj.state_at(i)
+        g7 = seven_structure(KForm(7, 3, sample.data["phi"])).g7.matrix
+        want = np.eye(8)
+        want[:7, :7] = T @ g7[np.ix_(axes, axes)] @ T
+        split = BundleSplitData.from_distribution(st.f, st.omega_form(), st.rho_form())
+        assert np.max(np.abs(bundle_Phi(split)[1].matrix - want)) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["n11-rk45", "n11-rk4", "flat-su12"])
+def test_sample_monitors_match_the_kform_oracle(case):
+    if case == "flat-su12":
+        cfg = FlowConfig(space="flat7", t_end=0.2, integrator="rk4", step=1e-3, sample_dt=0.05)
+        traj = integrate(cfg, startup_seed(flat7_problem("su12"), 1.0, 1e-3))
+    else:
+        traj = _n11_run("rk45-adaptive" if case == "n11-rk45" else "rk4-fixed")
+    for i, sample in enumerate(traj.samples):
+        want = degenerate_monitors_oracle(traj.state_at(i))
+        got = sample.monitors
+        assert got["cocal_residual"] == want["cocal_residual"]
+        assert abs(got["normalization_residual"] - want["normalization_residual"]) <= 1e-12
+        assert (got["class"], got["g8_signature"]) == (want["class"], want["g8_signature"])
+
+
+def test_torsion_residual_matches_the_oracle():
+    traj = _n11_run("rk45-adaptive")
+    assert np.max(np.abs(torsion_residual(traj) - torsion_residual_oracle(traj))) <= 1e-10
+    # a generic run off the cocalibrated slice, where |d(*phi)| is not ~ 0
+    gp = generic_problem("n11")
+    seed = generic_state_from_split(gp, n11_problem(), 1.0)
+    rng = np.random.default_rng(2)
+    pert = GenericFlowState(0.0, seed.x + 0.1 * rng.normal(size=len(seed.x)), gp)
+    gtraj = integrate(FlowConfig(space="n11", t_end=0.05, sample_dt=0.0125), pert)
+    assert np.min(gtraj.monitor("cocal_residual")) > 1e-3
+    assert np.max(np.abs(torsion_residual(gtraj) - torsion_residual_oracle(gtraj))) <= 1e-10
+
+
+def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
+    traj = _n11_run("rk45-adaptive", t_end=0.1)
+    flow = fl._degenerate_flow(traj.state_at(0))
+    st = traj.state_at(2)
+    calls = []
+    count = lambda phi: calls.append(phi) or seven_structure(phi)
+    monkeypatch.setattr(fl, "seven_structure", count)
+    torsion_residual(traj)
+    assert calls == []
+    flow.sample(st.t, st.problem.pack(st.w, st.f * st.s))
+    assert len(calls) == 1
+    gp = generic_problem("abelian7")
+    gseed = GenericFlowState(0.0, gp.basis(3)[2] @ model_phi("su3").coeffs, gp)
+    gflow = fl._generic_flow(gseed)
+    calls.clear()
+    gflow.sample(0.0, gseed.x)
+    assert len(calls) == 1
+
+
+def test_first_sample_must_reproduce_the_seed_reference():
+    # at epsilon = 1e-7 the bundle metric of the seed is degenerate and phi
+    # is not stable: the first sample cannot reproduce the seed's class
+    p = n11_problem()
+    cfg = FlowConfig(space="n11", t_end=0.05, integrator="rk45-adaptive")
+    with pytest.raises(PreconditionFailed) as err:
+        integrate(cfg, startup_seed(p, 1.0, 1e-7))
+    assert err.value.condition == "seed_reference"
