@@ -13,7 +13,7 @@ Coefficients are float64 by default; an exact mode (object arrays of
 modes share one code path: pullbacks and the Gram matrices behind the
 pairing and the Hodge star are products with ``linalg.minors``, and
 ``contract`` with the product tables, each of which picks its kernel
-from the dtype.
+from the dtype.  Exact products skip the zero coefficients of a form.
 
 Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 """
@@ -382,7 +382,8 @@ def pullback(mat: np.ndarray, a: KForm) -> KForm:
     if mat.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"matrix {mat.shape} vs dim {a.dim}")
     if a.exact:
-        mat = linalg.as_exact(mat)
+        coeffs = _gram_dot(linalg.minors(linalg.as_exact(mat), a.degree).T, a.coeffs)
+        return KForm(a.dim, a.degree, coeffs)
     return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
 
 
@@ -393,10 +394,23 @@ def _pairing_matrix(g: SymBilinear, k: int) -> np.ndarray:
     return linalg.minors(g.inverse(), k)
 
 
+def _gram_dot(gram: np.ndarray, v: np.ndarray):
+    """gram @ v; exact forms are mostly zero and each Fraction product runs
+    a gcd, so in exact mode only the nonzero entries of v are multiplied."""
+    if gram.dtype != object and v.dtype != object:
+        return gram @ v
+    nz = np.flatnonzero(v != 0)
+    if len(nz) == 0:
+        return np.full(gram.shape[:-1], Fraction(0), dtype=object)[()]
+    return gram[..., nz] @ v[nz]
+
+
 def form_pairing(g: SymBilinear, a: KForm, b: KForm):
     """Induced inner product <a, b>_g on k-forms."""
     a._check_like(b)
     gram = _pairing_matrix(g, a.degree)
+    if a.exact or b.exact or linalg.is_exact(gram):
+        return _gram_dot(_gram_dot(gram, b.coeffs), a.coeffs)
     return a.coeffs @ gram @ b.coeffs
 
 
@@ -408,7 +422,7 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
         raise DegenerateMetric("volume form vanishes")
     if not g.is_nondegenerate():
         raise DegenerateMetric("metric is degenerate")
-    paired = _pairing_matrix(g, a.degree) @ a.coeffs  # <e^J, a> per increasing J
+    paired = _gram_dot(_pairing_matrix(g, a.degree), a.coeffs)  # <e^J, a> per increasing J
     # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
     return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])

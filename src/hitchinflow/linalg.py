@@ -6,8 +6,8 @@ rounding; only the operations actually needed by the exact identity suite
 (solve, inverse, minors, determinant, signature, nullspace, square roots)
 are implemented.  ``minors``, the k-th compound matrix, computes every
 minor and exact determinant in the package: batched LAPACK determinants
-for floats, a Laplace expansion that reuses the smaller minors for
-Fractions.
+for floats, for Fractions a Laplace expansion that reuses the smaller
+minors, in Python ints over one common denominator, divided once.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def exact_sqrt(x: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _int_root(a: int, n: int) -> int:
+    """Floor of the n-th root of an int a >= 0: Newton's method in ints
+    from the power of two above the root, until it no longer falls."""
+    x = 1 << -(-a.bit_length() // n)
+    while a and (y := ((n - 1) * x + a // x ** (n - 1)) // n) < x:
+        x = y
+    return x if a else 0
+
+
 def exact_nth_root(x: Fraction, n: int) -> Fraction:
     """Exact signed n-th root (n odd allows negative x)."""
     if x < 0:
@@ -57,11 +66,9 @@ def exact_nth_root(x: Fraction, n: int) -> Fraction:
             raise ValueError("even root of negative value")
         return -exact_nth_root(-x, n)
     num, den = x.numerator, x.denominator
-    rn = round(num ** (1.0 / n)) if num else 0
-    rd = round(den ** (1.0 / n))
-    for r, target in ((rn, num), (rd, den)):
-        if r**n != target:
-            raise ValueError(f"{x} has no exact rational {n}-th root")
+    rn, rd = _int_root(num, n), _int_root(den, n)
+    if rn**n != num or rd**n != den:
+        raise ValueError(f"{x} has no exact rational {n}-th root")
     return Fraction(rn, rd)
 
 
@@ -152,8 +159,10 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
     the increasing k-tuples I_i, J_j in lexicographic order.
 
     Float input takes batched LAPACK determinants.  Exact (object) input
-    expands along first rows, each level of minors built from the one
-    below, so one n x n determinant costs n * 2**(n-1) products.
+    is scaled to ints by the lcm d of its denominators and expanded along
+    first rows, each level of minors built from the one below, so one
+    n x n determinant costs n * 2**(n-1) int products; every minor is then
+    one Fraction(minor, d**k).
     """
     if k == 0:
         return np.full((1, 1), Fraction(1) if is_exact(m) else 1.0)
@@ -161,12 +170,14 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
     if not is_exact(m):
         return np.linalg.det(np.take(m, _submatrix_index(n, k)))
     m = as_exact(m)
+    den = math.lcm(*(x.denominator for x in m.flat))
+    m = np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(m)
     level = m[k - 1 :]
     for j in range(2, k + 1):
         first, rest, col, drop = _laplace_tables(n, k, j)
         prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
         level = prod[..., ::2].sum(axis=-1) - prod[..., 1::2].sum(axis=-1)
-    return level
+    return np.frompyfunc(lambda x: Fraction(x, den**k), 1, 1)(level)
 
 
 def signature(g: np.ndarray, tol: float = 1e-10) -> tuple[int, int]:
@@ -206,11 +217,11 @@ def signature(g: np.ndarray, tol: float = 1e-10) -> tuple[int, int]:
                     m[i] = m[i] - c * m[k]
                     m[:, i] = m[:, i] - c * m[:, k]
         return p, q
-    eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float))
-    scale = max(np.max(np.abs(eigs)), 1.0)
-    if np.any(np.abs(eigs) <= tol * scale):
+    eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float)).tolist()
+    cut = tol * max(max(map(abs, eigs)), 1.0)
+    if any(abs(e) <= cut for e in eigs):
         raise ValueError("degenerate bilinear form")
-    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+    return sum(e > 0 for e in eigs), sum(e < 0 for e in eigs)
 
 
 def rational_nullspace(a: np.ndarray) -> list[np.ndarray]:

@@ -16,6 +16,10 @@ the product tables replaced it.  ``degenerate_monitors_oracle`` and
 ``torsion_residual_oracle`` are the KForm monitors and the torsion
 residual that recomputed ``seven_structure`` per sample, before samples
 took their checks from one 7-dimensional structure and stored *phi.
+``dense_pairing``, ``dense_hodge`` and ``dense_pullback`` are the dense
+products with the full compound matrix that ``form_pairing``, ``hodge``
+and ``pullback`` computed before their exact branches skipped zero
+coefficients; the float branches still compute exactly these expressions.
 """
 
 import itertools
@@ -27,7 +31,15 @@ import numpy as np
 from hitchinflow import linalg
 from hitchinflow.errors import UnstableForm
 from hitchinflow.flow import cocal_residual
-from hitchinflow.forms import KForm, form_pairing, interior, pullback, wedge
+from hitchinflow.forms import (
+    KForm,
+    contract,
+    form_pairing,
+    interior,
+    pullback,
+    wedge,
+    wedge_tensor,
+)
 from hitchinflow.g2spin7 import BundleSplitData, bundle_Phi, seven_structure
 from hitchinflow.linalg import increasing_tuples
 from hitchinflow.stable import classify_pair, pair_structure
@@ -59,6 +71,26 @@ def bareiss_det(a) -> Fraction:
                 m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) / prev
         prev = m[k, k]
     return sign * m[n - 1, n - 1]
+
+
+def dense_pairing(g, a, b):
+    """<a, b>_g = a @ minors(g^-1, k) @ b over every coefficient."""
+    return a.coeffs @ linalg.minors(g.inverse(), a.degree) @ b.coeffs
+
+
+def dense_hodge(g, vol, a):
+    """Hodge star through the full Gram matrix: <e^J, a> for every J,
+    read through the top-degree pairing."""
+    paired = linalg.minors(g.inverse(), a.degree) @ a.coeffs
+    top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
+    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])
+
+
+def dense_pullback(mat, a):
+    """Pullback as a @ minors(A, k) over every coefficient."""
+    if a.exact:
+        mat = linalg.as_exact(mat)
+    return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
 
 
 def wedge_eval(a, b, vectors) -> float:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hitchinflow.forms import (
 from hitchinflow.linalg import as_exact
 from hitchinflow.stable import model_pair
 
-from oracles import wedge_eval
+from oracles import dense_hodge, dense_pairing, dense_pullback, wedge_eval
 
 
 def E(*idx, dim=6, exact=False):
@@ -264,6 +265,52 @@ def test_hodge_rejects_degenerate_metric():
     g = SymBilinear(np.diag([1.0, 1, 1, 1, 1, 1, 0]))
     with pytest.raises(DegenerateMetric):
         hodge(g, volume_form(7, 1.0), KForm.basis(7, (0, 1, 2)))
+
+
+def _exact_forms(rng, n, k):
+    """A dense Fraction k-form with thirds and sevenths, a sparse one
+    (about a quarter of it), and the zero form."""
+    size = comb(n, k)
+    nums, dens = rng.integers(-9, 10, size), rng.choice([1, 3, 7], size)
+    dense = np.array([Fraction(int(p), int(q)) for p, q in zip(nums, dens)], dtype=object)
+    sparse = dense.copy()
+    sparse[rng.random(size) < 0.75] = Fraction(0)
+    return [KForm(n, k, dense), KForm(n, k, sparse), KForm.zero(n, k, exact=True)]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_exact_products_equal_dense_oracle(n, rng):
+    # exact pairing, star and pullback skip zero coefficients; the values
+    # must be the same Fractions as the dense products with the full Gram
+    upper = as_exact(np.triu(rng.integers(-3, 4, size=(n, n)), 1)) / 3 + as_exact(np.eye(n))
+    signs = as_exact(np.diag([1, -1] * (n // 2) + [1] * (n % 2))) * Fraction(2, 3)
+    g = SymBilinear(upper.T @ signs @ upper)
+    mat = as_exact(rng.integers(-4, 5, size=(n, n))) / 7
+    vol = volume_form(n, Fraction(3, 2), exact=True)
+    for k in (2, 3, 4):
+        forms = _exact_forms(rng, n, k)
+        for a in forms:
+            pairs = ((hodge(g, vol, a), dense_hodge(g, vol, a)), (pullback(mat, a), dense_pullback(mat, a)))
+            for got, want in pairs:
+                assert np.all(got.coeffs == want.coeffs)
+                assert all(type(c) is Fraction for c in got.coeffs)
+            for b in forms:
+                got = form_pairing(g, a, b)
+                assert got == dense_pairing(g, a, b) and type(got) is Fraction
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_float_products_are_the_dense_expressions(n, rng):
+    # floats keep the dense products bit for bit: the degenerate-flow
+    # CSVs depend on the last bits of the pairing and the star
+    A = rng.normal(size=(n, n))
+    g = SymBilinear(A @ np.diag([1.0, -1.0] * (n // 2) + [1.0] * (n % 2)) @ A.T)
+    vol = volume_form(n, 1.3)
+    for k in (2, 3, 4):
+        a, b = (KForm(n, k, rng.normal(size=comb(n, k))) for _ in range(2))
+        assert form_pairing(g, a, b) == dense_pairing(g, a, b)
+        assert np.array_equal(hodge(g, vol, a).coeffs, dense_hodge(g, vol, a).coeffs)
+        assert np.array_equal(pullback(A, a).coeffs, dense_pullback(A, a).coeffs)
 
 
 # ---------------------------------------------------- types and helpers

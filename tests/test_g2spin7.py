@@ -103,6 +103,17 @@ def test_metric_vol_unstable_returns_not_stable():
     assert klass is SevenClass.NOT_STABLE and g7 is None and vol7 is None
 
 
+def test_metric_vol_exact_beyond_float_range_of_roots():
+    # det B = a^9 with a = 2^60 + 1: its 9-th root is found in ints, past
+    # where a float guess of the root can be rounded back exactly
+    a = 2**60 + 1
+    mat = as_exact(np.diag([a, 1, 1, 1, 1, 1, 1]))
+    g7, vol7, klass = metric_vol_from_phi(pullback(mat, model_phi("su3", exact=True)))
+    assert klass is SevenClass.G2
+    assert vol7.coeffs[0] == a and type(vol7.coeffs[0]) is Fraction
+    assert np.all(g7.matrix == as_exact(np.diag([a * a, 1, 1, 1, 1, 1, 1])))
+
+
 def test_metric_vol_scales_correctly(rng):
     # under phi -> s^3 phi (a frame rescaling) g7 scales by s^2, vol7 by s^7
     phi = model_phi("su3")

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,18 +13,31 @@ def _integer_matrix(rng, n):
     return linalg.as_exact(rng.integers(-9, 10, size=(n, n)))
 
 
+def _fraction_matrix(rng, n):
+    nums, dens = rng.integers(-9, 10, n * n), rng.choice([1, 3, 7], n * n)
+    return np.array(
+        [Fraction(int(p), int(q)) for p, q in zip(nums, dens)], dtype=object
+    ).reshape(n, n)
+
+
 @pytest.mark.parametrize(
     "n,k", [(6, k) for k in range(7)] + [(7, 3), (7, 4), (8, 4)]
 )
 def test_exact_minors_match_per_minor_oracle(rng, n, k):
-    m = _integer_matrix(rng, n)
+    # mixed denominators exercise the common-denominator scaling; a zero
+    # row and the zero matrix give zero minors, still as Fractions
+    mats = [_integer_matrix(rng, n), _fraction_matrix(rng, n), _fraction_matrix(rng, n)]
+    mats[2][1] = Fraction(0)
+    mats.append(linalg.as_exact(np.zeros((n, n), dtype=int)))
     tups = list(itertools.combinations(range(n), k))
-    want = np.array(
-        [[bareiss_det(m[np.ix_(I, J)]) if k else 1 for J in tups] for I in tups], dtype=object
-    )
-    got = linalg.minors(m, k)
-    assert got.shape == (len(tups), len(tups))
-    assert np.all(got == want)
+    for m in mats:
+        want = np.array(
+            [[bareiss_det(m[np.ix_(I, J)]) if k else 1 for J in tups] for I in tups], dtype=object
+        )
+        got = linalg.minors(m, k)
+        assert got.shape == (len(tups), len(tups))
+        assert np.all(got == want)
+        assert all(type(x) is Fraction for x in got.flat)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (7, 3), (8, 4)])
@@ -41,3 +55,27 @@ def test_exact_det_pivots_and_detects_singularity():
     singular = m.copy()
     singular[3] = singular[0] + 2 * singular[1]
     assert linalg.det(singular) == bareiss_det(singular) == 0
+
+
+@pytest.mark.parametrize("root", [3**40, 10**17 + 3, 10**35])
+@pytest.mark.parametrize("n", [3, 9])
+def test_exact_nth_root_of_large_powers(root, n):
+    # roots past 2**53 and powers past the float range are found in ints
+    r = Fraction(root, 7)
+    assert linalg.exact_nth_root(r**n, n) == r
+    assert linalg.exact_nth_root(-(r**n), n) == -r
+    for not_a_power in (r**n + 1, Fraction(root**n, 2)):
+        with pytest.raises(ValueError, match="no exact rational"):
+            linalg.exact_nth_root(not_a_power, n)
+
+
+def test_float_signature_counts_and_threshold(rng):
+    for _ in range(20):
+        a = rng.normal(size=(6, 6))
+        eigs = np.linalg.eigvalsh(a + a.T)
+        assert linalg.signature(a + a.T) == (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
+    # degenerate when some |eig| <= tol * max(max |eig|, 1)
+    assert linalg.signature(np.diag([2.0, -1.0, 2.0001e-10])) == (2, 1)
+    for g in (np.diag([2.0, -1.0, 2e-10]), np.diag([0.5, -0.5, 1e-10])):
+        with pytest.raises(ValueError, match="degenerate"):
+            linalg.signature(g)
