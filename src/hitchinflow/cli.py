@@ -102,9 +102,11 @@ def _parse_scalar(text: str):
 
 def load_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PreconditionFailed("config_parse", f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionFailed("config_read", f"{path}: {exc}") from exc
     _validate_config(raw, path)
     return raw
 
@@ -131,9 +133,10 @@ def _validate_config(raw: dict, origin: str = "<config>"):
             raise PreconditionFailed(
                 "config_key", f"{origin}: unknown parameter '{key}' for {scenario}"
             )
-        if isinstance(val, list) and not val:
+        # a repeated value would write one point directory twice
+        if isinstance(val, list) and (not val or any(v in val[:i] for i, v in enumerate(val))):
             raise PreconditionFailed(
-                "config_sweep", f"{origin}: parameter '{key}' sweeps no value"
+                "config_sweep", f"{origin}: '{key}' must sweep distinct values, got {val!r}"
             )
     for key in raw.get("flow", {}):
         if key not in _FLOW_KEYS:
@@ -143,10 +146,6 @@ def _validate_config(raw: dict, origin: str = "<config>"):
 def _flow_config(scenario: str, flow_dict: dict) -> fl.FlowConfig:
     cfg = fl.FlowConfig(space="n11" if scenario == "n11-spin7" else "abelian7")
     return replace(cfg, **flow_dict)
-
-
-def _csv_format(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
@@ -168,7 +167,7 @@ def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
         values = lambda s: [s.t, *s.data["x"], s.monitors["cocal_residual"]]
     lines = [",".join([*header, "torsion_residual"])]
     for s, tors in zip(traj.samples, torsion):
-        lines.append(",".join(_csv_format(v) for v in [*values(s), tors]))
+        lines.append(",".join(repr(float(v)) for v in [*values(s), tors]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -181,8 +180,7 @@ def run_point(
     with_verify: bool = False,
 ) -> RunReport:
     """Execute one scenario point: startup, integration, monitors, files."""
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir)
     report = RunReport(scenario=scenario, params=dict(params))
     timings = report.timings
     if with_verify:
@@ -237,9 +235,19 @@ def run_point(
     return report
 
 
+def _make_dir(outdir: Path | None):
+    """Create the output directory; PreconditionFailed when it cannot be,
+    for instance because the path names an existing file."""
+    if outdir is not None:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise PreconditionFailed("output", f"cannot create directory {outdir}: {exc}") from exc
+
+
 def _write_report(outdir: Path | None, report: RunReport):
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_dir(outdir)
         (outdir / "report.json").write_text(report.to_json() + "\n")
 
 
@@ -342,7 +350,7 @@ def main(argv=None) -> int:
                     }
                 )
             if outdir is not None:
-                outdir.mkdir(parents=True, exist_ok=True)
+                _make_dir(outdir)
                 (outdir / "index.json").write_text(
                     json.dumps(index, indent=2, default=_json_default) + "\n"
                 )

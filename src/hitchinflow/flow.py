@@ -32,14 +32,16 @@ Two flows are implemented on a registered homogeneous space:
   and a 15 x 15 solve for the 2-form velocity (``stable.pair_coeffs``,
   ``stable.solve_wedge_coeffs``).
 
-  Checks: a trial step is valid when the class read off its split (the
-  kernel's J, sign and S) is the seed's.  A sample makes one
-  ``seven_structure`` call on phi and takes its class, normalization and
-  g8 signature from g7 alone; the cocalibration residual comes from the
-  split formula *phi = omega^2/2 + f e^phi ^ s, and the torsion residual
-  differences the stored *phi.  ``bundle_Phi`` of the seed, through
-  ``classify_pair`` on the KForm path, is the reference the first sample
-  must reproduce.
+  Checks: a trial step is valid when ``stable.classify_coeffs``, the one
+  six-dimensional structure rule, gives the seed's class on its split
+  (the kernel's J and sign, J*rho = -sign S/f).  A sample makes one
+  ``seven_structure`` call on phi and takes its normalization and g8
+  signature from g7 alone, and its class from the signature of g7 on the
+  distribution and the sign of lambda (``stable.signature_class``); the
+  cocalibration residual comes from the split formula *phi = omega^2/2 +
+  f e^phi ^ s, and the torsion residual differences the stored *phi.
+  ``bundle_Phi`` of the seed, through ``classify_pair``, is the reference
+  the first sample must reproduce.
 
 rk4 and Dormand-Prince rk45 advance both flows; rk45 reuses the last
 stage of an accepted step as the first of the next ("first same as
@@ -58,6 +60,7 @@ import numbers
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,13 +76,14 @@ from .errors import (
     StepFailure,
     UnstableForm,
 )
-from .forms import (KForm, SymBilinear, contract, embed, form_pairing, increasing_tuples, interior,
-                    interior_tensor, restrict, wedge, wedge_tensor)
+from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
+                    wedge)
 from .g2spin7 import BundleSplitData, SevenStructure, bundle_Phi, seven_structure, star_derivative
-from .homogeneous import HomogeneousSpace, invariant_basis, space
+from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
 __all__ = [
     "FlowConfig",
+    "Basis",
     "DegenerateProblem",
     "GenericProblem",
     "DegenerateFlowState",
@@ -109,11 +113,53 @@ _MAX_SAMPLES = 10**5
 # A degenerate rk4 step (4 rhs and a validity check) takes about 1.4 ms:
 # 10^6 steps are about 25 minutes.
 _MAX_RK4_STEPS = 10**6
+# Step halvings rk45 tries in a row before it gives up on a step.
+_MAX_RETRIES = 60
 
 
 # ----------------------------------------------------------------------
 # problems
 # ----------------------------------------------------------------------
+class Basis(NamedTuple):
+    """Invariant forms of one degree, the matrix with their coefficients
+    as columns and its pseudo-inverse."""
+
+    forms: list
+    mat: np.ndarray
+    pinv: np.ndarray
+
+    def coords(self, target: np.ndarray, what: str) -> np.ndarray:
+        """Coordinates of a coefficient vector in this basis; raises
+        ProjectionFailure when it leaves the span."""
+        coeffs = self.pinv @ target
+        _check_projection(self.mat, coeffs, target, what)
+        return coeffs
+
+
+def _cached(problem, key, build: Callable):
+    """The problem's value under key, built by build() on first use."""
+    if key not in problem._cache:
+        problem._cache[key] = build()
+    return problem._cache[key]
+
+
+def _cached_basis(problem, degree: int, fiber: int | None = None) -> Basis:
+    """The invariant basis of a degree on the problem's space, without the
+    forms that have a term along the fiber axis when one is given."""
+
+    def build():
+        forms = [
+            b.form
+            for b in invariant_basis(problem.space.algebra, problem.space.split, degree)
+            if fiber is None
+            or all(fiber not in t or c == 0 for t, c in zip(b.form.tuples(), b.form.coeffs))
+        ]
+        mat = np.stack([f.coeffs for f in forms], axis=1)
+        return Basis(forms, mat, np.linalg.pinv(mat))
+
+    return _cached(problem, ("basis", degree), build)
+
+
 @dataclass(frozen=True)
 class DegenerateProblem:
     """Invariant line-bundle flow data on a homogeneous space.
@@ -154,53 +200,27 @@ class DegenerateProblem:
         # dual normalized so that e^phi(e_phi) = 1
         return KForm.basis(self.mdim, [self.e_phi_index]) * (1.0 / self.e_phi_scale)
 
-    def _basis(self, degree: int):
-        key = ("hbasis", degree)
-        if key not in self._cache:
-            forms = [
-                b.form
-                for b in invariant_basis(self.space.algebra, self.space.split, degree)
-                if all(self.e_phi_index not in t or c == 0
-                       for t, c in zip(b.form.tuples(), b.form.coeffs))
-            ]
-            mat = np.stack([f.coeffs for f in forms], axis=1)
-            self._cache[key] = (forms, mat, np.linalg.pinv(mat))
-        return self._cache[key]
+    def w_basis(self) -> Basis:
+        return _cached_basis(self, 2, self.e_phi_index)
 
-    def w_basis(self):
-        return self._basis(2)
-
-    def s_basis(self):
-        return self._basis(3)
+    def s_basis(self) -> Basis:
+        return _cached_basis(self, 3, self.e_phi_index)
 
     def basis_labels(self, degree: int) -> list[str]:
-        forms, _, _ = self._basis(degree)
-        labels = []
-        for f in forms:
-            for t, c in zip(f.tuples(), f.coeffs):
-                if abs(c) > 1e-12:
-                    labels.append("e" + "".join(str(i + 1) for i in t))
-                    break
-        return labels
+        """Each basis form labeled by its first tuple with a nonzero term."""
+        lead = lambda f: next(t for t, c in zip(f.tuples(), f.coeffs) if abs(c) > 1e-12)
+        forms = _cached_basis(self, degree, self.e_phi_index).forms
+        return ["e" + "".join(str(i + 1) for i in lead(f)) for f in forms]
 
     def de_phi(self) -> KForm:
-        if "de_phi" not in self._cache:
-            self._cache["de_phi"] = self.space.d(self.e_phi_form())
-        return self._cache["de_phi"]
+        return _cached(self, "de_phi", lambda: self.space.d(self.e_phi_form()))
 
     def lie_ephi_matrix(self, degree: int) -> np.ndarray:
-        key = ("lie", degree)
-        if key not in self._cache:
-            self._cache[key] = self.e_phi_scale * self.space.lie_matrix(
-                self.e_phi_index, degree
-            )
-        return self._cache[key]
+        build = lambda: self.e_phi_scale * self.space.lie_matrix(self.e_phi_index, degree)
+        return _cached(self, ("lie", degree), build)
 
     def pi(self, form: KForm) -> KForm:
-        ev = np.zeros(self.mdim)
-        ev[self.e_phi_index] = 1.0
-        ephi = KForm.basis(self.mdim, [self.e_phi_index])
-        return form - wedge(ephi, interior(ev, form))
+        return pi_project(form, self.e_phi_index)
 
     def to_dist(self, form: KForm) -> KForm:
         return restrict(form, self.dist_axes)
@@ -209,17 +229,14 @@ class DegenerateProblem:
         return embed(form, self.mdim, list(self.dist_axes))
 
     def operators(self) -> "_Operators":
-        """The flow's linear maps on coefficient vectors, built on first
-        use and cached with the problem."""
-        if "operators" not in self._cache:
-            self._cache["operators"] = _Operators.build(self)
-        return self._cache["operators"]
+        """The flow's linear maps on coefficient vectors, cached."""
+        return _cached(self, "operators", lambda: _Operators.build(self))
 
     def pack(self, w_coeffs: np.ndarray, S_coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate([w_coeffs, S_coeffs])
 
     def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nw = self.w_basis()[1].shape[1]
+        nw = self.w_basis().mat.shape[1]
         return y[:nw], y[nw:]
 
 
@@ -246,7 +263,7 @@ class _Operators:
 
     @staticmethod
     def build(problem: "DegenerateProblem") -> "_Operators":
-        w_forms, s_forms = problem.w_basis()[0], problem.s_basis()[0]
+        w_forms, s_forms = problem.w_basis().forms, problem.s_basis().forms
         units = lambda k: [KForm(6, k, e) for e in np.eye(len(increasing_tuples(6, k)))]
         from_dist3 = _matrix_of(problem.from_dist, units(3))
         return _Operators(
@@ -275,19 +292,11 @@ class GenericProblem:
     space: HomogeneousSpace
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def basis(self, degree: int):
-        key = ("basis", degree)
-        if key not in self._cache:
-            forms = [
-                b.form for b in invariant_basis(self.space.algebra, self.space.split, degree)
-            ]
-            mat = np.stack([f.coeffs for f in forms], axis=1)
-            self._cache[key] = (forms, mat, np.linalg.pinv(mat))
-        return self._cache[key]
+    def basis(self, degree: int) -> Basis:
+        return _cached_basis(self, degree)
 
     def phi(self, x: np.ndarray) -> KForm:
-        _, mat, _ = self.basis(3)
-        return KForm(self.space.mdim, 3, mat @ x)
+        return KForm(self.space.mdim, 3, self.basis(3).mat @ x)
 
 
 def generic_problem(space_name: str) -> GenericProblem:
@@ -309,13 +318,11 @@ class DegenerateFlowState:
     problem: DegenerateProblem
 
     def omega_form(self, on_distribution: bool = True) -> KForm:
-        _, mat, _ = self.problem.w_basis()
-        f7 = KForm(self.problem.mdim, 2, mat @ self.w)
+        f7 = KForm(self.problem.mdim, 2, self.problem.w_basis().mat @ self.w)
         return self.problem.to_dist(f7) if on_distribution else f7
 
     def s_form(self, on_distribution: bool = True) -> KForm:
-        _, mat, _ = self.problem.s_basis()
-        f7 = KForm(self.problem.mdim, 3, mat @ self.s)
+        f7 = KForm(self.problem.mdim, 3, self.problem.s_basis().mat @ self.s)
         return self.problem.to_dist(f7) if on_distribution else f7
 
     def rho_form(self, on_distribution: bool = True) -> KForm:
@@ -364,7 +371,6 @@ class FlowConfig:
     tol: float = 1e-9
     startup_epsilon: float = 1e-4
     sample_dt: float = 0.01
-    max_retries: int = 60
 
     def __post_init__(self):
         def refuse(name, want):
@@ -378,9 +384,6 @@ class FlowConfig:
                 refuse(name, "a finite number > 0")
         if not _is_finite_real(self.t_end):
             refuse("t_end", "a finite number")
-        retries = self.max_retries
-        if not isinstance(retries, numbers.Integral) or isinstance(retries, bool) or retries < 0:
-            refuse("max_retries", "an integer >= 0")
 
     def kind(self) -> str:
         return _INTEGRATORS[self.integrator.lower()]
@@ -555,13 +558,9 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
     drho = problem.space.d(problem.rho0)
     tau6 = problem.to_dist(problem.pi(drho))
     wdot0 = stable.solve_wedge_omega(om6, tau6)
-    _, wmat, wpinv = problem.w_basis()
-    _, smat, spinv = problem.s_basis()
     w_form7 = problem.omega0 + epsilon * problem.from_dist(wdot0)
-    w = wpinv @ w_form7.coeffs
-    s = spinv @ problem.from_dist(jrho6).coeffs
-    _check_projection(wmat, w, w_form7.coeffs, "omega seed")
-    _check_projection(smat, s, problem.from_dist(jrho6).coeffs, "s seed")
+    w = problem.w_basis().coords(w_form7.coeffs, "omega seed")
+    s = problem.s_basis().coords(problem.from_dist(jrho6).coeffs, "s seed")
     return DegenerateFlowState(t=epsilon, f=c * epsilon, w=w, s=s, problem=problem)
 
 
@@ -573,11 +572,10 @@ def mirror_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degener
     depend on |f|.
     """
     fwd = startup_seed(problem, c, epsilon)
-    _, wmat, wpinv = problem.w_basis()
-    w_form7 = KForm(problem.mdim, 2, wmat @ fwd.w)
-    mirrored = 2.0 * problem.omega0 - w_form7  # omega0 - eps*wdot0
+    wb = problem.w_basis()
+    mirrored = 2.0 * problem.omega0 - KForm(problem.mdim, 2, wb.mat @ fwd.w)  # omega0 - eps*wdot0
     return DegenerateFlowState(
-        t=-epsilon, f=-c * epsilon, w=wpinv @ mirrored.coeffs, s=fwd.s, problem=problem
+        t=-epsilon, f=-c * epsilon, w=wb.pinv @ mirrored.coeffs, s=fwd.s, problem=problem
     )
 
 
@@ -619,33 +617,11 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     return _Split(om6, jS * (-1.0 / f), S6, f, J, sign)
 
 
-_SC = stable.StructureClass
-# the structure class of a pair by the signature of its metric on the distribution
-_SIX_CLASS = {(6, 0): _SC.SU3, (2, 4): _SC.SU12, (3, 3): _SC.SL3R}
-
-
 def _split_class(sp: _Split) -> stable.StructureClass:
-    """``stable.classify_pair`` of (omega6, rho6) with its checks and
-    thresholds, read off the split: omega^3 != 0, omega ^ rho = 0, the
-    normalization J*rho ^ rho = (2/3) omega^3 with J*rho = -sign S/f (no
-    pullback), and the signature of G = Omega (sign J) together with the
-    sign of lambda.  The split itself has already refused lambda ~ 0."""
-    om, rho = sp.om6, sp.rho6
-    om_max, rho_max = max(float(np.max(np.abs(om))), 1e-30), max(float(np.max(np.abs(rho))), 1e-30)
-    om3 = contract(wedge_tensor(6, 4, 2)[0].T, contract(wedge_tensor(6, 2, 2), om) @ om) @ om
-    if abs(om3) <= 1e-12 * om_max**3:
-        return _SC.NOT_A_STRUCTURE
-    if float(np.max(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ om))) > 1e-10 * om_max * rho_max:
-        return _SC.NOT_A_STRUCTURE
-    num = contract(wedge_tensor(6, 3, 3)[0].T, (-sp.sign / sp.f) * sp.S6) @ rho
-    if abs(num - om3 * (2.0 / 3.0)) > 1e-10 * max(abs(num), abs(om3), 1e-30):
-        return _SC.NOT_A_STRUCTURE
-    G = contract(interior_tensor(6, 2), om) @ (sp.J * sp.sign)
-    try:
-        tag = _SIX_CLASS.get(linalg.signature((G + G.T) / 2))
-    except ValueError:
-        return _SC.NOT_A_STRUCTURE
-    return tag if tag is not None and (tag is _SC.SL3R) == (sp.sign > 0) else _SC.NOT_A_STRUCTURE
+    """The class of the split's pair by ``stable.classify_coeffs``, with
+    the split's J and sign and J*rho = -sign S/f (no pullback).  The split
+    itself has already refused lambda ~ 0."""
+    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, (-sp.sign / sp.f) * sp.S6)[0]
 
 
 def _velocity(problem: DegenerateProblem, om6, rho6, f: float, w):
@@ -662,13 +638,8 @@ def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float) -> np.
     """The packed velocity (wdot, Sdot) at a packed state."""
     sp = _derive_split(problem, y, branch)
     wdot7, Sdot7 = _velocity(problem, sp.om6, sp.rho6, sp.f, problem.unpack(y)[0])
-    _, wmat, wpinv = problem.w_basis()
-    _, smat, spinv = problem.s_basis()
-    wdot = wpinv @ wdot7
-    Sdot = spinv @ Sdot7
-    _check_projection(wmat, wdot, wdot7, "omega velocity")
-    _check_projection(smat, Sdot, Sdot7, "s velocity")
-    return problem.pack(wdot, Sdot)
+    wdot = problem.w_basis().coords(wdot7, "omega velocity")
+    return problem.pack(wdot, problem.s_basis().coords(Sdot7, "s velocity"))
 
 
 def degenerate_rhs(state: DegenerateFlowState) -> tuple[float, KForm, KForm]:
@@ -722,17 +693,14 @@ def generic_rhs(state: GenericFlowState) -> np.ndarray:
     """
     problem = state.problem
     x = np.asarray(state.x, dtype=float)
-    _, mat3, _ = problem.basis(3)
-    _, mat4, pinv4 = problem.basis(4)
+    basis4 = problem.basis(4)
     phi = problem.phi(x)
     s = _stable_structure(phi)
-    jac = pinv4 @ star_derivative(s) @ mat3
+    jac = basis4.pinv @ star_derivative(s) @ problem.basis(3).mat
     cond = np.linalg.cond(jac)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularJacobian(f"star-coefficient Jacobian condition number {cond:.2e}")
-    dphi = problem.space.d(phi)
-    rhs = pinv4 @ dphi.coeffs
-    _check_projection(mat4, rhs, dphi.coeffs, "d phi")
+    rhs = basis4.coords(problem.space.d(phi).coeffs, "d phi")
     return np.linalg.solve(jac, rhs)
 
 
@@ -844,7 +812,7 @@ def _advance_rk4(f, t0, y0, t1, step, validity, stats):
     return y
 
 
-def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, max_retries, stats):
+def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
     """Adaptive steps from t0 to t1, starting from step h (None for the
     default) and the first stage k1 = f(t0, y0) (None when not yet
     evaluated); returns the state at t1, the step to try next and the
@@ -879,7 +847,7 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, max_retries, stats):
         else:
             stats.rejected_steps += 1
             retries += 1
-            if retries > max_retries:
+            if retries > _MAX_RETRIES:
                 raise StepFailure(f"no acceptable step at t = {t:.6g}")
             h = h / 2
     return y, h, k1
@@ -896,9 +864,7 @@ def _advancer(config: FlowConfig, rhs, validity, stats: _Stats):
 
     def advance(t0, y0, t1):
         nonlocal h, k1
-        y, h, k1 = _advance_rk45(
-            rhs, t0, y0, t1, config.tol, h, k1, validity, config.max_retries, stats
-        )
+        y, h, k1 = _advance_rk45(rhs, t0, y0, t1, config.tol, h, k1, validity, stats)
         return y
 
     return advance
@@ -916,20 +882,20 @@ def _seven(data: dict, phi: np.ndarray) -> SevenStructure:
     return s
 
 
-def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarray) -> dict:
+def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarray,
+                    sign: int) -> dict:
     """The class, |s|^2 - 4 and the signature of g8 = g7 + dr^2 from the
     metric g7 of phi alone: on the distribution g7 is the metric g6 of
-    (omega, rho), whose signature gives the class."""
-    tag = None
+    (omega, rho), whose signature and the sign of lambda give the class."""
+    tag = stable.StructureClass.NOT_A_STRUCTURE
     if s7.ok:
         g6 = SymBilinear(s7.g7.matrix[np.ix_(problem.dist_axes, problem.dist_axes)])
         try:
-            tag = _SIX_CLASS.get(g6.signature())
+            tag = stable.signature_class(g6.signature(), sign)
         except ValueError:  # g6 is degenerate
             pass
-    if tag is None:
-        return {"normalization_residual": np.inf, "class": _SC.NOT_A_STRUCTURE.value,
-                "g8_signature": None}
+    if tag is stable.StructureClass.NOT_A_STRUCTURE:
+        return {"normalization_residual": np.inf, "class": tag.value, "g8_signature": None}
     s6, (p, q) = KForm(6, 3, s6), s7.g7.signature()
     return {"normalization_residual": abs(float(form_pairing(g6, s6, s6)) - 4.0),
             "class": tag.value, "g8_signature": (p + 1, q)}
@@ -987,7 +953,7 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
         s7 = _seven(data, sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6)
         monitors = {"cocal_residual": cocal_residual(state)}
-        monitors.update(_split_monitors(problem, s7, ops.s6 @ state.s))
+        monitors.update(_split_monitors(problem, s7, ops.s6 @ state.s, sp.sign))
         return Sample(t, data, monitors)
 
     return _Flow(
@@ -1136,20 +1102,13 @@ def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowStat
     fiber length is unchanged).  On the seed this reduces to
     s -> cos(theta) s - sin(theta) rho.
     """
-    from . import linalg
-
     problem = state.problem
     alpha = -theta / 2.0
     t2 = linalg.expm(alpha * problem.space.lie_matrix(problem.e_phi_index, 2))
     t3 = linalg.expm(alpha * problem.space.lie_matrix(problem.e_phi_index, 3))
-    _, wmat, wpinv = problem.w_basis()
-    _, smat, spinv = problem.s_basis()
-    w_target = t2 @ (wmat @ state.w)
-    s_target = t3 @ (smat @ state.s)
-    w = wpinv @ w_target
-    s = spinv @ s_target
-    _check_projection(wmat, w, w_target, "deformed omega")
-    _check_projection(smat, s, s_target, "deformed s")
+    wb, sb = problem.w_basis(), problem.s_basis()
+    w = wb.coords(t2 @ (wb.mat @ state.w), "deformed omega")
+    s = sb.coords(t3 @ (sb.mat @ state.s), "deformed s")
     return replace(state, w=w, s=s)
 
 
@@ -1158,10 +1117,7 @@ def generic_state_from_split(
 ) -> GenericFlowState:
     """Invariant generic seed phi = f omega0 ^ e^phi + rho0 from split data."""
     phi = f * wedge(dproblem.omega0, dproblem.e_phi_form()) + dproblem.rho0
-    _, mat3, pinv3 = gproblem.basis(3)
-    x = pinv3 @ phi.coeffs
-    _check_projection(mat3, x, phi.coeffs, "generic seed")
-    return GenericFlowState(t, x, gproblem)
+    return GenericFlowState(t, gproblem.basis(3).coords(phi.coeffs, "generic seed"), gproblem)
 
 
 def richardson_deviation(

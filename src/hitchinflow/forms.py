@@ -43,7 +43,6 @@ __all__ = [
     "volume_form",
     "embed",
     "restrict",
-    "merge_sign",
     "sort_sign",
     "hodge_matrices",
     "wedge_tensor",
@@ -59,21 +58,6 @@ def _tuple_index(n: int, k: int) -> dict[tuple[int, ...], int]:
 
 def tuple_position(n: int, indices: tuple[int, ...]) -> int:
     return _tuple_index(n, len(indices))[indices]
-
-
-def merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sign of sorting the concatenation of two increasing tuples.
-
-    Returns (sign, merged) or (0, None) if they share an index.
-    """
-    if set(a) & set(b):
-        return 0, None
-    inv = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(a + b))
 
 
 def sort_sign(indices) -> tuple[int, tuple[int, ...]]:
@@ -270,7 +254,7 @@ def _wedge_table(n: int, p: int, q: int):
     ai, bi, oi, sg = [], [], [], []
     for i, a in enumerate(ptups):
         for j, b in enumerate(qtups):
-            sign, merged = merge_sign(a, b)
+            sign, merged = sort_sign(a + b)
             if sign == 0:
                 continue
             ai.append(i)
@@ -359,12 +343,12 @@ def contract(table: np.ndarray, *vectors: np.ndarray):
     ``W = wedge_tensor(n, p, q)``.  Float vectors take ``table @ v`` or,
     for several, one ``np.einsum``; exact (object) vectors a scatter over
     the nonzero entries, as ``wedge`` does, so no Fraction meets a zero."""
-    lead = table.shape[: table.ndim - len(vectors)]
+    if len(vectors) == 1 and vectors[0].dtype != object:
+        return table @ vectors[0]
     if all(v.dtype != object for v in vectors):
-        if len(vectors) == 1:
-            return table @ vectors[0]
         operands = [x for i, v in enumerate(vectors) for x in (v, [i])]
         return np.einsum(table, [..., *range(len(vectors))], *operands, [...])
+    lead = table.shape[: table.ndim - len(vectors)]
     flat = table.reshape((prod(lead),) + table.shape[len(lead) :])
     nz = np.nonzero(flat)
     vals = flat[nz].astype(int).astype(object)

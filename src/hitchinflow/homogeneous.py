@@ -77,12 +77,6 @@ class LieAlgebraPresentation:
         res = t1 + np.einsum("mjk,lmi->lijk", c, c) + np.einsum("mki,lmj->lijk", c, c)
         return float(np.max(np.abs(res)))
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,i,j->k", self.c.astype(float), x, y)
-
-    def to_float(self) -> "LieAlgebraPresentation":
-        return LieAlgebraPresentation(self.n, self.c.astype(float), self.matrices)
-
 
 @dataclass(frozen=True)
 class ReductiveSplit:

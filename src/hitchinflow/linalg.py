@@ -3,7 +3,7 @@
 Float mode uses numpy directly.  Exact mode operates on object arrays of
 ``fractions.Fraction`` so that the model identities can be verified without
 rounding; only the operations actually needed by the exact identity suite
-(solve, inverse, minors, determinant, signature, nullspace, square roots)
+(inverse, minors, determinant, signature, nullspace, square roots)
 are implemented.  ``minors``, the k-th compound matrix, computes every
 minor and exact determinant in the package: batched LAPACK determinants
 for floats, for Fractions a Laplace expansion that reuses the smaller
@@ -39,17 +39,6 @@ def as_exact(a) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
-def exact_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a nonnegative Fraction, or raise ValueError."""
-    if x < 0:
-        raise ValueError("square root of negative value")
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{x} has no exact rational square root")
-    return Fraction(rn, rd)
-
-
 def _int_root(a: int, n: int) -> int:
     """Floor of the n-th root of an int a >= 0: Newton's method in ints
     from the power of two above the root, until it no longer falls."""
@@ -73,8 +62,10 @@ def exact_nth_root(x: Fraction, n: int) -> Fraction:
 
 
 def sqrt_scalar(x):
+    """Square root, exact for Fractions (ValueError when it is not
+    rational), floating otherwise."""
     if isinstance(x, Fraction):
-        return exact_sqrt(x)
+        return exact_nth_root(x, 2)
     return math.sqrt(x)
 
 
@@ -86,7 +77,7 @@ def nth_root_signed(x, n: int):
 
 
 def _gauss_jordan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact Gauss-Jordan solve for Fraction matrices."""
+    """Exact Gauss-Jordan solve of a x = rhs for Fraction matrices."""
     n = a.shape[0]
     m = np.concatenate([a.astype(object), rhs.astype(object)], axis=1)
     col = rhs.shape[1]
@@ -105,14 +96,6 @@ def _gauss_jordan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             if r != i and m[r, i] != 0:
                 m[r] = m[r] - m[r, i] * m[i]
     return m[:, n : n + col]
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if is_exact(a) or is_exact(b):
-        rhs = b.reshape(-1, 1) if b.ndim == 1 else b
-        out = _gauss_jordan(as_exact(a), as_exact(rhs))
-        return out.reshape(b.shape)
-    return np.linalg.solve(a, b)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

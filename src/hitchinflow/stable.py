@@ -20,11 +20,14 @@ in {(6,0), (2,4), (3,3)}.
 
 One core serves floats and Fractions alike.  K is a quadratic
 contraction of rho's coefficients with an integer table built from the
-``forms`` product tensors; J and lambda come from K in one helper, and
-the Z_2 sign rule is one helper too.  The KForm functions (``assoc_J``,
-``pair_structure``, ``classify_pair``) and the coefficient-space
-``pair_coeffs`` of the flow kernel all call these; ``classify_pair``
-computes K, omega^3 and the pullback J*rho once each.
+``forms`` product tensors.  One sequence takes K to J and lambda, pulls
+rho back by J and applies the Z_2 sign rule: ``pair_coeffs`` runs it
+with the pullback rho @ minors(J, 3), and ``pair_structure`` and
+``assoc_metric`` wrap that for KForms.  ``classify_coeffs`` is the one
+structure rule (omega^3 != 0, omega ^ rho = 0, the normalization, and
+the metric signature with the sign of lambda, ``signature_class``):
+``classify_pair`` runs the sequence once, with one K and one pullback,
+and then the rule, and the flow's step check runs the rule on its split.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ __all__ = [
     "pair_structure",
     "pair_coeffs",
     "classify_pair",
+    "classify_coeffs",
+    "signature_class",
     "theta_deform",
     "iota",
     "solve_wedge_omega",
@@ -69,13 +74,9 @@ __all__ = [
     "theta_rotation_matrix",
 ]
 
-def _basis6(idx, exact):
-    return KForm.basis(6, [i - 1 for i in idx], exact=exact)
-
-
 def model_pair(name: str, exact: bool = False) -> tuple[KForm, KForm]:
     """Model (omega, rho) pairs: 'su3', 'su12', or 'sl3r'."""
-    e = lambda *idx: _basis6(idx, exact)
+    e = lambda *idx: KForm.basis(6, [i - 1 for i in idx], exact=exact)
     if name == "su3":
         return (
             e(1, 2) + e(3, 4) + e(5, 6),
@@ -181,19 +182,69 @@ def _omega_cube(omega: np.ndarray):
     return contract(wedge_tensor(6, 4, 2)[0].T, square) @ omega
 
 
-def _orient(J: np.ndarray, jrho: np.ndarray, rho: np.ndarray, om3):
-    """The Z_2 sign rule: flip (J, J*rho) unless J*rho ^ rho is a positive
-    multiple of omega^3.  Returns (J, J*rho, J*rho ^ rho on e^{1..6})."""
-    num = contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
-    if num * om3 < 0:
-        return -J, -jrho, -num
-    return J, jrho, num
-
-
-def _metric(omega: np.ndarray, J: np.ndarray, sign: int) -> SymBilinear:
+def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
     # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^{-1} = sign J
     G = contract(interior_tensor(6, 2), omega) @ (J * sign)
-    return SymBilinear((G + G.T) / 2)
+    return (G + G.T) / 2
+
+
+def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
+    return contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
+
+
+def _oriented(omega: np.ndarray, rho: np.ndarray, K: np.ndarray, pull):
+    """The K -> J -> pullback -> sign rule sequence of a pair's
+    coefficients from the K of rho: (lambda, J, J*rho = pull(J),
+    J*rho ^ rho, omega^3), with (J, J*rho) flipped unless J*rho ^ rho is a
+    positive multiple of omega^3.  Raises UnstableForm when lambda ~ 0."""
+    lam, J = _lambda_and_J(K, rho)
+    om3, jrho = _omega_cube(omega), pull(J)
+    num = _jrho_wedge_rho(jrho, rho)
+    if num * om3 < 0:
+        J, jrho, num = -J, -jrho, -num
+    return lam, J, jrho, num, om3
+
+
+_SIX_CLASS = {(6, 0): StructureClass.SU3, (2, 4): StructureClass.SU12, (3, 3): StructureClass.SL3R}
+
+
+def signature_class(signature: tuple[int, int], sign: int) -> StructureClass:
+    """The class of a pair from the signature of its metric and the sign
+    of lambda: SU3 at (6,0) and SU12 at (2,4) with lambda < 0, SL3R at
+    (3,3) with lambda > 0, and NOT_A_STRUCTURE otherwise."""
+    tag = _SIX_CLASS.get(signature, StructureClass.NOT_A_STRUCTURE)
+    return tag if (tag is StructureClass.SL3R) == (sign > 0) else StructureClass.NOT_A_STRUCTURE
+
+
+def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
+    """The six-dimensional structure rule on the coefficients (floats or
+    Fractions) of a 2-form and a 3-form on R^6, given J (None when rho is
+    not stable), the sign of lambda and J*rho.  In this order: omega^3 != 0
+    (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
+    (2/3) omega^3 (1e-10 relative), then ``signature_class`` of the metric
+    with omega(v, w) = g(v, J w).  Returns (tag, reason, signature): reason
+    None for a structure, signature None when not computed."""
+    fail = StructureClass.NOT_A_STRUCTURE
+    om_max = max(float(np.abs(omega).max()), 1e-30)
+    om3 = _omega_cube(omega)
+    if abs(om3) <= 1e-12 * om_max**3:
+        return fail, "omega is degenerate (omega^3 = 0)", None
+    if J is None:
+        return fail, "rho is not stable (lambda = 0)", None
+    scale = om_max * max(float(np.abs(rho).max()), 1e-30)
+    if float(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ omega).max()) > 1e-10 * scale:
+        return fail, "omega ^ rho != 0", None
+    num = _jrho_wedge_rho(jrho, rho)
+    # a float times a Fraction is the same float but costs about 7 us
+    two_thirds = Fraction(2, 3) if isinstance(om3, Fraction) else 2.0 / 3.0
+    if abs(num - om3 * two_thirds) > 1e-10 * max(abs(num), abs(om3), 1e-30):
+        return fail, "normalization J*rho ^ rho != (2/3) omega^3", None
+    try:
+        sig = linalg.signature(_metric_matrix(omega, J, sign))
+    except ValueError:
+        return fail, "associated metric is degenerate", None
+    tag = signature_class(sig, sign)
+    return tag, (f"unexpected signature {sig}" if tag is fail else None), sig
 
 
 def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvariant:
@@ -223,24 +274,23 @@ def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
     sign the sign of lambda (J^2 = sign Id); and J*rho, the pullback the
     sign test needs.  On valid pairs this J is the unique choice whose
     metric signature lies in {(6,0), (2,4), (3,3)}."""
-    lam, J = _lambda_and_J(k_endomorphism(rho, vol_ref), rho.coeffs)
-    J, jrho, _ = _orient(J, pullback(J, rho).coeffs, rho.coeffs, _omega_cube(omega.coeffs))
-    sign = -1 if lam < 0 else 1
-    return J, _metric(omega.coeffs, J, sign), sign, KForm(6, 3, jrho)
+    v0 = 1 if vol_ref is None else _vol_coeff(vol_ref)
+    J, sign, jrho, _ = pair_coeffs(omega.coeffs, rho.coeffs, v0)
+    return J, SymBilinear(_metric_matrix(omega.coeffs, J, sign)), sign, KForm(6, 3, jrho)
 
 
-def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
-    """pair_structure in coefficient space: float coefficient vectors of a
-    2-form and a 3-form on R^6, reference volume e^{1..6}, no KForm.
+def pair_coeffs(omega: np.ndarray, rho: np.ndarray, v0=1):
+    """pair_structure in coefficient space: coefficient vectors (floats or
+    Fractions) of a 2-form and a 3-form on R^6 and the coefficient v0 of
+    the reference volume, no KForm.
 
-    Returns (J, sign, J*rho, nu) with J, sign and J*rho as pair_structure
-    gives them (J*rho from the one pullback ``rho @ minors(J, 3)``) and
+    Returns (J, sign, J*rho, nu) with J*rho from the one pullback
+    ``rho @ minors(J, 3)`` (the expression ``pullback`` evaluates) and
     nu = (J*rho ^ rho) / ((2/3) omega^3), which is 1 on a normalized pair
     and nan when omega^3 = 0.  Raises UnstableForm as assoc_J does.
     """
-    lam, J = _lambda_and_J(_k_matrix(rho), rho)
-    om3 = _omega_cube(omega)
-    J, jrho, num = _orient(J, rho @ linalg.minors(J, 3), rho, om3)
+    K = _k_matrix(rho, v0)
+    lam, J, jrho, num, om3 = _oriented(omega, rho, K, lambda J: rho @ linalg.minors(J, 3))
     nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
     return J, (-1 if lam < 0 else 1), jrho, nu
 
@@ -251,47 +301,21 @@ def assoc_metric(omega: KForm, rho: KForm, vol_ref: KForm | None = None) -> SymB
 
 
 def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
-    """Structure classification of a (2-form, 3-form) pair.
-
-    Checks stability of both forms, omega ^ rho = 0, the normalization
-    J*rho ^ rho = (2/3) omega^3, then classifies by metric signature and
-    the sign of lambda.  Failures are reported in the returned value.
-    """
-    fail = lambda why, **kw: SixStructureClass(
-        StructureClass.NOT_A_STRUCTURE, diagnostics=why, **kw
-    )
-    om3 = _omega_cube(omega.coeffs)
-    if abs(om3) <= 1e-12 * max(omega.max_abs(), 1e-30) ** 3:
-        return fail("omega is degenerate (omega^3 = 0)")
-    K = k_endomorphism(rho)
+    """Structure classification of a (2-form, 3-form) pair: one K, one J
+    and one pullback J*rho, then the checks of ``classify_coeffs``.
+    Failures are reported in the returned value, with lambda."""
+    K, pull = k_endomorphism(rho), lambda J: pullback(J, rho).coeffs
     try:
-        lam, J = _lambda_and_J(K, rho.coeffs)
+        lam, J, jrho, _, _ = _oriented(omega.coeffs, rho.coeffs, K, pull)
+        sign = -1 if lam < 0 else 1
     except UnstableForm:
-        return fail("rho is not stable (lambda = 0)", lambda_value=_lambda(K))
-    scale = max(omega.max_abs(), 1e-30) * max(rho.max_abs(), 1e-30)
-    if wedge(omega, rho).max_abs() > 1e-10 * scale:
-        return fail("omega ^ rho != 0", lambda_value=lam)
-    J, jrho, num = _orient(J, pullback(J, rho).coeffs, rho.coeffs, om3)
-    if abs(num - om3 * Fraction(2, 3)) > 1e-10 * max(abs(num), abs(om3), 1e-30):
-        return fail(
-            "normalization J*rho ^ rho != (2/3) omega^3",
-            lambda_value=lam,
-        )
-    g = _metric(omega.coeffs, J, -1 if lam < 0 else 1)
-    try:
-        sig = g.signature()
-    except ValueError:
-        return fail("associated metric is degenerate", lambda_value=lam)
-    if lam < 0 and sig == (6, 0):
-        tag = StructureClass.SU3
-    elif lam < 0 and sig == (2, 4):
-        tag = StructureClass.SU12
-    elif lam > 0 and sig == (3, 3):
-        tag = StructureClass.SL3R
-    else:
-        return fail(f"unexpected signature {sig}", lambda_value=lam, signature=sig)
+        lam, J, sign, jrho = _lambda(K), None, 0, None
+    tag, why, sig = classify_coeffs(omega.coeffs, rho.coeffs, J, sign, jrho)
+    if why is not None:
+        return SixStructureClass(tag, diagnostics=why, lambda_value=lam, signature=sig)
+    metric = SymBilinear(_metric_matrix(omega.coeffs, J, sign))
     return SixStructureClass(
-        tag, lambda_value=lam, signature=sig, metric=g, J=J, jrho=KForm(6, 3, jrho)
+        tag, lambda_value=lam, signature=sig, metric=metric, J=J, jrho=KForm(6, 3, jrho)
     )
 
 

@@ -20,6 +20,10 @@ took their checks from one 7-dimensional structure and stored *phi.
 products with the full compound matrix that ``form_pairing``, ``hodge``
 and ``pullback`` computed before their exact branches skipped zero
 coefficients; the float branches still compute exactly these expressions.
+``classify_pair_oracle`` is ``classify_pair`` as it was before the six-
+dimensional structure rule became one coefficient-space core: KForm
+wedges for omega^3, omega ^ rho and J*rho ^ rho, the metric from omega
+evaluated on basis vectors, and an if/elif chain for the tags.
 """
 
 import itertools
@@ -33,6 +37,7 @@ from hitchinflow.errors import UnstableForm
 from hitchinflow.flow import cocal_residual
 from hitchinflow.forms import (
     KForm,
+    SymBilinear,
     contract,
     form_pairing,
     interior,
@@ -42,7 +47,13 @@ from hitchinflow.forms import (
 )
 from hitchinflow.g2spin7 import BundleSplitData, bundle_Phi, seven_structure
 from hitchinflow.linalg import increasing_tuples
-from hitchinflow.stable import classify_pair, pair_structure
+from hitchinflow.stable import (
+    SixStructureClass,
+    StructureClass,
+    assoc_J,
+    lambda_invariant,
+    pair_structure,
+)
 
 
 def perm_sign(perm) -> int:
@@ -217,12 +228,58 @@ def metric_vol_oracle(phi):
     return B / s9, s9
 
 
+def classify_pair_oracle(omega, rho) -> SixStructureClass:
+    """Structure class of a (2-form, 3-form) pair on R^6: omega^3 != 0,
+    rho stable, omega ^ rho = 0, J flipped unless J*rho ^ rho is a positive
+    multiple of omega^3, the normalization J*rho ^ rho = (2/3) omega^3, and
+    the tag from the signature of g(v, w) = omega(v, sign J w) and the sign
+    of lambda; failures carry their reason."""
+    fail = lambda why, **kw: SixStructureClass(
+        StructureClass.NOT_A_STRUCTURE, diagnostics=why, **kw
+    )
+    om3 = wedge(wedge(omega, omega), omega).coeffs[0]
+    if abs(om3) <= 1e-12 * max(omega.max_abs(), 1e-30) ** 3:
+        return fail("omega is degenerate (omega^3 = 0)")
+    lam = lambda_invariant(rho).value
+    try:
+        J = assoc_J(rho)
+    except UnstableForm:
+        return fail("rho is not stable (lambda = 0)", lambda_value=lam)
+    scale = max(omega.max_abs(), 1e-30) * max(rho.max_abs(), 1e-30)
+    if wedge(omega, rho).max_abs() > 1e-10 * scale:
+        return fail("omega ^ rho != 0", lambda_value=lam)
+    jrho = pullback(J, rho)
+    num = wedge(jrho, rho).coeffs[0]
+    if num * om3 < 0:
+        J, jrho, num = -J, -1 * jrho, -num
+    if abs(num - om3 * Fraction(2, 3)) > 1e-10 * max(abs(num), abs(om3), 1e-30):
+        return fail("normalization J*rho ^ rho != (2/3) omega^3", lambda_value=lam)
+    one = Fraction(1) if omega.exact else 1.0
+    basis = [np.array([one if i == j else 0 * one for j in range(6)]) for i in range(6)]
+    Omega = np.array([[omega(u, v) for v in basis] for u in basis])
+    G = Omega @ (J * (-1 if lam < 0 else 1))
+    g = SymBilinear((G + G.T) / 2)
+    try:
+        sig = g.signature()
+    except ValueError:
+        return fail("associated metric is degenerate", lambda_value=lam)
+    if lam < 0 and sig == (6, 0):
+        tag = StructureClass.SU3
+    elif lam < 0 and sig == (2, 4):
+        tag = StructureClass.SU12
+    elif lam > 0 and sig == (3, 3):
+        tag = StructureClass.SL3R
+    else:
+        return fail(f"unexpected signature {sig}", lambda_value=lam, signature=sig)
+    return SixStructureClass(tag, lambda_value=lam, signature=sig, metric=g, J=J, jrho=jrho)
+
+
 def degenerate_monitors_oracle(state) -> dict:
-    """Monitors of a degenerate state on the KForm path: classify_pair of
-    (omega6, rho6), |s|_g^2 - 4 in its metric, and the signature of the
+    """Monitors of a degenerate state on the KForm path: the oracle class
+    of (omega6, rho6), |s|_g^2 - 4 in its metric, and the signature of the
     g8 that bundle_Phi assembles (None when it fails)."""
     om6, s6, rho6 = state.omega_form(), state.s_form(), state.rho_form()
-    cls = classify_pair(om6, rho6)
+    cls = classify_pair_oracle(om6, rho6)
     norm_resid = abs(float(form_pairing(cls.metric, s6, s6)) - 4.0) if cls.ok else np.inf
     sig8 = None
     if cls.ok and abs(state.f) > 0:

@@ -150,6 +150,39 @@ def test_bad_config_value_types_exit_two(tmp_path, extra, capsys):
     assert "precondition failure" in err or "error:" in err
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_two(tmp_path, case, capsys):
+    cfg = tmp_path / "cfg.json"
+    if case == "directory":
+        cfg.mkdir()
+    elif case == "not-utf8":
+        cfg.write_bytes(b'{"scenario": "n11-spin7", "output": "\xff"}')
+    assert _run(["--config", str(cfg)]) == 2
+    assert "config_read" in capsys.readouterr().err
+
+
+def test_output_naming_a_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    args = ["--scenario", "flat-abelian", "--t-end", "0.02", "--output", str(out)]
+    assert _run(args) == 2
+    assert "precondition failure: output" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "params", [{"theta": [0.1, 0.1]}, {"a": [1, 2, 1.0]}], ids=["theta=0.1,0.1", "a=1,2,1.0"]
+)
+def test_repeated_sweep_value_exits_two(tmp_path, params, capsys):
+    # two equal values would write one directory twice and lose a run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": params,
+                               "output": str(tmp_path / "out")}))
+    assert _run(["--config", str(cfg)]) == 2
+    assert "config_sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_carries_integrator_stats(tmp_path):
     args = ["--scenario", "n11-spin7", "--t-end", "0.03", "--integrator", "rk4"]
     assert _run(args + ["--output", str(tmp_path)]) == 0

@@ -39,6 +39,7 @@ from hitchinflow.homogeneous import space
 from hitchinflow.stable import classify_pair
 
 from oracles import (
+    classify_pair_oracle,
     degenerate_monitors_oracle,
     degenerate_rhs_oracle,
     degenerate_split_oracle,
@@ -129,13 +130,6 @@ def test_startup_rejects_nonclosed_omega():
     with pytest.raises(PreconditionFailed) as err:
         startup_seed(bad, 1.0, 1e-4)
     assert err.value.condition == "cocalibration"
-
-
-def test_flow_config_refuses_boolean_max_retries():
-    # bool is an int subclass; the other fields are covered by test_cli
-    with pytest.raises(PreconditionFailed) as err:
-        FlowConfig(max_retries=True)
-    assert err.value.condition == "flow_config"
 
 
 # ---------------------------------------------------------- right-hand side
@@ -504,7 +498,7 @@ def test_split_class_matches_classify_pair_on_every_step(monkeypatch, integrator
     traj = _n11_run(integrator, t_end=0.1)
     assert len(splits) >= traj.stats["accepted_steps"] >= 5
     for sp in splits:
-        want = classify_pair(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag
+        want = classify_pair_oracle(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag
         assert split_class(sp) is want is stable.StructureClass.SU3
 
 
@@ -513,7 +507,8 @@ def test_split_class_on_the_flat_su12_seed():
     seed = startup_seed(p, 1.0, 1e-3)
     sp = fl._derive_split(p, p.pack(seed.w, seed.f * seed.s), 1.0)
     assert fl._split_class(sp) is stable.StructureClass.SU12
-    assert classify_pair(seed.omega_form(), seed.rho_form()).tag is stable.StructureClass.SU12
+    want = classify_pair_oracle(seed.omega_form(), seed.rho_form())
+    assert want.tag is stable.StructureClass.SU12
 
 
 def _e(*idx):
@@ -528,19 +523,27 @@ def _e(*idx):
         ("sl3r", "SL3R"),
         ("omega^3=0", "NotAStructure"),
         ("omega^rho!=0", "NotAStructure"),
+        ("2rho", "NotAStructure"),
     ],
 )
 def test_split_class_matches_classify_pair_on_model_and_failing_pairs(case, want):
+    om, rho = stable.model_pair("su3")
     if case in ("su3", "su12", "sl3r"):
         om, rho = stable.model_pair(case)
     elif case == "omega^3=0":
-        om, rho = stable.model_pair("su3")[0] - _e(5, 6), stable.model_pair("su3")[1]
+        om = om - _e(5, 6)
+    elif case == "omega^rho!=0":
+        rho = rho + 1e-3 * _e(1, 2, 3)
     else:
-        om, rho = stable.model_pair("su3")[0], stable.model_pair("su3")[1] + 1e-3 * _e(1, 2, 3)
-    cls = classify_pair(om, rho)
+        rho = 2.0 * rho
+    cls = classify_pair_oracle(om, rho)
     assert cls.tag.value == want
+    new = classify_pair(om, rho)
+    assert (new.tag, new.diagnostics) == (cls.tag, cls.diagnostics)
     if case == "omega^rho!=0":
         assert cls.diagnostics == "omega ^ rho != 0"
+    if case == "2rho":
+        assert cls.diagnostics == "normalization J*rho ^ rho != (2/3) omega^3"
     for f in (1.0, 0.3):
         assert fl._split_class(_split_of_pair(om, rho, f)) is cls.tag
 

@@ -16,11 +16,14 @@ from hitchinflow.stable import (
     model_pair,
     pair_coeffs,
     pair_structure,
+    signature_class,
     solve_wedge_coeffs,
     solve_wedge_omega,
     theta_deform,
     theta_rotation_matrix,
 )
+
+from oracles import classify_pair_oracle
 
 
 def _random_glplus(rng, dim=6):
@@ -173,6 +176,28 @@ def test_classify_stable_under_conjugation(rng):
 
 
 @pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_classify_pair_matches_the_oracle(rng, name):
+    # GL(6) conjugates of a model in both orientations, each also with a
+    # wrong normalization and off omega ^ rho = 0: same tag, reason,
+    # lambda and signature as the KForm oracle, and the same J bit for bit
+    om0, rho0 = model_pair(name)
+    e123 = KForm.basis(6, (0, 1, 2))
+    for _ in range(8):
+        A = _random_glplus(rng)
+        A = A if rng.random() < 0.5 else A[:, [1, 0, 2, 3, 4, 5]]
+        om, rho = pullback(A, om0), pullback(A, rho0)
+        for pair in ((om, rho), (om, 2.0 * rho), (om, rho + 1e-3 * e123)):
+            got, want = classify_pair(*pair), classify_pair_oracle(*pair)
+            assert (got.tag, got.diagnostics) == (want.tag, want.diagnostics)
+            assert (got.lambda_value, got.signature) == (want.lambda_value, want.signature)
+            if want.ok:
+                assert np.array_equal(got.J, want.J)
+                scale = np.max(np.abs(want.metric.matrix))
+                assert np.max(np.abs(got.metric.matrix - want.metric.matrix)) <= 1e-12 * scale
+    assert classify_pair(om0, rho0).tag is StructureClass[name.upper()]
+
+
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
 def test_pair_structure_jrho_is_the_pullback(rng, name):
     # the J*rho that pair_structure returns is pullback(J, rho) for its
     # sign-resolved J, in both scalar modes; pair_coeffs gives the same
@@ -191,6 +216,26 @@ def test_pair_structure_jrho_is_the_pullback(rng, name):
         assert np.max(np.abs(Jc - J)) <= 1e-12 * np.max(np.abs(J))
         assert np.max(np.abs(jrho_c - jrho.coeffs)) <= 1e-12 * jrho.max_abs()
         assert nu == pytest.approx(1.0, rel=1e-10)
+
+
+def test_signature_class_needs_the_signature_and_the_sign_of_lambda():
+    want = {((6, 0), -1): "SU3", ((2, 4), -1): "SU12", ((3, 3), 1): "SL3R"}
+    for sig in ((6, 0), (2, 4), (3, 3), (4, 2), (0, 6)):
+        for sign in (-1, 1):
+            tag = signature_class(sig, sign).value
+            assert tag == want.get((sig, sign), "NotAStructure"), (sig, sign)
+
+
+def test_pair_structure_does_not_depend_on_the_reference_volume():
+    # K scales by 1/v0 and J by sign(v0), which the sign rule undoes: the
+    # exact (J, g, sign, J*rho) are the same for every reference volume
+    for name in ("su3", "su12", "sl3r"):
+        pair = model_pair(name, exact=True)
+        J, g, sign, jrho = pair_structure(*pair)
+        for v0 in (4, Fraction(-9, 7)):
+            J2, g2, sign2, jrho2 = pair_structure(*pair, volume_form(6, v0, exact=True))
+            assert np.all(J2 == J) and np.all(g2.matrix == g.matrix)
+            assert sign2 == sign and np.all(jrho2.coeffs == jrho.coeffs)
 
 
 def test_pair_coeffs_refuses_unstable_rho():
