@@ -157,7 +157,7 @@ def _cached_basis(problem, degree: int, fiber: int | None = None) -> Basis:
         mat = np.stack([f.coeffs for f in forms], axis=1)
         return Basis(forms, mat, np.linalg.pinv(mat))
 
-    return _cached(problem, ("basis", degree), build)
+    return _cached(problem, ("basis", degree, fiber), build)
 
 
 @dataclass(frozen=True)

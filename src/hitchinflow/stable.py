@@ -192,17 +192,21 @@ def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
     return contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
 
 
-def _oriented(omega: np.ndarray, rho: np.ndarray, K: np.ndarray, pull):
-    """The K -> J -> pullback -> sign rule sequence of a pair's
-    coefficients from the K of rho: (lambda, J, J*rho = pull(J),
-    J*rho ^ rho, omega^3), with (J, J*rho) flipped unless J*rho ^ rho is a
-    positive multiple of omega^3.  Raises UnstableForm when lambda ~ 0."""
+def _degenerate(omega: np.ndarray, om3) -> bool:
+    """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3."""
+    return abs(om3) <= 1e-12 * max(float(np.abs(omega).max()), 1e-30) ** 3
+
+
+def _oriented(rho: np.ndarray, K: np.ndarray, om3, pull):
+    """The K -> J -> pullback -> sign rule sequence from rho's K and
+    omega^3: (lambda, J, J*rho = pull(J), J*rho ^ rho), (J, J*rho) flipped
+    unless J*rho ^ rho is a positive multiple of omega^3."""
     lam, J = _lambda_and_J(K, rho)
-    om3, jrho = _omega_cube(omega), pull(J)
+    jrho = pull(J)
     num = _jrho_wedge_rho(jrho, rho)
     if num * om3 < 0:
         J, jrho, num = -J, -jrho, -num
-    return lam, J, jrho, num, om3
+    return lam, J, jrho, num
 
 
 _SIX_CLASS = {(6, 0): StructureClass.SU3, (2, 4): StructureClass.SU12, (3, 3): StructureClass.SL3R}
@@ -222,29 +226,29 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
     not stable), the sign of lambda and J*rho.  In this order: omega^3 != 0
     (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
     (2/3) omega^3 (1e-10 relative), then ``signature_class`` of the metric
-    with omega(v, w) = g(v, J w).  Returns (tag, reason, signature): reason
-    None for a structure, signature None when not computed."""
+    G with omega(v, w) = g(v, J w).  Returns (tag, reason, signature, G):
+    reason None for a structure, signature and G None when not computed."""
     fail = StructureClass.NOT_A_STRUCTURE
-    om_max = max(float(np.abs(omega).max()), 1e-30)
     om3 = _omega_cube(omega)
-    if abs(om3) <= 1e-12 * om_max**3:
-        return fail, "omega is degenerate (omega^3 = 0)", None
+    if _degenerate(omega, om3):
+        return fail, "omega is degenerate (omega^3 = 0)", None, None
     if J is None:
-        return fail, "rho is not stable (lambda = 0)", None
-    scale = om_max * max(float(np.abs(rho).max()), 1e-30)
+        return fail, "rho is not stable (lambda = 0)", None, None
+    scale = max(float(np.abs(omega).max()), 1e-30) * max(float(np.abs(rho).max()), 1e-30)
     if float(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ omega).max()) > 1e-10 * scale:
-        return fail, "omega ^ rho != 0", None
+        return fail, "omega ^ rho != 0", None, None
     num = _jrho_wedge_rho(jrho, rho)
     # a float times a Fraction is the same float but costs about 7 us
     two_thirds = Fraction(2, 3) if isinstance(om3, Fraction) else 2.0 / 3.0
     if abs(num - om3 * two_thirds) > 1e-10 * max(abs(num), abs(om3), 1e-30):
-        return fail, "normalization J*rho ^ rho != (2/3) omega^3", None
+        return fail, "normalization J*rho ^ rho != (2/3) omega^3", None, None
+    G = _metric_matrix(omega, J, sign)
     try:
-        sig = linalg.signature(_metric_matrix(omega, J, sign))
+        sig = linalg.signature(G)
     except ValueError:
-        return fail, "associated metric is degenerate", None
+        return fail, "associated metric is degenerate", None, None
     tag = signature_class(sig, sign)
-    return tag, (f"unexpected signature {sig}" if tag is fail else None), sig
+    return tag, (f"unexpected signature {sig}" if tag is fail else None), sig, G
 
 
 def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvariant:
@@ -267,56 +271,54 @@ def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
     return _lambda_and_J(k_endomorphism(rho, vol_ref), rho.coeffs)[1]
 
 
-def pair_structure(omega: KForm, rho: KForm, vol_ref: KForm | None = None):
+def pair_structure(omega: KForm, rho: KForm):
     """(J, g, sign, J*rho) of a pair: J with the Z_2 sign ambiguity
     resolved by the normalization, so that J*rho ^ rho is a positive
     multiple of (2/3) omega^3; g the metric with omega(v,w) = g(v, Jw);
     sign the sign of lambda (J^2 = sign Id); and J*rho, the pullback the
     sign test needs.  On valid pairs this J is the unique choice whose
     metric signature lies in {(6,0), (2,4), (3,3)}."""
-    v0 = 1 if vol_ref is None else _vol_coeff(vol_ref)
-    J, sign, jrho, _ = pair_coeffs(omega.coeffs, rho.coeffs, v0)
+    J, sign, jrho, _ = pair_coeffs(omega.coeffs, rho.coeffs)
     return J, SymBilinear(_metric_matrix(omega.coeffs, J, sign)), sign, KForm(6, 3, jrho)
 
 
-def pair_coeffs(omega: np.ndarray, rho: np.ndarray, v0=1):
+def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
     """pair_structure in coefficient space: coefficient vectors (floats or
-    Fractions) of a 2-form and a 3-form on R^6 and the coefficient v0 of
-    the reference volume, no KForm.
+    Fractions) of a 2-form and a 3-form on R^6, no KForm.
 
     Returns (J, sign, J*rho, nu) with J*rho from the one pullback
     ``rho @ minors(J, 3)`` (the expression ``pullback`` evaluates) and
     nu = (J*rho ^ rho) / ((2/3) omega^3), which is 1 on a normalized pair
     and nan when omega^3 = 0.  Raises UnstableForm as assoc_J does.
     """
-    K = _k_matrix(rho, v0)
-    lam, J, jrho, num, om3 = _oriented(omega, rho, K, lambda J: rho @ linalg.minors(J, 3))
+    om3 = _omega_cube(omega)
+    lam, J, jrho, num = _oriented(rho, _k_matrix(rho), om3, lambda J: rho @ linalg.minors(J, 3))
     nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
     return J, (-1 if lam < 0 else 1), jrho, nu
 
 
-def assoc_metric(omega: KForm, rho: KForm, vol_ref: KForm | None = None) -> SymBilinear:
+def assoc_metric(omega: KForm, rho: KForm) -> SymBilinear:
     """Metric associated to a pair of stable forms via omega(v,w) = g(v, Jw)."""
-    return pair_structure(omega, rho, vol_ref)[1]
+    return pair_structure(omega, rho)[1]
 
 
 def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     """Structure classification of a (2-form, 3-form) pair: one K, one J
-    and one pullback J*rho, then the checks of ``classify_coeffs``.
-    Failures are reported in the returned value, with lambda."""
-    K, pull = k_endomorphism(rho), lambda J: pullback(J, rho).coeffs
-    try:
-        lam, J, jrho, _, _ = _oriented(omega.coeffs, rho.coeffs, K, pull)
-        sign = -1 if lam < 0 else 1
-    except UnstableForm:
-        lam, J, sign, jrho = _lambda(K), None, 0, None
-    tag, why, sig = classify_coeffs(omega.coeffs, rho.coeffs, J, sign, jrho)
+    and one pullback J*rho unless omega is degenerate, then the checks of
+    ``classify_coeffs``.  Failures are reported in the returned value."""
+    om, r = omega.coeffs, rho.coeffs
+    K, om3 = k_endomorphism(rho), _omega_cube(om)
+    lam, J, jrho = _lambda(K), None, None
+    if not _degenerate(om, om3):  # an exact J may need a root that a failing pair lacks
+        try:
+            J, jrho = _oriented(r, K, om3, lambda J: pullback(J, rho).coeffs)[1:3]
+        except UnstableForm:
+            pass
+    tag, why, sig, G = classify_coeffs(om, r, J, -1 if lam < 0 else 1, jrho)
     if why is not None:
         return SixStructureClass(tag, diagnostics=why, lambda_value=lam, signature=sig)
-    metric = SymBilinear(_metric_matrix(omega.coeffs, J, sign))
-    return SixStructureClass(
-        tag, lambda_value=lam, signature=sig, metric=metric, J=J, jrho=KForm(6, 3, jrho)
-    )
+    metric, jrho = SymBilinear(G), KForm(6, 3, jrho)
+    return SixStructureClass(tag, lambda_value=lam, signature=sig, metric=metric, J=J, jrho=jrho)
 
 
 def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
@@ -368,7 +370,7 @@ def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     alpha ^ omega = tau.  Raises DegenerateOmega when omega^3 = 0 (to
     1e-12 relative) or when the solve leaves a residual above 1e-10
     relative."""
-    if abs(_omega_cube(omega)) <= 1e-12 * max(float(np.max(np.abs(omega))), 1e-30) ** 3:
+    if _degenerate(omega, _omega_cube(omega)):
         raise DegenerateOmega("omega^3 = 0")
     mat = contract(wedge_tensor(6, 2, 2), omega)  # the matrix of alpha -> alpha ^ omega
     alpha = np.linalg.solve(mat, tau)

@@ -619,3 +619,11 @@ def test_first_sample_must_reproduce_the_seed_reference():
     with pytest.raises(PreconditionFailed) as err:
         integrate(cfg, startup_seed(p, 1.0, 1e-7))
     assert err.value.condition == "seed_reference"
+
+
+def test_cached_basis_keeps_bases_with_and_without_the_fiber_apart():
+    p = n11_problem()
+    full = fl._cached_basis(p, 3)
+    cut = fl._cached_basis(p, 3, p.e_phi_index)
+    assert len(cut.forms) < len(full.forms)
+    assert fl._cached_basis(p, 3) is full and fl._cached_basis(p, 3, p.e_phi_index) is cut

@@ -156,6 +156,17 @@ def test_classify_rejects_bad_normalization():
     assert "normalization" in out.diagnostics
 
 
+def test_classify_reports_a_degenerate_omega_before_taking_an_exact_root():
+    # lambda = -6 for this exact rho, so J = K/sqrt 6 has no rational
+    # entries: the degenerate omega is reported without asking for one
+    _, rho = model_pair("su3", exact=True)
+    rho = rho + Fraction(1, 2) * KForm.basis(6, (0, 2, 4), exact=True)
+    out = classify_pair(KForm.basis(6, (0, 1), exact=True), rho)
+    assert out.tag is StructureClass.NOT_A_STRUCTURE
+    assert out.diagnostics == "omega is degenerate (omega^3 = 0)"
+    assert out.lambda_value == -6
+
+
 def test_classify_rejects_bad_compatibility():
     om, rho = model_pair("su3")
     bad = om + 0.5 * KForm.basis(6, (0, 2))
@@ -224,18 +235,6 @@ def test_signature_class_needs_the_signature_and_the_sign_of_lambda():
         for sign in (-1, 1):
             tag = signature_class(sig, sign).value
             assert tag == want.get((sig, sign), "NotAStructure"), (sig, sign)
-
-
-def test_pair_structure_does_not_depend_on_the_reference_volume():
-    # K scales by 1/v0 and J by sign(v0), which the sign rule undoes: the
-    # exact (J, g, sign, J*rho) are the same for every reference volume
-    for name in ("su3", "su12", "sl3r"):
-        pair = model_pair(name, exact=True)
-        J, g, sign, jrho = pair_structure(*pair)
-        for v0 in (4, Fraction(-9, 7)):
-            J2, g2, sign2, jrho2 = pair_structure(*pair, volume_form(6, v0, exact=True))
-            assert np.all(J2 == J) and np.all(g2.matrix == g.matrix)
-            assert sign2 == sign and np.all(jrho2.coeffs == jrho.coeffs)
 
 
 def test_pair_coeffs_refuses_unstable_rho():
