@@ -40,9 +40,9 @@ print("=" * 70)
 print("2. Invariant form bases")
 print("=" * 70)
 for k in (1, 2, 3):
-    basis = invariant_basis(sp.algebra, sp.split, k)
+    basis = invariant_basis(sp, k)
     print(f"degree {k}: {len(basis)} invariant forms")
-print("invariant 2-forms:", [str(b.form) for b in invariant_basis(sp.algebra, sp.split, 2)][:4], "...")
+print("invariant 2-forms:", [str(b.form) for b in invariant_basis(sp, 2)][:4], "...")
 
 print()
 print("=" * 70)

@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except PreconditionFailed as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2
-    except (StepFailure, SingularJacobian, np.linalg.LinAlgError) as exc:
+    except (StepFailure, SingularJacobian, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -150,7 +150,7 @@ def _cached_basis(problem, degree: int, fiber: int | None = None) -> Basis:
     def build():
         forms = [
             b.form
-            for b in invariant_basis(problem.space.algebra, problem.space.split, degree)
+            for b in invariant_basis(problem.space, degree)
             if fiber is None
             or all(fiber not in t or c == 0 for t, c in zip(b.form.tuples(), b.form.coeffs))
         ]
@@ -495,11 +495,15 @@ def smoothness_check(
 
     ok requires |c| = 1 (the orbit-length condition for a smooth
     extension across the zero section).  Raises NotProportional when the
-    fit residual exceeds 1e-10 relative.
+    fit residual exceeds 1e-10 relative, and PreconditionFailed
+    ('classification') when rho0 is not stable on the distribution.
     """
     dist = tuple(i for i in range(sp.mdim) if i != e_phi_index)
     om6, rho6 = restrict(omega0, dist), restrict(rho0, dist)
-    jrho = embed(stable.pair_structure(om6, rho6)[3], sp.mdim, list(dist))
+    try:
+        jrho = embed(stable.pair_structure(om6, rho6)[3], sp.mdim, list(dist))
+    except UnstableForm as exc:
+        raise PreconditionFailed("classification", str(exc)) from exc
     lie3 = e_phi_scale * sp.lie_matrix(e_phi_index, 3)
     lie2 = e_phi_scale * sp.lie_matrix(e_phi_index, 2)
     lrho = lie3 @ rho0.coeffs
@@ -927,7 +931,10 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
-    seed_tag = _split_class(_derive_split(problem, y0, branch))
+    try:
+        seed_tag = _split_class(_derive_split(problem, y0, branch))
+    except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
+        raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
     reference = None
     try:
         split = BundleSplitData.from_distribution(abs(seed.f), seed.omega_form(), seed.rho_form())

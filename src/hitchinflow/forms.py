@@ -7,6 +7,9 @@ alone: ``wedge`` and ``interior`` scatter through cached sign/index
 tables, and ``wedge_tensor`` and ``interior_tensor`` hold the same tables
 as integer tensors for the coefficient kernels of ``stable`` and
 ``g2spin7``, which multiply with them through ``contract``.
+``derivation_matrix`` builds from them the matrix on k-forms of any
+derivation given on 1-forms, D a = sum_l D(e^l) ^ (e_l . a): the CE
+differential and the isotropy action of ``homogeneous``.
 
 Coefficients are float64 by default; an exact mode (object arrays of
 ``fractions.Fraction``) is available for the model identity suite.  Both
@@ -48,6 +51,7 @@ __all__ = [
     "wedge_tensor",
     "interior_tensor",
     "contract",
+    "derivation_matrix",
 ]
 
 
@@ -334,6 +338,31 @@ def interior_tensor(n: int, k: int) -> np.ndarray:
     I[vc, oi, ii] = sg
     I.setflags(write=False)
     return I
+
+
+def derivation_matrix(images: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Matrix on k-forms on R^n of the derivation D (of either parity) with
+    D(e^l) the p-form ``images[:, l]``: D a = sum_l D(e^l) ^ (e_l . a),
+    one basis 1-form l at a time.  Fraction images are scaled to ints by
+    the lcm d of their denominators, take the same float64 product (exact:
+    an entry sums at most n of them) and are divided by d once."""
+    n = images.shape[1]
+    exact = images.dtype == object
+    if exact:
+        images, den = linalg.scale_to_int(images)
+        images = images.astype(float)
+        if n * float(np.max(np.abs(images), initial=0)) >= 2**53:
+            raise ValueError("exact derivation images exceed the float64 integer range")
+    out = np.zeros((comb(n, k + p - 1), comb(n, k)))
+    if 0 < k <= n + 1 - p:
+        W, I = wedge_tensor(n, p, k - 1), interior_tensor(n, k)
+        for l in range(n):
+            if images[:, l].any():
+                out += np.tensordot(images[:, l], W, (0, 1)) @ I[l]
+    if exact:
+        out = np.frompyfunc(lambda x: Fraction(int(x), den), 1, 1)(out)
+    out.setflags(write=False)
+    return out
 
 
 def contract(table: np.ndarray, *vectors: np.ndarray):

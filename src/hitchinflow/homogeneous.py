@@ -8,8 +8,12 @@ derivative uses m-projected brackets,
     (d a)(X_0..X_k) = sum_{i<j} (-1)^{i+j} a([X_i,X_j]_m, X_0..^i..^j..X_k),
 
 and Lie derivatives along m-directions use Cartan's formula in this
-complex.  Forms on m are plain KForms whose axis p corresponds to the
-basis vector with index split.m[p] of the algebra.
+complex.  Both d and the h-action are derivations of Lambda m*, fixed by
+their values on 1-forms, d e^l = -sum_{i<j} c^l_ij e^ij and
+h . e^l = -sum_j c^l_hj e^j; ``forms.derivation_matrix`` turns those
+into their matrices on k-forms from the product tables, so every sign
+comes from ``forms``.  Forms on m are plain KForms whose axis p
+corresponds to the basis vector with index split.m[p] of the algebra.
 """
 
 from __future__ import annotations
@@ -17,20 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from . import linalg
 from .errors import NotClosed
-from .forms import (
-    KForm,
-    increasing_tuples,
-    interior,
-    interior_tensor,
-    sort_sign,
-    tuple_position,
-    wedge,
-)
+from .forms import KForm, derivation_matrix, interior, interior_tensor, wedge
 
 __all__ = [
     "LieAlgebraPresentation",
@@ -53,7 +50,6 @@ class LieAlgebraPresentation:
 
     n: int
     c: np.ndarray
-    matrices: tuple | None = None
 
     def __post_init__(self):
         if self.c.shape != (self.n, self.n, self.n):
@@ -88,22 +84,16 @@ class ReductiveSplit:
 
 def check_reductive(p: LieAlgebraPresentation, s: ReductiveSplit, tol: float = 1e-12) -> bool:
     """[h, m] subset of m: no h-components in mixed brackets."""
-    c = p.c.astype(float)
-    for x in s.h:
-        for y in s.m:
-            for k in s.h:
-                if abs(c[k, x, y]) > tol:
-                    return False
-    return True
+    return not s.h or float(np.max(np.abs(p.c.astype(float)[np.ix_(s.h, s.h, s.m)]))) <= tol
 
 
-def structure_constants(matrices, rationalize: bool = True) -> LieAlgebraPresentation:
+def structure_constants(matrices) -> LieAlgebraPresentation:
     """Recover structure constants from a list of defining matrices.
 
     The commutator of each pair is solved against the span of the basis;
     raises NotClosed when a commutator leaves the span (residual above
-    1e-10 relative).  With rationalize=True, constants that are close to
-    small rationals are snapped and returned exactly.
+    1e-10 relative).  When every constant is within 1e-9 of a rational
+    with denominator at most 64, they are snapped and returned exactly.
     """
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     n = len(mats)
@@ -122,16 +112,10 @@ def structure_constants(matrices, rationalize: bool = True) -> LieAlgebraPresent
                 raise NotClosed(f"commutator [e_{i+1}, e_{j+1}] leaves the span")
             c[:, i, j] = coef
             c[:, j, i] = -coef
-    if rationalize:
-        cr = np.empty((n, n, n), dtype=object)
-        flat_in, flat_out = c.ravel(), cr.ravel()
-        for idx, v in enumerate(flat_in):
-            fr = Fraction(v).limit_denominator(64)
-            if abs(float(fr) - v) > 1e-9:
-                return LieAlgebraPresentation(n, c, tuple(mats))
-            flat_out[idx] = fr
-        return LieAlgebraPresentation(n, cr, tuple(mats))
-    return LieAlgebraPresentation(n, c, tuple(mats))
+    snapped = [Fraction(v).limit_denominator(64) for v in c.flat]
+    if any(abs(float(fr) - v) > 1e-9 for fr, v in zip(snapped, c.flat)):
+        return LieAlgebraPresentation(n, c)
+    return LieAlgebraPresentation(n, np.array(snapped, dtype=object).reshape(n, n, n))
 
 
 @dataclass(frozen=True)
@@ -151,105 +135,56 @@ class HomogeneousSpace:
     def mdim(self) -> int:
         return len(self.split.m)
 
-    # -- projected bracket tensor on m --------------------------------
-    def _bracket_m(self, exact: bool) -> np.ndarray:
-        key = ("bm", exact)
+    def _memo(self, key, build):
         if key not in self._cache:
-            m = self.split.m
-            c = self.algebra.c if (exact and self.algebra.exact) else self.algebra.c.astype(float)
-            bm = c[np.ix_(m, m, m)]
-            self._cache[key] = bm
+            self._cache[key] = build()
         return self._cache[key]
+
+    def _constants(self, exact: bool) -> np.ndarray:
+        return self.algebra.c if (exact and self.algebra.exact) else self.algebra.c.astype(float)
 
     def d_matrix(self, k: int, exact: bool = False) -> np.ndarray:
-        """Matrix of the CE differential Lambda^k m* -> Lambda^{k+1} m*."""
-        key = ("d", k, exact)
-        if key not in self._cache:
-            nm = self.mdim
-            bm = self._bracket_m(exact)
-            tin = increasing_tuples(nm, k)
-            tout = increasing_tuples(nm, k + 1)
-            D = np.zeros((len(tout), len(tin)), dtype=object if exact else float)
-            if exact:
-                D = D + Fraction(0)
-            for o, T in enumerate(tout):
-                for a in range(k + 1):
-                    for b in range(a + 1, k + 1):
-                        rest = tuple(T[p] for p in range(k + 1) if p not in (a, b))
-                        sgn_ab = (-1) ** (a + b)
-                        for l in range(nm):
-                            cab = bm[l, T[a], T[b]]
-                            if cab == 0 or l in rest:
-                                continue
-                            s, srt = sort_sign((l,) + rest)
-                            D[o, tuple_position(nm, srt)] += sgn_ab * cab * s
-            D.setflags(write=False)
-            self._cache[key] = D
-        return self._cache[key]
+        """Matrix of the CE differential Lambda^k m* -> Lambda^{k+1} m*,
+        the derivation with d e^l = -sum_{i<j} c^l_ij e^ij on m."""
+
+        def build():
+            m, (i, j) = self.split.m, np.triu_indices(self.mdim, 1)
+            return derivation_matrix(-self._constants(exact)[np.ix_(m, m, m)][:, i, j].T, 2, k)
+        return self._memo(("d", k, exact), build)
 
     def h_action_matrix(self, hpos: int, k: int, exact: bool = False) -> np.ndarray:
-        """Coadjoint action of the hpos-th h-generator on Lambda^k m*."""
-        key = ("h", hpos, k, exact)
-        if key not in self._cache:
-            nm = self.mdim
-            hidx = self.split.h[hpos]
-            c = self.algebra.c if (exact and self.algebra.exact) else self.algebra.c.astype(float)
-            # ad[l, j] = component along m[l] of [h, m[j]]
-            ad = c[np.ix_(self.split.m, [hidx], self.split.m)][:, 0, :]
-            self._cache[key] = _coadjoint_matrix(ad, nm, k, exact)
-        return self._cache[key]
+        """Coadjoint action of the hpos-th h-generator on Lambda^k m*, the
+        derivation with h . e^l = -sum_j c^l_hj e^j, i.e. -ad(h)^T on m*."""
+
+        def build():
+            m = self.split.m
+            ad = self._constants(exact)[np.ix_(m, [self.split.h[hpos]], m)][:, 0, :]
+            return derivation_matrix(-ad.T, 1, k)
+        return self._memo(("h", hpos, k, exact), build)
 
     def lie_matrix(self, mpos: int, k: int) -> np.ndarray:
         """Algebraic Lie derivative along the mpos-th m-generator, as a
         matrix on Lambda^k m* (Cartan formula in the CE complex)."""
-        key = ("lie", mpos, k)
-        if key not in self._cache:
+
+        def build():
             iota = lambda j: interior_tensor(self.mdim, j)[mpos]
             term1 = iota(k + 1) @ self.d_matrix(k) if k < self.mdim else 0.0
             term2 = self.d_matrix(k - 1) @ iota(k) if k > 0 else 0.0
-            self._cache[key] = term1 + term2
-        return self._cache[key]
+            return term1 + term2
+        return self._memo(("lie", mpos, k), build)
 
     def d(self, form: KForm) -> KForm:
         D = self.d_matrix(form.degree, exact=form.exact and self.algebra.exact)
         return KForm(form.dim, form.degree + 1, D @ form.coeffs)
 
     def invariant_projector_nullspace(self, k: int) -> list[np.ndarray]:
-        key = ("inv", k)
-        if key not in self._cache:
-            if not self.split.h:
-                nm = self.mdim
-                dim = len(increasing_tuples(nm, k))
-                basis = [linalg.as_exact(np.eye(dim, dtype=int)[i]) for i in range(dim)]
-                self._cache[key] = basis
-            else:
-                mats = [
-                    self.h_action_matrix(p, k, exact=self.algebra.exact)
-                    for p in range(len(self.split.h))
-                ]
-                stacked = np.concatenate(mats, axis=0)
-                self._cache[key] = linalg.rational_nullspace(stacked)
-        return self._cache[key]
+        """Exact nullspace of the stacked h-actions on Lambda^k m* (every
+        k-form when h = 0)."""
 
-
-def _coadjoint_matrix(ad: np.ndarray, nm: int, k: int, exact: bool) -> np.ndarray:
-    """Matrix of alpha -> -sum_positions alpha(..., ad(Y_pos), ...)."""
-    tups = increasing_tuples(nm, k)
-    L = np.zeros((len(tups), len(tups)), dtype=object if exact else float)
-    if exact:
-        L = L + Fraction(0)
-    for row, T in enumerate(tups):
-        for pos in range(k):
-            for l in range(nm):
-                a = ad[l, T[pos]]
-                if a == 0:
-                    continue
-                replaced = T[:pos] + (l,) + T[pos + 1 :]
-                s, srt = sort_sign(replaced)
-                if s == 0:
-                    continue
-                L[row, tuple_position(nm, srt)] += -a * s
-    return L
+        def build():
+            mats = [self.h_action_matrix(p, k, exact=True) for p in range(len(self.split.h))]
+            return linalg.rational_nullspace(np.array(mats).reshape(-1, comb(self.mdim, k)))
+        return self._memo(("inv", k), build)
 
 
 @dataclass(frozen=True)
@@ -276,40 +211,21 @@ class InvariantForm:
 
 
 def invariance_residual(form: KForm, sp: HomogeneousSpace) -> float:
-    res = 0.0
-    for p in range(len(sp.split.h)):
-        L = sp.h_action_matrix(p, form.degree, exact=False)
-        res = max(res, float(np.max(np.abs(L @ np.asarray(form.coeffs, dtype=float)))))
-    return res
+    coeffs = np.asarray(form.coeffs, dtype=float)
+    return max((float(np.max(np.abs(sp.h_action_matrix(p, form.degree) @ coeffs)))
+                for p in range(len(sp.split.h))), default=0.0)
 
 
-def invariant_basis(p: LieAlgebraPresentation, s: ReductiveSplit, k: int) -> list[InvariantForm]:
+def invariant_basis(sp: HomogeneousSpace, k: int) -> list[InvariantForm]:
     """Basis of h-invariant k-forms on m, deterministically ordered.
 
     Computed as the exact rational nullspace of the stacked h-actions;
     the reduced-echelon convention makes the ordering reproducible.
     """
-    sp = _as_space(p, s)
-    vecs = sp.invariant_projector_nullspace(k)
-    out = []
-    for v in vecs:
-        coeffs = np.array([float(x) for x in v])
-        out.append(InvariantForm(KForm(sp.mdim, k, coeffs), sp))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _space_cache(name: str) -> HomogeneousSpace:
-    return _build_space(name)
-
-
-def _as_space(p: LieAlgebraPresentation, s: ReductiveSplit) -> HomogeneousSpace:
-    # reuse registered spaces when the presentation came from the registry
-    for name in _REGISTRY:
-        sp = space(name)
-        if sp.algebra is p and sp.split == s:
-            return sp
-    return HomogeneousSpace("adhoc", p, s)
+    return [
+        InvariantForm(KForm(sp.mdim, k, np.array([float(x) for x in v])), sp)
+        for v in sp.invariant_projector_nullspace(k)
+    ]
 
 
 def ce_differential(alpha: InvariantForm) -> InvariantForm:
@@ -318,25 +234,15 @@ def ce_differential(alpha: InvariantForm) -> InvariantForm:
 
 
 def lie_derivative(x, alpha: InvariantForm) -> InvariantForm:
-    """Lie derivative along an m-vector via Cartan's formula.
-
-    x may be an index into the m-basis or a component vector on m.
-    """
-    sp = alpha.space
-    nm = sp.mdim
+    """Lie derivative along an m-vector: ``lie_matrix`` on the float
+    coefficients.  x may be an index into the m-basis or a component
+    vector on m."""
+    sp, k = alpha.space, alpha.degree
     if np.isscalar(x):
-        vec = np.zeros(nm)
-        vec[int(x)] = 1.0
+        L = sp.lie_matrix(int(x), k)
     else:
-        vec = np.asarray(x, dtype=float)
-    f = alpha.form.to_float()
-    term1 = interior(vec, sp.d(f))
-    if f.degree >= 1:
-        term2 = sp.d(interior(vec, f))
-        out = term1 + term2
-    else:
-        out = term1
-    return InvariantForm(out, sp)
+        L = sum(c * sp.lie_matrix(p, k) for p, c in enumerate(np.asarray(x, dtype=float)))
+    return InvariantForm(KForm(sp.mdim, k, L @ alpha.form.to_float().coeffs), sp)
 
 
 def pi_project(alpha: InvariantForm | KForm, e_phi_index: int) -> InvariantForm | KForm:
@@ -345,11 +251,8 @@ def pi_project(alpha: InvariantForm | KForm, e_phi_index: int) -> InvariantForm 
     form = alpha.form if isinstance(alpha, InvariantForm) else alpha
     if form.degree == 0:
         return alpha
-    nm = form.dim
-    v = np.zeros(nm, dtype=object if form.exact else float)
-    v[e_phi_index] = Fraction(1) if form.exact else 1.0
-    ephi = KForm.basis(nm, [e_phi_index], exact=form.exact)
-    out = form - wedge(ephi, interior(v, form))
+    ephi = KForm.basis(form.dim, [e_phi_index], exact=form.exact)
+    out = form - wedge(ephi, interior(ephi.coeffs, form))
     if isinstance(alpha, InvariantForm):
         return InvariantForm(out, alpha.space)
     return out
@@ -377,15 +280,12 @@ def su3_basis() -> list[np.ndarray]:
 
 
 def _zero_presentation(n: int) -> LieAlgebraPresentation:
-    c = np.empty((n, n, n), dtype=object)
-    c[...] = Fraction(0)
-    return LieAlgebraPresentation(n, c)
+    return LieAlgebraPresentation(n, np.full((n, n, n), Fraction(0), dtype=object))
 
 
 def _flat7_presentation() -> LieAlgebraPresentation:
     """R^6 x| u(1): e7 rotates the (e1, e2) plane, [e7,e1] = -e2."""
-    c = np.empty((7, 7, 7), dtype=object)
-    c[...] = Fraction(0)
+    c = np.full((7, 7, 7), Fraction(0), dtype=object)
     c[1, 6, 0] = Fraction(-1)
     c[1, 0, 6] = Fraction(1)
     c[0, 6, 1] = Fraction(1)
@@ -393,7 +293,10 @@ def _flat7_presentation() -> LieAlgebraPresentation:
     return LieAlgebraPresentation(7, c)
 
 
-def _build_space(name: str) -> HomogeneousSpace:
+@lru_cache(maxsize=None)
+def space(name: str) -> HomogeneousSpace:
+    """Look up a registered homogeneous space by name: n11, flag,
+    abelian7 or flat7."""
     if name == "n11":
         p = structure_constants(su3_basis())
         return HomogeneousSpace("n11", p, ReductiveSplit(h=(7,), m=tuple(range(7))))
@@ -408,12 +311,4 @@ def _build_space(name: str) -> HomogeneousSpace:
         return HomogeneousSpace(
             "flat7", _flat7_presentation(), ReductiveSplit(h=(), m=tuple(range(7)))
         )
-    raise KeyError(f"unknown space '{name}'; registered: {sorted(_REGISTRY)}")
-
-
-_REGISTRY = ("n11", "flag", "abelian7", "flat7")
-
-
-def space(name: str) -> HomogeneousSpace:
-    """Look up a registered homogeneous space by name."""
-    return _space_cache(name)
+    raise KeyError(f"unknown space '{name}'; registered: ['abelian7', 'flag', 'flat7', 'n11']")

@@ -137,6 +137,14 @@ def _submatrix_index(n: int, k: int) -> np.ndarray:
     return flat
 
 
+def scale_to_int(m) -> tuple[np.ndarray, int]:
+    """(d m, d) for an array of ints/Fractions and the lcm d of its
+    denominators, d m as an object array of Python ints."""
+    m = as_exact(m)
+    den = math.lcm(*(x.denominator for x in m.flat))
+    return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(m), den
+
+
 def minors(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound matrix of a square m: C[i, j] = det m[I_i, J_j] over
     the increasing k-tuples I_i, J_j in lexicographic order.
@@ -152,9 +160,7 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
     n = m.shape[0]
     if not is_exact(m):
         return np.linalg.det(np.take(m, _submatrix_index(n, k)))
-    m = as_exact(m)
-    den = math.lcm(*(x.denominator for x in m.flat))
-    m = np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(m)
+    m, den = scale_to_int(m)
     level = m[k - 1 :]
     for j in range(2, k + 1):
         first, rest, col, drop = _laplace_tables(n, k, j)

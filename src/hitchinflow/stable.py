@@ -169,9 +169,14 @@ def _lambda(K: np.ndarray):
 def _lambda_and_J(K: np.ndarray, rho: np.ndarray):
     """(lambda, J = K / sqrt|lambda|) for the K of a 3-form with
     coefficients rho.  Raises UnstableForm when |lambda| is at or below
-    1e-12 max|rho|^4; an exact K needs a rational sqrt|lambda|."""
+    1e-12 max|rho|^4 (OverflowError, before lambda overflows too, when
+    that bound does) or is not finite; an exact K needs a rational
+    sqrt|lambda|."""
+    floor = 1e-12 * max(float(np.max(np.abs(rho))), 1e-30) ** 4
     lam = _lambda(K)
-    if abs(lam) <= 1e-12 * max(float(np.max(np.abs(rho))), 1e-30) ** 4:
+    if not abs(lam) < math.inf:
+        raise UnstableForm(f"lambda = {lam} is not finite")
+    if abs(lam) <= floor:
         raise UnstableForm("lambda ~ 0: form is not stable")
     return lam, K / linalg.sqrt_scalar(abs(lam))
 
@@ -222,8 +227,9 @@ def signature_class(signature: tuple[int, int], sign: int) -> StructureClass:
 
 def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
     """The six-dimensional structure rule on the coefficients (floats or
-    Fractions) of a 2-form and a 3-form on R^6, given J (None when rho is
-    not stable), the sign of lambda and J*rho.  In this order: omega^3 != 0
+    Fractions) of a 2-form and a 3-form on R^6, given J, the sign of lambda
+    (0 when rho is not stable) and J*rho, both None when irrational (an
+    exact K with no rational sqrt|lambda|).  In this order: omega^3 != 0
     (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
     (2/3) omega^3 (1e-10 relative), then ``signature_class`` of the metric
     G with omega(v, w) = g(v, J w).  Returns (tag, reason, signature, G):
@@ -232,15 +238,17 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
     om3 = _omega_cube(omega)
     if _degenerate(omega, om3):
         return fail, "omega is degenerate (omega^3 = 0)", None, None
-    if J is None:
+    if not sign:
         return fail, "rho is not stable (lambda = 0)", None, None
     scale = max(float(np.abs(omega).max()), 1e-30) * max(float(np.abs(rho).max()), 1e-30)
     if float(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ omega).max()) > 1e-10 * scale:
         return fail, "omega ^ rho != 0", None, None
-    num = _jrho_wedge_rho(jrho, rho)
+    # an irrational J*rho has J*rho ^ rho = q / |lambda|^(3/2), q rational,
+    # which is never the rational (2/3) omega^3
+    num = None if jrho is None else _jrho_wedge_rho(jrho, rho)
     # a float times a Fraction is the same float but costs about 7 us
     two_thirds = Fraction(2, 3) if isinstance(om3, Fraction) else 2.0 / 3.0
-    if abs(num - om3 * two_thirds) > 1e-10 * max(abs(num), abs(om3), 1e-30):
+    if num is None or abs(num - om3 * two_thirds) > 1e-10 * max(abs(num), abs(om3), 1e-30):
         return fail, "normalization J*rho ^ rho != (2/3) omega^3", None, None
     G = _metric_matrix(omega, J, sign)
     try:
@@ -309,12 +317,15 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     om, r = omega.coeffs, rho.coeffs
     K, om3 = k_endomorphism(rho), _omega_cube(om)
     lam, J, jrho = _lambda(K), None, None
+    sign = -1 if lam < 0 else 1
     if not _degenerate(om, om3):  # an exact J may need a root that a failing pair lacks
         try:
             J, jrho = _oriented(r, K, om3, lambda J: pullback(J, rho).coeffs)[1:3]
         except UnstableForm:
+            sign = 0
+        except ValueError:  # exact K, sqrt|lambda| irrational: J stays None
             pass
-    tag, why, sig, G = classify_coeffs(om, r, J, -1 if lam < 0 else 1, jrho)
+    tag, why, sig, G = classify_coeffs(om, r, J, sign, jrho)
     if why is not None:
         return SixStructureClass(tag, diagnostics=why, lambda_value=lam, signature=sig)
     metric, jrho = SymBilinear(G), KForm(6, 3, jrho)

@@ -24,6 +24,10 @@ coefficients; the float branches still compute exactly these expressions.
 dimensional structure rule became one coefficient-space core: KForm
 wedges for omega^3, omega ^ rho and J*rho ^ rho, the metric from omega
 evaluated on basis vectors, and an if/elif chain for the tags.
+``ce_d_oracle`` and ``h_action_oracle`` are the sign loops over index
+tuples that built the CE differential and the isotropy action before both
+became ``forms.derivation_matrix`` of their values on 1-forms;
+``lie_matrix_oracle`` is Cartan's formula on top of ``ce_d_oracle``.
 """
 
 import itertools
@@ -41,7 +45,10 @@ from hitchinflow.forms import (
     contract,
     form_pairing,
     interior,
+    interior_tensor,
     pullback,
+    sort_sign,
+    tuple_position,
     wedge,
     wedge_tensor,
 )
@@ -313,3 +320,62 @@ def torsion_residual_oracle(traj) -> np.ndarray:
         float(np.max(np.abs(deriv - sp.d(phi).coeffs))) + float(sp.d(star).max_abs())
         for deriv, phi, star in zip(derivs, phis, stars)
     ])
+
+
+def _structure_constants(sp, exact):
+    return sp.algebra.c if (exact and sp.algebra.exact) else sp.algebra.c.astype(float)
+
+
+def ce_d_oracle(sp, k: int, exact: bool = False) -> np.ndarray:
+    """Matrix of the CE differential on k-forms on m: for each output
+    tuple, each pair of its slots and each m-index l, the bracket term
+    moved into sorted position by sort_sign."""
+    nm, m = sp.mdim, sp.split.m
+    bm = _structure_constants(sp, exact)[np.ix_(m, m, m)]
+    tin, tout = increasing_tuples(nm, k), increasing_tuples(nm, k + 1)
+    D = np.zeros((len(tout), len(tin)), dtype=object if exact else float)
+    if exact:
+        D = D + Fraction(0)
+    for o, T in enumerate(tout):
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                rest = tuple(T[p] for p in range(k + 1) if p not in (a, b))
+                sgn_ab = (-1) ** (a + b)
+                for l in range(nm):
+                    cab = bm[l, T[a], T[b]]
+                    if cab == 0 or l in rest:
+                        continue
+                    s, srt = sort_sign((l,) + rest)
+                    D[o, tuple_position(nm, srt)] += sgn_ab * cab * s
+    return D
+
+
+def h_action_oracle(sp, hpos: int, k: int, exact: bool = False) -> np.ndarray:
+    """Matrix of alpha -> -sum_positions alpha(..., ad(h) Y_pos, ...) on
+    k-forms on m, slot by slot."""
+    nm, m = sp.mdim, sp.split.m
+    ad = _structure_constants(sp, exact)[np.ix_(m, [sp.split.h[hpos]], m)][:, 0, :]
+    tups = increasing_tuples(nm, k)
+    L = np.zeros((len(tups), len(tups)), dtype=object if exact else float)
+    if exact:
+        L = L + Fraction(0)
+    for row, T in enumerate(tups):
+        for pos in range(k):
+            for l in range(nm):
+                a = ad[l, T[pos]]
+                if a == 0:
+                    continue
+                s, srt = sort_sign(T[:pos] + (l,) + T[pos + 1 :])
+                if s == 0:
+                    continue
+                L[row, tuple_position(nm, srt)] += -a * s
+    return L
+
+
+def lie_matrix_oracle(sp, mpos: int, k: int, d) -> np.ndarray:
+    """Cartan's formula iota d + d iota on k-forms, with d[j] the float
+    matrix of the CE differential on j-forms from ``ce_d_oracle``."""
+    iota = lambda j: interior_tensor(sp.mdim, j)[mpos]
+    term1 = iota(k + 1) @ d[k] if k < sp.mdim else 0.0
+    term2 = d[k - 1] @ iota(k) if k > 0 else 0.0
+    return term1 + term2

@@ -113,7 +113,7 @@ def test_criterion_3_ce_calculus():
     rng = np.random.default_rng(99)
     dd = 0.0
     for k in (1, 2, 3):
-        basis = invariant_basis(sp.algebra, sp.split, k)
+        basis = invariant_basis(sp, k)
         mat = np.stack([b.form.coeffs for b in basis], axis=1)
         from hitchinflow.forms import KForm
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,37 @@ def test_bad_t_end_exits_two(t_end, capsys):
     # t_end must be finite and lie beyond the startup seed at t = 1e-4
     assert _run(["--scenario", "n11-spin7", "--t-end", t_end]) == 2
     assert "precondition failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,code,cause",
+    [
+        (["--set", "a=1e150"], 3, "Numerical result out of range"),
+        (["--set", "a=1e-100"], 2, "classification: lambda ~ 0"),
+        (["--startup-epsilon", "1e-300"], 2, "seed_split"),
+    ],
+    ids=["a=1e150", "a=1e-100", "startup-epsilon=1e-300"],
+)
+def test_extreme_values_keep_the_exit_code_contract(args, code, cause, capsys):
+    # max|rho|^4 overflows; rho0 is unstable in floats before startup_seed
+    # classifies it; the seed's S = f J*rho underflows: each exits with its
+    # code and one line on stderr, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["--scenario", "n11-spin7", "--t-end", "0.02", *args]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and cause in err
+    assert not caught
+
+
+def test_parameters_whose_lambda_is_nan_exit_two(capsys):
+    # a^2 and a b c overflow to inf in the family forms, so lambda is nan:
+    # a precondition failure, not a ValueError from int(nan) further on
+    args = ["--scenario", "n11-spin7", "--set", "a=1e278", "--set", "b=-4e159", "--t-end", "0.02"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run(args) == 2
+    assert "lambda = nan is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from hitchinflow.homogeneous import (
     su3_basis,
 )
 
+from oracles import ce_d_oracle, h_action_oracle, lie_matrix_oracle
+
 
 def _commutator_oracle(mats, i, j):
     """Independent bracket in the defining representation."""
@@ -66,7 +68,7 @@ def test_reductive_splits():
 
 def test_invariant_basis_degree2_contents():
     sp = space("n11")
-    basis = invariant_basis(sp.algebra, sp.split, 2)
+    basis = invariant_basis(sp, 2)
     assert len(basis) == 7
     mat = np.stack([b.form.coeffs for b in basis], axis=1)
     # e12, e34, e56 all lie in the span
@@ -78,9 +80,9 @@ def test_invariant_basis_degree2_contents():
 
 def test_invariant_basis_degree0_and_3():
     sp = space("n11")
-    b0 = invariant_basis(sp.algebra, sp.split, 0)
+    b0 = invariant_basis(sp, 0)
     assert len(b0) == 1 and b0[0].form.coeffs[0] == 1.0
-    b3 = invariant_basis(sp.algebra, sp.split, 3)
+    b3 = invariant_basis(sp, 3)
     assert len(b3) == 13
     mat = np.stack([b.form.coeffs for b in b3], axis=1)
     e = lambda *idx: KForm.from_terms(7, len(idx), {tuple(i - 1 for i in idx): 1})
@@ -94,7 +96,7 @@ def test_invariant_basis_degree0_and_3():
 def test_invariant_forms_pass_invariance_check():
     sp = space("n11")
     for k in (1, 2, 3, 4):
-        for b in invariant_basis(sp.algebra, sp.split, k):
+        for b in invariant_basis(sp, k):
             InvariantForm(b.form, sp)  # raises if not invariant
 
 
@@ -105,12 +107,12 @@ def test_invariant_family_is_four_parametric():
     # (amplitude + angle = 2 params, cut to 1 by the normalization against
     # omega) -- total 4 = (a, b, c, theta).
     sp = space("n11")
-    b2 = invariant_basis(sp.algebra, sp.split, 2)
+    b2 = invariant_basis(sp, 2)
     horiz = [b.form for b in b2 if all(6 not in t or c == 0 for t, c in zip(b.form.tuples(), b.form.coeffs))]
     L2 = sp.lie_matrix(6, 2)
     kept = [f for f in horiz if np.max(np.abs(L2 @ f.coeffs)) < 1e-12]
     assert len(kept) == 3
-    b3 = invariant_basis(sp.algebra, sp.split, 3)
+    b3 = invariant_basis(sp, 3)
     horiz3 = np.stack(
         [b.form.coeffs for b in b3 if all(6 not in t or c == 0 for t, c in zip(b.form.tuples(), b.form.coeffs))],
         axis=1,
@@ -125,20 +127,20 @@ def test_invariant_family_is_four_parametric():
 
 def test_ce_differential_abelian_and_dsquare():
     ab = space("abelian7")
-    one = invariant_basis(ab.algebra, ab.split, 1)
+    one = invariant_basis(ab, 1)
     for b in one:
         assert ab.d(b.form).max_abs() == 0.0
     sp = space("n11")
     rng = np.random.default_rng(7)
     for k in (1, 2, 3):
-        basis = invariant_basis(sp.algebra, sp.split, k)
+        basis = invariant_basis(sp, k)
         f = KForm(7, k, np.stack([b.form.coeffs for b in basis], axis=1) @ rng.normal(size=len(basis)))
         assert sp.d(sp.d(f)).max_abs() < 1e-12 * max(f.max_abs(), 1.0)
 
 
 def test_ce_differential_wrapper():
     sp = space("n11")
-    alpha = invariant_basis(sp.algebra, sp.split, 2)[0]
+    alpha = invariant_basis(sp, 2)[0]
     d_alpha = ce_differential(alpha)
     assert d_alpha.form.degree == 3
 
@@ -167,7 +169,7 @@ def test_lie_derivative_family_values():
 def test_lie_derivative_commutes_with_d():
     sp = space("n11")
     rng = np.random.default_rng(3)
-    basis = invariant_basis(sp.algebra, sp.split, 2)
+    basis = invariant_basis(sp, 2)
     f = KForm(7, 2, np.stack([b.form.coeffs for b in basis], axis=1) @ rng.normal(size=len(basis)))
     alpha = InvariantForm(f, sp)
     lhs = ce_differential(lie_derivative(6, alpha)).form
@@ -191,7 +193,7 @@ def test_pi_projection_properties():
     assert np.max(np.abs(pi_project(ansatz, 6).coeffs - x0.coeffs)) < 1e-12
     # idempotent on a generic invariant form
     rng = np.random.default_rng(5)
-    basis = invariant_basis(sp.algebra, sp.split, 3)
+    basis = invariant_basis(sp, 3)
     f = KForm(7, 3, np.stack([b.form.coeffs for b in basis], axis=1) @ rng.normal(size=len(basis)))
     once = pi_project(f, 6)
     twice = pi_project(once, 6)
@@ -200,7 +202,7 @@ def test_pi_projection_properties():
 
 def test_flag_space_invariant_two_forms():
     flag = space("flag")
-    basis = invariant_basis(flag.algebra, flag.split, 2)
+    basis = invariant_basis(flag, 2)
     assert len(basis) == 3  # e12, e34, e56 only
 
 
@@ -214,3 +216,26 @@ def test_flat7_lie_value():
     )
     lrho = lie_derivative(6, InvariantForm(embed(rho, 7), fl)).form
     assert np.max(np.abs(lrho.coeffs - embed(jr, 7).coeffs)) == 0.0
+
+
+def _same_matrix(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and bool(np.all(got == want))
+
+
+@pytest.mark.parametrize("name", ["n11", "flag", "abelian7", "flat7"])
+def test_derivation_matrices_match_the_sign_loops(name):
+    # d and the h-action from forms.derivation_matrix against the loops over
+    # index tuples they replaced: equal entries and dtypes, floats and
+    # Fractions, every degree; lie_matrix, which is float only, against
+    # Cartan's formula on the loop-built d
+    sp = space(name)
+    for exact in (False, True):
+        d = [ce_d_oracle(sp, k, exact) for k in range(sp.mdim + 1)]
+        for k in range(sp.mdim + 1):
+            assert _same_matrix(sp.d_matrix(k, exact), d[k]), (k, exact)
+            for h in range(len(sp.split.h)):
+                assert _same_matrix(sp.h_action_matrix(h, k, exact), h_action_oracle(sp, h, k, exact))
+    d = [ce_d_oracle(sp, k) for k in range(sp.mdim + 1)]
+    for k in range(sp.mdim + 1):
+        for mpos in range(sp.mdim):
+            assert _same_matrix(sp.lie_matrix(mpos, k), lie_matrix_oracle(sp, mpos, k, d)), (k, mpos)

@@ -167,6 +167,26 @@ def test_classify_reports_a_degenerate_omega_before_taking_an_exact_root():
     assert out.lambda_value == -6
 
 
+@pytest.mark.parametrize("tilt", [(), (0, 2)])
+def test_classify_reports_an_irrational_exact_j_as_its_float_copy_does(tilt):
+    # lambda = -6: J = K/sqrt 6 is irrational, so J*rho ^ rho = q/6^(3/2)
+    # cannot equal the rational (2/3) omega^3; the exact pair reports that
+    # (or, with omega tilted by e^13, the omega ^ rho check before it)
+    # exactly as the float copy does, instead of raising for the root
+    out = {}
+    for exact in (True, False):
+        om, rho = model_pair("su3", exact=exact)
+        rho = rho + KForm.basis(6, (0, 2, 4), exact=exact) / 2
+        if tilt:
+            om = om + KForm.basis(6, tilt, exact=exact)
+        out[exact] = classify_pair(om, rho)
+    assert out[True].tag is out[False].tag is StructureClass.NOT_A_STRUCTURE
+    assert out[True].diagnostics == out[False].diagnostics
+    assert out[True].diagnostics == ("omega ^ rho != 0" if tilt else
+                                     "normalization J*rho ^ rho != (2/3) omega^3")
+    assert out[True].lambda_value == out[False].lambda_value == -6
+
+
 def test_classify_rejects_bad_compatibility():
     om, rho = model_pair("su3")
     bad = om + 0.5 * KForm.basis(6, (0, 2))
