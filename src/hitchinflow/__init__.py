@@ -79,7 +79,6 @@ from .flow import (
     Trajectory,
     cocal_residual,
     deform_state,
-    degenerate_rhs,
     flat7_problem,
     generic_problem,
     generic_rhs,
@@ -112,7 +111,7 @@ __all__ = [
     # flow
     "FlowConfig", "DegenerateFlowState", "GenericFlowState", "Trajectory",
     "n11_problem", "flat7_problem", "generic_problem", "smoothness_check",
-    "startup_seed", "mirror_seed", "degenerate_rhs", "generic_rhs",
+    "startup_seed", "mirror_seed", "generic_rhs",
     "cocal_residual", "integrate", "torsion_residual", "deform_state",
     "generic_state_from_split",
     # verify

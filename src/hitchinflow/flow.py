@@ -95,7 +95,6 @@ __all__ = [
     "smoothness_check",
     "startup_seed",
     "mirror_seed",
-    "degenerate_rhs",
     "generic_rhs",
     "cocal_residual",
     "integrate",
@@ -544,7 +543,8 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
         raise PreconditionFailed("classification", f"{cls.tag.value}: {cls.diagnostics}")
     dom = problem.space.d(problem.omega0)
     dww = wedge(dom, problem.omega0)
-    if dww.max_abs() > 1e-10 * max(problem.omega0.max_abs() ** 2, 1.0):
+    scale = max(problem.omega0.max_abs(), 1.0)  # divided twice: scale**2 may overflow
+    if not dww.max_abs() / scale / scale <= 1e-10:
         raise PreconditionFailed("cocalibration", "d omega0 ^ omega0 != 0")
     try:
         sm = problem_smoothness(problem)
@@ -628,52 +628,16 @@ def _split_class(sp: _Split) -> stable.StructureClass:
     return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, (-sp.sign / sp.f) * sp.S6)[0]
 
 
-def _velocity(problem: DegenerateProblem, om6, rho6, f: float, w):
-    """The two flow equations on coefficients: the 2-form velocity solving
-    wdot ^ omega = pi(d rho) + f omega ^ de^phi and the 3-form velocity
-    L_{e_phi} rho - f pi(d omega), both as coefficient vectors on m."""
-    ops = problem.operators()
-    tau6 = ops.d_rho @ rho6 + f * (ops.w_de_phi @ w)
-    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(om6, tau6)
-    return wdot7, ops.lie_rho @ rho6 - f * (ops.pi_d_w @ w)
-
-
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float) -> np.ndarray:
-    """The packed velocity (wdot, Sdot) at a packed state."""
-    sp = _derive_split(problem, y, branch)
-    wdot7, Sdot7 = _velocity(problem, sp.om6, sp.rho6, sp.f, problem.unpack(y)[0])
-    wdot = problem.w_basis().coords(wdot7, "omega velocity")
-    return problem.pack(wdot, problem.s_basis().coords(Sdot7, "s velocity"))
-
-
-def degenerate_rhs(state: DegenerateFlowState) -> tuple[float, KForm, KForm]:
-    """Split right-hand side (df/dt, dw/dt, ds/dt) at a state.
-
-    The two flow equations with df = 0 on the slice, from the same
-    coefficient-space velocities as the integrator: the 2-form velocity
-    solves  wdot ^ omega = pi(d rho) + f omega ^ de^phi, fdot is the
-    g-orthogonal coefficient of RHS2 = L_{e_phi} rho - f pi(d omega)
-    along s, and sdot = (RHS2 - fdot s)/f.  At f = 0 the right-hand side
-    is purely along s and sdot = 0.
-    """
-    problem = state.problem
-    if state.f < 0:
-        raise NonpositiveF("state has negative fiber length")
-    om6 = state.omega_form()
-    s6 = state.s_form()
-    _, g6, _, js6 = stable.pair_structure(om6, s6)
-    wdot7, rhs2_7 = _velocity(problem, om6.coeffs, -js6.coeffs, state.f, state.w)
-    wdot6 = problem.to_dist(KForm(problem.mdim, 2, wdot7))
-    rhs2_6 = problem.to_dist(KForm(problem.mdim, 3, rhs2_7))
-    fdot = float(form_pairing(g6, rhs2_6, s6) / form_pairing(g6, s6, s6))
-    residual = rhs2_6 - fdot * s6
-    if state.f == 0:
-        if residual.max_abs() > 1e-8 * max(rhs2_6.max_abs(), 1.0):
-            raise UnstableForm("right-hand side is not parallel to s at f = 0")
-        sdot6 = KForm.zero(6, 3)
-    else:
-        sdot6 = residual * (1.0 / state.f)
-    return fdot, wdot6, sdot6
+    """The packed velocity (wdot, Sdot) at a packed state: the 2-form
+    velocity solving wdot ^ omega = pi(d rho) + f omega ^ de^phi and the
+    3-form velocity L_{e_phi} rho - f pi(d omega), on coefficients."""
+    sp, ops, w = _derive_split(problem, y, branch), problem.operators(), problem.unpack(y)[0]
+    tau6 = ops.d_rho @ sp.rho6 + sp.f * (ops.w_de_phi @ w)
+    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(sp.om6, tau6)
+    Sdot7 = ops.lie_rho @ sp.rho6 - sp.f * (ops.pi_d_w @ w)
+    wb, sb = problem.w_basis(), problem.s_basis()
+    return problem.pack(wb.coords(wdot7, "omega velocity"), sb.coords(Sdot7, "s velocity"))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Dense exterior algebra over R^n for n <= 8.
 
 A k-form stores one coefficient per strictly increasing index tuple, in
-lexicographic order; every sign in the package flows from sorting index
-tuples and counting transpositions, and those product tables live here
-alone: ``wedge`` and ``interior`` scatter through cached sign/index
-tables, and ``wedge_tensor`` and ``interior_tensor`` hold the same tables
-as integer tensors for the coefficient kernels of ``stable`` and
-``g2spin7``, which multiply with them through ``contract``.
+lexicographic order.  Every product sign in the package comes from the
+tables here: ``wedge_tensor`` and ``interior_tensor`` are integer tensors
+built from the parities of index bitmasks, and ``contract`` is the one
+product with them, for ``wedge`` and ``interior`` as for the coefficient
+kernels of ``stable`` and ``g2spin7``.
 ``derivation_matrix`` builds from them the matrix on k-forms of any
 derivation given on 1-forms, D a = sum_l D(e^l) ^ (e_l . a): the CE
 differential and the isotropy action of ``homogeneous``.
@@ -55,13 +54,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _tuple_index(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(increasing_tuples(n, k))}
-
-
 def tuple_position(n: int, indices: tuple[int, ...]) -> int:
-    return _tuple_index(n, len(indices))[indices]
+    """Position of an increasing tuple among those of its length on R^n."""
+    return int(_positions(n)[sum(1 << i for i in indices)])
 
 
 def sort_sign(indices) -> tuple[int, tuple[int, ...]]:
@@ -248,24 +243,56 @@ def volume_form(dim: int, coeff=1, exact: bool = False) -> KForm:
     return KForm(dim, dim, c)
 
 
-# -- wedge ------------------------------------------------------------
+# -- product tables ----------------------------------------------------
+# bits set in each byte: numpy 1.24 has no np.bitwise_count, and n <= 8
+_POPCOUNT = np.array([bin(x).count("1") for x in range(256)])
+
+
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, p: int, q: int):
-    """Index/sign table for the wedge of a p-form and q-form in dim n."""
-    ptups = increasing_tuples(n, p)
-    qtups = increasing_tuples(n, q)
-    out_index = _tuple_index(n, p + q)
-    ai, bi, oi, sg = [], [], [], []
-    for i, a in enumerate(ptups):
-        for j, b in enumerate(qtups):
-            sign, merged = sort_sign(a + b)
-            if sign == 0:
-                continue
-            ai.append(i)
-            bi.append(j)
-            oi.append(out_index[merged])
-            sg.append(sign)
-    return (np.array(ai), np.array(bi), np.array(oi), np.array(sg))
+def _masks(n: int, k: int) -> np.ndarray:
+    """Bitmask of each increasing k-tuple on R^n, in lexicographic order."""
+    return (1 << np.array(increasing_tuples(n, k), dtype=int).reshape(comb(n, k), k)).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> np.ndarray:
+    """Position of each increasing tuple on R^n among those of its degree,
+    indexed by the tuple's bitmask."""
+    pos = np.zeros(2**n, dtype=int)
+    for k in range(n + 1):
+        pos[_masks(n, k)] = np.arange(comb(n, k))
+    return pos
+
+
+@lru_cache(maxsize=None)
+def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
+    """Integer tensor W of the wedge on R^n, (a ^ b)[o] = sum W[o, i, j]
+    a[i] b[j] for a p-form a and a q-form b, stored as float64 so that
+    float products need no cast.  ``contract(W, b)`` is the matrix of
+    a -> a ^ b; ``wedge_tensor(n, p, n - p)[0]`` the top-degree pairing.
+    e^I ^ e^J has the sign of the parity of the pairs i in I, j in J with
+    i > j, counted on bitmasks."""
+    a, b = _masks(n, p)[:, None], _masks(n, q)
+    crossings = sum(_POPCOUNT[a >> (j + 1)] * (b >> j & 1) for j in range(n))
+    i, j = np.nonzero((a & b) == 0)
+    W = np.zeros((comb(n, p + q), comb(n, p), comb(n, q)))
+    W[_positions(n)[(a | b)[i, j]], i, j] = 1 - 2 * (crossings[i, j] & 1)
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=None)
+def interior_tensor(n: int, k: int) -> np.ndarray:
+    """Integer tensor I of the interior product on k-forms on R^n, stored
+    like ``wedge_tensor``: (v . a)[o] = sum I[c, o, i] v[c] a[i], so
+    ``I[c]`` is the matrix of a -> e_c . a.  e_c . e^I has the sign of
+    the parity of the indices of I below c."""
+    m = _masks(n, k)
+    c, i = np.nonzero(m >> np.arange(n)[:, None] & 1)
+    I = np.zeros((n, comb(n, k - 1), comb(n, k)))
+    I[c, _positions(n)[m[i] ^ (1 << c)], i] = 1 - 2 * (_POPCOUNT[m[i] & ((1 << c) - 1)] & 1)
+    I.setflags(write=False)
+    return I
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -276,28 +303,8 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise DegreeOverflow(
             f"degree {a.degree}+{b.degree} exceeds dimension {a.dim}"
         )
-    exact = a.exact or b.exact
-    out = KForm.zero(a.dim, a.degree + b.degree, exact=exact)
-    coeffs = out.coeffs.copy()
-    ai, bi, oi, sg = _wedge_table(a.dim, a.degree, b.degree)
-    if len(ai):
-        vals = sg * a.coeffs[ai] * b.coeffs[bi]
-        np.add.at(coeffs, oi, vals)
-    return KForm(a.dim, a.degree + b.degree, coeffs)
-
-
-# -- interior product -------------------------------------------------
-@lru_cache(maxsize=None)
-def _interior_table(n: int, k: int):
-    """(input_pos, vector_component, output_pos, sign) quadruples."""
-    out_index = _tuple_index(n, k - 1)
-    rows = []
-    for i, t in enumerate(increasing_tuples(n, k)):
-        for p, comp in enumerate(t):
-            rest = t[:p] + t[p + 1 :]
-            rows.append((i, comp, out_index[rest], (-1) ** p))
-    ii, vc, oi, sg = zip(*rows)
-    return np.array(ii), np.array(vc), np.array(oi), np.array(sg)
+    W = wedge_tensor(a.dim, a.degree, b.degree)
+    return KForm(a.dim, a.degree + b.degree, contract(W, a.coeffs, b.coeffs))
 
 
 def interior(v, a: KForm) -> KForm:
@@ -307,37 +314,8 @@ def interior(v, a: KForm) -> KForm:
         raise DimensionMismatch(f"vector of length {v.shape} vs dim {a.dim}")
     if a.degree < 1:
         raise DegreeOverflow("interior product needs degree >= 1")
-    out = KForm.zero(a.dim, a.degree - 1, exact=a.exact or v.dtype == object)
-    coeffs = out.coeffs.copy()
-    ii, vc, oi, sg = _interior_table(a.dim, a.degree)
-    np.add.at(coeffs, oi, sg * a.coeffs[ii] * v[vc])
-    return KForm(a.dim, a.degree - 1, coeffs)
-
-
-# -- product tables ----------------------------------------------------
-@lru_cache(maxsize=None)
-def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
-    """Integer tensor W of the wedge on R^n, (a ^ b)[o] = sum W[o, i, j]
-    a[i] b[j] for a p-form a and a q-form b, stored as float64 so that
-    float products need no cast.  ``contract(W, b)`` is the matrix of
-    a -> a ^ b; ``wedge_tensor(n, p, n - p)[0]`` the top-degree pairing."""
-    ai, bi, oi, sg = _wedge_table(n, p, q)
-    W = np.zeros((comb(n, p + q), comb(n, p), comb(n, q)))
-    W[oi, ai, bi] = sg
-    W.setflags(write=False)
-    return W
-
-
-@lru_cache(maxsize=None)
-def interior_tensor(n: int, k: int) -> np.ndarray:
-    """Integer tensor I of the interior product on k-forms on R^n, stored
-    like ``wedge_tensor``: (v . a)[o] = sum I[c, o, i] v[c] a[i], so
-    ``I[c]`` is the matrix of a -> e_c . a."""
-    ii, vc, oi, sg = _interior_table(n, k)
-    I = np.zeros((n, comb(n, k - 1), comb(n, k)))
-    I[vc, oi, ii] = sg
-    I.setflags(write=False)
-    return I
+    I = interior_tensor(a.dim, a.degree).transpose(1, 0, 2)
+    return KForm(a.dim, a.degree - 1, contract(I, v, a.coeffs))
 
 
 def derivation_matrix(images: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -371,7 +349,7 @@ def contract(table: np.ndarray, *vectors: np.ndarray):
     vector with the last axis: ``contract(W, a, b)`` is a ^ b for
     ``W = wedge_tensor(n, p, q)``.  Float vectors take ``table @ v`` or,
     for several, one ``np.einsum``; exact (object) vectors a scatter over
-    the nonzero entries, as ``wedge`` does, so no Fraction meets a zero."""
+    the nonzero entries, so no Fraction meets a zero."""
     if len(vectors) == 1 and vectors[0].dtype != object:
         return table @ vectors[0]
     if all(v.dtype != object for v in vectors):
@@ -468,11 +446,9 @@ def embed(a: KForm, dim: int, index_map=None) -> KForm:
 
 
 def restrict(a: KForm, indices) -> KForm:
-    """Restrict to the subspace spanned by the given axes.
-
-    Coefficients involving other axes are dropped (the pullback under the
-    inclusion).
-    """
+    """Restrict to the subspace spanned by the given axes, new axis j
+    being old axis indices[j]: coefficients involving other axes are
+    dropped (the pullback under the inclusion)."""
     idx = list(indices)
     back = {old: new for new, old in enumerate(idx)}
     out = KForm.zero(len(idx), a.degree, exact=a.exact)
@@ -481,5 +457,6 @@ def restrict(a: KForm, indices) -> KForm:
         c = a.coeffs[pos]
         if c == 0 or not all(i in back for i in t):
             continue
-        coeffs[tuple_position(len(idx), tuple(back[i] for i in t))] += c
+        sign, srt = sort_sign(back[i] for i in t)
+        coeffs[tuple_position(len(idx), srt)] += sign * c
     return KForm(len(idx), a.degree, coeffs)

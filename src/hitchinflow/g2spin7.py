@@ -24,6 +24,7 @@ SevenStructure or from bundle-split data, never classified from a raw
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,7 +40,6 @@ from .forms import (
     embed,
     hodge,
     hodge_matrices,
-    interior,
     interior_tensor,
     restrict,
     volume_form,
@@ -111,7 +111,8 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     B = (B + B.T) / 12  # symmetric to the last bit in floats
     d = linalg.det(B)
     scale = max(float(max(abs(x) for x in B.reshape(-1))), 1e-30)
-    if (exact and d == 0) or (not exact and abs(d) <= 1e-12 * scale**7):
+    # a product, not scale**7, which raises where it leaves the float range
+    if (exact and d == 0) or not (exact or 1e-12 * math.prod([scale] * 7) < abs(d) < math.inf):
         return None, None, SevenClass.NOT_STABLE
     s9 = linalg.nth_root_signed(d, 9)
     g7 = SymBilinear(B / s9)
@@ -151,7 +152,7 @@ def star_derivative(s: SevenStructure) -> np.ndarray:
         raise UnstableForm("structure is not stable")
     gram, star = hodge_matrices(s.g7, s.vol7, 3)
     p = s.phi.coeffs
-    a7 = np.stack([interior(e, s.star_phi).coeffs for e in np.eye(7)], axis=1)
+    a7 = contract(interior_tensor(7, 4).transpose(1, 0, 2), s.star_phi.coeffs)  # e_c . *phi
     gp, ga = gram @ p, gram @ a7
     proj1 = np.outer(p, gp) / (p @ gp)
     proj7 = a7 @ np.linalg.solve(a7.T @ ga, ga.T)

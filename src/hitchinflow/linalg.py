@@ -7,7 +7,9 @@ rounding; only the operations actually needed by the exact identity suite
 are implemented.  ``minors``, the k-th compound matrix, computes every
 minor and exact determinant in the package: batched LAPACK determinants
 for floats, for Fractions a Laplace expansion that reuses the smaller
-minors, in Python ints over one common denominator, divided once.
+minors, in Python ints over one common denominator, divided once.  The
+exact inverse is the adjugate, the (n-1)-minors with signs, over the
+determinant.
 """
 
 from __future__ import annotations
@@ -76,32 +78,18 @@ def nth_root_signed(x, n: int):
     return math.copysign(abs(x) ** (1.0 / n), x) if x else 0.0
 
 
-def _gauss_jordan(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact Gauss-Jordan solve of a x = rhs for Fraction matrices."""
-    n = a.shape[0]
-    m = np.concatenate([a.astype(object), rhs.astype(object)], axis=1)
-    col = rhs.shape[1]
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if m[r, i] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise np.linalg.LinAlgError("singular exact matrix")
-        if piv != i:
-            m[[i, piv]] = m[[piv, i]]
-        m[i] = m[i] / m[i, i]
-        for r in range(n):
-            if r != i and m[r, i] != 0:
-                m[r] = m[r] - m[r, i] * m[i]
-    return m[:, n : n + col]
-
-
 def inverse(a: np.ndarray) -> np.ndarray:
-    if is_exact(a):
-        return _gauss_jordan(a, np.eye(a.shape[0], dtype=object) + Fraction(0))
-    return np.linalg.inv(a)
+    """Inverse; in exact mode the adjugate over the determinant, both read
+    off ``minors(a, n - 1)``: its entry [n-1-i, n-1-j] is the minor
+    without row i and column j."""
+    if not is_exact(a):
+        return np.linalg.inv(a)
+    n = a.shape[0]
+    adj = minors(a, n - 1)[::-1, ::-1].T * (-1) ** np.add.outer(range(n), range(n))
+    d = a[0] @ adj[:, 0]
+    if d == 0:
+        raise np.linalg.LinAlgError("singular exact matrix")
+    return adj / d
 
 
 def det(a: np.ndarray):
@@ -159,7 +147,8 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
         return np.full((1, 1), Fraction(1) if is_exact(m) else 1.0)
     n = m.shape[0]
     if not is_exact(m):
-        return np.linalg.det(np.take(m, _submatrix_index(n, k)))
+        with np.errstate(divide="ignore"):  # numpy's det takes log 0 on a singular block
+            return np.linalg.det(np.take(m, _submatrix_index(n, k)))
     m, den = scale_to_int(m)
     level = m[k - 1 :]
     for j in range(2, k + 1):

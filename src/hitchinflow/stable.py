@@ -199,7 +199,8 @@ def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
 
 def _degenerate(omega: np.ndarray, om3) -> bool:
     """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3."""
-    return abs(om3) <= 1e-12 * max(float(np.abs(omega).max()), 1e-30) ** 3
+    scale = max(float(np.abs(omega).max()), 1e-30)
+    return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
 
 
 def _oriented(rho: np.ndarray, K: np.ndarray, om3, pull):
@@ -229,13 +230,15 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
     """The six-dimensional structure rule on the coefficients (floats or
     Fractions) of a 2-form and a 3-form on R^6, given J, the sign of lambda
     (0 when rho is not stable) and J*rho, both None when irrational (an
-    exact K with no rational sqrt|lambda|).  In this order: omega^3 != 0
-    (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
+    exact K with no rational sqrt|lambda|).  In this order: omega^3 finite
+    and != 0 (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
     (2/3) omega^3 (1e-10 relative), then ``signature_class`` of the metric
     G with omega(v, w) = g(v, J w).  Returns (tag, reason, signature, G):
     reason None for a structure, signature and G None when not computed."""
     fail = StructureClass.NOT_A_STRUCTURE
     om3 = _omega_cube(omega)
+    if not abs(om3) < math.inf:
+        return fail, "omega^3 is out of float range", None, None
     if _degenerate(omega, om3):
         return fail, "omega is degenerate (omega^3 = 0)", None, None
     if not sign:
@@ -325,6 +328,8 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
             sign = 0
         except ValueError:  # exact K, sqrt|lambda| irrational: J stays None
             pass
+        except OverflowError:  # max|rho|^4, the bound on lambda
+            return SixStructureClass(StructureClass.NOT_A_STRUCTURE, "rho is out of float range", lam)
     tag, why, sig, G = classify_coeffs(om, r, J, sign, jrho)
     if why is not None:
         return SixStructureClass(tag, diagnostics=why, lambda_value=lam, signature=sig)
@@ -407,8 +412,11 @@ def iota(sigma: KForm, sign_hint: KForm | None = None) -> KForm:
     # is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
     I2 = interior_tensor(6, 2)
     B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs))
-    if abs(np.linalg.det(B)) < 1e-14 * max(sigma.max_abs(), 1e-30) ** 3:
-        raise UnstableForm("4-form is not a nondegenerate half-square")
+    scale = max(sigma.max_abs(), 1e-30)
+    with np.errstate(over="ignore"):  # det B ~ scale^6 leaves the float range first
+        det = abs(float(np.linalg.det(B)))
+    if not 1e-14 <= det / scale / scale / scale < math.inf:
+        raise UnstableForm("4-form is not a nondegenerate half-square within float range")
     # the 2-form of the antisymmetric part of B^{-1}
     cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
     sq = wedge(cand, cand) * 0.5

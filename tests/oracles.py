@@ -28,16 +28,25 @@ evaluated on basis vectors, and an if/elif chain for the tags.
 tuples that built the CE differential and the isotropy action before both
 became ``forms.derivation_matrix`` of their values on 1-forms;
 ``lie_matrix_oracle`` is Cartan's formula on top of ``ce_d_oracle``.
+``wedge_table_oracle`` and ``interior_table_oracle`` are the sort_sign
+loops that built the product tables before bitmask parities did, and
+``scatter_wedge`` and ``scatter_interior`` the ``np.add.at`` scatters
+through them that ``wedge`` and ``interior`` ran before they became
+``contract`` wrappers.  ``gauss_jordan_inverse`` is the elimination the
+exact inverse used before the adjugate from ``linalg.minors``, and
+``split_rhs_oracle`` is the split right-hand side (df/dt, dw/dt, ds/dt)
+that ``flow`` exported before the packed kernel left it unused.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
-from hitchinflow import linalg
-from hitchinflow.errors import UnstableForm
+from hitchinflow import linalg, stable
+from hitchinflow.errors import NonpositiveF, UnstableForm
 from hitchinflow.flow import cocal_residual
 from hitchinflow.forms import (
     KForm,
@@ -48,7 +57,6 @@ from hitchinflow.forms import (
     interior_tensor,
     pullback,
     sort_sign,
-    tuple_position,
     wedge,
     wedge_tensor,
 )
@@ -61,6 +69,11 @@ from hitchinflow.stable import (
     lambda_invariant,
     pair_structure,
 )
+
+
+def _position(n: int, t: tuple) -> int:
+    """Position of an increasing tuple in the lexicographic list."""
+    return increasing_tuples(n, len(t)).index(t)
 
 
 def perm_sign(perm) -> int:
@@ -346,7 +359,7 @@ def ce_d_oracle(sp, k: int, exact: bool = False) -> np.ndarray:
                     if cab == 0 or l in rest:
                         continue
                     s, srt = sort_sign((l,) + rest)
-                    D[o, tuple_position(nm, srt)] += sgn_ab * cab * s
+                    D[o, _position(nm, srt)] += sgn_ab * cab * s
     return D
 
 
@@ -368,7 +381,7 @@ def h_action_oracle(sp, hpos: int, k: int, exact: bool = False) -> np.ndarray:
                 s, srt = sort_sign(T[:pos] + (l,) + T[pos + 1 :])
                 if s == 0:
                     continue
-                L[row, tuple_position(nm, srt)] += -a * s
+                L[row, _position(nm, srt)] += -a * s
     return L
 
 
@@ -379,3 +392,85 @@ def lie_matrix_oracle(sp, mpos: int, k: int, d) -> np.ndarray:
     term1 = iota(k + 1) @ d[k] if k < sp.mdim else 0.0
     term2 = d[k - 1] @ iota(k) if k > 0 else 0.0
     return term1 + term2
+
+
+def wedge_table_oracle(n: int, p: int, q: int) -> np.ndarray:
+    """Rows (i, j, o, sign) with e^{I_i} ^ e^{J_j} = sign e^{K_o} on R^n,
+    one sort_sign per pair of increasing tuples, in the order of (i, j)."""
+    rows = []
+    for i, a in enumerate(increasing_tuples(n, p)):
+        for j, b in enumerate(increasing_tuples(n, q)):
+            sign, merged = sort_sign(a + b)
+            if sign:
+                rows.append((i, j, _position(n, merged), sign))
+    return np.array(rows, dtype=int).reshape(-1, 4).T
+
+
+def interior_table_oracle(n: int, k: int) -> np.ndarray:
+    """Rows (i, c, o, sign) with e_c . e^{I_i} = sign e^{I_o} on R^n, in
+    the order of i and of the slot of c in I_i."""
+    rows = [
+        (i, c, _position(n, t[:slot] + t[slot + 1 :]), (-1) ** slot)
+        for i, t in enumerate(increasing_tuples(n, k))
+        for slot, c in enumerate(t)
+    ]
+    return np.array(rows, dtype=int).reshape(-1, 4).T
+
+
+def scatter_wedge(a, b) -> np.ndarray:
+    """Float coefficients of a ^ b, scattered through the loop table."""
+    i, j, o, sign = wedge_table_oracle(a.dim, a.degree, b.degree)
+    coeffs = np.zeros(comb(a.dim, a.degree + b.degree))
+    np.add.at(coeffs, o, sign * a.coeffs[i] * b.coeffs[j])
+    return coeffs
+
+
+def scatter_interior(v, a) -> np.ndarray:
+    """Float coefficients of v . a, scattered through the loop table."""
+    i, c, o, sign = interior_table_oracle(a.dim, a.degree)
+    coeffs = np.zeros(comb(a.dim, a.degree - 1))
+    np.add.at(coeffs, o, sign * a.coeffs[i] * v[c])
+    return coeffs
+
+
+def gauss_jordan_inverse(a) -> np.ndarray:
+    """Exact inverse of a Fraction matrix by Gauss-Jordan elimination."""
+    n = a.shape[0]
+    m = np.concatenate([a.astype(object), np.eye(n, dtype=object) + Fraction(0)], axis=1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if m[r, i] != 0), None)
+        if piv is None:
+            raise np.linalg.LinAlgError("singular exact matrix")
+        if piv != i:
+            m[[i, piv]] = m[[piv, i]]
+        m[i] = m[i] / m[i, i]
+        for r in range(n):
+            if r != i and m[r, i] != 0:
+                m[r] = m[r] - m[r, i] * m[i]
+    return m[:, n:]
+
+
+def split_rhs_oracle(state):
+    """Split right-hand side (df/dt, dw/dt, ds/dt) at a degenerate state:
+    the 2-form velocity solves wdot ^ omega = pi(d rho) + f omega ^ de^phi,
+    fdot is the g-orthogonal coefficient of RHS2 = L_{e_phi} rho -
+    f pi(d omega) along s, and sdot = (RHS2 - fdot s)/f.  At f = 0 the
+    right-hand side is purely along s and sdot = 0."""
+    problem = state.problem
+    if state.f < 0:
+        raise NonpositiveF("state has negative fiber length")
+    om6, s6 = state.omega_form(), state.s_form()
+    _, g6, _, js6 = pair_structure(om6, s6)
+    ops, rho6 = problem.operators(), -js6.coeffs
+    tau6 = ops.d_rho @ rho6 + state.f * (ops.w_de_phi @ state.w)
+    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(om6.coeffs, tau6)
+    rhs2_7 = ops.lie_rho @ rho6 - state.f * (ops.pi_d_w @ state.w)
+    wdot6 = problem.to_dist(KForm(problem.mdim, 2, wdot7))
+    rhs2_6 = problem.to_dist(KForm(problem.mdim, 3, rhs2_7))
+    fdot = float(form_pairing(g6, rhs2_6, s6) / form_pairing(g6, s6, s6))
+    residual = rhs2_6 - fdot * s6
+    if state.f == 0:
+        if residual.max_abs() > 1e-8 * max(rhs2_6.max_abs(), 1.0):
+            raise UnstableForm("right-hand side is not parallel to s at f = 0")
+        return fdot, wdot6, KForm.zero(6, 3)
+    return fdot, wdot6, residual * (1.0 / state.f)

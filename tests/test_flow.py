@@ -15,7 +15,6 @@ from hitchinflow.flow import (
     GenericFlowState,
     cocal_residual,
     deform_state,
-    degenerate_rhs,
     flat7_problem,
     generic_problem,
     generic_rhs,
@@ -46,6 +45,7 @@ from oracles import (
     fd_generic_rhs,
     fd_star_jacobian,
     relative_gap,
+    split_rhs_oracle,
     torsion_residual_oracle,
 )
 
@@ -107,6 +107,15 @@ def test_startup_rejects_non_structure():
     assert err.value.condition == "classification"
 
 
+def test_startup_rejects_a_family_beyond_float_range():
+    # a^2 = 1e300 makes omega0^3 overflow: a precondition failure, not an
+    # OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PreconditionFailed) as err:
+            startup_seed(n11_problem(a=1e150), 1.0, 1e-4)
+    assert err.value.condition == "classification"
+
+
 def test_startup_rejects_nonclosed_omega():
     # perturb omega into the invariant direction e35+e46: the pair fails
     # classification, so fix rho accordingly through a GL map is overkill;
@@ -137,7 +146,7 @@ def test_degenerate_rhs_f0_limit():
     p = n11_problem()
     seed = startup_seed(p, 1.0, 1e-4)
     state0 = DegenerateFlowState(0.0, 0.0, seed.w, seed.s, p)
-    fdot, wdot, sdot = degenerate_rhs(state0)
+    fdot, wdot, sdot = split_rhs_oracle(state0)
     assert fdot == pytest.approx(1.0, abs=1e-12)
     assert sdot.max_abs() == 0.0
 
@@ -145,7 +154,7 @@ def test_degenerate_rhs_f0_limit():
 def test_degenerate_rhs_wdot_equation():
     p = n11_problem()
     seed = startup_seed(p, 1.0, 1e-2)
-    fdot, wdot, sdot = degenerate_rhs(seed)
+    fdot, wdot, sdot = split_rhs_oracle(seed)
     om6 = seed.omega_form()
     rho6 = seed.rho_form()
     lhs = wedge(wdot, om6)
@@ -157,7 +166,7 @@ def test_degenerate_rhs_wdot_equation():
 def test_degenerate_rhs_flat_model():
     p = flat7_problem()
     seed = startup_seed(p, 1.0, 0.2)
-    fdot, wdot, sdot = degenerate_rhs(seed)
+    fdot, wdot, sdot = split_rhs_oracle(seed)
     assert fdot == pytest.approx(1.0, abs=1e-13)
     assert wdot.max_abs() < 1e-13
     assert sdot.max_abs() < 1e-13

@@ -26,7 +26,16 @@ from hitchinflow.forms import (
 from hitchinflow.linalg import as_exact
 from hitchinflow.stable import model_pair
 
-from oracles import dense_hodge, dense_pairing, dense_pullback, wedge_eval
+from oracles import (
+    dense_hodge,
+    dense_pairing,
+    dense_pullback,
+    interior_table_oracle,
+    scatter_interior,
+    scatter_wedge,
+    wedge_eval,
+    wedge_table_oracle,
+)
 
 
 def E(*idx, dim=6, exact=False):
@@ -303,7 +312,8 @@ def test_exact_products_equal_dense_oracle(n, rng):
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_float_products_are_the_dense_expressions(n, rng):
     # floats keep the dense products bit for bit: the degenerate-flow
-    # CSVs depend on the last bits of the pairing and the star
+    # CSVs depend on the last bits of the pairing and the star, and of
+    # wedge and interior, which keep the bits of the loop-table scatter
     A = rng.normal(size=(n, n))
     g = SymBilinear(A @ np.diag([1.0, -1.0] * (n // 2) + [1.0] * (n % 2)) @ A.T)
     vol = volume_form(n, 1.3)
@@ -312,6 +322,26 @@ def test_float_products_are_the_dense_expressions(n, rng):
         assert form_pairing(g, a, b) == dense_pairing(g, a, b)
         assert np.array_equal(hodge(g, vol, a).coeffs, dense_hodge(g, vol, a).coeffs)
         assert np.array_equal(pullback(A, a).coeffs, dense_pullback(A, a).coeffs)
+        for v in (rng.normal(size=n), np.eye(n)[k]):
+            assert interior(v, a).coeffs.tobytes() == scatter_interior(v, a).tobytes()
+        for q in range(n - k + 1):
+            c = KForm(n, q, rng.normal(size=comb(n, q)))
+            assert wedge(a, c).coeffs.tobytes() == scatter_wedge(a, c).tobytes()
+
+
+def test_bitmask_tables_are_the_sort_sign_loops():
+    for n in range(1, 9):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                i, j, o, sign = wedge_table_oracle(n, p, q)
+                want = np.zeros((comb(n, p + q), comb(n, p), comb(n, q)))
+                want[o, i, j] = sign
+                assert np.array_equal(wedge_tensor(n, p, q), want), (n, p, q)
+        for k in range(1, n + 1):
+            i, c, o, sign = interior_table_oracle(n, k)
+            want = np.zeros((n, comb(n, k - 1), comb(n, k)))
+            want[c, o, i] = sign
+            assert np.array_equal(interior_tensor(n, k), want), (n, k)
 
 
 # ---------------------------------------------------- types and helpers
@@ -340,6 +370,18 @@ def test_embed_restrict_roundtrip(rng):
     up = embed(a, 8, [0, 1, 2, 3, 4, 5])
     back = restrict(up, [0, 1, 2, 3, 4, 5])
     assert np.array_equal(back.coeffs, a.coeffs)
+
+
+def test_restrict_in_any_axis_order_is_the_pullback(rng):
+    # new axis j is old axis axes[j]: the pullback by the matrix that
+    # sends e_j to e_{axes[j]}, signs included
+    a = KForm(6, 3, rng.normal(size=20))
+    axes = [4, 0, 5, 2]
+    inclusion = np.eye(6)[:, axes]
+    want = [a(*(inclusion @ np.eye(4)[list(t)].T).T) for t in increasing_tuples(4, 3)]
+    assert np.allclose(restrict(a, axes).coeffs, want, rtol=0, atol=1e-12)
+    back = embed(restrict(a, axes), 6, axes)
+    assert np.array_equal(back.coeffs, embed(restrict(a, sorted(axes)), 6, sorted(axes)).coeffs)
 
 
 def test_volume_form_nonzero_required():

@@ -284,3 +284,9 @@ def test_star_derivative_matches_finite_differences(name, rng):
 def test_star_derivative_rejects_unstable():
     with pytest.raises(UnstableForm):
         star_derivative(seven_structure(KForm.zero(7, 3)))
+
+
+def test_seven_structure_beyond_float_range_is_not_ok():
+    # det B ~ max|B|^7 leaves the float range: not stable, no OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not seven_structure(model_phi("su3") * 1e20).ok

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hitchinflow import linalg
+from hitchinflow.verify import verify_identities
 
-from oracles import bareiss_det
+from oracles import bareiss_det, gauss_jordan_inverse
 
 
 def _integer_matrix(rng, n):
@@ -79,3 +80,25 @@ def test_float_signature_counts_and_threshold(rng):
     for g in (np.diag([2.0, -1.0, 2e-10]), np.diag([0.5, -0.5, 1e-10])):
         with pytest.raises(ValueError, match="degenerate"):
             linalg.signature(g)
+
+
+def test_exact_inverse_is_the_gauss_jordan_oracle(rng, monkeypatch):
+    # the adjugate from the (n-1)-minors over the determinant, on the
+    # metrics the identity suite inverts and on random rational matrices
+    seen, inverse = [], linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda a: seen.append(a) or inverse(a))
+    verify_identities()
+    exact = [a for a in seen if linalg.is_exact(a)]
+    assert exact
+    randoms = [_fraction_matrix(rng, n) for n in range(1, 8) for _ in range(6)]
+    for a in exact + randoms:
+        got = inverse(a)
+        assert np.all(got == gauss_jordan_inverse(a))
+        assert all(type(x) is Fraction for x in got.flat)
+
+
+def test_exact_inverse_of_a_singular_matrix_raises(rng):
+    a = _fraction_matrix(rng, 5)
+    a[3] = a[1] * Fraction(2, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.inverse(a)

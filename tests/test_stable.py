@@ -167,6 +167,20 @@ def test_classify_reports_a_degenerate_omega_before_taking_an_exact_root():
     assert out.lambda_value == -6
 
 
+@pytest.mark.parametrize(
+    "omega_scale,rho_scale,reason",
+    [(1e103, 1.0, "omega^3 is out of float range"), (1.0, 1e80, "rho is out of float range")],
+)
+def test_classify_reports_coefficients_beyond_float_range(omega_scale, rho_scale, reason):
+    # max|omega|^3 and max|rho|^4 leave the float range: a failure in the
+    # returned value, not an OverflowError
+    om, rho = model_pair("su3")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = classify_pair(om * omega_scale, rho * rho_scale)
+    assert out.tag is StructureClass.NOT_A_STRUCTURE
+    assert out.diagnostics == reason
+
+
 @pytest.mark.parametrize("tilt", [(), (0, 2)])
 def test_classify_reports_an_irrational_exact_j_as_its_float_copy_does(tilt):
     # lambda = -6: J = K/sqrt 6 is irrational, so J*rho ^ rho = q/6^(3/2)
@@ -351,6 +365,13 @@ def test_iota_roundtrip_random(rng):
 def test_iota_rejects_non_square():
     with pytest.raises(UnstableForm):
         iota(KForm.basis(6, (0, 1, 2, 3)))
+
+
+def test_iota_rejects_a_4form_beyond_float_range():
+    # max|sigma|^3 overflows and det B is inf: UnstableForm, no OverflowError
+    om, _ = model_pair("su3")
+    with pytest.raises(UnstableForm, match="float range"):
+        iota(0.5 * wedge(om, om) * 1e206)
 
 
 # ------------------------------------------------------ solve_wedge_omega
