@@ -27,12 +27,12 @@ print("1. The model pairs and their quartic invariant")
 print("=" * 70)
 for name in ("su3", "su12", "sl3r"):
     omega, rho = model_pair(name)
-    lam = lambda_invariant(rho).value
+    lam = lambda_invariant(rho)
     print(f"{name:>5}: lambda = {lam:+.1f}  "
           f"({'complex' if lam < 0 else 'para-complex'} orbit)")
 
 print()
-print("The endomorphism K(v) vol = (v . rho) ^ rho, normalized to J:")
+print("The endomorphism K(v) e^1..6 = (v . rho) ^ rho, normalized to J:")
 _, rho = model_pair("su3")
 K = k_endomorphism(rho)
 J = assoc_J(rho)

@@ -2,16 +2,17 @@
 
 phi = omega ^ e7 + rho is stable exactly when (omega, rho) is one of the
 six-dimensional structures; its metric, volume and dual 4-form follow
-from the cubic assembly B(v,w) vol = (1/6)(v.phi)^(w.phi)^phi.  The
+from the cubic assembly B(v,w) e^1..7 = (1/6)(v.phi)^(w.phi)^phi.  The
 8-dimensional form Phi = e8 ^ phi + *phi has volume (1/14) Phi^Phi and
 is self-dual.  The same Phi can be assembled from line-bundle split data
-(f, omega, rho), which is how the flow consumes it.
+(f, omega, rho) with omega and rho on the distribution R^6, the fiber
+e_phi = e7 and the radial direction e_r = e8, which is how the flow
+consumes it.
 """
 
 import numpy as np
 
 from hitchinflow import (
-    BundleSplitData,
     build_Phi,
     bundle_Phi,
     interior,
@@ -58,12 +59,12 @@ print("3. The same form from line-bundle split data")
 print("=" * 70)
 omega, rho = model_pair("su3")
 for f in (1.0, 2.0):
-    Phi, g8 = bundle_Phi(BundleSplitData.from_distribution(f, omega, rho))
+    Phi, g8 = bundle_Phi(f, omega, rho)
     print(f"f = {f}: g8 fiber entry = {g8.matrix[6,6]:.0f}, radial entry = {g8.matrix[7,7]:.0f}, "
           f"signature {g8.signature()}")
 # recovering the split data back from Phi
 f = 1.5
-Phi, _ = bundle_Phi(BundleSplitData.from_distribution(f, omega, rho))
+Phi, _ = bundle_Phi(f, omega, rho)
 er = np.zeros(8); er[7] = 1.0
 ephi = np.zeros(8); ephi[6] = 1.0
 om_rec = (1.0 / f) * interior(ephi, interior(er, Phi))
@@ -74,5 +75,5 @@ print("rho recovered from Phi:  ", np.allclose(rho_rec.coeffs, embed(rho, 8).coe
 print()
 print("Split-signature case: an su(1,2) base gives a (4,4) metric:")
 om12, rho12 = model_pair("su12")
-_, g8 = bundle_Phi(BundleSplitData.from_distribution(1.0, om12, rho12))
+_, g8 = bundle_Phi(1.0, om12, rho12)
 print("signature:", g8.signature())

@@ -47,7 +47,6 @@ from .stable import (
     theta_deform,
 )
 from .g2spin7 import (
-    BundleSplitData,
     EightClass,
     SevenClass,
     assoc_4form,
@@ -101,7 +100,7 @@ __all__ = [
     "assoc_metric", "classify_pair", "theta_deform", "iota",
     "solve_wedge_omega", "model_pair",
     # g2spin7
-    "SevenClass", "EightClass", "BundleSplitData", "build_phi",
+    "SevenClass", "EightClass", "build_phi",
     "metric_vol_from_phi", "assoc_4form", "build_Phi", "bundle_Phi",
     "seven_structure", "star_derivative", "model_phi", "model_seven",
     # homogeneous

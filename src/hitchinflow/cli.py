@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import flow as fl
-from .errors import PreconditionFailed, SingularJacobian, StepFailure
+from .errors import PreconditionFailed, SingularJacobian, StepFailure, UnstableForm
 from .g2spin7 import model_phi
 from .verify import format_report, verify_identities
 
@@ -111,7 +111,7 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _validate_config(raw: dict, origin: str = "<config>"):
+def _validate_config(raw: dict, origin: str):
     if not isinstance(raw, dict):
         raise PreconditionFailed("config_type", f"{origin}: a config must be a JSON object")
     allowed_top = {"scenario", *_CONFIG_TYPES}
@@ -150,7 +150,7 @@ def _flow_config(scenario: str, flow_dict: dict) -> fl.FlowConfig:
 
 def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
     """One row per sample; the state columns follow the trajectory's kind,
-    and torsion is nan when the trajectory is too short to have one."""
+    and torsion is nan when the trajectory has none (see run_point)."""
     if torsion is None:
         torsion = [float("nan")] * len(traj.samples)
     if traj.kind == "degenerate":
@@ -216,7 +216,10 @@ def run_point(
     report.classification_first = str(traj.samples[0].monitors["class"])
     report.classification_last = str(traj.samples[-1].monitors["class"])
     start = time.perf_counter()
-    torsion = fl.torsion_residual(traj) if len(traj.samples) >= 3 else None
+    try:  # none for fewer than 3 samples or a sample whose phi is not stable
+        torsion = fl.torsion_residual(traj) if len(traj.samples) >= 3 else None
+    except UnstableForm:
+        torsion = None
     timings["torsion_s"] = time.perf_counter() - start
     start = time.perf_counter()
     if outdir is not None and not report_only:

@@ -78,7 +78,7 @@ from .errors import (
 )
 from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
                     wedge)
-from .g2spin7 import BundleSplitData, SevenStructure, bundle_Phi, seven_structure, star_derivative
+from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, star_derivative
 from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
 __all__ = [
@@ -183,7 +183,7 @@ class DegenerateProblem:
         ev = np.zeros(nm)
         ev[self.e_phi_index] = 1.0
         for frm in (self.omega0, self.rho0):
-            if interior(ev, frm).max_abs() > 1e-12 * max(frm.max_abs(), 1e-30):
+            if not interior(ev, frm).max_abs() <= 1e-12 * max(frm.max_abs(), 1e-30):  # or nan
                 raise ValueError("omega0/rho0 must annihilate the fiber direction")
 
     # -- frame helpers --------------------------------------------------
@@ -324,9 +324,9 @@ class DegenerateFlowState:
         f7 = KForm(self.problem.mdim, 3, self.problem.s_basis().mat @ self.s)
         return self.problem.to_dist(f7) if on_distribution else f7
 
-    def rho_form(self, on_distribution: bool = True) -> KForm:
-        rho6 = -1.0 * stable.pair_structure(self.omega_form(), self.s_form())[3]
-        return rho6 if on_distribution else self.problem.from_dist(rho6)
+    def rho_form(self) -> KForm:
+        """rho = -J*s on the distribution."""
+        return -1.0 * stable.pair_structure(self.omega_form(), self.s_form())[3]
 
     def phi_form(self) -> KForm:
         """phi = f omega ^ e^phi + rho on the 7-dimensional space."""
@@ -445,16 +445,21 @@ def n11_problem(
     """The invariant family on the Aloff-Wallach space N^{1,1}.
 
     omega0 = a^2 e12 + b^2 e34 - c^2 e56 with the matching 3-form family
-    (parameters must be nonzero).  'squared' uses the fiber generator of
-    the squared line bundle with the orientation that makes the
-    smoothness constant +1; 'unsquared' keeps the primitive fiber, whose
-    constant -2 fails the smoothness test.
+    (parameters nonzero, with a^2, b^2, c^2 and a b c in float range).
+    'squared' uses the fiber generator of the squared line bundle with
+    the orientation that makes the smoothness constant +1; 'unsquared'
+    keeps the primitive fiber, whose constant -2 fails the smoothness
+    test.
     """
     for name, val in (("a", a), ("b", b), ("c_param", c_param), ("theta", theta)):
         if not _is_finite_real(val):
             raise PreconditionFailed("family_parameter", f"{name} = {val!r} is not a finite number")
         if val == 0 and name != "theta":
             raise PreconditionFailed("family_parameter", f"{name} must be nonzero")
+    # the coefficients of omega0 and rho0, refused before any form holds an inf
+    coeffs = (float(a) * a, float(b) * b, float(c_param) * c_param, float(a) * b * c_param)
+    if not all(map(math.isfinite, coeffs)):
+        raise PreconditionFailed("family_parameter", "a^2, b^2, c^2 or a b c is beyond float range")
     scales = {"squared": -0.5, "unsquared": 1.0}
     if not isinstance(bundle, str) or bundle not in scales:
         raise PreconditionFailed("bundle", f"bundle must be 'squared' or 'unsquared', got {bundle!r}")
@@ -901,8 +906,7 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
     reference = None
     try:
-        split = BundleSplitData.from_distribution(abs(seed.f), seed.omega_form(), seed.rho_form())
-        g8 = bundle_Phi(split)[1]
+        g8 = bundle_Phi(abs(seed.f), seed.omega_form(), seed.rho_form())[1]
         sig8 = g8.signature() if g8.is_nondegenerate() else None
         reference = {"class": seed_tag.value, "g8_signature": sig8}
     except UnstableForm:  # classify_pair refuses the seed's pair: nothing to compare
@@ -1084,11 +1088,12 @@ def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowStat
 
 
 def generic_state_from_split(
-    gproblem: GenericProblem, dproblem: DegenerateProblem, f: float, t: float = 0.0
+    gproblem: GenericProblem, dproblem: DegenerateProblem, f: float
 ) -> GenericFlowState:
-    """Invariant generic seed phi = f omega0 ^ e^phi + rho0 from split data."""
+    """Invariant generic seed at t = 0, phi = f omega0 ^ e^phi + rho0, from
+    split data."""
     phi = f * wedge(dproblem.omega0, dproblem.e_phi_form()) + dproblem.rho0
-    return GenericFlowState(t, gproblem.basis(3).coords(phi.coeffs, "generic seed"), gproblem)
+    return GenericFlowState(0.0, gproblem.basis(3).coords(phi.coeffs, "generic seed"), gproblem)
 
 
 def richardson_deviation(

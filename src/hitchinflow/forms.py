@@ -127,15 +127,15 @@ class KForm:
         return increasing_tuples(self.dim, self.degree)
 
     def max_abs(self) -> float:
-        if len(self.coeffs) == 0:
-            return 0.0
-        return float(max(abs(c) for c in self.coeffs))
+        """The largest |coefficient| as a float; nan when any is nan."""
+        return float(np.max(np.abs(np.asarray(self.coeffs, dtype=float))))
 
     def to_float(self) -> "KForm":
         return KForm(self.dim, self.degree, np.asarray(self.coeffs, dtype=float))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        """Every coefficient is exactly 0 (False when any is nan)."""
+        return not self.coeffs.any()
 
     def __call__(self, *vectors) -> float | Fraction:
         """Evaluate on vectors (multilinear, antisymmetric)."""
@@ -224,9 +224,9 @@ class SymBilinear:
     def signature(self) -> tuple[int, int]:
         return linalg.signature(self.matrix)
 
-    def is_nondegenerate(self, tol: float = 1e-10) -> bool:
+    def is_nondegenerate(self) -> bool:
         try:
-            p, q = linalg.signature(self.matrix, tol=tol)
+            p, q = linalg.signature(self.matrix)
         except ValueError:
             return False
         return p + q == self.dim

@@ -3,13 +3,13 @@ structures built from stable forms.
 
 A stable 3-form phi on R^7 determines a bilinear form through
 
-    B(v, w) vol_ref = (1/6) (v . phi) ^ (w . phi) ^ phi
+    B(v, w) e^{1..7} = (1/6) (v . phi) ^ (w . phi) ^ phi
 
 (the sign is fixed by requiring the standard compact model to have the
 Euclidean metric together with the positively oriented volume, with the
 contraction acting in the first slot) and the associated metric and
 volume are recovered by the normalization
-g7 = B det(B)^{-1/9}, vol7 = det(B)^{1/9} vol_ref (signed ninth root);
+g7 = B det(B)^{-1/9}, vol7 = det(B)^{1/9} e^{1..7} (signed ninth root);
 the exponent is the unique one scaling correctly under rescalings of phi.
 B is computed once, for floats and Fractions alike, as C M C^T / 6 with
 C[i] = e_i . phi and M[a, b] = e^a ^ e^b ^ phi on e^{1..7}, both read off
@@ -19,7 +19,9 @@ The associated 4-form of an 8-dimensional structure Phi = e8 ^ phi + *phi
 has volume vol8 := (1/14) Phi ^ Phi = e8 ^ vol7.  Recognition of
 8-dimensional structures is constructive only: they are built from a
 SevenStructure or from bundle-split data, never classified from a raw
-4-form.
+4-form.  The bundle-split assembly uses the one frame of the line-bundle
+construction: the distribution on axes 1..6, the fiber e_phi = e7 and
+the radial direction e_r = e8.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .forms import (
     hodge,
     hodge_matrices,
     interior_tensor,
-    restrict,
     volume_form,
     wedge,
     wedge_tensor,
@@ -52,7 +53,6 @@ __all__ = [
     "EightClass",
     "SevenStructure",
     "EightStructure",
-    "BundleSplitData",
     "build_phi",
     "metric_vol_from_phi",
     "seven_structure",
@@ -187,87 +187,48 @@ def assoc_4form(s: SevenStructure) -> KForm:
     return s.star_phi
 
 
-def build_Phi(s: SevenStructure, e8_dual: KForm | None = None) -> EightStructure:
+def build_Phi(s: SevenStructure) -> EightStructure:
     """Phi = e8 ^ phi + *phi with vol8 = (1/14) Phi ^ Phi."""
     if not s.ok:
         raise UnstableForm("structure is not stable")
     exact = s.phi.exact
-    if e8_dual is None:
-        e8_dual = KForm.basis(8, [7], exact=exact)
-    if e8_dual.dim != 8 or e8_dual.degree != 1:
-        raise ValueError("e8_dual must be a 1-form on R^8")
-    Phi = wedge(e8_dual, embed(s.phi, 8)) + embed(s.star_phi, 8)
-    scale = Fraction(1, 14) if (exact or e8_dual.exact) else (1.0 / 14.0)
-    vol8 = wedge(Phi, Phi) * scale
+    e8 = KForm.basis(8, [7], exact=exact)
+    Phi = wedge(e8, embed(s.phi, 8)) + embed(s.star_phi, 8)
+    vol8 = wedge(Phi, Phi) * (Fraction(1, 14) if exact else (1.0 / 14.0))
     if vol8.is_zero():
         raise UnstableForm("Phi ^ Phi vanishes")
     klass = EightClass.SPIN7 if s.klass is SevenClass.G2 else EightClass.SPIN034
     return EightStructure(Phi, vol8, klass)
 
 
-@dataclass(frozen=True)
-class BundleSplitData:
-    """Split data (f, omega, rho) of a structure on a line-bundle frame.
-
-    omega and rho live on R^8, annihilate the fiber direction e_phi and
-    the radial direction e_r, and f > 0 is the fiber length.  The duals
-    satisfy e^phi(e_phi) = 1 and e^phi(e_r) = 0.
-    """
-
-    f: float
-    omega: KForm
-    rho: KForm
-    e_phi_dual: KForm
-    e_r_dual: KForm
-
-    def __post_init__(self):
-        if self.omega.dim != 8 or self.rho.dim != 8:
-            raise ValueError("split data must live on R^8")
-
-    @staticmethod
-    def from_distribution(f: float, omega6: KForm, rho6: KForm) -> "BundleSplitData":
-        """Standard frame: distribution on axes 1..6, e_phi = e7, e_r = e8."""
-        exact = omega6.exact
-        return BundleSplitData(
-            f=f,
-            omega=embed(omega6, 8),
-            rho=embed(rho6, 8),
-            e_phi_dual=KForm.basis(8, [6], exact=exact),
-            e_r_dual=KForm.basis(8, [7], exact=exact),
-        )
-
-
-def bundle_Phi(d: BundleSplitData) -> tuple[KForm, SymBilinear]:
-    """Assemble the 8-dimensional structure form and metric from split data.
+def bundle_Phi(f: float, omega: KForm, rho: KForm) -> tuple[KForm, SymBilinear]:
+    """The 8-dimensional structure form and metric of split data (f, omega,
+    rho) on the line-bundle frame: omega and rho on the distribution
+    (axes 1..6), e_phi = e7 the fiber of length f > 0, e_r = e8 radial.
 
     Phi = omega^2/2 + f e^phi ^ J*rho + e^r ^ rho + f e^r ^ e^phi ^ omega,
-    g8  = g6 + e^r (x) e^r + f^2 e^phi (x) e^phi.
+    g8  = g6 + f^2 e^phi (x) e^phi + e^r (x) e^r.
     """
-    if d.f <= 0:
-        raise NonpositiveF(f"fiber length must be positive, got {d.f}")
-    # the interesting part of the data lives on the 6-dim distribution
-    dist_axes = [i for i in range(8) if d.e_phi_dual.term([i]) == 0 and d.e_r_dual.term([i]) == 0]
-    if len(dist_axes) != 6:
-        raise ValueError("frame is not split into distribution + fiber + radial axes")
-    om6 = restrict(d.omega, dist_axes)
-    rho6 = restrict(d.rho, dist_axes)
-    cls = stable.classify_pair(om6, rho6)
+    if f <= 0:
+        raise NonpositiveF(f"fiber length must be positive, got {f}")
+    if omega.dim != 6 or rho.dim != 6:
+        raise ValueError("split data must live on R^6")
+    cls = stable.classify_pair(omega, rho)
     if cls.tag not in (stable.StructureClass.SU3, stable.StructureClass.SU12):
         raise UnstableForm(f"split data does not define a structure: {cls.diagnostics}")
-    jrho = embed(cls.jrho, 8, dist_axes)
-    f = d.f
+    exact = omega.exact
+    om8, rho8, jrho8 = (embed(x, 8) for x in (omega, rho, cls.jrho))
+    e_phi, e_r = KForm.basis(8, [6], exact=exact), KForm.basis(8, [7], exact=exact)
     Phi = (
-        wedge(d.omega, d.omega) * (Fraction(1, 2) if d.omega.exact else 0.5)
-        + f * wedge(d.e_phi_dual, jrho)
-        + wedge(d.e_r_dual, d.rho)
-        + f * wedge(wedge(d.e_r_dual, d.e_phi_dual), d.omega)
+        wedge(om8, om8) * (Fraction(1, 2) if exact else 0.5)
+        + f * wedge(e_phi, jrho8)
+        + wedge(e_r, rho8)
+        + f * wedge(wedge(e_r, e_phi), om8)
     )
     g6 = cls.metric.matrix
     g8 = np.zeros((8, 8), dtype=g6.dtype)
-    g8[np.ix_(dist_axes, dist_axes)] = g6
-    ephi = np.array([d.e_phi_dual.term([i]) for i in range(8)])
-    er = np.array([d.e_r_dual.term([i]) for i in range(8)])
-    g8 = g8 + (f * f) * np.outer(ephi, ephi) + np.outer(er, er)
+    g8[:6, :6] = g6
+    g8[6, 6], g8[7, 7] = f * f, 1
     return Phi, SymBilinear(g8)
 
 

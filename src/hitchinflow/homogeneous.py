@@ -82,9 +82,9 @@ class ReductiveSplit:
     m: tuple[int, ...]
 
 
-def check_reductive(p: LieAlgebraPresentation, s: ReductiveSplit, tol: float = 1e-12) -> bool:
-    """[h, m] subset of m: no h-components in mixed brackets."""
-    return not s.h or float(np.max(np.abs(p.c.astype(float)[np.ix_(s.h, s.h, s.m)]))) <= tol
+def check_reductive(p: LieAlgebraPresentation, s: ReductiveSplit) -> bool:
+    """[h, m] subset of m: no h-components in mixed brackets (to 1e-12)."""
+    return not s.h or float(np.max(np.abs(p.c.astype(float)[np.ix_(s.h, s.h, s.m)]))) <= 1e-12
 
 
 def structure_constants(matrices) -> LieAlgebraPresentation:
@@ -202,7 +202,7 @@ class InvariantForm:
         if self.form.dim != self.space.mdim:
             raise ValueError("form dimension does not match dim(m)")
         res = invariance_residual(self.form, self.space)
-        if res > 1e-12 * max(self.form.max_abs(), 1e-30):
+        if not res <= 1e-12 * max(self.form.max_abs(), 1e-30):  # or nan
             raise ValueError(f"form is not h-invariant, residual {res}")
 
     @property
@@ -233,15 +233,11 @@ def ce_differential(alpha: InvariantForm) -> InvariantForm:
     return InvariantForm(alpha.space.d(alpha.form), alpha.space)
 
 
-def lie_derivative(x, alpha: InvariantForm) -> InvariantForm:
-    """Lie derivative along an m-vector: ``lie_matrix`` on the float
-    coefficients.  x may be an index into the m-basis or a component
-    vector on m."""
+def lie_derivative(mpos: int, alpha: InvariantForm) -> InvariantForm:
+    """Lie derivative along the mpos-th m-generator: ``lie_matrix`` on the
+    float coefficients."""
     sp, k = alpha.space, alpha.degree
-    if np.isscalar(x):
-        L = sp.lie_matrix(int(x), k)
-    else:
-        L = sum(c * sp.lie_matrix(p, k) for p, c in enumerate(np.asarray(x, dtype=float)))
+    L = sp.lie_matrix(mpos, k)
     return InvariantForm(KForm(sp.mdim, k, L @ alpha.form.to_float().coeffs), sp)
 
 

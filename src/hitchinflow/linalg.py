@@ -158,11 +158,12 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
     return np.frompyfunc(lambda x: Fraction(x, den**k), 1, 1)(level)
 
 
-def signature(g: np.ndarray, tol: float = 1e-10) -> tuple[int, int]:
+def signature(g: np.ndarray) -> tuple[int, int]:
     """Signature (p, q) of a symmetric matrix; exact via congruence in
     Fraction mode, eigenvalue counting otherwise.
 
-    Raises ValueError if the matrix is degenerate at the given tolerance.
+    Raises ValueError if the matrix is degenerate: exactly, or in floats
+    with an eigenvalue at or below 1e-10 max(max|eigenvalue|, 1).
     """
     n = g.shape[0]
     if is_exact(g):
@@ -196,7 +197,7 @@ def signature(g: np.ndarray, tol: float = 1e-10) -> tuple[int, int]:
                     m[:, i] = m[:, i] - c * m[:, k]
         return p, q
     eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float)).tolist()
-    cut = tol * max(max(map(abs, eigs)), 1.0)
+    cut = 1e-10 * max(max(map(abs, eigs)), 1.0)
     if any(abs(e) <= cut for e in eigs):
         raise ValueError("degenerate bilinear form")
     return sum(e > 0 for e in eigs), sum(e < 0 for e in eigs)

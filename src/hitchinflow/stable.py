@@ -2,13 +2,15 @@
 
 A stable 3-form rho determines an endomorphism K via
 
-    K(v) . vol_ref = (v . rho) ^ rho
+    K(v) . e^{1..6} = (v . rho) ^ rho
 
-under the isomorphism Lambda^5 V* ~ V (x) Lambda^6 V*.  Its normalized
-version J = K / sqrt(|lambda|), lambda = tr(K^2)/6, squares to -Id on the
-complex-type orbit (lambda < 0) and +Id on the para-complex orbit
-(lambda > 0).  Together with a compatible 2-form omega this produces the
-associated metric g(v, w) solving omega(v, w) = g(v, J w).
+under the isomorphism Lambda^5 V* ~ V (x) Lambda^6 V*, always against
+the one reference volume e^{1..6} (Hitchin, arXiv:math/0010054).  Its
+normalized version J = K / sqrt(|lambda|), lambda = tr(K^2)/6, squares
+to -Id on the complex-type orbit (lambda < 0) and +Id on the
+para-complex orbit (lambda > 0).  Together with a compatible 2-form
+omega this produces the associated metric g(v, w) solving
+omega(v, w) = g(v, J w).
 
 Sign conventions: K (hence J) is fixed by the reference volume, so an
 orientation-reversing change of frame flips J.  Operations on *pairs*
@@ -48,7 +50,6 @@ from .forms import (
     contract,
     interior_tensor,
     pullback,
-    volume_form,
     wedge,
     wedge_tensor,
 )
@@ -56,7 +57,6 @@ from .forms import (
 __all__ = [
     "StructureClass",
     "SixStructureClass",
-    "LambdaInvariant",
     "k_endomorphism",
     "lambda_invariant",
     "assoc_J",
@@ -117,27 +117,6 @@ class SixStructureClass:
         return self.tag is not StructureClass.NOT_A_STRUCTURE
 
 
-@dataclass(frozen=True)
-class LambdaInvariant:
-    """The quartic invariant of a 3-form, relative to a reference volume.
-
-    Scales by s^2 when the reference volume is scaled by 1/s (it lives in
-    the square of the top exterior power).
-    """
-
-    value: float | Fraction
-    reference_volume: KForm
-
-
-def _vol_coeff(vol: KForm):
-    if vol.degree != vol.dim:
-        raise ValueError("reference volume must be top degree")
-    c = vol.coeffs[0]
-    if c == 0:
-        raise ValueError("reference volume vanishes")
-    return c
-
-
 @functools.lru_cache(maxsize=None)
 def _k_table() -> np.ndarray:
     """Integer tensor T with K[i, j] = sum_ab T[i, j, a, b] rho_a rho_b for
@@ -149,17 +128,16 @@ def _k_table() -> np.ndarray:
     return T
 
 
-def _k_matrix(rho: np.ndarray, v0=1) -> np.ndarray:
-    """K from the coefficients of a 3-form on R^6 and the coefficient v0
-    of the reference volume."""
-    return contract(_k_table(), rho, rho) / v0
+def _k_matrix(rho: np.ndarray) -> np.ndarray:
+    """K from the coefficients of a 3-form on R^6."""
+    return contract(_k_table(), rho, rho)
 
 
-def k_endomorphism(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
-    """Matrix of K with K(v) (x) vol_ref = (v . rho) ^ rho."""
+def k_endomorphism(rho: KForm) -> np.ndarray:
+    """Matrix of K with K(v) (x) e^{1..6} = (v . rho) ^ rho."""
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("expected a 3-form on a 6-dimensional space")
-    return _k_matrix(rho.coeffs, 1 if vol_ref is None else _vol_coeff(vol_ref))
+    return _k_matrix(rho.coeffs)
 
 
 def _lambda(K: np.ndarray):
@@ -262,24 +240,22 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
     return tag, (f"unexpected signature {sig}" if tag is fail else None), sig, G
 
 
-def lambda_invariant(rho: KForm, vol_ref: KForm | None = None) -> LambdaInvariant:
-    """Quartic orbit invariant lambda = tr(K^2)/6.
+def lambda_invariant(rho: KForm) -> float | Fraction:
+    """Quartic orbit invariant lambda = tr(K^2)/6 against e^{1..6}.
 
     Negative on the complex-type orbit, positive on the para-complex
     orbit, zero exactly on unstable forms.
     """
-    vol = vol_ref if vol_ref is not None else volume_form(6, 1, exact=rho.exact)
-    return LambdaInvariant(_lambda(k_endomorphism(rho, vol)), vol)
+    return _lambda(k_endomorphism(rho))
 
 
-def assoc_J(rho: KForm, vol_ref: KForm | None = None) -> np.ndarray:
+def assoc_J(rho: KForm) -> np.ndarray:
     """Normalized endomorphism J = K/sqrt(|lambda|).
 
-    J^2 = -Id on the complex orbit, +Id on the para-complex orbit.
-    Invariant under positive rescaling of vol_ref; flips sign under
-    orientation reversal.
+    J^2 = -Id on the complex orbit, +Id on the para-complex orbit, and
+    assoc_J(A* rho) = sign(det A) A^{-1} J A for A in GL(6).
     """
-    return _lambda_and_J(k_endomorphism(rho, vol_ref), rho.coeffs)[1]
+    return _lambda_and_J(k_endomorphism(rho), rho.coeffs)[1]
 
 
 def pair_structure(omega: KForm, rho: KForm):
@@ -354,15 +330,12 @@ def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
     return omega.to_float(), new
 
 
-def theta_rotation_matrix(theta: float, para: bool = False) -> np.ndarray:
-    """Block matrix realizing the theta deformation as a basis change
-    (rotation or boost by theta/3 in each of the three planes)."""
+def theta_rotation_matrix(theta: float) -> np.ndarray:
+    """Block matrix realizing the theta deformation of the complex orbit
+    as a basis change (rotation by theta/3 in each of the three planes)."""
     w = theta / 3.0
     m = np.zeros((6, 6))
-    if para:
-        b = np.array([[np.cosh(w), np.sinh(w)], [np.sinh(w), np.cosh(w)]])
-    else:
-        b = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+    b = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
     for i in range(3):
         m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
     return m

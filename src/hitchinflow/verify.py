@@ -103,13 +103,13 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         else:
             add(f"J*rho ^ rho = (2/3) omega^3 ({name})", False, clsn.diagnostics)
 
-    lam = stable.lambda_invariant(stable.model_pair("su3", exact=True)[1]).value
-    lam_pc = stable.lambda_invariant(stable.model_pair("sl3r", exact=True)[1]).value
+    lam = stable.lambda_invariant(stable.model_pair("su3", exact=True)[1])
+    lam_pc = stable.lambda_invariant(stable.model_pair("sl3r", exact=True)[1])
     add("lambda(rho_su3) < 0", lam < 0, f"lambda = {lam}")
     add("lambda(rho_sl3r) > 0", lam_pc > 0, f"lambda = {lam_pc}")
     add(
         "lambda(e^123) = 0",
-        stable.lambda_invariant(KForm.basis(6, (0, 1, 2), exact=True)).value == 0,
+        stable.lambda_invariant(KForm.basis(6, (0, 1, 2), exact=True)) == 0,
     )
 
     # --- seven dimensions ------------------------------------------------
@@ -189,9 +189,8 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
     # bundle-split assembly reproduces the supplemented-basis structure
     for name in ("su3", "su12"):
         omn, rhon, _ = models[name]
-        d = g2spin7.BundleSplitData.from_distribution(1.0, omn.to_float(), rhon.to_float())
         try:
-            Phi_b, g8_b = g2spin7.bundle_Phi(d)
+            Phi_b, g8_b = g2spin7.bundle_Phi(1.0, omn.to_float(), rhon.to_float())
         except Exception as exc:  # corrupted models may fail classification
             add(f"bundle split reproduces Phi and g8 ({name})", False, str(exc))
             continue

@@ -60,7 +60,7 @@ from hitchinflow.forms import (
     wedge,
     wedge_tensor,
 )
-from hitchinflow.g2spin7 import BundleSplitData, bundle_Phi, seven_structure
+from hitchinflow.g2spin7 import bundle_Phi, seven_structure
 from hitchinflow.linalg import increasing_tuples
 from hitchinflow.stable import (
     SixStructureClass,
@@ -260,7 +260,7 @@ def classify_pair_oracle(omega, rho) -> SixStructureClass:
     om3 = wedge(wedge(omega, omega), omega).coeffs[0]
     if abs(om3) <= 1e-12 * max(omega.max_abs(), 1e-30) ** 3:
         return fail("omega is degenerate (omega^3 = 0)")
-    lam = lambda_invariant(rho).value
+    lam = lambda_invariant(rho)
     try:
         J = assoc_J(rho)
     except UnstableForm:
@@ -304,7 +304,7 @@ def degenerate_monitors_oracle(state) -> dict:
     sig8 = None
     if cls.ok and abs(state.f) > 0:
         try:
-            _, g8 = bundle_Phi(BundleSplitData.from_distribution(abs(state.f), om6, rho6))
+            _, g8 = bundle_Phi(abs(state.f), om6, rho6)
             sig8 = g8.signature()
         except (ValueError, UnstableForm):
             sig8 = None

@@ -28,7 +28,6 @@ from hitchinflow.flow import (
 )
 from hitchinflow.forms import KForm, form_pairing, wedge
 from hitchinflow.g2spin7 import (
-    BundleSplitData,
     bundle_Phi,
     model_phi,
     seven_structure,
@@ -105,6 +104,19 @@ def test_startup_rejects_non_structure():
     with pytest.raises(PreconditionFailed) as err:
         startup_seed(bad, 1.0, 1e-4)
     assert err.value.condition == "classification"
+
+
+@pytest.mark.parametrize("which", ["omega0", "rho0"])
+def test_problem_refuses_a_nan_form(which):
+    # the nan comes after a nonzero coefficient, where a max that skips
+    # nan would not see it
+    p = n11_problem()
+    forms = {"omega0": p.omega0, "rho0": p.rho0}
+    coeffs = forms[which].coeffs.copy()
+    coeffs[-1] = np.nan
+    forms[which] = KForm(7, forms[which].degree, coeffs)
+    with pytest.raises(ValueError):
+        fl.DegenerateProblem(p.space, 6, -0.5, forms["omega0"], forms["rho0"])
 
 
 def test_startup_rejects_a_family_beyond_float_range():
@@ -569,8 +581,8 @@ def test_bundle_phi_metric_is_g7_plus_dr2():
         g7 = seven_structure(KForm(7, 3, sample.data["phi"])).g7.matrix
         want = np.eye(8)
         want[:7, :7] = T @ g7[np.ix_(axes, axes)] @ T
-        split = BundleSplitData.from_distribution(st.f, st.omega_form(), st.rho_form())
-        assert np.max(np.abs(bundle_Phi(split)[1].matrix - want)) < 1e-10
+        g8 = bundle_Phi(st.f, st.omega_form(), st.rho_form())[1]
+        assert np.max(np.abs(g8.matrix - want)) < 1e-10
 
 
 @pytest.mark.parametrize("case", ["n11-rk45", "n11-rk4", "flat-su12"])

@@ -51,6 +51,12 @@ def test_wedge_nilpotent():
     assert wedge(E(1), E(1)).is_zero()
 
 
+def test_max_abs_is_nan_in_either_order():
+    for coeffs in ([1.0, np.nan], [np.nan, 1.0]):
+        assert np.isnan(KForm(2, 1, np.array(coeffs)).max_abs())
+        assert not KForm(2, 1, np.array(coeffs)).is_zero()
+
+
 def test_wedge_triple_omega_su3():
     om, _ = model_pair("su3", exact=True)
     om3 = wedge(wedge(om, om), om)

@@ -16,7 +16,6 @@ from hitchinflow.forms import (
     wedge,
 )
 from hitchinflow.g2spin7 import (
-    BundleSplitData,
     EightClass,
     SevenClass,
     build_Phi,
@@ -217,8 +216,7 @@ def test_build_Phi_self_duality():
 # -------------------------------------------------------------- bundle_Phi
 def test_bundle_phi_reproduces_model():
     om, rho = model_pair("su3")
-    d = BundleSplitData.from_distribution(1.0, om, rho)
-    Phi, g8 = bundle_Phi(d)
+    Phi, g8 = bundle_Phi(1.0, om, rho)
     eight = build_Phi(model_seven("su3"))
     assert np.max(np.abs(Phi.coeffs - np.asarray(eight.Phi.coeffs, float))) < 1e-12
     assert np.max(np.abs(g8.matrix - np.eye(8))) < 1e-12
@@ -226,7 +224,7 @@ def test_bundle_phi_reproduces_model():
 
 def test_bundle_phi_fiber_length():
     om, rho = model_pair("su3")
-    _, g8 = bundle_Phi(BundleSplitData.from_distribution(2.0, om, rho))
+    _, g8 = bundle_Phi(2.0, om, rho)
     assert g8.matrix[6, 6] == pytest.approx(4.0)
     assert g8.matrix[7, 7] == pytest.approx(1.0)
 
@@ -234,7 +232,7 @@ def test_bundle_phi_fiber_length():
 def test_bundle_phi_rho_recovery():
     om, rho = model_pair("su3")
     f = 1.7
-    Phi, _ = bundle_Phi(BundleSplitData.from_distribution(f, om, rho))
+    Phi, _ = bundle_Phi(f, om, rho)
     er = np.zeros(8)
     er[7] = 1.0
     rec = interior(er, Phi) - f * wedge(KForm.basis(8, [6]), embed(om, 8))
@@ -248,20 +246,20 @@ def test_bundle_phi_rho_recovery():
 
 def test_bundle_phi_su12_signature():
     om, rho = model_pair("su12")
-    _, g8 = bundle_Phi(BundleSplitData.from_distribution(1.0, om, rho))
+    _, g8 = bundle_Phi(1.0, om, rho)
     assert g8.signature() == (4, 4)
 
 
 def test_bundle_phi_rejects_nonpositive_f():
     om, rho = model_pair("su3")
     with pytest.raises(NonpositiveF):
-        bundle_Phi(BundleSplitData.from_distribution(0.0, om, rho))
+        bundle_Phi(0.0, om, rho)
 
 
 def test_bundle_phi_rejects_invalid_pair():
     om, rho = model_pair("su3")
     with pytest.raises(UnstableForm):
-        bundle_Phi(BundleSplitData.from_distribution(1.0, om, 2.0 * rho))
+        bundle_Phi(1.0, om, 2.0 * rho)
 
 
 # ------------------------------------------------------------ star derivative

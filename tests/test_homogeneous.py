@@ -19,6 +19,16 @@ from hitchinflow.homogeneous import (
 from oracles import ce_d_oracle, h_action_oracle, lie_matrix_oracle
 
 
+@pytest.mark.parametrize("name", ["n11", "abelian7"])
+def test_invariant_form_refuses_nan(name):
+    # abelian7 has no isotropy, so its residual is 0 and only the bound
+    # sees the nan
+    coeffs = np.zeros(35)
+    coeffs[0], coeffs[-1] = 1.0, np.nan
+    with pytest.raises(ValueError):
+        InvariantForm(KForm(7, 3, coeffs), space(name))
+
+
 def _commutator_oracle(mats, i, j):
     """Independent bracket in the defining representation."""
     return mats[i] @ mats[j] - mats[j] @ mats[i]

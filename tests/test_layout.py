@@ -4,6 +4,7 @@
 ``__version__`` are public."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,10 @@ def test_the_check_finds_private_reads(tmp_path):
         "probe.py:4: stable._k_matrix",
         "probe.py:4: la._laplace_tables",
     ]
+
+
+@pytest.mark.parametrize("name", ["hitchinflow", *(f"hitchinflow.{p.stem}" for p in MODULES
+                                                   if p.stem != "__init__")])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hitchinflow.errors import DegenerateOmega, UnstableForm
-from hitchinflow.forms import KForm, pullback, volume_form, wedge
+from hitchinflow.forms import KForm, pullback, wedge
 from hitchinflow.stable import (
     StructureClass,
     assoc_J,
@@ -42,7 +42,7 @@ def test_k_zero_form():
 def test_k_model_values_exact():
     _, rho = model_pair("su3", exact=True)
     K = k_endomorphism(rho)
-    lam = lambda_invariant(rho).value
+    lam = lambda_invariant(rho)
     assert lam == Fraction(-4)
     assert np.all(K @ K == np.diag([Fraction(-4)] * 6))
     assert K[1, 0] == Fraction(-2)  # K e1 = -2 e2
@@ -60,17 +60,9 @@ def test_k_equivariance(rng):
 
 
 def test_lambda_signs_and_decomposable():
-    assert lambda_invariant(model_pair("su3", exact=True)[1]).value < 0
-    assert lambda_invariant(model_pair("sl3r", exact=True)[1]).value > 0
-    assert lambda_invariant(KForm.basis(6, (0, 1, 2), exact=True)).value == 0
-
-
-def test_lambda_scales_with_reference_volume():
-    _, rho = model_pair("su3")
-    lam1 = lambda_invariant(rho, volume_form(6, 1.0)).value
-    lam2 = lambda_invariant(rho, volume_form(6, 2.0)).value
-    # halving vol doubles K, so lambda picks up (1/s)^{-2} = s^2 for vol -> vol/s
-    assert lam2 == pytest.approx(lam1 / 4)
+    assert lambda_invariant(model_pair("su3", exact=True)[1]) < 0
+    assert lambda_invariant(model_pair("sl3r", exact=True)[1]) > 0
+    assert lambda_invariant(KForm.basis(6, (0, 1, 2), exact=True)) == 0
 
 
 # ------------------------------------------------------------- assoc_J
@@ -86,15 +78,6 @@ def test_assoc_J_model_values():
 def test_assoc_J_unstable_raises():
     with pytest.raises(UnstableForm):
         assoc_J(KForm.basis(6, (0, 1, 2)))
-
-
-def test_assoc_J_vol_rescale_and_orientation():
-    _, rho = model_pair("su3")
-    J1 = assoc_J(rho, volume_form(6, 1.0))
-    J2 = assoc_J(rho, volume_form(6, 3.7))
-    assert np.max(np.abs(J1 - J2)) < 1e-12
-    Jneg = assoc_J(rho, volume_form(6, -1.0))
-    assert np.max(np.abs(J1 + Jneg)) < 1e-12
 
 
 def test_J_squares_on_random_orbit_points(rng):
