@@ -40,8 +40,9 @@ _DEFAULT_PARAMS = {
     "flat-abelian": {},
 }
 
-# the layout of report.json: raised when a key is removed or changes meaning
-_SCHEMA_VERSION = 1
+# the layout of report.json: raised when a key is added, removed or changes
+# meaning (2: stats gained rejections, the rejected steps by cause)
+_SCHEMA_VERSION = 2
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 

@@ -27,10 +27,11 @@ Two flows are implemented on a registered homogeneous space:
   two equations (d, pi, L_{e_phi}, the wedge with de^phi and the moves to
   and from the distribution) is a matrix on the invariant coefficients,
   built once per problem (``DegenerateProblem.operators``).  What is left
-  per evaluation is nonlinear: J from the quadratic K-tensor, one
-  pullback J*S (J*(J*S) = sign S gives the second), the normalization
-  and a 15 x 15 solve for the 2-form velocity (``stable.pair_coeffs``,
-  ``stable.solve_wedge_coeffs``).
+  per evaluation is nonlinear: J from the quadratic K-tensor, J*S from
+  the gradient of lambda (J*(J*S) = sign S gives the second), the
+  normalization and a 15 x 15 solve for the 2-form velocity
+  (``stable.pair_coeffs``, ``stable.solve_wedge_coeffs``).  The rhs, step
+  check and sample of one state share its split (``_memo``).
 
   Checks: a trial step is valid when ``stable.classify_coeffs``, the one
   six-dimensional structure rule, gives the seed's class on its split
@@ -106,11 +107,12 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
-# Work caps, checked before a run starts.  A degenerate sample holds about
-# 1.8 kB and takes about 1 ms: 10^5 samples are 180 MB and minutes of work.
+# Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
+# A degenerate sample holds about 1.8 kB and takes about 0.7 ms: 10^5
+# samples are 180 MB and a minute of work.
 _MAX_SAMPLES = 10**5
-# A degenerate rk4 step (4 rhs and a validity check) takes about 1.4 ms:
-# 10^6 steps are about 25 minutes.
+# A degenerate rk4 step (4 rhs and a validity check) takes about 0.65 ms:
+# 10^6 steps are about 11 minutes.
 _MAX_RK4_STEPS = 10**6
 # Step halvings rk45 tries in a row before it gives up on a step.
 _MAX_RETRIES = 60
@@ -403,7 +405,7 @@ class Trajectory:
     config: FlowConfig
     problem: DegenerateProblem | GenericProblem
     stop_cause: str | None = None  # why the run ended early; None if completed
-    # rhs_evals, accepted_steps, rejected_steps, h_min, h_max (None before a step)
+    # rhs_evals, accepted/rejected_steps, rejections by cause, h_min/h_max (None before a step)
     stats: dict | None = None
     sample_s: float = 0.0  # seconds integrate spent recording samples
 
@@ -600,8 +602,8 @@ def _check_projection(mat, coeffs, target, what: str):
 @dataclass(frozen=True)
 class _Split:
     """The split of a packed state (w, S = f J*rho): omega, rho and S on
-    the distribution as coefficient vectors, the fiber length f, J and
-    the sign of lambda (J^2 = sign Id)."""
+    the distribution as coefficient vectors, the fiber length f, J, the
+    sign of lambda (J^2 = sign Id) and omega^3 (None: not computed)."""
 
     om6: np.ndarray
     rho6: np.ndarray
@@ -609,37 +611,40 @@ class _Split:
     f: float
     J: np.ndarray
     sign: int
+    om3: float | None = None
 
 
 def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Split:
     """f and rho from S by the normalization J*r ^ r = (2/3) omega^3 with
     r = -J*S: since J*(J*S) = sign S, the ratio J*r ^ r / ((2/3) omega^3)
-    is -sign nu(omega, S), and one pullback of S by J is all it takes."""
+    is -sign nu(omega, S), and one J*S is all it takes."""
     ops = problem.operators()
     w, S = problem.unpack(y)
     om6, S6 = ops.omega6 @ w, ops.s6 @ S
-    J, sign, jS, nu = stable.pair_coeffs(om6, S6)
+    om3 = stable.omega_cube(om6)
+    J, sign, jS, nu = stable.pair_coeffs(om6, S6, om3)
     ratio = -sign * nu
     if not np.isfinite(ratio) or ratio <= 0:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign)
+    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign, om3)
 
 
 def _split_class(sp: _Split) -> stable.StructureClass:
     """The class of the split's pair by ``stable.classify_coeffs``, with
     the split's J and sign and J*rho = -sign S/f (no pullback).  The split
     itself has already refused lambda ~ 0."""
-    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, (-sp.sign / sp.f) * sp.S6)[0]
+    jrho = (-sp.sign / sp.f) * sp.S6
+    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, jrho, sp.om3)[0]
 
 
-def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float) -> np.ndarray:
-    """The packed velocity (wdot, Sdot) at a packed state: the 2-form
-    velocity solving wdot ^ omega = pi(d rho) + f omega ^ de^phi and the
-    3-form velocity L_{e_phi} rho - f pi(d omega), on coefficients."""
-    sp, ops, w = _derive_split(problem, y, branch), problem.operators(), problem.unpack(y)[0]
+def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
+    """The packed velocity at a packed state, from its split sp if given:
+    wdot solving wdot ^ omega = pi(d rho) + f omega ^ de^phi and Sdot =
+    L_{e_phi} rho - f pi(d omega), on coefficients."""
+    sp, ops, w = sp or _derive_split(problem, y, branch), problem.operators(), problem.unpack(y)[0]
     tau6 = ops.d_rho @ sp.rho6 + sp.f * (ops.w_de_phi @ w)
-    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(sp.om6, tau6)
+    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(sp.om6, tau6, sp.om3)
     Sdot7 = ops.lie_rho @ sp.rho6 - sp.f * (ops.pi_d_w @ w)
     wb, sb = problem.w_basis(), problem.s_basis()
     return problem.pack(wb.coords(wdot7, "omega velocity"), sb.coords(Sdot7, "s velocity"))
@@ -648,15 +653,15 @@ def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float) -> np.
 # ----------------------------------------------------------------------
 # generic flow right-hand side
 # ----------------------------------------------------------------------
-def _stable_structure(phi: KForm):
-    s = seven_structure(phi)
+def _stable(s: SevenStructure) -> SevenStructure:
     if not s.ok:
         raise UnstableForm("phi is not a stable 3-form")
     return s
 
 
-def generic_rhs(state: GenericFlowState) -> np.ndarray:
-    """Coefficient velocity solving J_*(x) xdot = coeffs(d phi(x)).
+def generic_rhs(state: GenericFlowState, structure: SevenStructure | None = None) -> np.ndarray:
+    """Coefficient velocity solving J_*(x) xdot = coeffs(d phi(x)), given
+    the state's ``seven_structure`` when the caller has it.
 
     J_* is the Jacobian of the star-coefficient map, the closed-form
     derivative of phi -> *phi (``g2spin7.star_derivative``, after Hitchin,
@@ -668,7 +673,7 @@ def generic_rhs(state: GenericFlowState) -> np.ndarray:
     x = np.asarray(state.x, dtype=float)
     basis4 = problem.basis(4)
     phi = problem.phi(x)
-    s = _stable_structure(phi)
+    s = _stable(seven_structure(phi) if structure is None else structure)
     jac = basis4.pinv @ star_derivative(s) @ problem.basis(3).mat
     cond = np.linalg.cond(jac)
     if not np.isfinite(cond) or cond > 1e12:
@@ -680,7 +685,7 @@ def generic_rhs(state: GenericFlowState) -> np.ndarray:
 def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
     """Sup-norm of the coefficients of d(*phi)."""
     if isinstance(state, GenericFlowState):
-        star = _stable_structure(state.phi_form()).star_phi
+        star = _stable(seven_structure(state.phi_form())).star_phi
     else:
         star = _degenerate_star(state)
     return float(state.problem.space.d(star).max_abs())
@@ -752,13 +757,20 @@ _NUMERICAL_FAILURES = (
 @dataclass
 class _Stats:
     """What the integrator did: right-hand side evaluations, accepted and
-    rejected steps, and the smallest and largest accepted |h|."""
+    rejected steps, the smallest and largest accepted |h|, and rejections
+    by cause: "error_norm" (error estimate above 1 or a state not finite),
+    "state_check" (validity failed) or the numerical exception's class."""
 
     rhs_evals: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
     h_min: float | None = None
     h_max: float | None = None
+    rejections: dict = field(default_factory=dict)
+
+    def reject(self, cause: str):
+        self.rejected_steps += 1
+        self.rejections[cause] = self.rejections.get(cause, 0) + 1
 
     def accept(self, h: float):
         h = abs(float(h))
@@ -775,10 +787,10 @@ def _advance_rk4(f, t0, y0, t1, step, validity, stats):
         try:
             ynew = _rk4_step(f, t, y, h)
         except _NUMERICAL_FAILURES as exc:
-            stats.rejected_steps += 1
+            stats.reject(type(exc).__name__)
             raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
         if not validity(ynew):
-            stats.rejected_steps += 1
+            stats.reject("state_check")
             raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
         stats.accept(h)
         t, y = t + h, ynew
@@ -793,10 +805,7 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
     before it, or from the first stage of a rejected attempt."""
     t, y = t0, y0
     direction = 1.0 if t1 >= t0 else -1.0
-    if h is None:
-        h = direction * min(abs(t1 - t0), 1e-2)
-    if h * direction <= 0:
-        h = direction * abs(h)
+    h = 1e-2 if h is None else h  # the loop clamps it to the interval, in its direction
     retries = 0
     while (t1 - t) * direction > 1e-15:
         h = direction * min(abs(h), abs(t1 - t))
@@ -808,17 +817,18 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
             ynew, err, klast = _dp_step(f, t, y, h, k1)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            ok = np.all(np.isfinite(ynew)) and enorm <= 1.0 and validity(ynew)
-        except _NUMERICAL_FAILURES:
-            ok, enorm = False, np.inf
-        if ok:
+            bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
+            cause = "error_norm" if not bounded else None if validity(ynew) else "state_check"
+        except _NUMERICAL_FAILURES as exc:
+            cause, enorm = type(exc).__name__, np.inf
+        if cause is None:
             stats.accept(h)
             t, y, k1 = t + h, ynew, klast
             retries = 0
             grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
             h = h * min(5.0, max(0.2, grow))
         else:
-            stats.rejected_steps += 1
+            stats.reject(cause)
             retries += 1
             if retries > _MAX_RETRIES:
                 raise StepFailure(f"no acceptable step at t = {t:.6g}")
@@ -846,13 +856,26 @@ def _advancer(config: FlowConfig, rhs, validity, stats: _Stats):
 # ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------
-def _seven(data: dict, phi: np.ndarray) -> SevenStructure:
-    """The 7-dimensional structure of phi's coefficients on m, the one
-    ``seven_structure`` call of a sample; phi and *phi (None when phi is
+def _seven(data: dict, s: SevenStructure) -> SevenStructure:
+    """A sample's 7-dimensional structure: phi and *phi (None when phi is
     not stable) go into the sample data, where torsion_residual reads them."""
-    s = seven_structure(KForm(7, 3, phi))
-    data["phi"], data["star_phi"] = phi, (s.star_phi.coeffs if s.ok else None)
+    data["phi"], data["star_phi"] = s.phi.coeffs, (s.star_phi.coeffs if s.ok else None)
     return s
+
+
+def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """fn with a one-entry memo keyed by a packed state's bytes: rk4's step
+    check is the next step's first stage, rk45's last stage is its step
+    check's state, and a sample's state has just been checked."""
+    key, val = None, None
+
+    def memoized(y):
+        nonlocal key, val
+        if (k := y.tobytes()) != key:
+            val, key = fn(y), k
+        return val
+
+    return memoized
 
 
 def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarray,
@@ -900,8 +923,9 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
+    split = _memo(lambda y: _derive_split(problem, y, branch))
     try:
-        seed_tag = _split_class(_derive_split(problem, y0, branch))
+        seed_tag = _split_class(split(y0))
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
     reference = None
@@ -916,53 +940,44 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
             return True  # handled as blow-up at the next sample
         try:
-            sp = _derive_split(problem, y, branch)
+            sp = split(y)
         except _NUMERICAL_FAILURES:
             return False
         return _split_class(sp) is seed_tag
 
     def sample(t, y):
-        sp = _derive_split(problem, y, branch)
+        sp = split(y)
         w, S = problem.unpack(y)
         state = DegenerateFlowState(t, sp.f, w, S / sp.f, problem)
         data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
-        s7 = _seven(data, sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6)
+        phi = sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6
+        s7 = _seven(data, seven_structure(KForm(7, 3, phi)))
         monitors = {"cocal_residual": cocal_residual(state)}
         monitors.update(_split_monitors(problem, s7, ops.s6 @ state.s, sp.sign))
         return Sample(t, data, monitors)
 
-    return _Flow(
-        "degenerate",
-        y0,
-        lambda t, y: _rhs_packed(problem, y, branch),
-        validity,
-        sample,
-        reference,
-    )
+    rhs = lambda t, y: _rhs_packed(problem, y, branch, split(y))
+    return _Flow("degenerate", y0, rhs, validity, sample, reference)
 
 
 def _generic_flow(seed: GenericFlowState) -> _Flow:
     problem = seed.problem
-    seed_class = _stable_structure(seed.phi_form()).klass
+    seed_class = _stable(seven_structure(seed.phi_form())).klass
+    seven = _memo(lambda y: seven_structure(problem.phi(y)))
 
     def validity(y):
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
             return True
-        return seven_structure(problem.phi(y)).klass is seed_class
+        return seven(y).klass is seed_class
 
     def sample(t, y):
         data = {"x": y.copy()}
-        s = _seven(data, problem.phi(y).coeffs)
+        s = _seven(data, seven(y))
         cocal = float(problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf
         return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
 
-    return _Flow(
-        "generic",
-        np.asarray(seed.x, dtype=float),
-        lambda t, y: generic_rhs(GenericFlowState(t, y, problem)),
-        validity,
-        sample,
-    )
+    rhs = lambda t, y: generic_rhs(GenericFlowState(t, y, problem), seven(y))
+    return _Flow("generic", np.asarray(seed.x, dtype=float), rhs, validity, sample)
 
 
 def integrate(config: FlowConfig, seed) -> Trajectory:

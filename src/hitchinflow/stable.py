@@ -22,10 +22,11 @@ in {(6,0), (2,4), (3,3)}.
 
 One core serves floats and Fractions alike.  K is a quadratic
 contraction of rho's coefficients with an integer table built from the
-``forms`` product tensors.  One sequence takes K to J and lambda, pulls
-rho back by J and applies the Z_2 sign rule: ``pair_coeffs`` runs it
-with the pullback rho @ minors(J, 3), and ``pair_structure`` and
-``assoc_metric`` wrap that for KForms.  ``classify_coeffs`` is the one
+``forms`` product tensors.  One sequence takes K to J, lambda and J*rho
+and applies the Z_2 sign rule: ``pair_coeffs`` runs it with J*rho =
+(sign lambda / (2 sqrt|lambda|)) P grad lambda, the derivative of
+sqrt|lambda| (P the pairing of 3-forms; no minors), and ``pair_structure``
+and ``assoc_metric`` wrap that for KForms.  ``classify_coeffs`` is the one
 structure rule (omega^3 != 0, omega ^ rho = 0, the normalization, and
 the metric signature with the sign of lambda, ``signature_class``):
 ``classify_pair`` runs the sequence once, with one K and one pullback,
@@ -71,7 +72,7 @@ __all__ = [
     "solve_wedge_omega",
     "solve_wedge_coeffs",
     "model_pair",
-    "theta_rotation_matrix",
+    "omega_cube",
 ]
 
 def model_pair(name: str, exact: bool = False) -> tuple[KForm, KForm]:
@@ -128,6 +129,18 @@ def _k_table() -> np.ndarray:
     return T
 
 
+@functools.lru_cache(maxsize=None)
+def _dual_table() -> np.ndarray:
+    """Integer tensor D with P grad lambda = (contract(D, K.ravel()) @ rho) / 3:
+    grad lambda = (1/3) sum_ij K_ji (T + T^t)[i, j] rho for T = _k_table(),
+    and the signed permutation P = wedge_tensor(6, 3, 3)[0] folded in."""
+    T = _k_table()
+    D = np.einsum("xc,ijcb->xbji", wedge_tensor(6, 3, 3)[0], T + T.transpose(0, 1, 3, 2))
+    D = D.reshape(20, 20, 36)
+    D.setflags(write=False)
+    return D
+
+
 def _k_matrix(rho: np.ndarray) -> np.ndarray:
     """K from the coefficients of a 3-form on R^6."""
     return contract(_k_table(), rho, rho)
@@ -144,14 +157,14 @@ def _lambda(K: np.ndarray):
     return np.trace(K @ K) / 6
 
 
-def _lambda_and_J(K: np.ndarray, rho: np.ndarray):
+def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
     """(lambda, J = K / sqrt|lambda|) for the K of a 3-form with
-    coefficients rho.  Raises UnstableForm when |lambda| is at or below
-    1e-12 max|rho|^4 (OverflowError, before lambda overflows too, when
-    that bound does) or is not finite; an exact K needs a rational
-    sqrt|lambda|."""
+    coefficients rho, lambda = tr(K^2)/6 unless given.  Raises
+    UnstableForm when |lambda| is at or below 1e-12 max|rho|^4
+    (OverflowError, before lambda overflows too, when that bound does) or
+    is not finite; an exact K needs a rational sqrt|lambda|."""
     floor = 1e-12 * max(float(np.max(np.abs(rho))), 1e-30) ** 4
-    lam = _lambda(K)
+    lam = _lambda(K) if lam is None else lam
     if not abs(lam) < math.inf:
         raise UnstableForm(f"lambda = {lam} is not finite")
     if abs(lam) <= floor:
@@ -159,7 +172,7 @@ def _lambda_and_J(K: np.ndarray, rho: np.ndarray):
     return lam, K / linalg.sqrt_scalar(abs(lam))
 
 
-def _omega_cube(omega: np.ndarray):
+def omega_cube(omega: np.ndarray):
     """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients."""
     square = contract(wedge_tensor(6, 2, 2), omega) @ omega
     return contract(wedge_tensor(6, 4, 2)[0].T, square) @ omega
@@ -181,12 +194,12 @@ def _degenerate(omega: np.ndarray, om3) -> bool:
     return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
 
 
-def _oriented(rho: np.ndarray, K: np.ndarray, om3, pull):
-    """The K -> J -> pullback -> sign rule sequence from rho's K and
-    omega^3: (lambda, J, J*rho = pull(J), J*rho ^ rho), (J, J*rho) flipped
-    unless J*rho ^ rho is a positive multiple of omega^3."""
-    lam, J = _lambda_and_J(K, rho)
-    jrho = pull(J)
+def _oriented(rho: np.ndarray, K: np.ndarray, om3, pull, lam):
+    """The K -> J -> J*rho -> sign rule sequence from rho's K, omega^3 and
+    lambda: (lambda, J, J*rho = pull(J, lambda), J*rho ^ rho), (J, J*rho)
+    flipped unless J*rho ^ rho is a positive multiple of omega^3."""
+    lam, J = _lambda_and_J(K, rho, lam)
+    jrho = pull(J, lam)
     num = _jrho_wedge_rho(jrho, rho)
     if num * om3 < 0:
         J, jrho, num = -J, -jrho, -num
@@ -204,17 +217,18 @@ def signature_class(signature: tuple[int, int], sign: int) -> StructureClass:
     return tag if (tag is StructureClass.SL3R) == (sign > 0) else StructureClass.NOT_A_STRUCTURE
 
 
-def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho):
+def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=None):
     """The six-dimensional structure rule on the coefficients (floats or
     Fractions) of a 2-form and a 3-form on R^6, given J, the sign of lambda
     (0 when rho is not stable) and J*rho, both None when irrational (an
-    exact K with no rational sqrt|lambda|).  In this order: omega^3 finite
-    and != 0 (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho =
-    (2/3) omega^3 (1e-10 relative), then ``signature_class`` of the metric
-    G with omega(v, w) = g(v, J w).  Returns (tag, reason, signature, G):
-    reason None for a structure, signature and G None when not computed."""
+    exact K with no rational sqrt|lambda|), and omega^3 if the caller has
+    it.  In this order: omega^3 finite and != 0 (1e-12 relative), rho
+    stable, omega ^ rho = 0 and J*rho ^ rho = (2/3) omega^3 (1e-10
+    relative), then ``signature_class`` of the metric G with omega(v, w) =
+    g(v, J w).  Returns (tag, reason, signature, G): reason None for a
+    structure, signature and G None when not computed."""
     fail = StructureClass.NOT_A_STRUCTURE
-    om3 = _omega_cube(omega)
+    om3 = omega_cube(omega) if om3 is None else om3
     if not abs(om3) < math.inf:
         return fail, "omega^3 is out of float range", None, None
     if _degenerate(omega, om3):
@@ -269,17 +283,23 @@ def pair_structure(omega: KForm, rho: KForm):
     return J, SymBilinear(_metric_matrix(omega.coeffs, J, sign)), sign, KForm(6, 3, jrho)
 
 
-def pair_coeffs(omega: np.ndarray, rho: np.ndarray):
+def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None):
     """pair_structure in coefficient space: coefficient vectors (floats or
     Fractions) of a 2-form and a 3-form on R^6, no KForm.
 
-    Returns (J, sign, J*rho, nu) with J*rho from the one pullback
-    ``rho @ minors(J, 3)`` (the expression ``pullback`` evaluates) and
-    nu = (J*rho ^ rho) / ((2/3) omega^3), which is 1 on a normalized pair
-    and nan when omega^3 = 0.  Raises UnstableForm as assoc_J does.
+    Returns (J, sign, J*rho, nu) with J*rho from the gradient of lambda
+    (``_dual_table``) and nu = (J*rho ^ rho) / ((2/3) omega^3), 1 on a
+    normalized pair and nan when omega^3 = 0; om3 is omega^3 if the caller
+    has it.  lambda = grad lambda . rho / 4 (Euler) is closer than the
+    cancelling tr(K^2)/6.  Raises UnstableForm as assoc_J does.
     """
-    om3 = _omega_cube(omega)
-    lam, J, jrho, num = _oriented(rho, _k_matrix(rho), om3, lambda J: rho @ linalg.minors(J, 3))
+    om3 = omega_cube(omega) if om3 is None else om3
+    K = _k_matrix(rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # _lambda_and_J refuses inf and nan
+        grad = contract(_dual_table(), K.ravel()) @ rho  # 3 P grad lambda
+        lam = _jrho_wedge_rho(grad, rho) / 12
+    dual = lambda J, lam: grad / ((6 if lam > 0 else -6) * linalg.sqrt_scalar(abs(lam)))
+    lam, J, jrho, num = _oriented(rho, K, om3, dual, lam)
     nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
     return J, (-1 if lam < 0 else 1), jrho, nu
 
@@ -294,12 +314,12 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     and one pullback J*rho unless omega is degenerate, then the checks of
     ``classify_coeffs``.  Failures are reported in the returned value."""
     om, r = omega.coeffs, rho.coeffs
-    K, om3 = k_endomorphism(rho), _omega_cube(om)
+    K, om3 = k_endomorphism(rho), omega_cube(om)
     lam, J, jrho = _lambda(K), None, None
     sign = -1 if lam < 0 else 1
     if not _degenerate(om, om3):  # an exact J may need a root that a failing pair lacks
         try:
-            J, jrho = _oriented(r, K, om3, lambda J: pullback(J, rho).coeffs)[1:3]
+            J, jrho = _oriented(r, K, om3, lambda J, _: pullback(J, rho).coeffs, lam)[1:3]
         except UnstableForm:
             sign = 0
         except ValueError:  # exact K, sqrt|lambda| irrational: J stays None
@@ -330,17 +350,6 @@ def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
     return omega.to_float(), new
 
 
-def theta_rotation_matrix(theta: float) -> np.ndarray:
-    """Block matrix realizing the theta deformation of the complex orbit
-    as a basis change (rotation by theta/3 in each of the three planes)."""
-    w = theta / 3.0
-    m = np.zeros((6, 6))
-    b = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
-    for i in range(3):
-        m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
-    return m
-
-
 # -- the quadratic 4-form inverse ---------------------------------------
 def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     """Unique alpha with alpha ^ omega = tau, for nondegenerate omega.
@@ -354,12 +363,12 @@ def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     return KForm(6, 2, alpha)
 
 
-def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None) -> np.ndarray:
     """solve_wedge_omega on float coefficient vectors: alpha with
-    alpha ^ omega = tau.  Raises DegenerateOmega when omega^3 = 0 (to
-    1e-12 relative) or when the solve leaves a residual above 1e-10
-    relative."""
-    if _degenerate(omega, _omega_cube(omega)):
+    alpha ^ omega = tau, given omega^3 as om3 when the caller has it.
+    Raises DegenerateOmega when omega^3 = 0 (to 1e-12 relative) or when
+    the solve leaves a residual above 1e-10 relative."""
+    if _degenerate(omega, omega_cube(omega) if om3 is None else om3):
         raise DegenerateOmega("omega^3 = 0")
     mat = contract(wedge_tensor(6, 2, 2), omega)  # the matrix of alpha -> alpha ^ omega
     alpha = np.linalg.solve(mat, tau)

@@ -36,6 +36,9 @@ through them that ``wedge`` and ``interior`` ran before they became
 exact inverse used before the adjugate from ``linalg.minors``, and
 ``split_rhs_oracle`` is the split right-hand side (df/dt, dw/dt, ds/dt)
 that ``flow`` exported before the packed kernel left it unused.
+``theta_rotation_matrix`` is the basis change that realizes the theta
+deformation of the complex orbit, which ``stable`` exported although
+only the tests used it.
 """
 
 import itertools
@@ -474,3 +477,14 @@ def split_rhs_oracle(state):
             raise UnstableForm("right-hand side is not parallel to s at f = 0")
         return fdot, wdot6, KForm.zero(6, 3)
     return fdot, wdot6, residual * (1.0 / state.f)
+
+
+def theta_rotation_matrix(theta: float) -> np.ndarray:
+    """Block matrix realizing the theta deformation of the complex orbit
+    as a basis change (rotation by theta/3 in each of the three planes)."""
+    w = theta / 3.0
+    m = np.zeros((6, 6))
+    b = np.array([[np.cos(w), -np.sin(w)], [np.sin(w), np.cos(w)]])
+    for i in range(3):
+        m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
+    return m

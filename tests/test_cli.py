@@ -228,9 +228,10 @@ def test_report_carries_integrator_stats(tmp_path):
     keys = list(report)
     assert keys[keys.index("stop_cause") + 1] == "stats"
     stats = report["stats"]
-    assert set(stats) == {"rhs_evals", "accepted_steps", "rejected_steps", "h_min", "h_max"}
+    assert set(stats) == {"rhs_evals", "accepted_steps", "rejected_steps", "h_min", "h_max",
+                          "rejections"}
     assert stats["rhs_evals"] == 4 * stats["accepted_steps"] > 0
-    assert stats["rejected_steps"] == 0
+    assert stats["rejected_steps"] == 0 and stats["rejections"] == {}
 
 
 def test_report_carries_version_and_timings(tmp_path):
@@ -240,7 +241,7 @@ def test_report_carries_version_and_timings(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     keys = list(report)
     assert keys[:2] == ["schema_version", "version"]
-    assert report["schema_version"] == 1 and report["version"] == __version__
+    assert report["schema_version"] == 2 and report["version"] == __version__
     assert keys[keys.index("stats") + 1] == "timings"
     timings = report["timings"]
     assert list(timings) == ["seed_s", "integrate_s", "sample_s", "torsion_s", "io_s"]

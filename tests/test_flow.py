@@ -210,7 +210,9 @@ def test_kernel_matches_kform_oracle(index):
     assert relative_gap(velocity, degenerate_rhs_oracle(problem, y, 1.0)) <= 1e-12
 
 
-def test_kernel_runs_one_pullback_and_builds_no_kform(monkeypatch):
+def test_kernel_makes_no_minors_call_and_builds_no_kform(monkeypatch):
+    # J*S comes from the gradient of lambda, so an evaluation computes no
+    # minors (no pullback) and builds no form
     from hitchinflow import linalg
 
     problem, y = _kernel_states()[0]
@@ -222,8 +224,33 @@ def test_kernel_runs_one_pullback_and_builds_no_kform(monkeypatch):
         KForm, "__post_init__", lambda self: kforms.append(self) or post_init(self)
     )
     fl._rhs_packed(problem, y, 1.0)
-    assert minors_calls == [3]
+    assert minors_calls == []
     assert kforms == []
+
+
+@pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
+def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
+    # the rhs, the step check and the sample of one state share its split:
+    # one _derive_split per rhs evaluation, plus the seed's
+    calls = []
+    derive = fl._derive_split
+    monkeypatch.setattr(fl, "_derive_split", lambda *a: calls.append(a) or derive(*a))
+    cfg = FlowConfig(t_end=0.1, integrator=integrator, step=2e-3, sample_dt=0.01)
+    traj = integrate(cfg, startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4))
+    assert traj.stop_reason == "completed"
+    assert len(calls) <= traj.stats["rhs_evals"] + 2
+
+
+def test_generic_run_builds_one_seven_structure_per_state(monkeypatch):
+    calls = []
+    seven = fl.seven_structure
+    monkeypatch.setattr(fl, "seven_structure", lambda phi: calls.append(phi) or seven(phi))
+    p = n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4)
+    gp = generic_problem("n11")
+    cfg = FlowConfig(t_end=0.02, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.01)
+    traj = integrate(cfg, generic_state_from_split(gp, p, 0.3))
+    assert traj.stop_reason == "completed"
+    assert len(calls) <= traj.stats["rhs_evals"] + 2
 
 
 # ------------------------------------------------------------- integration
@@ -484,6 +511,17 @@ def test_projection_failure_escapes_integrate(monkeypatch, integrator):
             with pytest.raises(error):
                 integrate(cfg, seed)
         assert len(calls) == 1, (rhs_name, error)
+
+
+def test_rk45_counts_rejections_by_cause():
+    # this family point degenerates at t ~ 0.428 and rejects steps there;
+    # every rejection is counted under one cause
+    p = n11_problem(a=1.3992, b=-0.6387, c_param=0.6567, theta=0.3112)
+    cfg = FlowConfig(space="n11", t_end=0.5, integrator="rk45-adaptive", tol=1e-9)
+    st = integrate(cfg, startup_seed(p, 1.0, 1e-4)).stats
+    assert st["rejected_steps"] > 0
+    assert sum(st["rejections"].values()) == st["rejected_steps"]
+    assert all(n > 0 for n in st["rejections"].values())
 
 
 def test_rk45_stops_when_the_step_no_longer_advances_time():

@@ -33,6 +33,7 @@ from oracles import (
     interior_table_oracle,
     scatter_interior,
     scatter_wedge,
+    theta_rotation_matrix,
     wedge_eval,
     wedge_table_oracle,
 )
@@ -201,7 +202,7 @@ def test_pullback_matches_evaluation(rng):
 
 
 def test_pullback_theta_rotation_gives_family():
-    from hitchinflow.stable import classify_pair, theta_rotation_matrix
+    from hitchinflow.stable import classify_pair
 
     om, rho = model_pair("su3")
     cls = classify_pair(om, rho)
