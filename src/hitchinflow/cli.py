@@ -22,14 +22,14 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import flow as fl
-from .errors import PreconditionFailed, SingularJacobian, StepFailure, UnstableForm
+from .errors import PreconditionFailed, SingularJacobian, StepFailure
 from .g2spin7 import model_phi
 from .verify import format_report, verify_identities
 
@@ -41,8 +41,9 @@ _DEFAULT_PARAMS = {
 }
 
 # the layout of report.json: raised when a key is added, removed or changes
-# meaning (2: stats gained rejections, the rejected steps by cause)
-_SCHEMA_VERSION = 2
+# meaning (2: stats gained rejections, the rejected steps by cause; 3: the
+# torsion residual covers the samples up to torsion_t_last)
+_SCHEMA_VERSION = 3
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 
@@ -72,7 +73,9 @@ class RunReport:
     t_first: float | None = None
     t_last: float | None = None
     max_cocal_residual: float | None = None
+    # over the prefix of samples whose phi is stable, which ends at torsion_t_last
     max_torsion_residual: float | None = None
+    torsion_t_last: float | None = None
     max_normalization_residual: float | None = None
     smoothness: dict | None = None
     classification_first: str | None = None
@@ -144,14 +147,9 @@ def _validate_config(raw: dict, origin: str):
             raise PreconditionFailed("config_key", f"{origin}: unknown flow key '{key}'")
 
 
-def _flow_config(scenario: str, flow_dict: dict) -> fl.FlowConfig:
-    cfg = fl.FlowConfig(space="n11" if scenario == "n11-spin7" else "abelian7")
-    return replace(cfg, **flow_dict)
-
-
 def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
     """One row per sample; the state columns follow the trajectory's kind,
-    and torsion is nan when the trajectory has none (see run_point)."""
+    and torsion is nan where the trajectory has none (see run_point)."""
     if torsion is None:
         torsion = [float("nan")] * len(traj.samples)
     if traj.kind == "degenerate":
@@ -217,9 +215,9 @@ def run_point(
     report.classification_first = str(traj.samples[0].monitors["class"])
     report.classification_last = str(traj.samples[-1].monitors["class"])
     start = time.perf_counter()
-    try:  # none for fewer than 3 samples or a sample whose phi is not stable
-        torsion = fl.torsion_residual(traj) if len(traj.samples) >= 3 else None
-    except UnstableForm:
+    try:
+        torsion = fl.torsion_residual(traj)
+    except ValueError:  # fewer than 3 samples whose phi is stable
         torsion = None
     timings["torsion_s"] = time.perf_counter() - start
     start = time.perf_counter()
@@ -233,8 +231,10 @@ def run_point(
     report.t_first = float(traj.samples[0].t)
     report.t_last = float(traj.samples[-1].t)
     report.max_cocal_residual = float(np.max(traj.monitor("cocal_residual")))
-    if torsion is not None:
-        report.max_torsion_residual = float(np.max(torsion))
+    if torsion is not None:  # nan after the stable prefix
+        n = int(np.count_nonzero(~np.isnan(torsion)))
+        report.max_torsion_residual = float(np.max(torsion[:n]))
+        report.torsion_t_last = float(traj.samples[n - 1].t)
     _write_report(outdir, report)
     return report
 
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
 
     points = _sweep_points(params)
     try:
-        flow_cfg = _flow_config(scenario, flow_dict)
+        flow_cfg = fl.FlowConfig(**flow_dict)
         if len(points) == 1:
             report = run_point(scenario, points[0], flow_cfg, outdir, report_only, with_verify)
             print(report.to_json())

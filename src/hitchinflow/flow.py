@@ -961,9 +961,9 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
 
 
 def _generic_flow(seed: GenericFlowState) -> _Flow:
-    problem = seed.problem
-    seed_class = _stable(seven_structure(seed.phi_form())).klass
+    problem, y0 = seed.problem, np.asarray(seed.x, dtype=float)
     seven = _memo(lambda y: seven_structure(problem.phi(y)))
+    seed_class = _stable(seven(y0)).klass  # the first sample reuses it
 
     def validity(y):
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
@@ -977,7 +977,7 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
         return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
 
     rhs = lambda t, y: generic_rhs(GenericFlowState(t, y, problem), seven(y))
-    return _Flow("generic", np.asarray(seed.x, dtype=float), rhs, validity, sample)
+    return _Flow("generic", y0, rhs, validity, sample)
 
 
 def integrate(config: FlowConfig, seed) -> Trajectory:
@@ -1069,18 +1069,21 @@ def torsion_residual(traj: Trajectory) -> np.ndarray:
     one-sided second order at the ends).
 
     Reads phi and *phi as each sample stored them from its 7-dimensional
-    structure, independently of the evolution variables; raises
-    UnstableForm when a sample's phi is not stable."""
-    n = len(traj.samples)
+    structure, independently of the evolution variables.  The residual
+    covers the longest prefix of samples whose phi is stable and is nan
+    after it; raises ValueError when that prefix has fewer than 3 samples."""
+    n = next((i for i, s in enumerate(traj.samples) if s.data["star_phi"] is None),
+             len(traj.samples))
     if n < 3:
-        raise ValueError("need at least 3 samples")
-    if any(s.data["star_phi"] is None for s in traj.samples):
-        raise UnstableForm("phi is not a stable 3-form")
-    sp = traj.problem.space
-    stars = traj.series("star_phi")
-    derivs = np.gradient(stars, traj.times(), axis=0, edge_order=2)
-    flow_res = np.max(np.abs(derivs - traj.series("phi") @ sp.d_matrix(3).T), axis=1)
-    return flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
+        raise ValueError("need at least 3 samples with a stable phi")
+    sp, prefix = traj.problem.space, traj.samples[:n]
+    stars = np.array([s.data["star_phi"] for s in prefix])
+    phis = np.array([s.data["phi"] for s in prefix])
+    derivs = np.gradient(stars, traj.times()[:n], axis=0, edge_order=2)
+    flow_res = np.max(np.abs(derivs - phis @ sp.d_matrix(3).T), axis=1)
+    out = np.full(len(traj.samples), np.nan)
+    out[:n] = flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
+    return out
 
 
 def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowState:

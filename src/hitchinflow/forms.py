@@ -226,10 +226,10 @@ class SymBilinear:
 
     def is_nondegenerate(self) -> bool:
         try:
-            p, q = linalg.signature(self.matrix)
+            linalg.signature(self.matrix)
         except ValueError:
             return False
-        return p + q == self.dim
+        return True
 
     def inverse(self) -> np.ndarray:
         return linalg.inverse(self.matrix)
@@ -429,20 +429,20 @@ def hodge_matrices(g: SymBilinear, vol: KForm, k: int) -> tuple[np.ndarray, np.n
 
 
 # -- index embeddings --------------------------------------------------
+def _reindex(a: KForm, dim: int, new_axis: dict) -> KForm:
+    """The form on R^dim with each e^I of a moved to e^{new_axis[I]}, the
+    sign of sorting included; terms with an axis not in new_axis drop."""
+    coeffs = KForm.zero(dim, a.degree, exact=a.exact).coeffs.copy()
+    for c, t in zip(a.coeffs, a.tuples()):
+        if c != 0 and all(i in new_axis for i in t):
+            sign, srt = sort_sign(new_axis[i] for i in t)
+            coeffs[tuple_position(dim, srt)] += sign * c
+    return KForm(dim, a.degree, coeffs)
+
+
 def embed(a: KForm, dim: int, index_map=None) -> KForm:
     """Embed into a larger space; index_map[i] = new index of old axis i."""
-    if index_map is None:
-        index_map = list(range(a.dim))
-    out = KForm.zero(dim, a.degree, exact=a.exact)
-    coeffs = out.coeffs.copy()
-    for pos, t in enumerate(a.tuples()):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        new = tuple(index_map[i] for i in t)
-        sign, srt = sort_sign(new)
-        coeffs[tuple_position(dim, srt)] += sign * c
-    return KForm(dim, a.degree, coeffs)
+    return _reindex(a, dim, dict(enumerate(range(a.dim) if index_map is None else index_map)))
 
 
 def restrict(a: KForm, indices) -> KForm:
@@ -450,13 +450,4 @@ def restrict(a: KForm, indices) -> KForm:
     being old axis indices[j]: coefficients involving other axes are
     dropped (the pullback under the inclusion)."""
     idx = list(indices)
-    back = {old: new for new, old in enumerate(idx)}
-    out = KForm.zero(len(idx), a.degree, exact=a.exact)
-    coeffs = out.coeffs.copy()
-    for pos, t in enumerate(a.tuples()):
-        c = a.coeffs[pos]
-        if c == 0 or not all(i in back for i in t):
-            continue
-        sign, srt = sort_sign(back[i] for i in t)
-        coeffs[tuple_position(len(idx), srt)] += sign * c
-    return KForm(len(idx), a.degree, coeffs)
+    return _reindex(a, len(idx), {old: new for new, old in enumerate(idx)})

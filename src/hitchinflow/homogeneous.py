@@ -48,11 +48,10 @@ __all__ = [
 class LieAlgebraPresentation:
     """Structure constants [e_i, e_j] = sum_k c[k, i, j] e_k."""
 
-    n: int
     c: np.ndarray
 
     def __post_init__(self):
-        if self.c.shape != (self.n, self.n, self.n):
+        if self.c.ndim != 3 or len(set(self.c.shape)) > 1:
             raise ValueError("structure constant tensor has wrong shape")
         anti = self.c + np.transpose(self.c, (0, 2, 1))
         if float(np.max(np.abs(anti.astype(float)))) > 1e-12:
@@ -114,8 +113,8 @@ def structure_constants(matrices) -> LieAlgebraPresentation:
             c[:, j, i] = -coef
     snapped = [Fraction(v).limit_denominator(64) for v in c.flat]
     if any(abs(float(fr) - v) > 1e-9 for fr, v in zip(snapped, c.flat)):
-        return LieAlgebraPresentation(n, c)
-    return LieAlgebraPresentation(n, np.array(snapped, dtype=object).reshape(n, n, n))
+        return LieAlgebraPresentation(c)
+    return LieAlgebraPresentation(np.array(snapped, dtype=object).reshape(n, n, n))
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def su3_basis() -> list[np.ndarray]:
 
 
 def _zero_presentation(n: int) -> LieAlgebraPresentation:
-    return LieAlgebraPresentation(n, np.full((n, n, n), Fraction(0), dtype=object))
+    return LieAlgebraPresentation(np.full((n, n, n), Fraction(0), dtype=object))
 
 
 def _flat7_presentation() -> LieAlgebraPresentation:
@@ -286,7 +285,7 @@ def _flat7_presentation() -> LieAlgebraPresentation:
     c[1, 0, 6] = Fraction(1)
     c[0, 6, 1] = Fraction(1)
     c[0, 1, 6] = Fraction(-1)
-    return LieAlgebraPresentation(7, c)
+    return LieAlgebraPresentation(c)
 
 
 @lru_cache(maxsize=None)

@@ -163,7 +163,8 @@ def signature(g: np.ndarray) -> tuple[int, int]:
     Fraction mode, eigenvalue counting otherwise.
 
     Raises ValueError if the matrix is degenerate: exactly, or in floats
-    with an eigenvalue at or below 1e-10 max(max|eigenvalue|, 1).
+    with an eigenvalue at or below 1e-10 max(max|eigenvalue|, 1) or nan,
+    so p + q is always the dimension.
     """
     n = g.shape[0]
     if is_exact(g):
@@ -198,7 +199,7 @@ def signature(g: np.ndarray) -> tuple[int, int]:
         return p, q
     eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float)).tolist()
     cut = 1e-10 * max(max(map(abs, eigs)), 1.0)
-    if any(abs(e) <= cut for e in eigs):
+    if not all(abs(e) > cut for e in eigs):  # nan too
         raise ValueError("degenerate bilinear form")
     return sum(e > 0 for e in eigs), sum(e < 0 for e in eigs)
 

@@ -326,7 +326,7 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
             pass
         except OverflowError:  # max|rho|^4, the bound on lambda
             return SixStructureClass(StructureClass.NOT_A_STRUCTURE, "rho is out of float range", lam)
-    tag, why, sig, G = classify_coeffs(om, r, J, sign, jrho)
+    tag, why, sig, G = classify_coeffs(om, r, J, sign, jrho, om3)
     if why is not None:
         return SixStructureClass(tag, diagnostics=why, lambda_value=lam, signature=sig)
     metric, jrho = SymBilinear(G), KForm(6, 3, jrho)
@@ -378,14 +378,13 @@ def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None) -> np.ndarr
     return alpha
 
 
-def iota(sigma: KForm, sign_hint: KForm | None = None) -> KForm:
+def iota(sigma: KForm) -> KForm:
     """Inverse of omega -> omega^2/2 on nondegenerate 2-forms.
 
-    Of the two solutions +-omega, returns the one with positive metric
-    pairing against sign_hint when given, else the one whose first
-    nonzero canonical coefficient is positive.  Newton iteration seeded
-    from the dual-bivector inverse; raises UnstableForm if sigma is not
-    a half-square.
+    omega is the dual-bivector inverse of sigma, scaled to its half-square.
+    Of the two solutions +-omega, returns the one whose first nonzero
+    canonical coefficient is positive.  Raises UnstableForm if sigma is not
+    a half-square: |omega^2/2 - sigma| above 1e-12 max(max|sigma|, 1).
     """
     if sigma.dim != 6 or sigma.degree != 4:
         raise ValueError("expected a 4-form on R^6")
@@ -406,25 +405,7 @@ def iota(sigma: KForm, sign_hint: KForm | None = None) -> KForm:
     if ratio <= 0:
         raise UnstableForm("4-form is not in the half-square orbit")
     omega = cand * float(np.sqrt(ratio))
-    # Newton: residual R(w) = w^2/2 - sigma, derivative dR[a] = a ^ w
-    for _ in range(50):
-        resid = wedge(omega, omega) * 0.5 - sigma
-        if resid.max_abs() <= 1e-12 * max(sigma.max_abs(), 1.0):
-            break
-        try:
-            step = solve_wedge_omega(omega, resid)
-        except DegenerateOmega as exc:
-            raise UnstableForm("Newton iterate became degenerate") from exc
-        omega = omega - step
-    else:
-        raise UnstableForm("iota Newton iteration did not converge")
-    # sign selection
-    if sign_hint is not None:
-        pair = float(np.dot(omega.coeffs, sign_hint.to_float().coeffs))
-        if pair < 0:
-            omega = -omega
-    else:
-        lead = next((c for c in omega.coeffs if abs(c) > 1e-12 * omega.max_abs()), 1.0)
-        if lead < 0:
-            omega = -omega
-    return omega
+    if not (wedge(omega, omega) * 0.5 - sigma).max_abs() <= 1e-12 * max(sigma.max_abs(), 1.0):
+        raise UnstableForm("4-form is not a half-square")
+    lead = next((c for c in omega.coeffs if abs(c) > 1e-12 * omega.max_abs()), 1.0)
+    return -omega if lead < 0 else omega

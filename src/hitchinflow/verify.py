@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import g2spin7, stable
-from .forms import KForm, SymBilinear, embed, hodge, interior, pullback, wedge
+from .forms import KForm, SymBilinear, embed, form_pairing, hodge, interior, wedge
 
 __all__ = ["IdentityCheck", "verify_identities", "format_report"]
 
@@ -42,25 +42,12 @@ def _structures():
     return out
 
 
-def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
-    """Run the full exact identity suite; returns one entry per identity.
-
-    corrupt='rho_sign' flips one sign of the su3 model 3-form first, as a
-    regression guard that the suite actually detects a broken model.
-    """
+def verify_identities() -> list[IdentityCheck]:
+    """Run the full exact identity suite; returns one entry per identity."""
     checks: list[IdentityCheck] = []
     add = lambda name, ok, detail="": checks.append(IdentityCheck(name, bool(ok), detail))
 
     models = _structures()
-    om3f, rho3f, _ = models["su3"]
-    if corrupt == "rho_sign":
-        coeffs = rho3f.coeffs.copy()
-        pos = next(i for i, c in enumerate(coeffs) if c != 0)
-        coeffs[pos] = -coeffs[pos]
-        rho3f = KForm(6, 3, coeffs)
-        cls = stable.classify_pair(om3f, rho3f)
-        models = dict(models)
-        models["su3"] = (om3f, rho3f, cls)
 
     # --- six dimensions -------------------------------------------------
     om, rho, cls = models["su3"]
@@ -69,11 +56,11 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         "metric j(omega_su3, rho_su3) is Euclidean",
         cls.ok and np.all(cls.metric.matrix == eye),
     )
-    J = stable.assoc_J(stable.model_pair("su3", exact=True)[1])
+    J = stable.assoc_J(rho)
     e2 = np.zeros(6, dtype=object) + _F(0)
     e2[1] = _F(1)
     add("J_{rho_su3} e1 = -e2", np.all(J[:, 0] == -e2))
-    Jpc = stable.assoc_J(stable.model_pair("sl3r", exact=True)[1])
+    Jpc = stable.assoc_J(models["sl3r"][1])
     add("J_{rho_sl3r} e1 = +e2", np.all(Jpc[:, 0] == e2))
 
     sig_expect = {"su3": (6, 0), "su12": (2, 4), "sl3r": (3, 3)}
@@ -96,15 +83,14 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
     for name, (omn, rhon, clsn) in models.items():
         add(f"omega ^ rho = 0 ({name})", wedge(omn, rhon).is_zero())
         if clsn.ok:
-            jr = pullback(clsn.J, rhon)
-            lhs = wedge(jr, rhon)
+            lhs = wedge(clsn.jrho, rhon)
             rhs = wedge(wedge(omn, omn), omn) * _F(2, 3)
             add(f"J*rho ^ rho = (2/3) omega^3 ({name})", _exact_eq(lhs, rhs))
         else:
             add(f"J*rho ^ rho = (2/3) omega^3 ({name})", False, clsn.diagnostics)
 
-    lam = stable.lambda_invariant(stable.model_pair("su3", exact=True)[1])
-    lam_pc = stable.lambda_invariant(stable.model_pair("sl3r", exact=True)[1])
+    lam = stable.lambda_invariant(rho)
+    lam_pc = stable.lambda_invariant(models["sl3r"][1])
     add("lambda(rho_su3) < 0", lam < 0, f"lambda = {lam}")
     add("lambda(rho_sl3r) > 0", lam_pc > 0, f"lambda = {lam_pc}")
     add(
@@ -121,9 +107,6 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
     sevens = {}
     for name, (omn, rhon, clsn) in models.items():
         s = g2spin7.model_seven(name, exact=True)
-        if corrupt == "rho_sign" and name == "su3":
-            phi = wedge(embed(omn, 7), e7) + embed(rhon, 7)
-            s = g2spin7.seven_structure(phi)
         sevens[name] = s
         if not s.ok:
             add(f"vol7({name})", False, "not stable")
@@ -138,14 +121,13 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
             clsn.ok and np.all(s.g7.matrix[:6, :6] == clsn.metric.matrix),
         )
         if clsn.ok:
-            jr = pullback(clsn.J, rhon)
-            quarter = wedge(wedge(embed(jr, 7), embed(rhon, 7)), e7) * _F(1, 4)
+            quarter = wedge(wedge(embed(clsn.jrho, 7), embed(rhon, 7)), e7) * _F(1, 4)
             add(
                 f"vol7({name}) = {'+' if quarter_sign[name] > 0 else '-'}(1/4) J*rho ^ rho ^ e7",
                 _exact_eq(s.vol7, quarter * quarter_sign[name]),
             )
             half = wedge(omn, omn) * _F(1, 2)
-            closed = star_sign[name] * (wedge(e7, embed(jr, 7)) + embed(half, 7))
+            closed = star_sign[name] * (wedge(e7, embed(clsn.jrho, 7)) + embed(half, 7))
             add(f"*phi({name}) closed form", _exact_eq(s.star_phi, closed))
         add(
             f"e7 . phi({name}) recovers omega",
@@ -156,12 +138,13 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         )
 
     # --- eight dimensions ------------------------------------------------
+    eights = {}
     for name in ("su3", "su12", "sl3r"):
         s = sevens[name]
         if not s.ok:
             add(f"vol8({name})", False, "not stable")
             continue
-        E = g2spin7.build_Phi(s)
+        E = eights[name] = g2spin7.build_Phi(s)
         e8form = KForm.basis(8, [7], exact=True)
         add(
             f"vol8({name}) = (1/14) Phi^Phi = e8 ^ vol7",
@@ -175,8 +158,6 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         g8m[:7, :7] = s.g7.matrix
         g8m[7, 7] = _F(1)
         g8 = SymBilinear(g8m)
-        from .forms import form_pairing
-
         add(
             f"<Phi,Phi>_g8 = 14 with g8 = g7 (+) e8*e8 ({name})",
             form_pairing(g8, E.Phi, E.Phi) == 14,
@@ -191,11 +172,10 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         omn, rhon, _ = models[name]
         try:
             Phi_b, g8_b = g2spin7.bundle_Phi(1.0, omn.to_float(), rhon.to_float())
-        except Exception as exc:  # corrupted models may fail classification
+            s, E = sevens[name], eights[name]
+        except Exception as exc:  # a broken model fails classification or has no Phi
             add(f"bundle split reproduces Phi and g8 ({name})", False, str(exc))
             continue
-        s = sevens[name]
-        E = g2spin7.build_Phi(s)
         g8f = np.zeros((8, 8))
         g8f[:7, :7] = np.asarray(s.g7.matrix, dtype=float)
         g8f[7, 7] = 1.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import time
 import warnings
 
@@ -130,13 +131,21 @@ def test_extreme_values_keep_the_exit_code_contract(args, code, cause, capsys):
 def test_run_ending_on_unstable_samples_has_no_torsion(tmp_path, capsys):
     # rk45 stops with step_failure near t = 0.432 and the samples from
     # t = 0.41 on are NotAStructure, so phi has no *phi there: the run
-    # reports no torsion residual, as a too-short one does, and exits 0
+    # reports the torsion residual of the 41 stable samples before, up to
+    # torsion_t_last, has none after them, and exits 0
     args = ["--scenario", "n11-spin7", "--set", "a=1.40", "--set", "b=0.64",
             "--set", "c_param=0.66", "--output", str(tmp_path)]
     assert _run(args) == 0
     assert len(capsys.readouterr().err.splitlines()) <= 1
     report = json.loads((tmp_path / "report.json").read_text())
-    assert (report["stop_reason"], report["max_torsion_residual"]) == ("step_failure", None)
+    assert report["stop_reason"] == "step_failure"
+    assert math.isfinite(report["max_torsion_residual"])
+    assert abs(report["torsion_t_last"] - 0.40) < 0.005
+    with open(tmp_path / "trajectory.csv") as fh:
+        torsion = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+    assert all(math.isfinite(x) for x in torsion[:41])
+    assert torsion[41:] and all(math.isnan(x) for x in torsion[41:])
+    assert max(torsion[:41]) == report["max_torsion_residual"]
 
 
 @pytest.mark.parametrize(
@@ -241,7 +250,7 @@ def test_report_carries_version_and_timings(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     keys = list(report)
     assert keys[:2] == ["schema_version", "version"]
-    assert report["schema_version"] == 2 and report["version"] == __version__
+    assert report["schema_version"] == 3 and report["version"] == __version__
     assert keys[keys.index("stats") + 1] == "timings"
     timings = report["timings"]
     assert list(timings) == ["seed_s", "integrate_s", "sample_s", "torsion_s", "io_s"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -651,6 +653,19 @@ def test_torsion_residual_matches_the_oracle():
     assert np.max(np.abs(torsion_residual(gtraj) - torsion_residual_oracle(gtraj))) <= 1e-10
 
 
+def test_torsion_residual_covers_the_stable_prefix():
+    # samples whose phi is not stable end the residual: the prefix has the
+    # residual of the trajectory cut there, the rest nan; a prefix of fewer
+    # than 3 samples has none
+    traj = _n11_run("rk45-adaptive")
+    unstable = tuple(replace(s, data={**s.data, "star_phi": None}) for s in traj.samples[6:])
+    got = torsion_residual(replace(traj, samples=traj.samples[:6] + unstable))
+    assert np.array_equal(got[:6], torsion_residual(replace(traj, samples=traj.samples[:6])))
+    assert len(got) == len(traj.samples) and np.isnan(got[6:]).all()
+    with pytest.raises(ValueError):
+        torsion_residual(replace(traj, samples=traj.samples[:2] + unstable))
+
+
 def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     traj = _n11_run("rk45-adaptive", t_end=0.1)
     flow = fl._degenerate_flow(traj.state_at(0))
@@ -664,9 +679,9 @@ def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     assert len(calls) == 1
     gp = generic_problem("abelian7")
     gseed = GenericFlowState(0.0, gp.basis(3)[2] @ model_phi("su3").coeffs, gp)
-    gflow = fl._generic_flow(gseed)
     calls.clear()
-    gflow.sample(0.0, gseed.x)
+    gflow = fl._generic_flow(gseed)
+    gflow.sample(0.0, gseed.x)  # the seed's structure, built with the flow
     assert len(calls) == 1
 
 

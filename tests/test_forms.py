@@ -381,14 +381,22 @@ def test_embed_restrict_roundtrip(rng):
 
 def test_restrict_in_any_axis_order_is_the_pullback(rng):
     # new axis j is old axis axes[j]: the pullback by the matrix that
-    # sends e_j to e_{axes[j]}, signs included
-    a = KForm(6, 3, rng.normal(size=20))
-    axes = [4, 0, 5, 2]
+    # sends e_j to e_{axes[j]}, signs included; embed under a permuted map
+    # is the pullback by the permutation matrix; floats and Fractions alike
+    quarters = rng.integers(-5, 6, size=20) / 4.0
+    axes, perm = [4, 0, 5, 2], [3, 5, 0, 4, 1, 2]
     inclusion = np.eye(6)[:, axes]
-    want = [a(*(inclusion @ np.eye(4)[list(t)].T).T) for t in increasing_tuples(4, 3)]
-    assert np.allclose(restrict(a, axes).coeffs, want, rtol=0, atol=1e-12)
-    back = embed(restrict(a, axes), 6, axes)
-    assert np.array_equal(back.coeffs, embed(restrict(a, sorted(axes)), 6, sorted(axes)).coeffs)
+    for a in (KForm(6, 3, rng.normal(size=20)), KForm(6, 3, as_exact(quarters))):
+        want = [float(a(*(inclusion @ np.eye(4)[list(t)].T).T)) for t in increasing_tuples(4, 3)]
+        got = restrict(a, axes)
+        assert got.exact == a.exact
+        assert np.allclose(got.to_float().coeffs, want, rtol=0, atol=1e-12)
+        back = embed(got, 6, axes)
+        assert np.array_equal(back.coeffs, embed(restrict(a, sorted(axes)), 6, sorted(axes)).coeffs)
+        moved = embed(a, 6, perm)
+        assert moved.exact == a.exact
+        assert np.array_equal(moved.coeffs, pullback(np.eye(6)[perm], a).coeffs)
+        assert np.array_equal(restrict(moved, perm).coeffs, a.coeffs)
 
 
 def test_volume_form_nonzero_required():

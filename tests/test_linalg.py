@@ -75,9 +75,11 @@ def test_float_signature_counts_and_threshold(rng):
         a = rng.normal(size=(6, 6))
         eigs = np.linalg.eigvalsh(a + a.T)
         assert linalg.signature(a + a.T) == (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
-    # degenerate when some |eig| <= tol * max(max |eig|, 1)
+    # degenerate when some |eig| <= tol * max(max |eig|, 1) or is nan (a
+    # nan entry), so p + q is always the dimension
     assert linalg.signature(np.diag([2.0, -1.0, 2.0001e-10])) == (2, 1)
-    for g in (np.diag([2.0, -1.0, 2e-10]), np.diag([0.5, -0.5, 1e-10])):
+    for g in (np.diag([2.0, -1.0, 2e-10]), np.diag([0.5, -0.5, 1e-10]), np.diag([1.0, np.nan]),
+              np.array([[1.0, np.nan], [np.nan, 1.0]])):
         with pytest.raises(ValueError, match="degenerate"):
             linalg.signature(g)
 

@@ -369,11 +369,13 @@ def test_iota_model():
     assert np.max(np.abs(out.coeffs - om.coeffs)) < 1e-12
 
 
-def test_iota_sign_hint():
+def test_iota_canonical_sign():
+    # of +-omega, the one whose first nonzero coefficient is positive
     om, _ = model_pair("su3")
-    sigma = 0.5 * wedge(om, om)
-    out = iota(sigma, sign_hint=-1.0 * om)
-    assert np.max(np.abs(out.coeffs + om.coeffs)) < 1e-12
+    out = iota(0.5 * wedge(-1.0 * om, -1.0 * om))
+    assert np.max(np.abs(out.coeffs - om.coeffs)) < 1e-12
+    first = next(c for c in out.coeffs if c != 0)
+    assert first > 0
 
 
 def test_iota_roundtrip_random(rng):
@@ -382,8 +384,24 @@ def test_iota_roundtrip_random(rng):
         om3 = wedge(wedge(om, om), om)
         if abs(om3.coeffs[0]) < 1e-2:
             continue
-        back = iota(0.5 * wedge(om, om), sign_hint=om)
-        assert np.max(np.abs(back.coeffs - om.coeffs)) < 1e-9 * max(1.0, om.max_abs())
+        back = iota(0.5 * wedge(om, om))
+        err = min(np.max(np.abs(back.coeffs - s * om.coeffs)) for s in (1.0, -1.0))
+        assert err < 1e-9 * max(1.0, om.max_abs())
+
+
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_iota_is_equivariant_and_refuses_minus_a_half_square(rng, name):
+    # iota(A* sigma) = +-A* iota(sigma) for A in GL(6); -omega^2/2 is no
+    # half-square of a real 2-form
+    om, _ = model_pair(name)
+    sigma = 0.5 * wedge(om, om)
+    for _ in range(20):
+        A = rng.normal(size=(6, 6))
+        got, want = iota(pullback(A, sigma)).coeffs, pullback(A, iota(sigma)).coeffs
+        err = min(np.max(np.abs(got - s * want)) for s in (1.0, -1.0))
+        assert err <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    with pytest.raises(UnstableForm):
+        iota(-1.0 * sigma)
 
 
 def test_iota_rejects_non_square():

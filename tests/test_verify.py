@@ -1,5 +1,9 @@
 import time
 
+import numpy as np
+
+from hitchinflow import stable
+from hitchinflow.forms import KForm
 from hitchinflow.verify import format_report, verify_identities
 
 
@@ -15,10 +19,23 @@ def test_runtime_budget():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_corrupted_model_is_detected():
-    # flipping one sign of the model 3-form must break the normalization
-    # and metric identities (regression guard for the suite itself)
-    checks = verify_identities(corrupt="rho_sign")
+def test_corrupted_model_is_detected(monkeypatch):
+    # flipping one sign of the su3 model 3-form must break the normalization
+    # and metric identities (regression guard for the suite itself); the
+    # suite and g2spin7.model_phi both read the model through the module
+    model_pair = stable.model_pair
+
+    def corrupted(name, exact=False):
+        om, rho = model_pair(name, exact)
+        if name == "su3":
+            coeffs = rho.coeffs.copy()
+            pos = np.flatnonzero(coeffs != 0)[0]
+            coeffs[pos] = -coeffs[pos]
+            rho = KForm(6, 3, coeffs)
+        return om, rho
+
+    monkeypatch.setattr(stable, "model_pair", corrupted)
+    checks = verify_identities()
     failed = [c.name for c in checks if not c.passed]
     assert any("J*rho ^ rho" in name for name in failed)
     assert len(failed) >= 3
