@@ -11,11 +11,11 @@ derivation given on 1-forms, D a = sum_l D(e^l) ^ (e_l . a): the CE
 differential and the isotropy action of ``homogeneous``.
 
 Coefficients are float64 by default; an exact mode (object arrays of
-``fractions.Fraction``) is available for the model identity suite.  Both
-modes share one code path: pullbacks and the Gram matrices behind the
-pairing and the Hodge star are products with ``linalg.minors``, and
-``contract`` with the product tables, each of which picks its kernel
-from the dtype.  Exact products skip the zero coefficients of a form.
+``fractions.Fraction``) is available for the model identity suite.
+Pullbacks and the Gram matrices behind the pairing and the Hodge star
+are products with compound matrices, and ``contract`` with the tables.
+Exact products run in Python ints over one common denominator, read only
+a form's nonzero coefficients and build one Fraction per output entry.
 
 Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 """
@@ -206,6 +206,8 @@ class SymBilinear:
             raise ValueError("matrix must be square")
         if m.dtype != object:
             scale = max(float(np.max(np.abs(m))), 1e-300)
+            if not scale < np.inf:  # nan too
+                raise ValueError("matrix has a non-finite entry")
             if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
                 raise ValueError("matrix is not symmetric to tolerance")
         else:
@@ -348,22 +350,27 @@ def contract(table: np.ndarray, *vectors: np.ndarray):
     ``interior_tensor`` (or built from them) with the vectors, the last
     vector with the last axis: ``contract(W, a, b)`` is a ^ b for
     ``W = wedge_tensor(n, p, q)``.  Float vectors take ``table @ v`` or,
-    for several, one ``np.einsum``; exact (object) vectors a scatter over
-    the nonzero entries, so no Fraction meets a zero."""
+    for several, one ``np.einsum``, and so does a product with any float
+    vector; exact (object) vectors a scatter of Python int products over
+    the nonzero entries, divided once (the rule of ``linalg.exact_product``)."""
     if len(vectors) == 1 and vectors[0].dtype != object:
         return table @ vectors[0]
-    if all(v.dtype != object for v in vectors):
+    exact = [v.dtype == object for v in vectors]
+    if not all(exact):
+        vectors = [v.astype(float) if e else v for v, e in zip(vectors, exact)]
         operands = [x for i, v in enumerate(vectors) for x in (v, [i])]
         return np.einsum(table, [..., *range(len(vectors))], *operands, [...])
+    scaled = [linalg.scale_to_int(v) for v in vectors]
     lead = table.shape[: table.ndim - len(vectors)]
-    flat = table.reshape((prod(lead),) + table.shape[len(lead) :])
-    nz = np.nonzero(flat)
-    vals = flat[nz].astype(int).astype(object)
-    for v, idx in zip(vectors, nz[1:]):
-        vals = vals * v[idx]
-    out = np.full(len(flat), Fraction(0), dtype=object)
-    np.add.at(out, nz[0], vals)
-    return out.reshape(lead)[()]
+    nzs = [np.flatnonzero(v) for v, _ in scaled]
+    sub = table.reshape(-1, *table.shape[len(lead) :])[np.ix_(np.arange(prod(lead)), *nzs)]
+    hit = np.nonzero(sub)  # the table entries that meet nonzero vector entries
+    vals = sub[hit].astype(int).astype(object)
+    for (v, _), nz, idx in zip(scaled, nzs, hit[1:]):
+        vals = vals * v[nz[idx]]
+    out = np.zeros(len(sub), dtype=object)
+    np.add.at(out, hit[0], vals)
+    return linalg.divide_ints(out.reshape(lead)[()], prod(d for _, d in scaled))
 
 
 # -- pullback ---------------------------------------------------------
@@ -373,36 +380,27 @@ def pullback(mat: np.ndarray, a: KForm) -> KForm:
     if mat.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"matrix {mat.shape} vs dim {a.dim}")
     if a.exact:
-        coeffs = _gram_dot(linalg.minors(linalg.as_exact(mat), a.degree).T, a.coeffs)
-        return KForm(a.dim, a.degree, coeffs)
+        return KForm(a.dim, a.degree, _compound_dot(a.coeffs, mat, a.degree))
     return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
 
 
 # -- metric pairing and Hodge star ------------------------------------
-def _pairing_matrix(g: SymBilinear, k: int) -> np.ndarray:
-    """Gram matrix of the induced metric on k-forms: the k-th compound
-    matrix of the inverse metric."""
-    return linalg.minors(g.inverse(), k)
-
-
-def _gram_dot(gram: np.ndarray, v: np.ndarray):
-    """gram @ v; exact forms are mostly zero and each Fraction product runs
-    a gcd, so in exact mode only the nonzero entries of v are multiplied."""
-    if gram.dtype != object and v.dtype != object:
-        return gram @ v
-    nz = np.flatnonzero(v != 0)
-    if len(nz) == 0:
-        return np.full(gram.shape[:-1], Fraction(0), dtype=object)[()]
-    return gram[..., nz] @ v[nz]
+def _compound_dot(v: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """v @ minors(m, k) for exact v and m in Python ints, the int minors
+    read only at v's nonzero entries (minors(g^-1, k) is the Gram)."""
+    m, den = linalg.scale_to_int(m)
+    v, dv = linalg.scale_to_int(v)
+    nz = np.flatnonzero(v)
+    return linalg.divide_ints(v[nz] @ linalg.int_minors(m, k)[nz], den**k * dv)
 
 
 def form_pairing(g: SymBilinear, a: KForm, b: KForm):
     """Induced inner product <a, b>_g on k-forms."""
     a._check_like(b)
-    gram = _pairing_matrix(g, a.degree)
-    if a.exact or b.exact or linalg.is_exact(gram):
-        return _gram_dot(_gram_dot(gram, b.coeffs), a.coeffs)
-    return a.coeffs @ gram @ b.coeffs
+    if g.exact and a.exact and b.exact:  # the Gram is symmetric: a @ gram, then b
+        a_gram = _compound_dot(a.coeffs, g.inverse(), a.degree)
+        return linalg.exact_product(np.dot, a_gram, b.coeffs)
+    return a.coeffs @ linalg.minors(g.inverse(), a.degree) @ b.coeffs
 
 
 def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
@@ -413,7 +411,10 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
         raise DegenerateMetric("volume form vanishes")
     if not g.is_nondegenerate():
         raise DegenerateMetric("metric is degenerate")
-    paired = _gram_dot(_pairing_matrix(g, a.degree), a.coeffs)  # <e^J, a> per increasing J
+    if g.exact and a.exact:  # <e^J, a> per increasing J; the Gram is symmetric
+        paired = _compound_dot(a.coeffs, g.inverse(), a.degree)
+    else:
+        paired = linalg.minors(g.inverse(), a.degree) @ a.coeffs
     # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
     return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])
@@ -423,7 +424,7 @@ def hodge_matrices(g: SymBilinear, vol: KForm, k: int) -> tuple[np.ndarray, np.n
     """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
     on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
     to rounding.  Float metrics only; they and the volume are not re-validated."""
-    gram = _pairing_matrix(g, k)
+    gram = linalg.minors(g.inverse(), k)
     top = wedge_tensor(g.dim, k, g.dim - k)[0]
     return gram, top.T @ gram * vol.coeffs[0]
 

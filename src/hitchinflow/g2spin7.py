@@ -107,7 +107,8 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     # B = C M C^T / 6 with C[i] = e_i . phi and M[a, b] = e^a ^ e^b ^ phi
     C = contract(interior_tensor(7, 3), phi.coeffs)
     p4 = contract(wedge_tensor(7, 4, 3)[0], phi.coeffs)  # 4-forms ^ phi on e^{1..7}
-    B = C @ contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4) @ C.T
+    M = contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4)
+    B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T) if exact else C @ M @ C.T
     B = (B + B.T) / 12  # symmetric to the last bit in floats
     d = linalg.det(B)
     scale = max(float(max(abs(x) for x in B.reshape(-1))), 1e-30)

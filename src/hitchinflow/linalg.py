@@ -4,12 +4,12 @@ Float mode uses numpy directly.  Exact mode operates on object arrays of
 ``fractions.Fraction`` so that the model identities can be verified without
 rounding; only the operations actually needed by the exact identity suite
 (inverse, minors, determinant, signature, nullspace, square roots)
-are implemented.  ``minors``, the k-th compound matrix, computes every
-minor and exact determinant in the package: batched LAPACK determinants
-for floats, for Fractions a Laplace expansion that reuses the smaller
-minors, in Python ints over one common denominator, divided once.  The
-exact inverse is the adjugate, the (n-1)-minors with signs, over the
-determinant.
+are implemented.  Exact products run in Python ints over one common
+denominator, one Fraction per output entry (``exact_product``).  ``minors``,
+the k-th compound matrix, computes every minor and exact determinant in the
+package: batched LAPACK determinants for floats, for Fractions a Laplace
+expansion in ints that reuses the smaller minors.  The exact inverse is
+the adjugate, the (n-1)-minors with signs, over the determinant.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def as_exact(a) -> np.ndarray:
     arr = np.array(a, dtype=object)
     flat = arr.reshape(-1)
     for i, x in enumerate(flat):
-        flat[i] = Fraction(x)
+        flat[i] = x if type(x) is Fraction else Fraction(x)
     return flat.reshape(arr.shape)
 
 
@@ -133,29 +133,46 @@ def scale_to_int(m) -> tuple[np.ndarray, int]:
     return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(m), den
 
 
+def divide_ints(a, den: int):
+    """a / den for an object array (or a scalar) of Python ints: one
+    Fraction per entry, every zero the one shared Fraction(0)."""
+    zero = Fraction(0)
+    return np.frompyfunc(lambda x: Fraction(x, den) if x else zero, 1, 1)(a)
+
+
+def exact_product(f, *operands):
+    """f(*operands) for an f linear in each array of ints/Fractions: f of
+    them scaled to Python ints, divided once by the product of the scales."""
+    scaled = [scale_to_int(x) for x in operands]
+    return divide_ints(f(*(m for m, _ in scaled)), math.prod(d for _, d in scaled))
+
+
+def int_minors(m: np.ndarray, k: int) -> np.ndarray:
+    """``minors`` of a square object array of Python ints, in ints, each
+    level expanded along first rows from the one below: n * 2**(n-1) int
+    products for one n x n determinant."""
+    level = m[k - 1 :] if k else np.ones((1, 1), dtype=object)
+    for j in range(2, k + 1):
+        first, rest, col, drop = _laplace_tables(m.shape[0], k, j)
+        prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
+        level = prod[..., ::2].sum(axis=-1) - prod[..., 1::2].sum(axis=-1)
+    return level
+
+
 def minors(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound matrix of a square m: C[i, j] = det m[I_i, J_j] over
     the increasing k-tuples I_i, J_j in lexicographic order.
 
-    Float input takes batched LAPACK determinants.  Exact (object) input
-    is scaled to ints by the lcm d of its denominators and expanded along
-    first rows, each level of minors built from the one below, so one
-    n x n determinant costs n * 2**(n-1) int products; every minor is then
-    one Fraction(minor, d**k).
-    """
-    if k == 0:
-        return np.full((1, 1), Fraction(1) if is_exact(m) else 1.0)
-    n = m.shape[0]
+    Float input takes batched LAPACK determinants; exact (object) input is
+    scaled to ints by the lcm d of its denominators, and its ``int_minors``
+    are divided by d**k."""
     if not is_exact(m):
+        if k == 0:
+            return np.full((1, 1), 1.0)
         with np.errstate(divide="ignore"):  # numpy's det takes log 0 on a singular block
-            return np.linalg.det(np.take(m, _submatrix_index(n, k)))
+            return np.linalg.det(np.take(m, _submatrix_index(m.shape[0], k)))
     m, den = scale_to_int(m)
-    level = m[k - 1 :]
-    for j in range(2, k + 1):
-        first, rest, col, drop = _laplace_tables(n, k, j)
-        prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
-        level = prod[..., ::2].sum(axis=-1) - prod[..., 1::2].sum(axis=-1)
-    return np.frompyfunc(lambda x: Fraction(x, den**k), 1, 1)(level)
+    return divide_ints(int_minors(m, k), den**k)
 
 
 def signature(g: np.ndarray) -> tuple[int, int]:

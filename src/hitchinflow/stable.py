@@ -383,21 +383,22 @@ def iota(sigma: KForm) -> KForm:
 
     omega is the dual-bivector inverse of sigma, scaled to its half-square.
     Of the two solutions +-omega, returns the one whose first nonzero
-    canonical coefficient is positive.  Raises UnstableForm if sigma is not
-    a half-square: |omega^2/2 - sigma| above 1e-12 max(max|sigma|, 1).
+    canonical coefficient is positive.  Raises UnstableForm if sigma is no
+    half-square (|omega^2/2 - sigma| > 1e-12 max(max|sigma|, 1)) or if
+    max|sigma|^3 is not finite.
     """
     if sigma.dim != 6 or sigma.degree != 4:
         raise ValueError("expected a 4-form on R^6")
     sigma = sigma.to_float()
-    # the dual bivector: B[i, j] = (e^i ^ e^j ^ sigma) on e^{1..6}, which
-    # is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
-    I2 = interior_tensor(6, 2)
-    B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs))
     scale = max(sigma.max_abs(), 1e-30)
-    with np.errstate(over="ignore"):  # det B ~ scale^6 leaves the float range first
-        det = abs(float(np.linalg.det(B)))
-    if not 1e-14 <= det / scale / scale / scale < math.inf:
+    if not scale * scale * scale < math.inf:  # nan too
         raise UnstableForm("4-form is not a nondegenerate half-square within float range")
+    # the dual bivector over max|sigma|, so scale-free: B[i, j] = (e^i ^ e^j ^
+    # sigma) on e^{1..6}, which is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
+    I2 = interior_tensor(6, 2)
+    B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs)) / scale
+    if not abs(float(np.linalg.det(B))) >= 1e-14:
+        raise UnstableForm("4-form is not a nondegenerate half-square")
     # the 2-form of the antisymmetric part of B^{-1}
     cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
     sq = wedge(cand, cand) * 0.5

@@ -38,13 +38,15 @@ exact inverse used before the adjugate from ``linalg.minors``, and
 that ``flow`` exported before the packed kernel left it unused.
 ``theta_rotation_matrix`` is the basis change that realizes the theta
 deformation of the complex orbit, which ``stable`` exported although
-only the tests used it.
+only the tests used it.  ``fraction_contract`` is the exact branch of
+``forms.contract`` before exact products ran in Python ints: a scatter
+of Fraction products over the nonzero table entries.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -488,3 +490,17 @@ def theta_rotation_matrix(theta: float) -> np.ndarray:
     for i in range(3):
         m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
     return m
+
+
+def fraction_contract(table, *vectors):
+    """``forms.contract`` of Fraction vectors, one Fraction product per
+    nonzero table entry, scattered with ``np.add.at``."""
+    lead = table.shape[: table.ndim - len(vectors)]
+    flat = table.reshape((prod(lead),) + table.shape[len(lead) :])
+    nz = np.nonzero(flat)
+    vals = flat[nz].astype(int).astype(object)
+    for v, idx in zip(vectors, nz[1:]):
+        vals = vals * v[idx]
+    out = np.full(len(flat), Fraction(0), dtype=object)
+    np.add.at(out, nz[0], vals)
+    return out.reshape(lead)[()]

@@ -23,6 +23,7 @@ from hitchinflow.forms import (
     wedge,
     wedge_tensor,
 )
+from hitchinflow.g2spin7 import SevenClass, metric_vol_from_phi, model_phi
 from hitchinflow.linalg import as_exact
 from hitchinflow.stable import model_pair
 
@@ -30,7 +31,9 @@ from oracles import (
     dense_hodge,
     dense_pairing,
     dense_pullback,
+    fraction_contract,
     interior_table_oracle,
+    metric_vol_oracle,
     scatter_interior,
     scatter_wedge,
     theta_rotation_matrix,
@@ -286,34 +289,69 @@ def test_hodge_rejects_degenerate_metric():
 
 def _exact_forms(rng, n, k):
     """A dense Fraction k-form with thirds and sevenths, a sparse one
-    (about a quarter of it), and the zero form."""
+    (about a quarter of it), the zero form, and a dense one with the
+    coprime denominators 7, 9, 11 and 13."""
     size = comb(n, k)
     nums, dens = rng.integers(-9, 10, size), rng.choice([1, 3, 7], size)
     dense = np.array([Fraction(int(p), int(q)) for p, q in zip(nums, dens)], dtype=object)
     sparse = dense.copy()
     sparse[rng.random(size) < 0.75] = Fraction(0)
-    return [KForm(n, k, dense), KForm(n, k, sparse), KForm.zero(n, k, exact=True)]
+    coprime = _coprime(rng, size)
+    return [KForm(n, k, dense), KForm(n, k, sparse), KForm.zero(n, k, exact=True), KForm(n, k, coprime)]
+
+
+def _coprime(rng, *shape):
+    """Fractions with numerators in [-9, 9] and denominators 7, 9, 11, 13."""
+    return as_exact(rng.integers(-9, 10, shape)) / as_exact(rng.choice([7, 9, 11, 13], shape))
+
+
+def _all_fractions(values) -> bool:
+    return all(type(c) is Fraction for c in np.asarray(values, dtype=object).flat)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_exact_products_equal_dense_oracle(n, rng):
-    # exact pairing, star and pullback skip zero coefficients; the values
-    # must be the same Fractions as the dense products with the full Gram
+    # exact pairing, star, pullback and the table products run in ints over
+    # one denominator; the values must be the same Fractions as the dense
+    # products with the full Gram and the Fraction scatter over the tables
     upper = as_exact(np.triu(rng.integers(-3, 4, size=(n, n)), 1)) / 3 + as_exact(np.eye(n))
     signs = as_exact(np.diag([1, -1] * (n // 2) + [1] * (n % 2))) * Fraction(2, 3)
     g = SymBilinear(upper.T @ signs @ upper)
-    mat = as_exact(rng.integers(-4, 5, size=(n, n))) / 7
+    mats = (as_exact(rng.integers(-4, 5, size=(n, n))) / 7, _coprime(rng, n, n))
     vol = volume_form(n, Fraction(3, 2), exact=True)
+    vectors = (_coprime(rng, n), as_exact(np.zeros(n, dtype=int)))
     for k in (2, 3, 4):
         forms = _exact_forms(rng, n, k)
+        W, I = wedge_tensor(n, k, k), interior_tensor(n, k).transpose(1, 0, 2)
         for a in forms:
-            pairs = ((hodge(g, vol, a), dense_hodge(g, vol, a)), (pullback(mat, a), dense_pullback(mat, a)))
+            pairs = [(hodge(g, vol, a), dense_hodge(g, vol, a))]
+            pairs += [(pullback(mat, a), dense_pullback(mat, a)) for mat in mats]
             for got, want in pairs:
                 assert np.all(got.coeffs == want.coeffs)
-                assert all(type(c) is Fraction for c in got.coeffs)
+                assert _all_fractions(got.coeffs)
+            for v in vectors:
+                got, want = interior(v, a).coeffs, fraction_contract(I, v, a.coeffs)
+                assert np.all(got == want) and _all_fractions(got)
+                got = wedge(KForm(n, 1, v), a).coeffs
+                assert np.all(got == fraction_contract(wedge_tensor(n, 1, k), v, a.coeffs))
+                assert _all_fractions(got)
             for b in forms:
                 got = form_pairing(g, a, b)
                 assert got == dense_pairing(g, a, b) and type(got) is Fraction
+                if 2 * k <= n:
+                    for got, want in (
+                        (wedge(a, b).coeffs, fraction_contract(W, a.coeffs, b.coeffs)),
+                        (contract(W, b.coeffs), fraction_contract(W, b.coeffs)),
+                    ):
+                        assert np.all(got == want) and _all_fractions(got)
+    if n == 7:  # B = C M C^T in ints against the 56-wedge loop
+        for name, mat in zip(("su3", "su12", "sl3r"), (mats[1], mats[1], mats[0])):
+            phi = pullback(mat, model_phi(name, exact=True))
+            g7, vol7, _ = metric_vol_from_phi(phi)
+            g_want, vol_want = metric_vol_oracle(phi)
+            assert np.all(g7.matrix == g_want) and vol7.coeffs[0] == vol_want
+            assert _all_fractions(g7.matrix) and _all_fractions(vol7.coeffs)
+        assert metric_vol_from_phi(KForm.zero(7, 3, exact=True))[2] is SevenClass.NOT_STABLE
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -355,6 +393,10 @@ def test_bitmask_tables_are_the_sort_sign_loops():
 def test_symbilinear_checks_symmetry():
     with pytest.raises(ValueError):
         SymBilinear(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a nan passes a tolerance comparison and inf - inf warns: both refused
+    for m in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymBilinear(m)
 
 
 def test_symbilinear_signature():

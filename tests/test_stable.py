@@ -402,6 +402,13 @@ def test_iota_is_equivariant_and_refuses_minus_a_half_square(rng, name):
         assert err <= 1e-9 * max(1.0, np.max(np.abs(want)))
     with pytest.raises(UnstableForm):
         iota(-1.0 * sigma)
+    # the det floor is scale-free: small and large half-squares round-trip
+    for scale in (1e-6, 1e-3, 1e3):
+        w = om * scale
+        got = iota(0.5 * wedge(w, w)).coeffs
+        assert min(np.max(np.abs(got - s * w.coeffs)) for s in (1.0, -1.0)) <= 1e-12 * scale
+        with pytest.raises(UnstableForm):
+            iota(-0.5 * wedge(w, w))
 
 
 def test_iota_rejects_non_square():
