@@ -57,7 +57,7 @@ from .g2spin7 import (
     model_phi,
     model_seven,
     seven_structure,
-    star_derivative,
+    solve_dstar,
 )
 from .homogeneous import (
     InvariantForm,
@@ -102,7 +102,7 @@ __all__ = [
     # g2spin7
     "SevenClass", "EightClass", "build_phi",
     "metric_vol_from_phi", "assoc_4form", "build_Phi", "bundle_Phi",
-    "seven_structure", "star_derivative", "model_phi", "model_seven",
+    "seven_structure", "solve_dstar", "model_phi", "model_seven",
     # homogeneous
     "LieAlgebraPresentation", "ReductiveSplit", "InvariantForm",
     "structure_constants", "invariant_basis", "ce_differential",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import flow as fl
-from .errors import PreconditionFailed, SingularJacobian, StepFailure
+from .errors import PreconditionFailed, StepFailure
 from .g2spin7 import model_phi
 from .verify import format_report, verify_identities
 
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except PreconditionFailed as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2
-    except (StepFailure, SingularJacobian, np.linalg.LinAlgError, OverflowError) as exc:
+    except (StepFailure, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

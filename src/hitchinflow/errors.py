@@ -37,10 +37,6 @@ class PreconditionFailed(ValueError):
         super().__init__(f"{condition}: {message}" if message else condition)
 
 
-class SingularJacobian(RuntimeError):
-    """The star-coefficient Jacobian is too ill-conditioned to invert."""
-
-
 class NonpositiveF(ValueError):
     """The fiber length must be positive for this operation."""
 

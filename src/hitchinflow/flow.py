@@ -3,11 +3,11 @@
 Two flows are implemented on a registered homogeneous space:
 
 * the generic cocalibrated flow  d/dt *phi_t = d phi_t  for an invariant
-  G2/G2* structure, advanced by solving the star-coefficient Jacobian,
-  the closed-form derivative D(*) psi = *((4/3) pi_1 + pi_7 - pi_27) psi
-  of the Hitchin map phi -> *phi (Hitchin, "Stable forms and special
-  metrics", arXiv:math/0107101; Bryant, "Some remarks on G2-structures",
-  arXiv:math/0305124);
+  G2/G2* structure, advanced by the closed-form inverse of the derivative
+  D(*) psi = *((4/3) pi_1 + pi_7 - pi_27) psi of the Hitchin map
+  phi -> *phi (Hitchin, "Stable forms and special metrics",
+  arXiv:math/0107101; Bryant, "Some remarks on G2-structures",
+  arXiv:math/0305124): phi_dot = ((7/4) pi_1 + 2 pi_7 - 1) *d phi;
 
 * the degenerate line-bundle flow for split data phi = f omega ^ e^phi
   + rho on the distribution Ann(e^phi), with the two equations
@@ -73,13 +73,12 @@ from .errors import (
     NotProportional,
     PreconditionFailed,
     ProjectionFailure,
-    SingularJacobian,
     StepFailure,
     UnstableForm,
 )
 from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
                     wedge)
-from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, star_derivative
+from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, solve_dstar
 from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
 __all__ = [
@@ -660,26 +659,15 @@ def _stable(s: SevenStructure) -> SevenStructure:
 
 
 def generic_rhs(state: GenericFlowState, structure: SevenStructure | None = None) -> np.ndarray:
-    """Coefficient velocity solving J_*(x) xdot = coeffs(d phi(x)), given
-    the state's ``seven_structure`` when the caller has it.
-
-    J_* is the Jacobian of the star-coefficient map, the closed-form
-    derivative of phi -> *phi (``g2spin7.star_derivative``, after Hitchin,
-    arXiv:math/0107101, and Bryant, arXiv:math/0305124) restricted to the
-    invariant bases; raises SingularJacobian when its condition number
-    exceeds 1e12.
+    """Coefficient velocity of d/dt *phi = d phi, given the state's
+    ``seven_structure`` when the caller has it: xdot = coords(xi) for the
+    3-form xi with D(*) xi = d phi (``g2spin7.solve_dstar``).
     """
     problem = state.problem
-    x = np.asarray(state.x, dtype=float)
-    basis4 = problem.basis(4)
-    phi = problem.phi(x)
+    phi = problem.phi(np.asarray(state.x, dtype=float))
     s = _stable(seven_structure(phi) if structure is None else structure)
-    jac = basis4.pinv @ star_derivative(s) @ problem.basis(3).mat
-    cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularJacobian(f"star-coefficient Jacobian condition number {cond:.2e}")
-    rhs = basis4.coords(problem.space.d(phi).coeffs, "d phi")
-    return np.linalg.solve(jac, rhs)
+    xi = solve_dstar(s, problem.space.d(phi))
+    return problem.basis(3).coords(xi.coeffs, "phi velocity")
 
 
 def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
@@ -749,7 +737,6 @@ _NUMERICAL_FAILURES = (
     DegenerateOmega,
     DegenerateMetric,
     NonpositiveF,
-    SingularJacobian,
     np.linalg.LinAlgError,
 )
 
@@ -989,11 +976,21 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
     'step_failure' when no acceptable step exists; stop_cause then says
     why.  The trajectory's stats count what the integrator did.
 
-    Raises PreconditionFailed before any step when the run would record
-    more than _MAX_SAMPLES samples or take more than _MAX_RK4_STEPS rk4
-    steps, and when the first sample does not reproduce the seed's
-    reference class and g8 signature.
+    Raises PreconditionFailed before any step when the seed holds a nan
+    or an infinity, when the run would record more than _MAX_SAMPLES
+    samples or take more than _MAX_RK4_STEPS rk4 steps, and when the
+    first sample does not reproduce the seed's reference class and g8
+    signature.
     """
+    if isinstance(seed, DegenerateFlowState):
+        values = {"t": seed.t, "f": seed.f, "w": seed.w, "s": seed.s}
+    elif isinstance(seed, GenericFlowState):
+        values = {"t": seed.t, "x": seed.x}
+    else:
+        raise TypeError(f"unknown seed type {type(seed)}")
+    for name, val in values.items():
+        if not np.all(np.isfinite(np.asarray(val, dtype=float))):
+            raise PreconditionFailed("finite_seed", f"the seed's {name} is not finite")
     span = abs(config.t_end - seed.t)
     steps = span / config.step if config.kind() == "rk4" else 0.0
     for what, count, cap in (("samples", span / config.sample_dt, _MAX_SAMPLES),
@@ -1008,10 +1005,8 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
                 f"f = {seed.f}",
             )
         flow = _degenerate_flow(seed)
-    elif isinstance(seed, GenericFlowState):
-        flow = _generic_flow(seed)
     else:
-        raise TypeError(f"unknown seed type {type(seed)}")
+        flow = _generic_flow(seed)
     stats = _Stats()
 
     def rhs(t, y):

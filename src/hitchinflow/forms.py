@@ -46,7 +46,6 @@ __all__ = [
     "embed",
     "restrict",
     "sort_sign",
-    "hodge_matrices",
     "wedge_tensor",
     "interior_tensor",
     "contract",
@@ -394,39 +393,37 @@ def _compound_dot(v: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     return linalg.divide_ints(v[nz] @ linalg.int_minors(m, k)[nz], den**k * dv)
 
 
+def _float_gram(g: SymBilinear, k: int) -> np.ndarray:
+    """minors(g^-1, k), the Gram on k-forms, of g's entries as floats."""
+    return linalg.minors(linalg.inverse(np.asarray(g.matrix, dtype=float)), k)
+
+
 def form_pairing(g: SymBilinear, a: KForm, b: KForm):
-    """Induced inner product <a, b>_g on k-forms."""
+    """Induced inner product <a, b>_g on k-forms; as in ``contract``, a
+    float operand makes a float product."""
     a._check_like(b)
     if g.exact and a.exact and b.exact:  # the Gram is symmetric: a @ gram, then b
         a_gram = _compound_dot(a.coeffs, g.inverse(), a.degree)
         return linalg.exact_product(np.dot, a_gram, b.coeffs)
-    return a.coeffs @ linalg.minors(g.inverse(), a.degree) @ b.coeffs
+    return a.to_float().coeffs @ _float_gram(g, a.degree) @ b.to_float().coeffs
 
 
 def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
-    """Hodge star defined by  b ^ star(a) = <b, a>_g vol  for all b."""
+    """Hodge star defined by  b ^ star(a) = <b, a>_g vol  for all b; as in
+    ``contract``, a float operand makes a float product."""
     if vol.degree != vol.dim or vol.dim != a.dim or g.dim != a.dim:
         raise DimensionMismatch("volume/metric/form dimensions disagree")
     if vol.is_zero():
         raise DegenerateMetric("volume form vanishes")
     if not g.is_nondegenerate():
         raise DegenerateMetric("metric is degenerate")
-    if g.exact and a.exact:  # <e^J, a> per increasing J; the Gram is symmetric
-        paired = _compound_dot(a.coeffs, g.inverse(), a.degree)
-    else:
-        paired = linalg.minors(g.inverse(), a.degree) @ a.coeffs
+    if g.exact and a.exact and vol.exact:  # <e^J, a> per increasing J; the Gram is symmetric
+        paired, scale = _compound_dot(a.coeffs, g.inverse(), a.degree), vol.coeffs[0]
+    else:  # a float operand makes a float product, as in contract
+        paired, scale = _float_gram(g, a.degree) @ a.to_float().coeffs, float(vol.coeffs[0])
     # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
-    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])
-
-
-def hodge_matrices(g: SymBilinear, vol: KForm, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
-    on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
-    to rounding.  Float metrics only; they and the volume are not re-validated."""
-    gram = linalg.minors(g.inverse(), k)
-    top = wedge_tensor(g.dim, k, g.dim - k)[0]
-    return gram, top.T @ gram * vol.coeffs[0]
+    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * scale)
 
 
 # -- index embeddings --------------------------------------------------

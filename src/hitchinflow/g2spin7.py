@@ -41,7 +41,6 @@ from .forms import (
     contract,
     embed,
     hodge,
-    hodge_matrices,
     interior_tensor,
     volume_form,
     wedge,
@@ -56,7 +55,7 @@ __all__ = [
     "build_phi",
     "metric_vol_from_phi",
     "seven_structure",
-    "star_derivative",
+    "solve_dstar",
     "assoc_4form",
     "build_Phi",
     "bundle_Phi",
@@ -139,25 +138,32 @@ def seven_structure(phi: KForm) -> SevenStructure:
     return SevenStructure(phi, g7, vol7, hodge(g7, vol7, phi), klass)
 
 
-def star_derivative(s: SevenStructure) -> np.ndarray:
-    """35x35 matrix of the derivative of the Hitchin map phi -> *phi at s.
+def solve_dstar(s: SevenStructure, beta: KForm) -> KForm:
+    """The 3-form xi with D(*) xi = beta for a 4-form beta, where D(*) is
+    the derivative of the Hitchin map phi -> *phi at the float structure s.
 
-    D(*) psi = *((4/3) pi_1 + pi_7 - pi_27) psi (Hitchin, "Stable forms
+    D(*) = * A with A = (4/3) pi_1 + pi_7 - pi_27 (Hitchin, "Stable forms
     and special metrics", arXiv:math/0107101; Bryant, "Some remarks on
-    G2-structures", arXiv:math/0305124), where pi_1 and pi_7 are the
-    g-orthogonal projections onto R phi and onto {X . *phi}.  Since the
-    three projections sum to the identity, D(*) = *(-1 + (7/3) pi_1 +
-    2 pi_7) on the coefficients of 3-forms; this holds for G2 and G2*.
+    G2-structures", arXiv:math/0305124), and ** = 1 on the forms of R^7
+    for G2 and G2* alike, so xi = ((7/4) pi_1 + 2 pi_7 - 1) *beta.
+    psi = *beta is the 3-form whose star is beta: the star on 3-forms is
+    top^T minors(g^-1, 3) vol with top the pairing of 3- and 4-forms, and
+    minors(g, 3) is the inverse Gram (Cauchy-Binet), 3 x 3 determinants
+    where ``hodge`` of a 4-form takes 4 x 4 ones.  pi_1 psi = (psi ^ *phi)
+    / (phi ^ *phi) phi, and pi_7 psi = X . *phi for the X with
+    (X . *phi) ^ phi = psi ^ phi, since the other two parts wedge phi to
+    zero: the projections take a 7 x 7 solve and no Gram.
     """
     if not s.ok:
         raise UnstableForm("structure is not stable")
-    gram, star = hodge_matrices(s.g7, s.vol7, 3)
-    p = s.phi.coeffs
-    a7 = contract(interior_tensor(7, 4).transpose(1, 0, 2), s.star_phi.coeffs)  # e_c . *phi
-    gp, ga = gram @ p, gram @ a7
-    proj1 = np.outer(p, gp) / (p @ gp)
-    proj7 = a7 @ np.linalg.solve(a7.T @ ga, ga.T)
-    return star @ ((7.0 / 3.0) * proj1 + 2.0 * proj7 - np.eye(len(p)))
+    phi, star_phi = s.phi.coeffs, s.star_phi.coeffs
+    top = wedge_tensor(7, 3, 4)[0]
+    psi = linalg.minors(s.g7.matrix, 3) @ (top @ beta.coeffs) / s.vol7.coeffs[0]
+    pi1 = (psi @ top @ star_phi) / (phi @ top @ star_phi) * phi
+    wedge_phi = contract(wedge_tensor(7, 3, 3), phi)  # a -> a ^ phi on 3-forms
+    a7 = contract(interior_tensor(7, 4).transpose(1, 0, 2), star_phi)  # e_c . *phi
+    pi7 = a7 @ np.linalg.solve(wedge_phi @ a7, wedge_phi @ psi)
+    return KForm(7, 3, 1.75 * pi1 + 2.0 * pi7 - psi)
 
 
 def build_phi(omega: KForm, rho: KForm, eta: KForm) -> SevenStructure:

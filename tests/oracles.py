@@ -41,6 +41,11 @@ deformation of the complex orbit, which ``stable`` exported although
 only the tests used it.  ``fraction_contract`` is the exact branch of
 ``forms.contract`` before exact products ran in Python ints: a scatter
 of Fraction products over the nonzero table entries.
+``hodge_matrices``, ``star_derivative`` and ``jacobian_generic_rhs`` are
+the generic-flow velocity as a Jacobian solve, before the closed-form
+inverse ``g2spin7.solve_dstar`` replaced it: the 35 x 35 matrix
+of D(*) from the Gram and Hodge-star matrices on 3-forms, restricted to
+the invariant bases and solved against the coordinates of d phi.
 """
 
 import itertools
@@ -191,6 +196,41 @@ def fd_generic_rhs(state, h: float) -> np.ndarray:
     _, _, pinv4 = problem.basis(4)
     jac = fd_star_jacobian(problem, state.x, h)
     return np.linalg.solve(jac, pinv4 @ problem.space.d(state.phi_form()).coeffs)
+
+
+def hodge_matrices(g, vol, k: int):
+    """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
+    on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
+    to rounding.  Float metrics only."""
+    gram = linalg.minors(g.inverse(), k)
+    top = wedge_tensor(g.dim, k, g.dim - k)[0]
+    return gram, top.T @ gram * vol.coeffs[0]
+
+
+def star_derivative(s) -> np.ndarray:
+    """35x35 matrix of D(*) = *(-1 + (7/3) pi_1 + 2 pi_7) at the structure
+    s, with pi_1 and pi_7 the g-orthogonal projections onto R phi and onto
+    {X . *phi}, built from the Gram on 3-forms."""
+    if not s.ok:
+        raise UnstableForm("structure is not stable")
+    gram, star = hodge_matrices(s.g7, s.vol7, 3)
+    p = s.phi.coeffs
+    a7 = contract(interior_tensor(7, 4).transpose(1, 0, 2), s.star_phi.coeffs)  # e_c . *phi
+    gp, ga = gram @ p, gram @ a7
+    proj1 = np.outer(p, gp) / (p @ gp)
+    proj7 = a7 @ np.linalg.solve(a7.T @ ga, ga.T)
+    return star @ ((7.0 / 3.0) * proj1 + 2.0 * proj7 - np.eye(len(p)))
+
+
+def jacobian_generic_rhs(state) -> np.ndarray:
+    """Generic-flow velocity solving J xdot = coeffs(d phi), with J the
+    matrix ``star_derivative`` restricted to the invariant bases."""
+    problem = state.problem
+    _, mat3, _ = problem.basis(3)
+    _, _, pinv4 = problem.basis(4)
+    phi = state.phi_form()
+    jac = pinv4 @ star_derivative(seven_structure(phi)) @ mat3
+    return np.linalg.solve(jac, pinv4 @ problem.space.d(phi).coeffs)
 
 
 def relative_gap(a, b) -> float:

@@ -29,12 +29,7 @@ from hitchinflow.flow import (
     torsion_residual,
 )
 from hitchinflow.forms import KForm, form_pairing, wedge
-from hitchinflow.g2spin7 import (
-    bundle_Phi,
-    model_phi,
-    seven_structure,
-    star_derivative,
-)
+from hitchinflow.g2spin7 import bundle_Phi, model_phi, seven_structure
 from hitchinflow.homogeneous import space
 from hitchinflow.stable import classify_pair
 
@@ -45,8 +40,10 @@ from oracles import (
     degenerate_split_oracle,
     fd_generic_rhs,
     fd_star_jacobian,
+    jacobian_generic_rhs,
     relative_gap,
     split_rhs_oracle,
+    star_derivative,
     torsion_residual_oracle,
 )
 
@@ -399,7 +396,8 @@ def test_generic_stationary_abelian():
 )
 def test_generic_jacobian_matches_finite_differences(params, f):
     # the closed-form star-Jacobian against the central-difference oracle;
-    # at h = 1e-5 the oracle's own error is about 1e-10 relative here
+    # at h = 1e-5 the oracle's own error is about 1e-10 relative here; the
+    # closed-form inverse against the solve with that Jacobian
     gp = generic_problem("n11")
     st = generic_state_from_split(gp, n11_problem(**params), f)
     _, mat3, _ = gp.basis(3)
@@ -407,6 +405,7 @@ def test_generic_jacobian_matches_finite_differences(params, f):
     closed = pinv4 @ star_derivative(seven_structure(st.phi_form())) @ mat3
     assert relative_gap(closed, fd_star_jacobian(gp, st.x, 1e-5)) <= 1e-7
     assert relative_gap(generic_rhs(st), fd_generic_rhs(st, 1e-5)) <= 1e-7
+    assert relative_gap(generic_rhs(st), jacobian_generic_rhs(st)) <= 1e-13
 
 
 def test_generic_equivariance():
@@ -693,6 +692,29 @@ def test_first_sample_must_reproduce_the_seed_reference():
     with pytest.raises(PreconditionFailed) as err:
         integrate(cfg, startup_seed(p, 1.0, 1e-7))
     assert err.value.condition == "seed_reference"
+
+
+@pytest.mark.parametrize(
+    "flow,name,bad",
+    [("degenerate", name, bad) for name in ("f", "w", "s") for bad in (np.inf, np.nan)]
+    + [("generic", "x", np.inf), ("generic", "x", np.nan), ("generic", "t", np.nan)],
+)
+def test_integrate_refuses_a_non_finite_seed(flow, name, bad):
+    # refused before any numpy call on the seed could warn or fail later
+    if flow == "degenerate":
+        seed = startup_seed(n11_problem(), 1.0, 1e-4)
+    else:
+        gp = generic_problem("n11")
+        seed = generic_state_from_split(gp, n11_problem(), 1.0)
+    value = getattr(seed, name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[-1] = bad
+    else:
+        value = bad
+    with pytest.raises(PreconditionFailed) as err:
+        integrate(FlowConfig(space="n11", t_end=0.05), replace(seed, **{name: value}))
+    assert err.value.condition == "finite_seed"
 
 
 def test_cached_basis_keeps_bases_with_and_without_the_fiber_apart():

@@ -13,7 +13,6 @@ from hitchinflow.forms import (
     embed,
     form_pairing,
     hodge,
-    hodge_matrices,
     increasing_tuples,
     interior,
     interior_tensor,
@@ -32,6 +31,7 @@ from oracles import (
     dense_pairing,
     dense_pullback,
     fraction_contract,
+    hodge_matrices,
     interior_table_oracle,
     metric_vol_oracle,
     scatter_interior,
@@ -372,6 +372,22 @@ def test_float_products_are_the_dense_expressions(n, rng):
         for q in range(n - k + 1):
             c = KForm(n, q, rng.normal(size=comb(n, q)))
             assert wedge(a, c).coeffs.tobytes() == scatter_wedge(a, c).tobytes()
+        # as in contract, a float operand makes a float product: the exact
+        # operands are cast to float first; an exact metric with float
+        # forms, an exact form with a float metric, and both exact with a
+        # float form or volume
+        eg = SymBilinear(as_exact(np.diag(rng.integers(1, 4, n))) / 3)
+        fg = SymBilinear(np.asarray(eg.matrix, dtype=float))
+        ea = KForm(n, k, _coprime(rng, comb(n, k)))
+        for m, fm, x, fx in ((eg, fg, a, a), (g, g, ea, ea.to_float()), (eg, fg, ea, ea.to_float())):
+            got = form_pairing(m, x, b)
+            assert type(got) is np.float64 and got == form_pairing(fm, fx, b)
+            got = hodge(m, vol, x).coeffs
+            assert got.dtype == float and np.array_equal(got, hodge(fm, vol, fx).coeffs)
+    if n == 6:  # the exact su3 rho with the float Euclidean metric
+        g, vol, rho = SymBilinear(np.eye(6)), volume_form(6, 1.0), model_pair("su3", exact=True)[1]
+        got = hodge(g, vol, rho).coeffs
+        assert got.dtype == float and np.array_equal(got, hodge(g, vol, rho.to_float()).coeffs)
 
 
 def test_bitmask_tables_are_the_sort_sign_loops():

@@ -26,12 +26,12 @@ from hitchinflow.g2spin7 import (
     model_phi,
     model_seven,
     seven_structure,
-    star_derivative,
+    solve_dstar,
 )
 from hitchinflow.stable import classify_pair, model_pair
 
 from hitchinflow.linalg import as_exact
-from oracles import fd_jacobian, metric_vol_oracle, relative_gap
+from oracles import fd_jacobian, metric_vol_oracle, relative_gap, star_derivative
 
 
 def _e7(exact=False):
@@ -279,9 +279,22 @@ def test_star_derivative_matches_finite_differences(name, rng):
         assert np.allclose(closed @ phi.coeffs, (4.0 / 3.0) * s.star_phi.coeffs, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_solve_dstar_inverts_the_jacobian(name, rng):
+    # the closed-form inverse against the Jacobian matrix of the oracle, on
+    # conjugates I + 0.1 N of G2 and both G2* models and random 4-forms
+    for _ in range(50):
+        s = seven_structure(pullback(np.eye(7) + 0.1 * rng.normal(size=(7, 7)), model_phi(name)))
+        beta = KForm(7, 4, rng.normal(size=35))
+        xi = solve_dstar(s, beta)
+        assert relative_gap(star_derivative(s) @ xi.coeffs, beta.coeffs) <= 1e-13
+        # *phi is homogeneous of degree 4/3 in phi
+        assert relative_gap(solve_dstar(s, s.star_phi).coeffs, 0.75 * s.phi.coeffs) <= 1e-13
+
+
 def test_star_derivative_rejects_unstable():
     with pytest.raises(UnstableForm):
-        star_derivative(seven_structure(KForm.zero(7, 3)))
+        solve_dstar(seven_structure(KForm.zero(7, 3)), KForm.zero(7, 4))
 
 
 def test_seven_structure_beyond_float_range_is_not_ok():

@@ -1,7 +1,8 @@
 """The package keeps its modules' private helpers private: no module of
 ``hitchinflow`` reads an underscore name of another package module, as
 ``stable._x`` or ``from .stable import _x``.  Dunder names such as
-``__version__`` are public."""
+``__version__`` are public.  No module imports a name that it neither
+uses nor re-exports in ``__all__``."""
 
 import ast
 import importlib
@@ -61,6 +62,44 @@ def test_the_check_finds_private_reads(tmp_path):
         "probe.py:4: stable._k_matrix",
         "probe.py:4: la._laplace_tables",
     ]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Each name a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path) == []
+
+
+def test_the_check_finds_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .forms import KForm, hodge, wedge\n"
+        "from .errors import UnstableForm as Unstable\n"
+        "__all__ = ['KForm']\n"
+        "def f(a: np.ndarray):\n"
+        "    return wedge(a, a)\n"
+    )
+    assert unused_imports(probe) == ["probe.py:3: os", "probe.py:4: hodge", "probe.py:5: Unstable"]
 
 
 @pytest.mark.parametrize("name", ["hitchinflow", *(f"hitchinflow.{p.stem}" for p in MODULES
