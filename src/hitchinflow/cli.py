@@ -178,64 +178,66 @@ def run_point(
     report_only: bool = False,
     with_verify: bool = False,
 ) -> RunReport:
-    """Execute one scenario point: startup, integration, monitors, files."""
+    """Execute one scenario point: startup, integration, monitors, files.
+    The report is written on every exit, a failure's with its cause."""
     _make_dir(outdir)
     report = RunReport(scenario=scenario, params=dict(params))
     timings = report.timings
-    if with_verify:
-        checks = verify_identities()
-        report.identity_suite = {
-            "passed": sum(c.passed for c in checks),
-            "total": len(checks),
-        }
-    start = time.perf_counter()
-    if scenario == "n11-spin7":
-        problem = fl.n11_problem(**params)
-        sm = fl.problem_smoothness(problem)
-        report.smoothness = {"c": sm.c, "ok": sm.ok, "c_is_integer": sm.c_is_integer}
-        if not sm.ok or sm.c <= 0:
-            report.stop_reason = "refused_startup"
-            report.refused = f"smoothness check failed: c = {sm.c}, |c| = 1 required"
-            _write_report(outdir, report)
-            raise PreconditionFailed("smoothness", report.refused)
-        seed = fl.startup_seed(problem, sm.c, flow_cfg.startup_epsilon)
-    else:  # flat-abelian
-        gp = fl.generic_problem("abelian7")
-        _, _, pinv3 = gp.basis(3)
-        seed = fl.GenericFlowState(0.0, pinv3 @ model_phi("su3").coeffs, gp)
-    timings["seed_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    traj = fl.integrate(flow_cfg, seed)
-    timings["integrate_s"] = time.perf_counter() - start
-    timings["sample_s"] = traj.sample_s
-    if traj.kind == "degenerate":
-        report.max_normalization_residual = float(
-            np.max(traj.monitor("normalization_residual"))
-        )
-    report.classification_first = str(traj.samples[0].monitors["class"])
-    report.classification_last = str(traj.samples[-1].monitors["class"])
-    start = time.perf_counter()
     try:
-        torsion = fl.torsion_residual(traj)
-    except ValueError:  # fewer than 3 samples whose phi is stable
-        torsion = None
-    timings["torsion_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    if outdir is not None and not report_only:
-        _write_csv(outdir / "trajectory.csv", traj, torsion)
-    timings["io_s"] = time.perf_counter() - start
-    report.stop_reason = traj.stop_reason
-    report.stop_cause = traj.stop_cause
-    report.stats = traj.stats
-    report.n_samples = len(traj.samples)
-    report.t_first = float(traj.samples[0].t)
-    report.t_last = float(traj.samples[-1].t)
-    report.max_cocal_residual = float(np.max(traj.monitor("cocal_residual")))
-    if torsion is not None:  # nan after the stable prefix
-        n = int(np.count_nonzero(~np.isnan(torsion)))
-        report.max_torsion_residual = float(np.max(torsion[:n]))
-        report.torsion_t_last = float(traj.samples[n - 1].t)
-    _write_report(outdir, report)
+        if with_verify:
+            checks = verify_identities()
+            report.identity_suite = {"passed": sum(c.passed for c in checks), "total": len(checks)}
+        start = time.perf_counter()
+        if scenario == "n11-spin7":
+            problem = fl.n11_problem(**params)
+            sm = fl.problem_smoothness(problem)
+            report.smoothness = {"c": sm.c, "ok": sm.ok, "c_is_integer": sm.c_is_integer}
+            if not sm.ok or sm.c <= 0:
+                report.stop_reason = "refused_startup"
+                report.refused = f"smoothness check failed: c = {sm.c}, |c| = 1 required"
+                raise PreconditionFailed("smoothness", report.refused)
+            seed = fl.startup_seed(problem, sm.c, flow_cfg.startup_epsilon)
+        else:  # flat-abelian
+            gp = fl.generic_problem("abelian7")
+            _, _, pinv3 = gp.basis(3)
+            seed = fl.GenericFlowState(0.0, pinv3 @ model_phi("su3").coeffs, gp)
+        timings["seed_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        traj = fl.integrate(flow_cfg, seed)
+        timings["integrate_s"] = time.perf_counter() - start
+        timings["sample_s"] = traj.sample_s
+        if traj.kind == "degenerate":
+            report.max_normalization_residual = float(np.max(traj.monitor("normalization_residual")))
+        report.classification_first = str(traj.samples[0].monitors["class"])
+        report.classification_last = str(traj.samples[-1].monitors["class"])
+        start = time.perf_counter()
+        try:
+            torsion = fl.torsion_residual(traj)
+        except ValueError:  # fewer than 3 samples whose phi is stable
+            torsion = None
+        timings["torsion_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        if outdir is not None and not report_only:
+            _write_csv(outdir / "trajectory.csv", traj, torsion)
+        timings["io_s"] = time.perf_counter() - start
+        report.stop_reason = traj.stop_reason
+        report.stop_cause = traj.stop_cause
+        report.stats = traj.stats
+        report.n_samples = len(traj.samples)
+        report.t_first = float(traj.samples[0].t)
+        report.t_last = float(traj.samples[-1].t)
+        report.max_cocal_residual = float(np.max(traj.monitor("cocal_residual")))
+        if torsion is not None:  # nan after the stable prefix
+            n = int(np.count_nonzero(~np.isnan(torsion)))
+            report.max_torsion_residual = float(np.max(torsion[:n]))
+            report.torsion_t_last = float(traj.samples[n - 1].t)
+    except Exception as exc:  # a refused startup keeps its stop_reason
+        if report.stop_reason != "refused_startup":
+            report.stop_reason = "failed"
+        report.stop_cause = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        _write_report(outdir, report)
     return report
 
 

@@ -14,8 +14,9 @@ Coefficients are float64 by default; an exact mode (object arrays of
 ``fractions.Fraction``) is available for the model identity suite.
 Pullbacks and the Gram matrices behind the pairing and the Hodge star
 are products with compound matrices, and ``contract`` with the tables.
-Exact products run in Python ints over one common denominator, read only
-a form's nonzero coefficients and build one Fraction per output entry.
+A product is exact only when no operand is a float (``KForm * scalar``
+too).  Exact products run in Python ints over one common denominator, read
+only a form's nonzero coefficients and build one Fraction per output entry.
 
 Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 import numpy as np
@@ -165,16 +166,15 @@ class KForm:
         return KForm(self.dim, self.degree, -self.coeffs)
 
     def __mul__(self, scalar) -> "KForm":
-        if self.exact:
-            scalar = Fraction(scalar)
-        return KForm(self.dim, self.degree, self.coeffs * scalar)
+        if self.exact and np.asarray(scalar).dtype.kind != "f":
+            return KForm(self.dim, self.degree, self.coeffs * Fraction(scalar))
+        return KForm(self.dim, self.degree, np.asarray(self.coeffs, dtype=float) * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "KForm":
-        if self.exact:
-            return self * (Fraction(1) / Fraction(scalar))
-        return self * (1.0 / scalar)
+        exact = self.exact and np.asarray(scalar).dtype.kind != "f"
+        return self * (1 / Fraction(scalar) if exact else 1.0 / scalar)
 
     def _check_like(self, other: "KForm"):
         if self.dim != other.dim:
@@ -222,15 +222,20 @@ class SymBilinear:
     def exact(self) -> bool:
         return self.matrix.dtype == object
 
+    @cached_property
+    def _signature(self) -> tuple[int, int] | ValueError:  # computed once
+        try:
+            return linalg.signature(self.matrix)
+        except ValueError as exc:
+            return exc
+
     def signature(self) -> tuple[int, int]:
-        return linalg.signature(self.matrix)
+        if isinstance(self._signature, ValueError):
+            raise ValueError(*self._signature.args)
+        return self._signature
 
     def is_nondegenerate(self) -> bool:
-        try:
-            linalg.signature(self.matrix)
-        except ValueError:
-            return False
-        return True
+        return not isinstance(self._signature, ValueError)
 
     def inverse(self) -> np.ndarray:
         return linalg.inverse(self.matrix)
@@ -374,13 +379,14 @@ def contract(table: np.ndarray, *vectors: np.ndarray):
 
 # -- pullback ---------------------------------------------------------
 def pullback(mat: np.ndarray, a: KForm) -> KForm:
-    """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk)."""
+    """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk); a float matrix or
+    form makes a float product."""
     mat = np.asarray(mat)
     if mat.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"matrix {mat.shape} vs dim {a.dim}")
-    if a.exact:
+    if a.exact and mat.dtype.kind != "f":
         return KForm(a.dim, a.degree, _compound_dot(a.coeffs, mat, a.degree))
-    return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
+    return KForm(a.dim, a.degree, a.to_float().coeffs @ linalg.minors(mat.astype(float), a.degree))
 
 
 # -- metric pairing and Hodge star ------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     C = contract(interior_tensor(7, 3), phi.coeffs)
     p4 = contract(wedge_tensor(7, 4, 3)[0], phi.coeffs)  # 4-forms ^ phi on e^{1..7}
     M = contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4)
-    B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T) if exact else C @ M @ C.T
+    B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T)
     B = (B + B.T) / 12  # symmetric to the last bit in floats
     d = linalg.det(B)
     scale = max(float(max(abs(x) for x in B.reshape(-1))), 1e-30)
@@ -201,7 +200,7 @@ def build_Phi(s: SevenStructure) -> EightStructure:
     exact = s.phi.exact
     e8 = KForm.basis(8, [7], exact=exact)
     Phi = wedge(e8, embed(s.phi, 8)) + embed(s.star_phi, 8)
-    vol8 = wedge(Phi, Phi) * (Fraction(1, 14) if exact else (1.0 / 14.0))
+    vol8 = wedge(Phi, Phi) / 14
     if vol8.is_zero():
         raise UnstableForm("Phi ^ Phi vanishes")
     klass = EightClass.SPIN7 if s.klass is SevenClass.G2 else EightClass.SPIN034
@@ -227,7 +226,7 @@ def bundle_Phi(f: float, omega: KForm, rho: KForm) -> tuple[KForm, SymBilinear]:
     om8, rho8, jrho8 = (embed(x, 8) for x in (omega, rho, cls.jrho))
     e_phi, e_r = KForm.basis(8, [6], exact=exact), KForm.basis(8, [7], exact=exact)
     Phi = (
-        wedge(om8, om8) * (Fraction(1, 2) if exact else 0.5)
+        wedge(om8, om8) / 2
         + f * wedge(e_phi, jrho8)
         + wedge(e_r, rho8)
         + f * wedge(wedge(e_r, e_phi), om8)

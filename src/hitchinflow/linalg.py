@@ -1,15 +1,16 @@
 """Small dense linear algebra helpers that work in two scalar modes.
 
-Float mode uses numpy directly.  Exact mode operates on object arrays of
-``fractions.Fraction`` so that the model identities can be verified without
-rounding; only the operations actually needed by the exact identity suite
-(inverse, minors, determinant, signature, nullspace, square roots)
-are implemented.  Exact products run in Python ints over one common
-denominator, one Fraction per output entry (``exact_product``).  ``minors``,
-the k-th compound matrix, computes every minor and exact determinant in the
+Float mode uses numpy directly.  Exact mode takes object arrays of
+``fractions.Fraction``, for the model identity suite, and follows one rule:
+scale to Python ints by the lcm of the denominators (``scale_to_int``),
+compute in ints, build one Fraction per output entry (``divide_ints``); a
+float operand makes a float product (``exact_product``).  ``minors``, the
+k-th compound matrix, computes every minor and exact determinant in the
 package: batched LAPACK determinants for floats, for Fractions a Laplace
-expansion in ints that reuses the smaller minors.  The exact inverse is
-the adjugate, the (n-1)-minors with signs, over the determinant.
+expansion in ints that reuses the smaller minors.  The exact inverse is the
+int adjugate over the int determinant, the exact signature Descartes' rule
+on the int characteristic polynomial, and the exact nullspace the unique
+reduced echelon form, from Gauss-Jordan on primitive int rows.
 """
 
 from __future__ import annotations
@@ -51,16 +52,14 @@ def _int_root(a: int, n: int) -> int:
 
 
 def exact_nth_root(x: Fraction, n: int) -> Fraction:
-    """Exact signed n-th root (n odd allows negative x)."""
-    if x < 0:
-        if n % 2 == 0:
-            raise ValueError("even root of negative value")
-        return -exact_nth_root(-x, n)
-    num, den = x.numerator, x.denominator
+    """Exact signed n-th root (n odd allows negative x), in ints."""
+    if x < 0 and n % 2 == 0:
+        raise ValueError("even root of negative value")
+    num, den = abs(x.numerator), x.denominator
     rn, rd = _int_root(num, n), _int_root(den, n)
     if rn**n != num or rd**n != den:
         raise ValueError(f"{x} has no exact rational {n}-th root")
-    return Fraction(rn, rd)
+    return Fraction(-rn if x < 0 else rn, rd)
 
 
 def sqrt_scalar(x):
@@ -79,17 +78,19 @@ def nth_root_signed(x, n: int):
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse; in exact mode the adjugate over the determinant, both read
-    off ``minors(a, n - 1)``: its entry [n-1-i, n-1-j] is the minor
+    """Inverse; in exact mode, for a = m / den with m in ints, den times the
+    int adjugate of m over its int determinant, both read off
+    ``int_minors(m, n - 1)``: its entry [n-1-i, n-1-j] is the minor
     without row i and column j."""
     if not is_exact(a):
         return np.linalg.inv(a)
     n = a.shape[0]
-    adj = minors(a, n - 1)[::-1, ::-1].T * (-1) ** np.add.outer(range(n), range(n))
-    d = a[0] @ adj[:, 0]
+    m, den = scale_to_int(a)
+    adj = int_minors(m, n - 1)[::-1, ::-1].T * (-1) ** np.add.outer(range(n), range(n))
+    d = m[0] @ adj[:, 0]
     if d == 0:
         raise np.linalg.LinAlgError("singular exact matrix")
-    return adj / d
+    return divide_ints(adj * den, d)
 
 
 def det(a: np.ndarray):
@@ -141,8 +142,11 @@ def divide_ints(a, den: int):
 
 
 def exact_product(f, *operands):
-    """f(*operands) for an f linear in each array of ints/Fractions: f of
-    them scaled to Python ints, divided once by the product of the scales."""
+    """f(*operands) for an f linear in each operand: a float product when an
+    operand is a float, else f of the operands scaled to Python ints,
+    divided once by the product of the scales."""
+    if any(np.asarray(x).dtype.kind == "f" for x in operands):
+        return f(*operands)
     scaled = [scale_to_int(x) for x in operands]
     return divide_ints(f(*(m for m, _ in scaled)), math.prod(d for _, d in scaled))
 
@@ -176,44 +180,31 @@ def minors(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def signature(g: np.ndarray) -> tuple[int, int]:
-    """Signature (p, q) of a symmetric matrix; exact via congruence in
-    Fraction mode, eigenvalue counting otherwise.
+    """Signature (p, q) of a symmetric matrix by eigenvalue counting, or
+    exactly by Descartes' rule: p is the number of sign changes of the
+    coefficients c_0 = 1, ..., c_n of det(x - m) for the int-scaled m (a
+    positive scale keeps the signature), exact since every root is real.
+    Faddeev-LeVerrier gives them in ints: M_1 = 1, c_k = -tr(m M_k) / k,
+    M_{k+1} = m M_k + c_k.
 
-    Raises ValueError if the matrix is degenerate: exactly, or in floats
-    with an eigenvalue at or below 1e-10 max(max|eigenvalue|, 1) or nan,
-    so p + q is always the dimension.
+    Raises ValueError if the matrix is degenerate: exactly (c_n = 0), or in
+    floats with an eigenvalue at or below 1e-10 max(max|eigenvalue|, 1) or
+    nan, so p + q is always the dimension.
     """
     n = g.shape[0]
     if is_exact(g):
-        m = g.astype(object).copy()
-        p = q = 0
-        idx = list(range(n))
-        for _ in range(n):
-            k = next((i for i in idx if m[i, i] != 0), None)
-            if k is None:
-                # symmetric with zero diagonal: find off-diagonal pivot
-                pair = next(
-                    ((i, j) for i in idx for j in idx if i < j and m[i, j] != 0),
-                    None,
-                )
-                if pair is None:
-                    raise ValueError("degenerate exact bilinear form")
-                i, j = pair
-                m[i] = m[i] + m[j]
-                m[:, i] = m[:, i] + m[:, j]
-                k = i
-            d = m[k, k]
-            if d > 0:
-                p += 1
-            else:
-                q += 1
-            idx.remove(k)
-            for i in idx:
-                c = m[i, k] / d
-                if c != 0:
-                    m[i] = m[i] - c * m[k]
-                    m[:, i] = m[:, i] - c * m[:, k]
-        return p, q
+        m, _ = scale_to_int(g)
+        eye = np.identity(n, dtype=int).astype(object)
+        c, mk = [1], eye
+        for k in range(1, n + 1):
+            amk = m @ mk
+            c.append(-np.trace(amk) // k)
+            mk = amk + c[-1] * eye
+        if c[-1] == 0:
+            raise ValueError("degenerate exact bilinear form")
+        signs = [x > 0 for x in c if x]
+        p = sum(a != b for a, b in zip(signs, signs[1:]))
+        return p, n - p
     eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float)).tolist()
     cut = 1e-10 * max(max(map(abs, eigs)), 1.0)
     if not all(abs(e) > cut for e in eigs):  # nan too
@@ -225,33 +216,30 @@ def rational_nullspace(a: np.ndarray) -> list[np.ndarray]:
     """Deterministic exact nullspace basis of a Fraction matrix.
 
     Returns vectors in reduced echelon convention: each has a leading 1 in
-    a distinct free column, ordered by column index.
+    a distinct free column, ordered by column index.  Gauss-Jordan runs on
+    the int-scaled matrix with each row divided by its gcd, so row i ends
+    as a multiple of row i of the reduced echelon form, which is unique.
     """
-    m = as_exact(a).copy()
+    m, _ = scale_to_int(a)
     rows, cols = m.shape
     pivots = []
-    r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if m[i, c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] / m[r, c]
+        m[[r, piv]] = m[[piv, r]]
         for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
+            if i != r and m[i, c]:
+                row = m[i] * m[r, c] - m[r] * m[i, c]
+                m[i] = row // (math.gcd(*row) or 1)  # a zero row stays
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for c in free:
-        v = np.zeros(cols, dtype=object) + Fraction(0)
+    for c in (c for c in range(cols) if c not in pivots):
+        v = np.full(cols, Fraction(0), dtype=object)
         v[c] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -m[i, c]
+            v[pc] = Fraction(-m[i, c], m[i, pc])
         basis.append(v)
     return basis
 

@@ -46,6 +46,10 @@ the generic-flow velocity as a Jacobian solve, before the closed-form
 inverse ``g2spin7.solve_dstar`` replaced it: the 35 x 35 matrix
 of D(*) from the Gram and Hodge-star matrices on 3-forms, restricted to
 the invariant bases and solved against the coordinates of d phi.
+``congruence_signature`` and ``fraction_nullspace`` are the exact
+signature and nullspace as they ran in Fraction arithmetic, before both
+followed ``linalg``'s int rule: a symmetric congruence with a pivot-pair
+search on a zero diagonal, and Gauss-Jordan elimination on Fractions.
 """
 
 import itertools
@@ -544,3 +548,68 @@ def fraction_contract(table, *vectors):
     out = np.full(len(flat), Fraction(0), dtype=object)
     np.add.at(out, nz[0], vals)
     return out.reshape(lead)[()]
+
+
+def congruence_signature(g) -> tuple[int, int]:
+    """Signature of a symmetric Fraction matrix by symmetric congruence:
+    pivot on a nonzero diagonal entry, or, on a zero diagonal, add a row
+    and column with a nonzero off-diagonal entry to another.  ValueError
+    when the form is degenerate."""
+    n = g.shape[0]
+    m = g.astype(object).copy()
+    p = q = 0
+    idx = list(range(n))
+    for _ in range(n):
+        k = next((i for i in idx if m[i, i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in idx for j in idx if i < j and m[i, j] != 0), None)
+            if pair is None:
+                raise ValueError("degenerate exact bilinear form")
+            i, j = pair
+            m[i] = m[i] + m[j]
+            m[:, i] = m[:, i] + m[:, j]
+            k = i
+        d = m[k, k]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+        idx.remove(k)
+        for i in idx:
+            c = m[i, k] / d
+            if c != 0:
+                m[i] = m[i] - c * m[k]
+                m[:, i] = m[:, i] - c * m[:, k]
+    return p, q
+
+
+def fraction_nullspace(a) -> list[np.ndarray]:
+    """Nullspace basis of a Fraction matrix by Gauss-Jordan elimination in
+    Fractions, one vector per free column with a 1 there, read off the
+    reduced echelon form."""
+    m = linalg.as_exact(a).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = m[r] / m[r, c]
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = m[i] - m[i, c] * m[r]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for c in (c for c in range(cols) if c not in pivots):
+        v = np.zeros(cols, dtype=object) + Fraction(0)
+        v[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i, c]
+        basis.append(v)
+    return basis

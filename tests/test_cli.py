@@ -149,6 +149,27 @@ def test_run_ending_on_unstable_samples_has_no_torsion(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args,code,cause,timings",
+    [
+        (["--startup-epsilon", "1e-7", "--t-end", "0.05"], 2, "PreconditionFailed: seed_reference",
+         ["seed_s"]),
+        (["--set", "a=1e150"], 3, "OverflowError: ", []),
+    ],
+    ids=["seed_reference", "a=1e150"],
+)
+def test_failed_run_writes_its_report(tmp_path, args, code, cause, timings, capsys):
+    # a run that fails after it starts keeps its exit code and writes the
+    # report: stop_reason failed, the exception as the cause, and the
+    # timings of the phases that finished
+    assert _run(["--scenario", "n11-spin7", *args, "--output", str(tmp_path)]) == code
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["schema_version"] == 3 and report["stop_reason"] == "failed"
+    assert report["stop_cause"].startswith(cause)
+    assert list(report["timings"]) == timings
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
     "flow",
     [
         {"integrator": "euler"},

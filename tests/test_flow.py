@@ -479,6 +479,42 @@ def test_richardson_startup_accuracy():
     assert dev4 / dev2 == pytest.approx(4.0, rel=0.35)
 
 
+@pytest.mark.parametrize("integrator,setting", [("rk4", {"step": 2e-3}), ("rk45", {"tol": 1e-9})])
+def test_calabi_member_stays_on_its_ansatz(integrator, setting):
+    """The family member (a, b, c, theta) = (sqrt 2, 1, 1, 0), an exact
+    reference solution of the degenerate flow.
+
+    Its omega0 = 2 e12 + e34 - e56 is closed, de^phi = 4 omega0, pi(d rho0)
+    = 0 and L_{e_phi} rho0 = J*rho0 = s0.  On the ansatz omega = u omega0,
+    rho = u^{3/2} rho0 (J is scale-free, so s = u^{3/2} s0, and rho ^ J*rho
+    = (2/3) omega^3 holds for every u) the two flow equations
+    omega' ^ omega = pi(d rho) + f omega ^ de^phi and (f s)' = L_{e_phi} rho
+    - f pi(d omega) both lie along omega0^2 and s0, so the ansatz closes:
+    u' = 4 f and (f u^{3/2})' = u^{3/2}.  With u = 1 at f = 0 these give the
+    first integral 8 f^2 u^3 = u^4 - 1, the Calabi ansatz of a Ricci-flat
+    Kaehler metric on a line bundle over a Kaehler-Einstein base, holonomy
+    SU(4) in Spin(7).  The seed's first-order error, 8 epsilon^2 relative
+    in the first integral, is carried along by the flow.
+    """
+    p = n11_problem(np.sqrt(2.0), 1.0, 1.0, 0.0)
+    seed = startup_seed(p, 1.0, 1e-4)
+    cfg = FlowConfig(t_end=1.0, integrator=integrator, sample_dt=0.05, **setting)
+    traj = integrate(cfg, seed)
+    assert traj.stop_reason == "completed" and traj.samples[-1].t == 1.0
+    w0 = p.w_basis().coords(p.omega0.coeffs, "omega0")
+    on = w0 != 0
+    for smp in traj.samples:
+        w, s, f = smp.data["w"], smp.data["s"], smp.data["f"]
+        ratios = w[on] / w0[on]
+        u = ratios[0]
+        assert np.max(np.abs(ratios - u)) <= 1e-14 * u
+        assert not w[~on].any()
+        want_s = u**1.5 * seed.s
+        assert np.max(np.abs(s - want_s)) <= 1e-14 * np.max(np.abs(want_s))
+        assert abs(8 * f * f * u**3 - (u**4 - 1)) <= 1e-7 * u**4
+        assert smp.monitors["class"] == "SU3" and smp.monitors["g8_signature"] == (8, 0)
+
+
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_projection_failure_escapes_integrate(monkeypatch, integrator):
     # a velocity outside the invariant subspace, or operands of different

@@ -384,10 +384,33 @@ def test_float_products_are_the_dense_expressions(n, rng):
             assert type(got) is np.float64 and got == form_pairing(fm, fx, b)
             got = hodge(m, vol, x).coeffs
             assert got.dtype == float and np.array_equal(got, hodge(fm, vol, fx).coeffs)
+        # the same rule for pullbacks and scalar products: the exact form by
+        # the float matrix, the float form by an exact matrix, and scalars
+        eA = as_exact(rng.integers(-3, 4, (n, n))) / 7
+        fA = np.asarray(eA, dtype=float)
+        for got, want in ((pullback(A, ea), pullback(A, ea.to_float())),
+                          (pullback(eA, a), pullback(fA, a)),
+                          (ea * 0.3, KForm(n, k, ea.to_float().coeffs * 0.3)),
+                          (0.3 * ea, KForm(n, k, ea.to_float().coeffs * 0.3)),
+                          (ea / 0.3, KForm(n, k, ea.to_float().coeffs * (1.0 / 0.3))),
+                          (a * Fraction(1, 3), KForm(n, k, a.coeffs * (1 / 3))),
+                          (a / Fraction(3), KForm(n, k, a.coeffs * (1.0 / 3)))):
+            assert got.coeffs.dtype == float and np.array_equal(got.coeffs, want.coeffs)
+        # an int matrix with an exact form stays exact
+        iA = rng.integers(-2, 3, (n, n))
+        got = pullback(iA, ea).coeffs
+        assert all(type(c) is Fraction for c in got) and list(got) == list(dense_pullback(iA, ea).coeffs)
     if n == 6:  # the exact su3 rho with the float Euclidean metric
         g, vol, rho = SymBilinear(np.eye(6)), volume_form(6, 1.0), model_pair("su3", exact=True)[1]
         got = hodge(g, vol, rho).coeffs
         assert got.dtype == float and np.array_equal(got, hodge(g, vol, rho.to_float()).coeffs)
+        # a float matrix or scalar with the exact rho, an exact one with the float rho
+        frho, third = rho.to_float(), as_exact(np.eye(6, dtype=int)) * Fraction(3, 10)
+        for got, want in ((pullback(0.3 * np.eye(6), rho), pullback(0.3 * np.eye(6), frho)),
+                          (pullback(third, frho), pullback(np.eye(6) * 0.3, frho)),
+                          (rho * 0.3, KForm(6, 3, frho.coeffs * 0.3)),
+                          (frho * Fraction(1, 3), KForm(6, 3, frho.coeffs * (1 / 3)))):
+            assert not got.exact and np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_bitmask_tables_are_the_sort_sign_loops():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hitchinflow import linalg
+from hitchinflow import homogeneous, linalg
 from hitchinflow.verify import verify_identities
 
-from oracles import bareiss_det, gauss_jordan_inverse
+from oracles import bareiss_det, congruence_signature, fraction_nullspace, gauss_jordan_inverse
 
 
 def _integer_matrix(rng, n):
@@ -104,3 +104,104 @@ def test_exact_inverse_of_a_singular_matrix_raises(rng):
     a[3] = a[1] * Fraction(2, 3)
     with pytest.raises(np.linalg.LinAlgError):
         linalg.inverse(a)
+
+
+def _symmetric_fraction_matrix(rng, n, zero_diagonal=False):
+    a = _fraction_matrix(rng, n)
+    s = a + a.T
+    if zero_diagonal:
+        s[np.diag_indices(n)] = Fraction(0)
+    return s
+
+
+def test_exact_signature_is_the_congruence_oracle(rng, monkeypatch):
+    # Descartes' rule on the int characteristic polynomial against the
+    # Fraction congruence: random symmetric matrices (a third with a zero
+    # diagonal, which the congruence meets with its pivot-pair search),
+    # degenerate ones, and the matrices a verify pass classifies
+    seen, signature = [], linalg.signature
+    monkeypatch.setattr(linalg, "signature", lambda g: seen.append(g) or signature(g))
+    verify_identities()
+    classified = [g for g in seen if linalg.is_exact(g)]
+    assert len(classified) == 9
+    randoms = [
+        _symmetric_fraction_matrix(rng, n, zero_diagonal=i % 3 == 0)
+        for n in range(1, 9) for i in range(12)
+    ]
+    checked = 0
+    for g in classified + randoms:
+        try:
+            want = congruence_signature(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate"):
+                signature(g)
+            continue
+        assert signature(g) == want
+        checked += 1
+    assert checked >= len(classified) + 80
+    degenerate = [linalg.as_exact(np.zeros((3, 3), dtype=int))]
+    for n in (2, 5, 8):
+        g = _symmetric_fraction_matrix(rng, n)
+        g[-1], g[:, -1] = g[0] * 3, g[:, 0] * 3  # the last row and column are 3x the first
+        g[-1, -1] = g[0, 0] * 9
+        degenerate.append(g)
+    g = _symmetric_fraction_matrix(rng, 6, zero_diagonal=True)
+    g[2], g[:, 2] = Fraction(0), Fraction(0)
+    degenerate.append(g)
+    for g in degenerate:
+        for sig in (signature, congruence_signature):
+            with pytest.raises(ValueError, match="degenerate"):
+                sig(g)
+
+
+def _rational_matrix(rng, rows, cols, rank=None):
+    a = np.array(
+        [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, rows * cols),
+                                                  rng.choice([1, 2, 3, 7], rows * cols))],
+        dtype=object,
+    ).reshape(rows, cols)
+    if rank is not None:  # rows beyond the rank are combinations of the first ones
+        for i in range(rank, rows):
+            a[i] = a[i % rank] * Fraction(int(rng.integers(-3, 4)), 5) + a[(i + 1) % rank]
+    return a
+
+
+def test_rational_nullspace_is_the_fraction_oracle(rng):
+    # Gauss-Jordan on primitive int rows gives the Fractions of the old
+    # Fraction elimination: the reduced echelon form is unique
+    mats = [linalg.as_exact(np.zeros((3, 5), dtype=int))]
+    for rows, cols in ((2, 6), (3, 8), (7, 4), (9, 3), (5, 5)):
+        mats.append(_rational_matrix(rng, rows, cols))
+        mats.append(_rational_matrix(rng, rows, cols, rank=min(rows, cols) - 1))
+    for name in ("n11", "flag", "abelian7", "flat7"):
+        sp = homogeneous.space(name)
+        for k in range(sp.mdim + 1):
+            hs = [sp.h_action_matrix(p, k, exact=True) for p in range(len(sp.split.h))]
+            mats.append(np.array(hs).reshape(-1, len(linalg.increasing_tuples(sp.mdim, k))))
+    for a in mats:
+        got, want = linalg.rational_nullspace(a), fraction_nullspace(a)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(type(x) is Fraction for x in g)
+            assert list(g) == list(w)
+            assert not (a @ g).any()
+
+
+def test_exact_linalg_does_no_fraction_arithmetic(rng, monkeypatch):
+    # the int rule: Fractions are read (numerator, denominator), compared
+    # and built, never added, multiplied or divided
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in linalg")
+
+    g = _symmetric_fraction_matrix(rng, 6, zero_diagonal=True)
+    a, nullable = _fraction_matrix(rng, 5), _rational_matrix(rng, 4, 7, rank=3)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert linalg.signature(g)
+    assert linalg.inverse(a).shape == (5, 5)
+    assert len(linalg.rational_nullspace(nullable)) == 4
+    assert linalg.det(a) == linalg.minors(a, 5)[0, 0]
+    assert linalg.minors(a, 3).shape == (10, 10)
+    assert linalg.sqrt_scalar(Fraction(49, 4)) == Fraction(7, 2)
+    assert linalg.nth_root_signed(Fraction(-8, 27), 3) == Fraction(-2, 3)
