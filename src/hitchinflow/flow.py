@@ -23,26 +23,17 @@ Two flows are implemented on a registered homogeneous space:
   the geometry rather than by fiat, and makes first-order seeding of the
   singular startup second-order accurate in the state variables.
 
-  The right-hand side works in coefficient space: every linear map of the
-  two equations (d, pi, L_{e_phi}, the wedge with de^phi and the moves to
-  and from the distribution) is a matrix on the invariant coefficients,
-  built once per problem (``DegenerateProblem.operators``).  What is left
-  per evaluation is nonlinear: J from the quadratic K-tensor, J*S from
-  the gradient of lambda (J*(J*S) = sign S gives the second), the
-  normalization and a 15 x 15 solve for the 2-form velocity
-  (``stable.pair_coeffs``, ``stable.solve_wedge_coeffs``).  The rhs, step
-  check and sample of one state share its split (``_memo``).
-
-  Checks: a trial step is valid when ``stable.classify_coeffs``, the one
-  six-dimensional structure rule, gives the seed's class on its split
-  (the kernel's J and sign, J*rho = -sign S/f).  A sample makes one
-  ``seven_structure`` call on phi and takes its normalization and g8
-  signature from g7 alone, and its class from the signature of g7 on the
-  distribution and the sign of lambda (``stable.signature_class``); the
-  cocalibration residual comes from the split formula *phi = omega^2/2 +
-  f e^phi ^ s, and the torsion residual differences the stored *phi.
-  ``bundle_Phi`` of the seed, through ``classify_pair``, is the reference
-  the first sample must reproduce.
+  The right-hand side works on the packed invariant coefficients: every
+  linear map of the two equations is a table built once per frame (space,
+  e_phi_index, e_phi_scale) and shared by all its problems
+  (``DegenerateProblem.operators``), K included, on the invariant
+  coordinates of S.  Per evaluation remain J, J*S from the gradient of
+  lambda and the normalization (``stable.pair_coeffs``), one wedge matrix
+  of omega and its 15 x 15 solve, and one product per block for the
+  velocity and its leak out of the invariant span.  The rhs, step check
+  and sample of one state share its split (``_memo``); a step is valid
+  when ``stable.classify_coeffs`` gives the seed's class on that split,
+  and a sample classifies from one ``seven_structure`` of phi.
 
 rk4 and Dormand-Prince rk45 advance both flows; rk45 reuses the last
 stage of an accepted step as the first of the next ("first same as
@@ -77,7 +68,7 @@ from .errors import (
     UnstableForm,
 )
 from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
-                    wedge)
+                    wedge, wedge_tensor)
 from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, solve_dstar
 from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
@@ -107,11 +98,11 @@ __all__ = [
 
 _BLOWUP_NORM = 1e8
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.8 kB and takes about 0.7 ms: 10^5
-# samples are 180 MB and a minute of work.
+# A degenerate sample holds about 1.8 kB and takes about 1 ms: 10^5
+# samples are 180 MB and under two minutes of work.
 _MAX_SAMPLES = 10**5
-# A degenerate rk4 step (4 rhs and a validity check) takes about 0.65 ms:
-# 10^6 steps are about 11 minutes.
+# A degenerate rk4 step (4 rhs and a validity check) takes about 0.55 ms:
+# 10^6 steps are about 9 minutes.
 _MAX_RK4_STEPS = 10**6
 # Step halvings rk45 tries in a row before it gives up on a step.
 _MAX_RETRIES = 60
@@ -132,22 +123,15 @@ class Basis(NamedTuple):
         """Coordinates of a coefficient vector in this basis; raises
         ProjectionFailure when it leaves the span."""
         coeffs = self.pinv @ target
-        _check_projection(self.mat, coeffs, target, what)
+        _check_leak(np.abs(self.mat @ coeffs - target).max(), np.abs(target).max(), what)
         return coeffs
-
-
-def _cached(problem, key, build: Callable):
-    """The problem's value under key, built by build() on first use."""
-    if key not in problem._cache:
-        problem._cache[key] = build()
-    return problem._cache[key]
 
 
 def _cached_basis(problem, degree: int, fiber: int | None = None) -> Basis:
     """The invariant basis of a degree on the problem's space, without the
-    forms that have a term along the fiber axis when one is given."""
-
-    def build():
+    forms that have a term along the fiber axis when one is given, built
+    once per problem."""
+    if (degree, fiber) not in problem._cache:
         forms = [
             b.form
             for b in invariant_basis(problem.space, degree)
@@ -155,9 +139,8 @@ def _cached_basis(problem, degree: int, fiber: int | None = None) -> Basis:
             or all(fiber not in t or c == 0 for t, c in zip(b.form.tuples(), b.form.coeffs))
         ]
         mat = np.stack([f.coeffs for f in forms], axis=1)
-        return Basis(forms, mat, np.linalg.pinv(mat))
-
-    return _cached(problem, ("basis", degree, fiber), build)
+        problem._cache[degree, fiber] = Basis(forms, mat, np.linalg.pinv(mat))
+    return problem._cache[degree, fiber]
 
 
 @dataclass(frozen=True)
@@ -175,7 +158,7 @@ class DegenerateProblem:
     e_phi_scale: float
     omega0: KForm
     rho0: KForm
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # the bases
 
     def __post_init__(self):
         nm = self.space.mdim
@@ -213,11 +196,7 @@ class DegenerateProblem:
         return ["e" + "".join(str(i + 1) for i in lead(f)) for f in forms]
 
     def de_phi(self) -> KForm:
-        return _cached(self, "de_phi", lambda: self.space.d(self.e_phi_form()))
-
-    def lie_ephi_matrix(self, degree: int) -> np.ndarray:
-        build = lambda: self.e_phi_scale * self.space.lie_matrix(self.e_phi_index, degree)
-        return _cached(self, ("lie", degree), build)
+        return self.space.d(self.e_phi_form())
 
     def pi(self, form: KForm) -> KForm:
         return pi_project(form, self.e_phi_index)
@@ -229,8 +208,9 @@ class DegenerateProblem:
         return embed(form, self.mdim, list(self.dist_axes))
 
     def operators(self) -> "_Operators":
-        """The flow's linear maps on coefficient vectors, cached."""
-        return _cached(self, "operators", lambda: _Operators.build(self))
+        """The flow's tables, built once per frame and cached by the space."""
+        key = ("frame", self.e_phi_index, self.e_phi_scale)
+        return self.space.memo(key, lambda: _Operators.build(self))
 
     def pack(self, w_coeffs: np.ndarray, S_coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate([w_coeffs, S_coeffs])
@@ -247,39 +227,46 @@ def _matrix_of(fn: Callable[[KForm], KForm], forms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Operators:
-    """The linear part of the degenerate flow, as matrices between
-    coefficient vectors: w and S in the invariant bases, omega6, rho6 and
-    the 4-form tau6 on the distribution, and the velocities on m."""
+    """The linear part of the degenerate flow on one frame, as matrices
+    between coefficient vectors: w and S in the invariant bases, omega6,
+    rho6 and the 2-form velocity alpha on the distribution."""
 
     omega6: np.ndarray  # w -> omega on the distribution
     s6: np.ndarray  # S -> S on the distribution
-    d_rho: np.ndarray  # rho6 -> to_dist(pi(d from_dist(rho6)))
-    w_de_phi: np.ndarray  # w -> to_dist(pi(omega7 ^ de^phi))
-    lie_rho: np.ndarray  # rho6 -> L_{e_phi} from_dist(rho6)
-    pi_d_w: np.ndarray  # w -> pi(d omega7)
-    from_dist2: np.ndarray  # wdot6 -> from_dist(wdot6)
+    k8: np.ndarray  # stable.k_table() with s6 on both sides: K = k8 @ S @ S
+    wedge_w: np.ndarray  # w -> the matrix of alpha -> alpha ^ omega6
+    tau: np.ndarray  # (rho6, f w) -> to_dist(pi(d rho7 + f omega7 ^ de^phi))
+    # alpha and (rho6, f w) -> (pinv v, (mat pinv - 1) v, v) for the velocities
+    # v on m, from_dist(alpha) and L_{e_phi} rho7 - f pi(d omega7): packed
+    # coordinates, the leak out of the invariant span, and v to scale its bound
+    w_velocity: np.ndarray
+    s_velocity: np.ndarray
     w_e_phi: np.ndarray  # w -> omega7 ^ e^phi
     from_dist3: np.ndarray  # rho6 -> from_dist(rho6)
 
     @staticmethod
     def build(problem: "DegenerateProblem") -> "_Operators":
-        w_forms, s_forms = problem.w_basis().forms, problem.s_basis().forms
+        """The tables of the problem's frame; reads nothing of omega0, rho0."""
+        wb, sb, sp = problem.w_basis(), problem.s_basis(), problem.space
         units = lambda k: [KForm(6, k, e) for e in np.eye(len(increasing_tuples(6, k)))]
-        from_dist3 = _matrix_of(problem.from_dist, units(3))
+        pi6 = lambda form: problem.to_dist(problem.pi(form))
+        velocity = lambda b, v: np.vstack([b.pinv @ v, (b.mat @ b.pinv - np.eye(len(v))) @ v, v])
+        omega6, s6, from_dist3 = (_matrix_of(problem.to_dist, wb.forms),
+                                  _matrix_of(problem.to_dist, sb.forms),
+                                  _matrix_of(problem.from_dist, units(3)))
+        d_rho = _matrix_of(lambda r: pi6(sp.d(problem.from_dist(r))), units(3))
+        w_de_phi = _matrix_of(lambda om: pi6(wedge(om, problem.de_phi())), wb.forms)
+        lie_rho = problem.e_phi_scale * sp.lie_matrix(problem.e_phi_index, 3) @ from_dist3
+        pi_d_w = _matrix_of(lambda om: problem.pi(sp.d(om)), wb.forms)
         return _Operators(
-            omega6=_matrix_of(problem.to_dist, w_forms),
-            s6=_matrix_of(problem.to_dist, s_forms),
-            d_rho=_matrix_of(
-                lambda r: problem.to_dist(problem.pi(problem.space.d(problem.from_dist(r)))),
-                units(3),
-            ),
-            w_de_phi=_matrix_of(
-                lambda om: problem.to_dist(problem.pi(wedge(om, problem.de_phi()))), w_forms
-            ),
-            lie_rho=problem.lie_ephi_matrix(3) @ from_dist3,
-            pi_d_w=_matrix_of(lambda om: problem.pi(problem.space.d(om)), w_forms),
-            from_dist2=_matrix_of(problem.from_dist, units(2)),
-            w_e_phi=_matrix_of(lambda om: wedge(om, problem.e_phi_form()), w_forms),
+            omega6=omega6,
+            s6=s6,
+            k8=s6.T @ stable.k_table().reshape(36, 20, 20) @ s6,
+            wedge_w=wedge_tensor(6, 2, 2) @ omega6,
+            tau=np.hstack([d_rho, w_de_phi]),
+            w_velocity=velocity(wb, _matrix_of(problem.from_dist, units(2))),
+            s_velocity=velocity(sb, np.hstack([lie_rho, -pi_d_w])),
+            w_e_phi=_matrix_of(lambda om: wedge(om, problem.e_phi_form()), wb.forms),
             from_dist3=from_dist3,
         )
 
@@ -290,7 +277,7 @@ class GenericProblem:
     3-form basis of the space."""
 
     space: HomogeneousSpace
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # the bases
 
     def basis(self, degree: int) -> Basis:
         return _cached_basis(self, degree)
@@ -589,20 +576,20 @@ def mirror_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degener
     )
 
 
-def _check_projection(mat, coeffs, target, what: str):
-    resid = float(np.max(np.abs(mat @ coeffs - target)))
-    if resid > 1e-9 * max(float(np.max(np.abs(target))), 1.0):
+def _check_leak(resid, size, what: str):
+    """Raise ProjectionFailure when the sup norm resid of a velocity's part
+    outside the invariant span exceeds 1e-9 max(size, 1), size its own."""
+    if resid > 1e-9 * max(size, 1.0):
         raise ProjectionFailure(f"{what} leaves the invariant subspace (residual {resid:.2e})")
 
 
 # ----------------------------------------------------------------------
 # degenerate flow right-hand side
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Split:
-    """The split of a packed state (w, S = f J*rho): omega, rho and S on
-    the distribution as coefficient vectors, the fiber length f, J, the
-    sign of lambda (J^2 = sign Id) and omega^3 (None: not computed)."""
+class _Split(NamedTuple):
+    """The split of a packed state (w, S = f J*rho): omega, rho and S on the
+    distribution, the fiber length f, J, the sign of lambda (J^2 = sign Id),
+    omega^3 and the matrix of alpha -> alpha ^ omega (None: not computed)."""
 
     om6: np.ndarray
     rho6: np.ndarray
@@ -611,22 +598,22 @@ class _Split:
     J: np.ndarray
     sign: int
     om3: float | None = None
+    wedge_om: np.ndarray | None = None
 
 
 def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Split:
     """f and rho from S by the normalization J*r ^ r = (2/3) omega^3 with
     r = -J*S: since J*(J*S) = sign S, the ratio J*r ^ r / ((2/3) omega^3)
     is -sign nu(omega, S), and one J*S is all it takes."""
-    ops = problem.operators()
-    w, S = problem.unpack(y)
-    om6, S6 = ops.omega6 @ w, ops.s6 @ S
-    om3 = stable.omega_cube(om6)
-    J, sign, jS, nu = stable.pair_coeffs(om6, S6, om3)
+    ops, (w, S) = problem.operators(), problem.unpack(y)
+    om6, S6, wedge_om = ops.omega6 @ w, ops.s6 @ S, ops.wedge_w @ w
+    om3 = stable.omega_cube(om6, wedge_om)
+    J, sign, jS, nu = stable.pair_coeffs(om6, S6, om3, (ops.k8 @ S @ S).reshape(6, 6))
     ratio = -sign * nu
-    if not np.isfinite(ratio) or ratio <= 0:
+    if not 0 < ratio < math.inf:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign, om3)
+    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign, om3, wedge_om)
 
 
 def _split_class(sp: _Split) -> stable.StructureClass:
@@ -640,13 +627,16 @@ def _split_class(sp: _Split) -> stable.StructureClass:
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
     """The packed velocity at a packed state, from its split sp if given:
     wdot solving wdot ^ omega = pi(d rho) + f omega ^ de^phi and Sdot =
-    L_{e_phi} rho - f pi(d omega), on coefficients."""
-    sp, ops, w = sp or _derive_split(problem, y, branch), problem.operators(), problem.unpack(y)[0]
-    tau6 = ops.d_rho @ sp.rho6 + sp.f * (ops.w_de_phi @ w)
-    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(sp.om6, tau6, sp.om3)
-    Sdot7 = ops.lie_rho @ sp.rho6 - sp.f * (ops.pi_d_w @ w)
-    wb, sb = problem.w_basis(), problem.s_basis()
-    return problem.pack(wb.coords(wdot7, "omega velocity"), sb.coords(Sdot7, "s velocity"))
+    L_{e_phi} rho - f pi(d omega), on coefficients.  Raises
+    ProjectionFailure when either leaves the invariant span."""
+    sp, ops = sp or _derive_split(problem, y, branch), problem.operators()
+    nw, ns = ops.omega6.shape[1], ops.s6.shape[1]
+    u = np.concatenate([sp.rho6, sp.f * y[:nw]])
+    alpha = stable.solve_wedge_coeffs(sp.om6, ops.tau @ u, sp.om3, sp.wedge_om)
+    vw, vs = ops.w_velocity @ alpha, ops.s_velocity @ u
+    for what, v, n in (("omega velocity", vw, nw), ("s velocity", vs, ns)):
+        _check_leak(*np.abs(v[n:]).reshape(2, -1).max(axis=1), what)  # leak, then size
+    return np.concatenate([vw[:nw], vs[:ns]])
 
 
 # ----------------------------------------------------------------------
@@ -674,17 +664,10 @@ def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
     """Sup-norm of the coefficients of d(*phi)."""
     if isinstance(state, GenericFlowState):
         star = _stable(seven_structure(state.phi_form())).star_phi
-    else:
-        star = _degenerate_star(state)
+    else:  # *phi = omega^2/2 + f e^phi ^ s for split states
+        om7, s7 = state.omega_form(on_distribution=False), state.s_form(on_distribution=False)
+        star = 0.5 * wedge(om7, om7) + state.f * wedge(state.problem.e_phi_form(), s7)
     return float(state.problem.space.d(star).max_abs())
-
-
-def _degenerate_star(state: DegenerateFlowState) -> KForm:
-    """*phi = omega^2/2 + f e^phi ^ s for split states."""
-    problem = state.problem
-    om7 = state.omega_form(on_distribution=False)
-    s7 = state.s_form(on_distribution=False)
-    return 0.5 * wedge(om7, om7) + state.f * wedge(problem.e_phi_form(), s7)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ Coefficients are float64 by default; an exact mode (object arrays of
 ``fractions.Fraction``) is available for the model identity suite.
 Pullbacks and the Gram matrices behind the pairing and the Hodge star
 are products with compound matrices, and ``contract`` with the tables.
-A product is exact only when no operand is a float (``KForm * scalar``
+A product or sum is exact only when no operand is a float (``KForm * scalar``
 too).  Exact products run in Python ints over one common denominator, read
 only a form's nonzero coefficients and build one Fraction per output entry.
 
@@ -155,17 +155,16 @@ class KForm:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "KForm") -> "KForm":
-        self._check_like(other)
-        return KForm(self.dim, self.degree, self.coeffs + other.coeffs)
+        return KForm(self.dim, self.degree, np.add(*self._operands(other)))
 
     def __sub__(self, other: "KForm") -> "KForm":
-        self._check_like(other)
-        return KForm(self.dim, self.degree, self.coeffs - other.coeffs)
+        return KForm(self.dim, self.degree, np.subtract(*self._operands(other)))
 
     def __neg__(self) -> "KForm":
         return KForm(self.dim, self.degree, -self.coeffs)
 
     def __mul__(self, scalar) -> "KForm":
+        scalar = scalar.item() if isinstance(scalar, np.generic) else scalar  # numpy ints wrap
         if self.exact and np.asarray(scalar).dtype.kind != "f":
             return KForm(self.dim, self.degree, self.coeffs * Fraction(scalar))
         return KForm(self.dim, self.degree, np.asarray(self.coeffs, dtype=float) * float(scalar))
@@ -173,6 +172,7 @@ class KForm:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "KForm":
+        scalar = scalar.item() if isinstance(scalar, np.generic) else scalar
         exact = self.exact and np.asarray(scalar).dtype.kind != "f"
         return self * (1 / Fraction(scalar) if exact else 1.0 / scalar)
 
@@ -181,6 +181,12 @@ class KForm:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         if self.degree != other.degree:
             raise ValueError(f"degree {self.degree} vs {other.degree}")
+
+    def _operands(self, other: "KForm"):
+        """Both forms' coefficients, as floats unless both are exact."""
+        self._check_like(other)
+        dtype = object if self.exact and other.exact else float
+        return self.coeffs.astype(dtype, copy=False), other.coeffs.astype(dtype, copy=False)
 
     def __repr__(self):
         terms = []

@@ -134,7 +134,8 @@ class HomogeneousSpace:
     def mdim(self) -> int:
         return len(self.split.m)
 
-    def _memo(self, key, build):
+    def memo(self, key, build):
+        """The value cached under key, built by build() on first use."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -149,7 +150,7 @@ class HomogeneousSpace:
         def build():
             m, (i, j) = self.split.m, np.triu_indices(self.mdim, 1)
             return derivation_matrix(-self._constants(exact)[np.ix_(m, m, m)][:, i, j].T, 2, k)
-        return self._memo(("d", k, exact), build)
+        return self.memo(("d", k, exact), build)
 
     def h_action_matrix(self, hpos: int, k: int, exact: bool = False) -> np.ndarray:
         """Coadjoint action of the hpos-th h-generator on Lambda^k m*, the
@@ -159,7 +160,7 @@ class HomogeneousSpace:
             m = self.split.m
             ad = self._constants(exact)[np.ix_(m, [self.split.h[hpos]], m)][:, 0, :]
             return derivation_matrix(-ad.T, 1, k)
-        return self._memo(("h", hpos, k, exact), build)
+        return self.memo(("h", hpos, k, exact), build)
 
     def lie_matrix(self, mpos: int, k: int) -> np.ndarray:
         """Algebraic Lie derivative along the mpos-th m-generator, as a
@@ -170,7 +171,7 @@ class HomogeneousSpace:
             term1 = iota(k + 1) @ self.d_matrix(k) if k < self.mdim else 0.0
             term2 = self.d_matrix(k - 1) @ iota(k) if k > 0 else 0.0
             return term1 + term2
-        return self._memo(("lie", mpos, k), build)
+        return self.memo(("lie", mpos, k), build)
 
     def d(self, form: KForm) -> KForm:
         D = self.d_matrix(form.degree, exact=form.exact and self.algebra.exact)
@@ -183,7 +184,7 @@ class HomogeneousSpace:
         def build():
             mats = [self.h_action_matrix(p, k, exact=True) for p in range(len(self.split.h))]
             return linalg.rational_nullspace(np.array(mats).reshape(-1, comb(self.mdim, k)))
-        return self._memo(("inv", k), build)
+        return self.memo(("inv", k), build)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,7 @@ __all__ = [
     "solve_wedge_coeffs",
     "model_pair",
     "omega_cube",
+    "k_table",
 ]
 
 def model_pair(name: str, exact: bool = False) -> tuple[KForm, KForm]:
@@ -119,7 +120,7 @@ class SixStructureClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _k_table() -> np.ndarray:
+def k_table() -> np.ndarray:
     """Integer tensor T with K[i, j] = sum_ab T[i, j, a, b] rho_a rho_b for
     the reference volume e^{1..6}: the 5-form (e_j . rho) ^ rho, read as a
     vector through e_i . vol."""
@@ -132,9 +133,9 @@ def _k_table() -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _dual_table() -> np.ndarray:
     """Integer tensor D with P grad lambda = (contract(D, K.ravel()) @ rho) / 3:
-    grad lambda = (1/3) sum_ij K_ji (T + T^t)[i, j] rho for T = _k_table(),
+    grad lambda = (1/3) sum_ij K_ji (T + T^t)[i, j] rho for T = k_table(),
     and the signed permutation P = wedge_tensor(6, 3, 3)[0] folded in."""
-    T = _k_table()
+    T = k_table()
     D = np.einsum("xc,ijcb->xbji", wedge_tensor(6, 3, 3)[0], T + T.transpose(0, 1, 3, 2))
     D = D.reshape(20, 20, 36)
     D.setflags(write=False)
@@ -143,7 +144,7 @@ def _dual_table() -> np.ndarray:
 
 def _k_matrix(rho: np.ndarray) -> np.ndarray:
     """K from the coefficients of a 3-form on R^6."""
-    return contract(_k_table(), rho, rho)
+    return contract(k_table(), rho, rho)
 
 
 def k_endomorphism(rho: KForm) -> np.ndarray:
@@ -163,7 +164,7 @@ def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
     UnstableForm when |lambda| is at or below 1e-12 max|rho|^4
     (OverflowError, before lambda overflows too, when that bound does) or
     is not finite; an exact K needs a rational sqrt|lambda|."""
-    floor = 1e-12 * max(float(np.max(np.abs(rho))), 1e-30) ** 4
+    floor = 1e-12 * max(float(np.abs(rho).max()), 1e-30) ** 4
     lam = _lambda(K) if lam is None else lam
     if not abs(lam) < math.inf:
         raise UnstableForm(f"lambda = {lam} is not finite")
@@ -172,10 +173,11 @@ def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
     return lam, K / linalg.sqrt_scalar(abs(lam))
 
 
-def omega_cube(omega: np.ndarray):
-    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients."""
-    square = contract(wedge_tensor(6, 2, 2), omega) @ omega
-    return contract(wedge_tensor(6, 4, 2)[0].T, square) @ omega
+def omega_cube(omega: np.ndarray, mat=None):
+    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients, given
+    mat, the matrix of alpha -> alpha ^ omega, if the caller has it."""
+    mat = contract(wedge_tensor(6, 2, 2), omega) if mat is None else mat
+    return contract(wedge_tensor(6, 4, 2)[0].T, mat @ omega) @ omega
 
 
 def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
@@ -283,18 +285,19 @@ def pair_structure(omega: KForm, rho: KForm):
     return J, SymBilinear(_metric_matrix(omega.coeffs, J, sign)), sign, KForm(6, 3, jrho)
 
 
-def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None):
+def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
     """pair_structure in coefficient space: coefficient vectors (floats or
     Fractions) of a 2-form and a 3-form on R^6, no KForm.
 
     Returns (J, sign, J*rho, nu) with J*rho from the gradient of lambda
     (``_dual_table``) and nu = (J*rho ^ rho) / ((2/3) omega^3), 1 on a
-    normalized pair and nan when omega^3 = 0; om3 is omega^3 if the caller
-    has it.  lambda = grad lambda . rho / 4 (Euler) is closer than the
-    cancelling tr(K^2)/6.  Raises UnstableForm as assoc_J does.
+    normalized pair and nan when omega^3 = 0; om3 is omega^3 and K rho's K
+    if the caller has them.  lambda = grad lambda . rho / 4 (Euler) is
+    closer than the cancelling tr(K^2)/6.  Raises UnstableForm as assoc_J
+    does.
     """
     om3 = omega_cube(omega) if om3 is None else om3
-    K = _k_matrix(rho)
+    K = _k_matrix(rho) if K is None else K
     with np.errstate(over="ignore", invalid="ignore"):  # _lambda_and_J refuses inf and nan
         grad = contract(_dual_table(), K.ravel()) @ rho  # 3 P grad lambda
         lam = _jrho_wedge_rho(grad, rho) / 12
@@ -363,17 +366,18 @@ def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
     return KForm(6, 2, alpha)
 
 
-def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None) -> np.ndarray:
+def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None, mat=None) -> np.ndarray:
     """solve_wedge_omega on float coefficient vectors: alpha with
-    alpha ^ omega = tau, given omega^3 as om3 when the caller has it.
-    Raises DegenerateOmega when omega^3 = 0 (to 1e-12 relative) or when
-    the solve leaves a residual above 1e-10 relative."""
-    if _degenerate(omega, omega_cube(omega) if om3 is None else om3):
+    alpha ^ omega = tau, given omega^3 as om3 and the matrix mat of alpha ->
+    alpha ^ omega when the caller has them.  Raises DegenerateOmega when
+    omega^3 = 0 (to 1e-12 relative) or when the solve leaves a residual
+    above 1e-10 relative."""
+    mat = contract(wedge_tensor(6, 2, 2), omega) if mat is None else mat
+    if _degenerate(omega, omega_cube(omega, mat) if om3 is None else om3):
         raise DegenerateOmega("omega^3 = 0")
-    mat = contract(wedge_tensor(6, 2, 2), omega)  # the matrix of alpha -> alpha ^ omega
     alpha = np.linalg.solve(mat, tau)
-    resid = float(np.max(np.abs(mat @ alpha - tau)))
-    if resid > 1e-10 * max(float(np.max(np.abs(tau))), 1e-30):
+    resid = float(np.abs(mat @ alpha - tau).max())
+    if resid > 1e-10 * max(float(np.abs(tau).max()), 1e-30):
         raise DegenerateOmega("wedge solve residual too large")
     return alpha
 

@@ -35,7 +35,9 @@ through them that ``wedge`` and ``interior`` ran before they became
 ``contract`` wrappers.  ``gauss_jordan_inverse`` is the elimination the
 exact inverse used before the adjugate from ``linalg.minors``, and
 ``split_rhs_oracle`` is the split right-hand side (df/dt, dw/dt, ds/dt)
-that ``flow`` exported before the packed kernel left it unused.
+that ``flow`` exported before the packed kernel left it unused; like the
+KForm rhs oracle it builds its own linear maps (``lie_e_phi`` and the
+forms), not the tables that ``flow`` builds once per frame.
 ``theta_rotation_matrix`` is the basis change that realizes the theta
 deformation of the complex orbit, which ``stable`` exported although
 only the tests used it.  ``fraction_contract`` is the exact branch of
@@ -50,6 +52,8 @@ the invariant bases and solved against the coordinates of d phi.
 signature and nullspace as they ran in Fraction arithmetic, before both
 followed ``linalg``'s int rule: a symmetric congruence with a pivot-pair
 search on a zero diagonal, and Gauss-Jordan elimination on Fractions.
+``calabi_time`` is the exact time along the family's closed-form member,
+by scipy quadrature.
 """
 
 import itertools
@@ -260,6 +264,11 @@ def degenerate_split_oracle(problem, y, branch):
     return om7, om6, rho_hat * (1.0 / f), f, J
 
 
+def lie_e_phi(problem, degree):
+    """The matrix of L_{e_phi} on the forms of a degree on m."""
+    return problem.e_phi_scale * problem.space.lie_matrix(problem.e_phi_index, degree)
+
+
 def degenerate_rhs_oracle(problem, y, branch):
     """Packed velocity (wdot, Sdot) of the two degenerate flow equations,
     evaluated with KForms; the 2-form velocity solves wdot ^ omega = tau
@@ -271,7 +280,7 @@ def degenerate_rhs_oracle(problem, y, branch):
         [wedge(KForm.basis(6, t), om6).coeffs for t in increasing_tuples(6, 2)], axis=1
     )
     wdot6 = KForm(6, 2, np.linalg.solve(wedge_map, problem.to_dist(tau7).coeffs))
-    lrho = KForm(problem.mdim, 3, problem.lie_ephi_matrix(3) @ rho7.coeffs)
+    lrho = KForm(problem.mdim, 3, lie_e_phi(problem, 3) @ rho7.coeffs)
     Sdot7 = lrho - f * problem.pi(problem.space.d(om7))
     _, _, wpinv = problem.w_basis()
     _, _, spinv = problem.s_basis()
@@ -510,12 +519,11 @@ def split_rhs_oracle(state):
         raise NonpositiveF("state has negative fiber length")
     om6, s6 = state.omega_form(), state.s_form()
     _, g6, _, js6 = pair_structure(om6, s6)
-    ops, rho6 = problem.operators(), -js6.coeffs
-    tau6 = ops.d_rho @ rho6 + state.f * (ops.w_de_phi @ state.w)
-    wdot7 = ops.from_dist2 @ stable.solve_wedge_coeffs(om6.coeffs, tau6)
-    rhs2_7 = ops.lie_rho @ rho6 - state.f * (ops.pi_d_w @ state.w)
-    wdot6 = problem.to_dist(KForm(problem.mdim, 2, wdot7))
-    rhs2_6 = problem.to_dist(KForm(problem.mdim, 3, rhs2_7))
+    om7, rho7 = state.omega_form(False), problem.from_dist(-1.0 * js6)
+    tau7 = problem.pi(problem.space.d(rho7) + state.f * wedge(om7, problem.de_phi()))
+    wdot6 = KForm(6, 2, stable.solve_wedge_coeffs(om6.coeffs, problem.to_dist(tau7).coeffs))
+    lrho = KForm(problem.mdim, 3, lie_e_phi(problem, 3) @ rho7.coeffs)
+    rhs2_6 = problem.to_dist(lrho - state.f * problem.pi(problem.space.d(om7)))
     fdot = float(form_pairing(g6, rhs2_6, s6) / form_pairing(g6, s6, s6))
     residual = rhs2_6 - fdot * s6
     if state.f == 0:
@@ -613,3 +621,19 @@ def fraction_nullspace(a) -> list[np.ndarray]:
             v[pc] = -m[i, c]
         basis.append(v)
     return basis
+
+
+def calabi_time(u: float) -> float:
+    """The time at which the Calabi member of the n11 family, (a, b, c,
+    theta) = (sqrt 2, 1, 1, 0), reaches omega = u omega0: with du/dt = 4 f
+    and the first integral 8 f^2 u^3 = u^4 - 1, t(u) = int_1^u dv / (4 f(v)).
+    The substitution v = 1 + x^2 makes the integrand regular at v = 1 and
+    leaves no cancelling u^4 - 1: t(u) = int_0^sqrt(u - 1) dx / (2 sqrt R(x))
+    with R(x) = (2 + x^2) ((1 + x^2)^2 + 1) / (8 (1 + x^2)^3)."""
+    from scipy.integrate import quad
+
+    def integrand(x):
+        v = 1.0 + x * x
+        return 0.5 / math.sqrt((1.0 + v) * (v * v + 1.0) / (8.0 * v**3))
+
+    return quad(integrand, 0.0, math.sqrt(u - 1.0), epsabs=1e-13, epsrel=1e-12)[0]

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,12 +28,13 @@ from hitchinflow.flow import (
     startup_seed,
     torsion_residual,
 )
-from hitchinflow.forms import KForm, form_pairing, wedge
+from hitchinflow.forms import KForm, form_pairing, wedge, wedge_tensor
 from hitchinflow.g2spin7 import bundle_Phi, model_phi, seven_structure
-from hitchinflow.homogeneous import space
+from hitchinflow.homogeneous import HomogeneousSpace, space
 from hitchinflow.stable import classify_pair
 
 from oracles import (
+    calabi_time,
     classify_pair_oracle,
     degenerate_monitors_oracle,
     degenerate_rhs_oracle,
@@ -225,6 +226,31 @@ def test_kernel_makes_no_minors_call_and_builds_no_kform(monkeypatch):
     fl._rhs_packed(problem, y, 1.0)
     assert minors_calls == []
     assert kforms == []
+
+
+def test_kernel_builds_the_wedge_matrix_of_omega_once(monkeypatch):
+    # the split takes omega's wedge matrix from the frame's table, and
+    # omega^3 and the 2-form solve reuse it: stable builds none
+    problem, y = _kernel_states()[0]
+    sp = fl._derive_split(problem, y, 1.0)
+    assert relative_gap(sp.wedge_om, wedge_tensor(6, 2, 2) @ sp.om6) <= 1e-15
+    tables, contract = [], stable.contract
+    monkeypatch.setattr(stable, "contract", lambda t, *v: tables.append(t) or contract(t, *v))
+    fl._rhs_packed(problem, y, 1.0)
+    assert tables and not any(t is wedge_tensor(6, 2, 2) for t in tables)
+
+
+def test_problems_on_one_frame_share_its_tables():
+    # the kernel's tables depend on the frame (space, e_phi_index,
+    # e_phi_scale) alone: family points share them, and tables built from
+    # another point's problem are the same
+    p, q = n11_problem(1.2, -0.9, 1.1, 0.4), n11_problem(1.4, 1.0, -0.95, 2.0)
+    assert p.operators() is q.operators()
+    fresh = fl._Operators.build(q)
+    for fld in fields(fresh):
+        assert np.array_equal(getattr(fresh, fld.name), getattr(p.operators(), fld.name))
+    for other in (n11_problem(1.2, -0.9, 1.1, 0.4, bundle="unsquared"), flat7_problem()):
+        assert other.operators() is not p.operators()
 
 
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
@@ -515,6 +541,43 @@ def test_calabi_member_stays_on_its_ansatz(integrator, setting):
         assert smp.monitors["class"] == "SU3" and smp.monitors["g8_signature"] == (8, 0)
 
 
+@pytest.mark.parametrize("integrator,setting", [("rk4", {"step": 2e-3}), ("rk45", {"tol": 1e-9})])
+def test_calabi_member_keeps_its_exact_time(integrator, setting):
+    # on the Calabi member t(u) is known by quadrature (oracles.calabi_time);
+    # the seed's own sample has u = 1, because the first-order seed lacks
+    # the 2 epsilon^2 in u, so the check starts at the next sample
+    pytest.importorskip("scipy.integrate")
+    p = n11_problem(np.sqrt(2.0), 1.0, 1.0, 0.0)
+    cfg = FlowConfig(t_end=1.0, integrator=integrator, sample_dt=0.05, **setting)
+    traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
+    assert traj.stop_reason == "completed" and traj.samples[-1].t == 1.0
+    w0 = p.w_basis().coords(p.omega0.coeffs, "omega0")
+    lead = np.flatnonzero(w0)[0]
+    for smp in traj.samples[1:]:
+        assert abs(calabi_time(smp.data["w"][lead] / w0[lead]) - smp.t) <= 2e-7
+
+
+@pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
+def test_kernel_projection_check_escapes_integrate(monkeypatch, integrator):
+    # the frame's L_{e_phi} on 3-forms broken by a term along e^127, which
+    # has a leg on the fiber axis: the S velocity leaves the invariant span,
+    # and the kernel's own leak check must stop the run at the first rhs
+    p = n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4)
+    seed = startup_seed(p, 1.0, 1e-4)
+    stray = np.outer(KForm.basis(7, (0, 1, 6)).coeffs, p.rho0.coeffs)
+    lie = HomogeneousSpace.lie_matrix
+    with monkeypatch.context() as mp:
+        mp.setattr(HomogeneousSpace, "lie_matrix",
+                   lambda sp, i, k: lie(sp, i, k) + (stray if k == 3 else 0.0))
+        broken = fl._Operators.build(p)
+    monkeypatch.setattr(fl.DegenerateProblem, "operators", lambda self: broken)
+    calls, rhs = [], fl._rhs_packed
+    monkeypatch.setattr(fl, "_rhs_packed", lambda *a: calls.append(a) or rhs(*a))
+    with pytest.raises(ProjectionFailure, match="s velocity"):
+        integrate(FlowConfig(t_end=0.05, integrator=integrator, sample_dt=0.01), seed)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_projection_failure_escapes_integrate(monkeypatch, integrator):
     # a velocity outside the invariant subspace, or operands of different
@@ -525,7 +588,7 @@ def test_projection_failure_escapes_integrate(monkeypatch, integrator):
     degenerate_seed = startup_seed(flat7_problem(), 1.0, 1e-4)
 
     def projection_failure():
-        fl._check_projection(np.eye(2), np.zeros(2), np.ones(2), "test velocity")
+        fl._check_leak(1.0, 1.0, "test velocity")
 
     def dimension_mismatch():
         wedge(KForm.zero(6, 1), KForm.zero(7, 1))

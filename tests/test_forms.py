@@ -394,7 +394,9 @@ def test_float_products_are_the_dense_expressions(n, rng):
                           (0.3 * ea, KForm(n, k, ea.to_float().coeffs * 0.3)),
                           (ea / 0.3, KForm(n, k, ea.to_float().coeffs * (1.0 / 0.3))),
                           (a * Fraction(1, 3), KForm(n, k, a.coeffs * (1 / 3))),
-                          (a / Fraction(3), KForm(n, k, a.coeffs * (1.0 / 3)))):
+                          (a / Fraction(3), KForm(n, k, a.coeffs * (1.0 / 3))),
+                          (ea + a, KForm(n, k, ea.to_float().coeffs + a.coeffs)),
+                          (ea - a, KForm(n, k, ea.to_float().coeffs - a.coeffs))):
             assert got.coeffs.dtype == float and np.array_equal(got.coeffs, want.coeffs)
         # an int matrix with an exact form stays exact
         iA = rng.integers(-2, 3, (n, n))
@@ -404,13 +406,18 @@ def test_float_products_are_the_dense_expressions(n, rng):
         g, vol, rho = SymBilinear(np.eye(6)), volume_form(6, 1.0), model_pair("su3", exact=True)[1]
         got = hodge(g, vol, rho).coeffs
         assert got.dtype == float and np.array_equal(got, hodge(g, vol, rho.to_float()).coeffs)
-        # a float matrix or scalar with the exact rho, an exact one with the float rho
+        # a float matrix, scalar or form with the exact rho, an exact one with
+        # the float rho; a numpy int scalar keeps the exact rho exact and
+        # does not wrap around
         frho, third = rho.to_float(), as_exact(np.eye(6, dtype=int)) * Fraction(3, 10)
         for got, want in ((pullback(0.3 * np.eye(6), rho), pullback(0.3 * np.eye(6), frho)),
                           (pullback(third, frho), pullback(np.eye(6) * 0.3, frho)),
                           (rho * 0.3, KForm(6, 3, frho.coeffs * 0.3)),
-                          (frho * Fraction(1, 3), KForm(6, 3, frho.coeffs * (1 / 3)))):
-            assert not got.exact and np.array_equal(got.coeffs, want.coeffs)
+                          (frho * Fraction(1, 3), KForm(6, 3, frho.coeffs * (1 / 3))),
+                          (rho + frho, KForm(6, 3, frho.coeffs + frho.coeffs)),
+                          (rho - frho, KForm(6, 3, frho.coeffs - frho.coeffs)),
+                          (rho * np.int64(3) * 2**62, KForm(6, 3, rho.coeffs * (3 * 2**62)))):
+            assert got.exact == want.exact and list(got.coeffs) == list(want.coeffs)
 
 
 def test_bitmask_tables_are_the_sort_sign_loops():

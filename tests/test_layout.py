@@ -107,3 +107,21 @@ def test_the_check_finds_unused_imports(tmp_path):
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+# The package's size in lines.  perfbench's peak_rss_mb counts the compile of
+# the package source as well as flow data: a process that runs without
+# bytecode caches compiles every module, and compiling flow.py alone raises a
+# fresh process's peak RSS by about 3.5 MB (2-core x86, Python 3.11.7).  A
+# change that must grow the package raises this ceiling in its own diff and
+# says why in CHANGES.md.
+SOURCE_LINE_CEILING = 3556
+
+
+def test_package_source_stays_under_its_line_ceiling():
+    lines = sum(path.read_text().count("\n") for path in MODULES)
+    assert lines <= SOURCE_LINE_CEILING, (
+        f"src/hitchinflow/*.py holds {lines} lines, over the ceiling of {SOURCE_LINE_CEILING}: "
+        "perfbench's peak_rss_mb counts the compile of the package source, so grow the "
+        "package only with a raised ceiling and the reason in CHANGES.md"
+    )
