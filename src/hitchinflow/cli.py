@@ -42,8 +42,9 @@ _DEFAULT_PARAMS = {
 
 # the layout of report.json: raised when a key is added, removed or changes
 # meaning (2: stats gained rejections, the rejected steps by cause; 3: the
-# torsion residual covers the samples up to torsion_t_last)
-_SCHEMA_VERSION = 3
+# torsion residual covers the samples up to torsion_t_last; 4: flow, the
+# run's resolved FlowConfig, which --config takes back)
+_SCHEMA_VERSION = 4
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 
@@ -63,6 +64,7 @@ class RunReport:
     version: str = __version__  # of the hitchinflow package
     scenario: str
     params: dict
+    flow: dict  # the values of _FLOW_KEYS in the run's FlowConfig
     stop_reason: str = "not_started"
     stop_cause: str | None = None
     stats: dict | None = None  # what the integrator did, see flow.Trajectory.stats
@@ -181,7 +183,8 @@ def run_point(
     """Execute one scenario point: startup, integration, monitors, files.
     The report is written on every exit, a failure's with its cause."""
     _make_dir(outdir)
-    report = RunReport(scenario=scenario, params=dict(params))
+    flow = {key: getattr(flow_cfg, key) for key in _FLOW_KEYS}
+    report = RunReport(scenario=scenario, params=dict(params), flow=flow)
     timings = report.timings
     try:
         if with_verify:

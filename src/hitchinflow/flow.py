@@ -23,22 +23,17 @@ Two flows are implemented on a registered homogeneous space:
   the geometry rather than by fiat, and makes first-order seeding of the
   singular startup second-order accurate in the state variables.
 
-  The right-hand side works on the packed invariant coefficients: every
-  linear map of the two equations is a table built once per frame (space,
-  e_phi_index, e_phi_scale) and shared by all its problems
-  (``DegenerateProblem.operators``), K included, on the invariant
-  coordinates of S.  Per evaluation remain J, J*S from the gradient of
-  lambda and the normalization (``stable.pair_coeffs``), one wedge matrix
-  of omega and its 15 x 15 solve, and one product per block for the
-  velocity and its leak out of the invariant span.  The rhs, step check
-  and sample of one state share its split (``_memo``); a step is valid
-  when ``stable.classify_coeffs`` gives the seed's class on that split,
-  and a sample classifies from one ``seven_structure`` of phi.
+  The right-hand side works on the packed invariant coefficients, with
+  every linear map a table built once per frame (``_Operators``); the
+  rhs, step check and sample of one state share its split (``_memo``).
 
-rk4 and Dormand-Prince rk45 advance both flows; rk45 reuses the last
-stage of an accepted step as the first of the next ("first same as
-last", Hairer, Norsett & Wanner, Solving ODEs I, II.5).  Every trajectory
-counts what the integrator did in its stats.
+rk4 and Dormand-Prince rk45 advance both flows.  rk4 divides each sample
+interval into fixed steps.  rk45's steps ignore the sample grid: each
+reuses the last stage of the step before it ("first same as last"), and a
+sample inside a step is read from that step's stages by the continuous
+extension of order 4, at no rhs cost (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5 and II.6).  Every trajectory counts what the integrator did
+in its stats.
 
 The system is singular at f = 0; trajectories start from a small-time
 Taylor seed at t = epsilon and a Richardson check over epsilon vs
@@ -104,6 +99,10 @@ _MAX_SAMPLES = 10**5
 # A degenerate rk4 step (4 rhs and a validity check) takes about 0.55 ms:
 # 10^6 steps are about 9 minutes.
 _MAX_RK4_STEPS = 10**6
+# An rk45 step (6 rhs and a validity check) takes about 1.2 ms on the
+# degenerate flow and 6 ms on the generic one on n11: 10^4 accepted steps
+# are about 12 s and a minute, where a benchmark point takes 15-26.
+_MAX_RK45_STEPS = 10**4
 # Step halvings rk45 tries in a row before it gives up on a step.
 _MAX_RETRIES = 60
 
@@ -344,12 +343,10 @@ def _is_finite_real(x) -> bool:
 @dataclass(frozen=True)
 class FlowConfig:
     """Integration parameters, validated at construction (raises
-    PreconditionFailed).
-
-    integrator is 'rk4-fixed' or 'rk45-adaptive' (aliases 'rk4'/'rk45').
-    step is the fixed step; tol the adaptive error tolerance.  Samples
-    are recorded every sample_dt.
-    """
+    PreconditionFailed).  Samples are recorded every sample_dt.  'rk4-fixed'
+    (alias 'rk4') takes fixed steps of about `step` that divide each sample
+    interval; 'rk45-adaptive' ('rk45') takes steps to the error tolerance
+    tol that ignore the sample grid, and interpolates the samples inside."""
 
     space: str = "n11"
     t_end: float = 0.5
@@ -430,15 +427,11 @@ def n11_problem(
     theta: float = 0.0,
     bundle: str = "squared",
 ) -> DegenerateProblem:
-    """The invariant family on the Aloff-Wallach space N^{1,1}.
-
-    omega0 = a^2 e12 + b^2 e34 - c^2 e56 with the matching 3-form family
-    (parameters nonzero, with a^2, b^2, c^2 and a b c in float range).
-    'squared' uses the fiber generator of the squared line bundle with
-    the orientation that makes the smoothness constant +1; 'unsquared'
-    keeps the primitive fiber, whose constant -2 fails the smoothness
-    test.
-    """
+    """The invariant family on the Aloff-Wallach space N^{1,1}, omega0 =
+    a^2 e12 + b^2 e34 - c^2 e56 with the matching 3-form family.  'squared'
+    takes the fiber of the squared line bundle, oriented so that the
+    smoothness constant is +1; 'unsquared' the primitive one, whose -2
+    fails the smoothness test."""
     for name, val in (("a", a), ("b", b), ("c_param", c_param), ("theta", theta)):
         if not _is_finite_real(val):
             raise PreconditionFailed("family_parameter", f"{name} = {val!r} is not a finite number")
@@ -483,13 +476,11 @@ def smoothness_check(
     e_phi_index: int,
     e_phi_scale: float,
 ) -> SmoothnessResult:
-    """Fit c in L_{e_phi} rho0 = c J*rho0 and test L_{e_phi} omega0 = 0.
-
-    ok requires |c| = 1 (the orbit-length condition for a smooth
-    extension across the zero section).  Raises NotProportional when the
-    fit residual exceeds 1e-10 relative, and PreconditionFailed
-    ('classification') when rho0 is not stable on the distribution.
-    """
+    """Fit c in L_{e_phi} rho0 = c J*rho0 and test L_{e_phi} omega0 = 0;
+    ok requires |c| = 1 (the orbit-length condition for a smooth extension
+    across the zero section).  Raises NotProportional when the fit
+    residual exceeds 1e-10 relative, and PreconditionFailed
+    ('classification') when rho0 is not stable on the distribution."""
     dist = tuple(i for i in range(sp.mdim) if i != e_phi_index)
     om6, rho6 = restrict(omega0, dist), restrict(rho0, dist)
     try:
@@ -503,11 +494,8 @@ def smoothness_check(
     denom = float(jrho.coeffs @ jrho.coeffs)
     c = float(jrho.coeffs @ lrho) / denom
     resid = float(np.max(np.abs(lrho - c * jrho.coeffs)))
-    scale = max(float(np.max(np.abs(lrho))), 1e-30)
-    if resid > 1e-10 * max(scale, 1.0):
-        raise NotProportional(
-            f"L_ephi rho is not proportional to J*rho (residual {resid:.2e})"
-        )
+    if resid > 1e-10 * max(float(np.max(np.abs(lrho))), 1.0):
+        raise NotProportional(f"L_ephi rho is not proportional to J*rho (residual {resid:.2e})")
     ok = abs(abs(c) - 1.0) < 1e-8 and lom_res < 1e-10
     return SmoothnessResult(c, ok, resid, lom_res)
 
@@ -519,12 +507,10 @@ def problem_smoothness(problem: DegenerateProblem) -> SmoothnessResult:
 
 
 def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> DegenerateFlowState:
-    """First-order Taylor seed at t = epsilon for the singular startup.
-
+    """First-order Taylor seed at t = epsilon for the singular startup:
     f = c epsilon, s = J*rho0 (its time derivative vanishes at t = 0 in
-    these variables), and w = omega0 + epsilon wdot0 with
-    wdot0 ^ omega0 = pi(d rho0).
-    """
+    these variables), and w = omega0 + epsilon wdot0 with wdot0 ^ omega0 =
+    pi(d rho0)."""
     if epsilon <= 0:
         raise PreconditionFailed("positive_epsilon", f"epsilon = {epsilon}")
     if c <= 0:
@@ -562,12 +548,8 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
 
 
 def mirror_seed(problem: DegenerateProblem, c: float, epsilon: float) -> DegenerateFlowState:
-    """Seed of the analytic continuation branch at t = -epsilon.
-
-    The continuation through the singular time has f odd, so the
-    backward branch starts with f = -c epsilon; geometric quantities
-    depend on |f|.
-    """
+    """Seed of the analytic continuation branch at t = -epsilon: f is odd
+    through the singular time, so the branch starts with f = -c epsilon."""
     fwd = startup_seed(problem, c, epsilon)
     wb = problem.w_basis()
     mirrored = 2.0 * problem.omega0 - KForm(problem.mdim, 2, wb.mat @ fwd.w)  # omega0 - eps*wdot0
@@ -698,17 +680,36 @@ _DP_B4 = np.array(
 )
 
 
+# the continuous extension of order 4 (Shampine 1986; Hairer, Norsett &
+# Wanner, II.6): row i holds the coefficients of theta, ..., theta^4 in b_i
+_DP_DENSE = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
 def _dp_step(f, t, y, h, k1):
     """One Dormand-Prince step from the first stage k1 = f(t, y).  The
     5th-order solution is the 7th stage's argument itself, so the last
     stage f(t + h, y5) is the next step's first ("first same as last");
-    returns (y5, error estimate, last stage)."""
+    returns (y5, error estimate, the 7 stages as rows)."""
     k = [k1]
     for i in range(1, 7):
         yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
         k.append(f(t + _DP_C[i] * h, yi))
-    err = h * ((_DP_B5 - _DP_B4) @ np.stack(k))
-    return yi, err, k[-1]
+    stages = np.stack(k)
+    return yi, h * ((_DP_B5 - _DP_B4) @ stages), stages
+
+
+def _dense(y, h, stages, theta):
+    """The state at theta = (t - t_n) / h in [0, 1] of the step of size h
+    from y with these stages: y + h sum_i b_i(theta) k_i."""
+    return y + h * ((_DP_DENSE @ theta ** np.arange(1, 5)) @ stages)
 
 
 # Numerical events a step may run into.  The adaptive integrator retries
@@ -749,78 +750,82 @@ class _Stats:
         self.h_max = h if self.h_max is None else max(self.h_max, h)
 
 
-def _advance_rk4(f, t0, y0, t1, step, validity, stats):
-    n = max(1, int(round(abs(t1 - t0) / step)))
-    h = (t1 - t0) / n
-    t, y = t0, y0
-    for _ in range(n):
-        try:
-            ynew = _rk4_step(f, t, y, h)
-        except _NUMERICAL_FAILURES as exc:
-            stats.reject(type(exc).__name__)
-            raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
-        if not validity(ynew):
-            stats.reject("state_check")
-            raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
-        stats.accept(h)
-        t, y = t + h, ynew
-    return y
+class _Stop(Exception):
+    """A run ends early with args (stop_reason, stop_cause)."""
 
 
-def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
-    """Adaptive steps from t0 to t1, starting from step h (None for the
-    default) and the first stage k1 = f(t0, y0) (None when not yet
-    evaluated); returns the state at t1, the step to try next and the
-    state's first stage.  A step starts from the last stage of the step
-    before it, or from the first stage of a rejected attempt."""
-    t, y = t0, y0
-    direction = 1.0 if t1 >= t0 else -1.0
-    h = 1e-2 if h is None else h  # the loop clamps it to the interval, in its direction
-    retries = 0
+def _check_norm(t, y):
+    if (norm := float(np.max(np.abs(y)))) > _BLOWUP_NORM:
+        raise _Stop("blow_up", f"coefficient norm {norm:.3g} at t = {t:.6g}")
+
+
+def _rk4_states(f, times, y, step, validity, stats):
+    """(t, y) at each sample time after the first, from fixed steps of
+    about `step` that divide each sample interval."""
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n = max(1, int(round(abs(t1 - t0) / step)))
+        h, t = (t1 - t0) / n, t0
+        for _ in range(n):
+            try:
+                ynew = _rk4_step(f, t, y, h)
+            except _NUMERICAL_FAILURES as exc:
+                stats.reject(type(exc).__name__)
+                raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
+            if not validity(ynew):
+                stats.reject("state_check")
+                raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
+            stats.accept(h)
+            t, y = t + h, ynew
+        _check_norm(t1, y)
+        yield t1, y
+
+
+def _rk45_states(f, times, y, tol, validity, stats):
+    """(t, y) at each sample time after the first, from adaptive steps
+    bounded by the last time only.  A step starts from the last stage of
+    the step before it, or from the first stage of a rejected attempt.  A
+    sample on a step's end is its state; one inside a step is read from
+    the step's stages (``_dense``) and must pass validity."""
+    t, t1, k1, h, retries, i = times[0], times[-1], None, 1e-2, 0, 1
+    direction = 1.0 if t1 >= t else -1.0
     while (t1 - t) * direction > 1e-15:
+        if stats.accepted_steps >= _MAX_RK45_STEPS:
+            raise _Stop("step_budget", f"{stats.accepted_steps} accepted steps at t = {t:.6g}")
         h = direction * min(abs(h), abs(t1 - t))
         if t + h == t:
             raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
         try:
             if k1 is None:
                 k1 = f(t, y)
-            ynew, err, klast = _dp_step(f, t, y, h, k1)
+            ynew, err, stages = _dp_step(f, t, y, h, k1)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
             bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
             cause = "error_norm" if not bounded else None if validity(ynew) else "state_check"
         except _NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
-        if cause is None:
-            stats.accept(h)
-            t, y, k1 = t + h, ynew, klast
-            retries = 0
-            grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
-            h = h * min(5.0, max(0.2, grow))
-        else:
+        if cause is not None:
             stats.reject(cause)
             retries += 1
             if retries > _MAX_RETRIES:
                 raise StepFailure(f"no acceptable step at t = {t:.6g}")
             h = h / 2
-    return y, h, k1
-
-
-def _advancer(config: FlowConfig, rhs, validity, stats: _Stats):
-    """advance(t0, y0, t1) -> y for the configured integrator, counting
-    its steps in stats; the adaptive one carries its step, and the last
-    stage of its last step as the next interval's first stage (both flows
-    are autonomous, so that stage is f(t0, y0) however t0 rounds)."""
-    if config.kind() == "rk4":
-        return lambda t0, y0, t1: _advance_rk4(rhs, t0, y0, t1, config.step, validity, stats)
-    h = k1 = None
-
-    def advance(t0, y0, t1):
-        nonlocal h, k1
-        y, h, k1 = _advance_rk45(rhs, t0, y0, t1, config.tol, h, k1, validity, stats)
-        return y
-
-    return advance
+            continue
+        stats.accept(h)
+        _check_norm(t + h, ynew)
+        while i < len(times) and (times[i] - (t + h)) * direction <= 1e-15:
+            ts, ys, i = times[i], ynew, i + 1
+            if abs(ts - (t + h)) > 1e-15:  # inside the step
+                try:
+                    valid = validity(ys := _dense(y, h, stages, (ts - t) / h))
+                except _NUMERICAL_FAILURES:
+                    valid = False
+                if not valid:
+                    raise StepFailure(f"interpolated state check failed at t = {ts:.6g}")
+            yield ts, ys
+        t, y, k1, retries = t + h, ynew, stages[-1], 0
+        grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
+        h = h * min(5.0, max(0.2, grow))
 
 
 # ----------------------------------------------------------------------
@@ -834,9 +839,8 @@ def _seven(data: dict, s: SevenStructure) -> SevenStructure:
 
 
 def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """fn with a one-entry memo keyed by a packed state's bytes: rk4's step
-    check is the next step's first stage, rk45's last stage is its step
-    check's state, and a sample's state has just been checked."""
+    """fn with a one-entry memo keyed by a packed state's bytes: the rhs,
+    step check and sample of one state follow one another."""
     key, val = None, None
 
     def memoized(y):
@@ -869,10 +873,8 @@ def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarr
 
 @dataclass(frozen=True)
 class _Flow:
-    """One flow as the sampling loop sees it: the packed start vector,
-    the packed right-hand side rhs(t, y), the trial-state check
-    validity(y), the recorder sample(t, y) and the monitors the first
-    sample must reproduce (None when there is no reference)."""
+    """One flow as the sampling loop sees it; reference holds the monitors
+    the first sample must reproduce (None when there is no reference)."""
 
     kind: str
     y0: np.ndarray
@@ -908,7 +910,7 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
 
     def validity(y):
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            return True  # handled as blow-up at the next sample
+            return True  # reported as a blow-up
         try:
             sp = split(y)
         except _NUMERICAL_FAILURES:
@@ -953,18 +955,17 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
 def integrate(config: FlowConfig, seed) -> Trajectory:
     """Advance a seed to config.t_end, sampling every config.sample_dt.
 
-    For a degenerate seed t_end must lie on the side of the seed away from
-    the zero section f = 0 (raises PreconditionFailed).  Stops early with
-    stop_reason 'blow_up' when the coefficient norm exceeds 1e8, and with
-    'step_failure' when no acceptable step exists; stop_cause then says
-    why.  The trajectory's stats count what the integrator did.
+    Stops early, keeping the samples so far, with stop_reason 'blow_up'
+    when the coefficient norm exceeds 1e8, 'step_failure' when no
+    acceptable step exists and 'step_budget' past _MAX_RK45_STEPS rk45
+    steps; stop_cause then says why.
 
     Raises PreconditionFailed before any step when the seed holds a nan
-    or an infinity, when the run would record more than _MAX_SAMPLES
+    or an infinity, when a degenerate t_end does not lie beyond the seed,
+    away from f = 0, when the run would record more than _MAX_SAMPLES
     samples or take more than _MAX_RK4_STEPS rk4 steps, and when the
     first sample does not reproduce the seed's reference class and g8
-    signature.
-    """
+    signature."""
     if isinstance(seed, DegenerateFlowState):
         values = {"t": seed.t, "f": seed.f, "w": seed.w, "s": seed.s}
     elif isinstance(seed, GenericFlowState):
@@ -1005,26 +1006,24 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         sample_s += time.perf_counter() - start
         return out
 
-    advance = _advancer(config, rhs, flow.validity, stats)
     times = _sample_times(seed.t, config.t_end, config.sample_dt)
-    y = flow.y0
-    samples = [sample(times[0], y)]
+    samples = [sample(times[0], flow.y0)]
     first = samples[0].monitors
     if flow.reference and any(first[k] != v for k, v in flow.reference.items()):
         found = {k: first[k] for k in flow.reference}
         raise PreconditionFailed("seed_reference", f"first sample {found} != seed {flow.reference}")
+    if config.kind() == "rk4":
+        states = _rk4_states(rhs, times, flow.y0, config.step, flow.validity, stats)
+    else:
+        states = _rk45_states(rhs, times, flow.y0, config.tol, flow.validity, stats)
     stop, cause = "completed", None
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        try:
-            y = advance(t_prev, y, t_next)
-        except StepFailure as exc:
-            stop, cause = "step_failure", str(exc)
-            break
-        norm = float(np.max(np.abs(y)))
-        if norm > _BLOWUP_NORM:
-            stop, cause = "blow_up", f"coefficient norm {norm:.3g} at t = {t_next:.6g}"
-            break
-        samples.append(sample(t_next, y))
+    try:
+        for t, y in states:
+            samples.append(sample(t, y))
+    except StepFailure as exc:
+        stop, cause = "step_failure", str(exc)
+    except _Stop as exc:
+        stop, cause = exc.args
     return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause,
                       asdict(stats), sample_s)
 
@@ -1043,13 +1042,9 @@ def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 def torsion_residual(traj: Trajectory) -> np.ndarray:
     """Per-sample residual |d/dt(*phi) - d phi| + |d(*phi)| on the stored
-    grid (``np.gradient``: second-order centered differences inside,
-    one-sided second order at the ends).
-
-    Reads phi and *phi as each sample stored them from its 7-dimensional
-    structure, independently of the evolution variables.  The residual
-    covers the longest prefix of samples whose phi is stable and is nan
-    after it; raises ValueError when that prefix has fewer than 3 samples."""
+    grid (``np.gradient``, second order), from phi and *phi as each sample
+    stored them, over the longest prefix of samples whose phi is stable and
+    nan after it; raises ValueError when that prefix has fewer than 3."""
     n = next((i for i, s in enumerate(traj.samples) if s.data["star_phi"] is None),
              len(traj.samples))
     if n < 3:
@@ -1065,14 +1060,10 @@ def torsion_residual(traj: Trajectory) -> np.ndarray:
 
 
 def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowState:
-    """Theta-deformation of a split state via the fiber-rotation action.
-
-    Implemented as the pullback exp(-theta/2 L_{e7}) on both coefficient
-    blocks (the angle convention matches L_{e7} rho0 = -2 J*rho0, so the
-    seed's 3-form moves along the family with parameter +theta while the
-    fiber length is unchanged).  On the seed this reduces to
-    s -> cos(theta) s - sin(theta) rho.
-    """
+    """Theta-deformation of a split state: the pullback exp(-theta/2
+    L_{e7}) on both coefficient blocks.  Since L_{e7} rho0 = -2 J*rho0, the
+    seed's 3-form moves along the family by +theta at fixed fiber length,
+    and s -> cos(theta) s - sin(theta) rho on the seed."""
     problem = state.problem
     alpha = -theta / 2.0
     t2 = linalg.expm(alpha * problem.space.lie_matrix(problem.e_phi_index, 2))

@@ -53,7 +53,10 @@ signature and nullspace as they ran in Fraction arithmetic, before both
 followed ``linalg``'s int rule: a symmetric congruence with a pivot-pair
 search on a zero diagonal, and Gauss-Jordan elimination on Fractions.
 ``calabi_time`` is the exact time along the family's closed-form member,
-by scipy quadrature.
+by scipy quadrature.  ``_advance_rk45`` is the adaptive integrator as it
+ran before samples were read from the Dormand-Prince continuous
+extension: it clipped every step to the next sample time, and
+``grid_clipped_rk45`` drives it over a sample grid as ``integrate`` did.
 """
 
 import itertools
@@ -63,9 +66,9 @@ from math import comb, prod
 
 import numpy as np
 
-from hitchinflow import linalg, stable
-from hitchinflow.errors import NonpositiveF, UnstableForm
-from hitchinflow.flow import cocal_residual
+from hitchinflow import flow, linalg, stable
+from hitchinflow.errors import NonpositiveF, StepFailure, UnstableForm
+from hitchinflow.flow import _MAX_RETRIES, _NUMERICAL_FAILURES, cocal_residual
 from hitchinflow.forms import (
     KForm,
     SymBilinear,
@@ -637,3 +640,65 @@ def calabi_time(u: float) -> float:
         return 0.5 / math.sqrt((1.0 + v) * (v * v + 1.0) / (8.0 * v**3))
 
     return quad(integrand, 0.0, math.sqrt(u - 1.0), epsabs=1e-13, epsrel=1e-12)[0]
+
+
+def _dp_step(f, t, y, h, k1):
+    """``flow._dp_step`` with its last stage in place of all seven."""
+    y5, err, stages = flow._dp_step(f, t, y, h, k1)
+    return y5, err, stages[-1]
+
+
+def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
+    """Adaptive steps from t0 to t1, starting from step h (None for the
+    default) and the first stage k1 = f(t0, y0) (None when not yet
+    evaluated); returns the state at t1, the step to try next and the
+    state's first stage.  A step starts from the last stage of the step
+    before it, or from the first stage of a rejected attempt."""
+    t, y = t0, y0
+    direction = 1.0 if t1 >= t0 else -1.0
+    h = 1e-2 if h is None else h  # the loop clamps it to the interval, in its direction
+    retries = 0
+    while (t1 - t) * direction > 1e-15:
+        h = direction * min(abs(h), abs(t1 - t))
+        if t + h == t:
+            raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
+        try:
+            if k1 is None:
+                k1 = f(t, y)
+            ynew, err, klast = _dp_step(f, t, y, h, k1)
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
+            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
+            cause = "error_norm" if not bounded else None if validity(ynew) else "state_check"
+        except _NUMERICAL_FAILURES as exc:
+            cause, enorm = type(exc).__name__, np.inf
+        if cause is None:
+            stats.accept(h)
+            t, y, k1 = t + h, ynew, klast
+            retries = 0
+            grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
+            h = h * min(5.0, max(0.2, grow))
+        else:
+            stats.reject(cause)
+            retries += 1
+            if retries > _MAX_RETRIES:
+                raise StepFailure(f"no acceptable step at t = {t:.6g}")
+            h = h / 2
+    return y, h, k1
+
+
+def grid_clipped_rk45(rhs, validity, y0, times, tol):
+    """The states at the sample times from ``_advance_rk45``, one call per
+    sample interval, each carrying the step and the last stage of the one
+    before it, as ``integrate`` advanced rk45 before the continuous
+    extension; stats count the steps and rhs evaluations like ``integrate``'s."""
+    stats, h, k1, states = flow._Stats(), None, None, [y0]
+
+    def counted(t, y):
+        stats.rhs_evals += 1
+        return rhs(t, y)
+
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        y, h, k1 = _advance_rk45(counted, t_prev, states[-1], t_next, tol, h, k1, validity, stats)
+        states.append(y)
+    return states, stats

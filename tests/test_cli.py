@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hitchinflow.cli import main
+from hitchinflow import flow as fl
+from hitchinflow.cli import main, run_point
 
 
 def _run(args):
@@ -163,7 +164,7 @@ def test_failed_run_writes_its_report(tmp_path, args, code, cause, timings, caps
     # timings of the phases that finished
     assert _run(["--scenario", "n11-spin7", *args, "--output", str(tmp_path)]) == code
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 3 and report["stop_reason"] == "failed"
+    assert report["schema_version"] == 4 and report["stop_reason"] == "failed"
     assert report["stop_cause"].startswith(cause)
     assert list(report["timings"]) == timings
     assert not (tmp_path / "trajectory.csv").exists()
@@ -271,7 +272,8 @@ def test_report_carries_version_and_timings(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     keys = list(report)
     assert keys[:2] == ["schema_version", "version"]
-    assert report["schema_version"] == 3 and report["version"] == __version__
+    assert report["schema_version"] == 4 and report["version"] == __version__
+    assert keys[keys.index("params") + 1] == "flow"
     assert keys[keys.index("stats") + 1] == "timings"
     timings = report["timings"]
     assert list(timings) == ["seed_s", "integrate_s", "sample_s", "torsion_s", "io_s"]
@@ -373,6 +375,45 @@ def test_fixed_step_csv_deterministic(tmp_path):
     a = (tmp_path / "a" / "trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "trajectory.csv").read_bytes()
     assert a == b
+
+
+def test_rk45_csv_deterministic(tmp_path):
+    args = ["--scenario", "n11-spin7", "--t-end", "0.1", "--integrator", "rk45", "--output"]
+    assert _run(args + [str(tmp_path / "a")]) == 0
+    assert _run(args + [str(tmp_path / "b")]) == 0
+    a = (tmp_path / "a" / "trajectory.csv").read_bytes()
+    b = (tmp_path / "b" / "trajectory.csv").read_bytes()
+    assert a == b
+
+
+def test_report_settings_rerun_the_same_csv(tmp_path):
+    # scenario, params and flow from a report, fed back through --config,
+    # reproduce the run without its command-line settings
+    args = ["--scenario", "n11-spin7", "--set", "a=1.2", "--set", "theta=0.4", "--t-end", "0.03",
+            "--integrator", "rk4", "--startup-epsilon", "2e-4", "--output", str(tmp_path / "a")]
+    assert _run(args) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["flow"] == {"t_end": 0.03, "integrator": "rk4", "step": 1e-3, "tol": 1e-9,
+                              "startup_epsilon": 2e-4, "sample_dt": 0.01}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: report[key] for key in ("scenario", "params", "flow")}))
+    assert _run(["--config", str(cfg), "--output", str(tmp_path / "b")]) == 0
+    a = (tmp_path / "a" / "trajectory.csv").read_bytes()
+    assert (tmp_path / "b" / "trajectory.csv").read_bytes() == a
+
+
+def test_rk45_step_budget_reported(tmp_path, monkeypatch, capsys):
+    # past the budget the run keeps its samples, reports step_budget with
+    # the time and the count, and exits 0
+    monkeypatch.setattr(fl, "_MAX_RK45_STEPS", 5)
+    report = run_point("n11-spin7", {}, fl.FlowConfig(), tmp_path / "point")
+    on_disk = json.loads((tmp_path / "point" / "report.json").read_text())
+    assert on_disk["stop_reason"] == report.stop_reason == "step_budget"
+    assert on_disk["stats"]["accepted_steps"] == 5
+    t_budget = float(on_disk["stop_cause"].split("5 accepted steps at t = ")[1])
+    assert 1 < on_disk["n_samples"] and on_disk["t_last"] <= t_budget * (1 + 1e-6)
+    assert _run(["--scenario", "n11-spin7", "--output", str(tmp_path / "main")]) == 0
+    assert json.loads((tmp_path / "main" / "report.json").read_text())["stop_reason"] == "step_budget"
 
 
 def test_report_only_skips_csv(tmp_path):

@@ -41,6 +41,7 @@ from oracles import (
     degenerate_split_oracle,
     fd_generic_rhs,
     fd_star_jacobian,
+    grid_clipped_rk45,
     jacobian_generic_rhs,
     relative_gap,
     split_rhs_oracle,
@@ -256,14 +257,17 @@ def test_problems_on_one_frame_share_its_tables():
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
     # the rhs, the step check and the sample of one state share its split:
-    # one _derive_split per rhs evaluation, plus the seed's
-    calls = []
-    derive = fl._derive_split
+    # one _derive_split per rhs evaluation, plus the seed's; a sample that
+    # rk45 reads inside a step is a state no rhs saw, with a split of its own
+    calls, inside = [], []
+    derive, dense = fl._derive_split, fl._dense
     monkeypatch.setattr(fl, "_derive_split", lambda *a: calls.append(a) or derive(*a))
+    monkeypatch.setattr(fl, "_dense", lambda *a: inside.append(a) or dense(*a))
     cfg = FlowConfig(t_end=0.1, integrator=integrator, step=2e-3, sample_dt=0.01)
     traj = integrate(cfg, startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4))
     assert traj.stop_reason == "completed"
-    assert len(calls) <= traj.stats["rhs_evals"] + 2
+    assert len(calls) <= traj.stats["rhs_evals"] + len(inside) + 2
+    assert integrator == "rk45-adaptive" or not inside
 
 
 def test_generic_run_builds_one_seven_structure_per_state(monkeypatch):
@@ -292,8 +296,7 @@ def test_rk4_stats_count_four_evaluations_per_step():
 
 def test_rk45_stats_reuse_the_last_stage():
     # first same as last: at most 6 evaluations per attempted step, plus
-    # the first stage of the seed; the last stage of a sample interval
-    # starts the next one
+    # the first stage of the seed; the last stage of a step starts the next
     p = n11_problem()
     cfg = FlowConfig(space="n11", t_end=0.2, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.02)
     traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
@@ -397,6 +400,85 @@ def test_blowup_reported():
     cfg = FlowConfig(space="flat7", t_end=0.2, integrator="rk4-fixed", step=1e-2, sample_dt=0.1)
     traj = integrate(cfg, big)
     assert traj.stop_reason == "blow_up"
+
+
+def test_rk45_blowup_reported():
+    # the same seed under rk45: the norm is checked on every accepted step,
+    # so the run stops at the first one, not in a cascade of rejections
+    p = flat7_problem()
+    seed = startup_seed(p, 1.0, 1e-4)
+    big = DegenerateFlowState(seed.t, seed.f, 1e9 * seed.w, seed.s, p)
+    cfg = FlowConfig(space="flat7", t_end=0.2, integrator="rk45-adaptive", sample_dt=0.1)
+    traj = integrate(cfg, big)
+    assert traj.stop_reason == "blow_up"
+    assert traj.stats["rejected_steps"] == 0 and len(traj.samples) == 1
+
+
+# ------------------------------------------------ rk45 continuous extension
+def test_continuous_extension_ends_on_the_step():
+    p = n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4)
+    last = integrate(FlowConfig(t_end=0.1), startup_seed(p, 1.0, 1e-4)).samples[-1]
+    y, h = p.pack(last.data["w"], last.data["f"] * last.data["s"]), 0.05
+    rhs = lambda t, y: fl._rhs_packed(p, y, 1.0)
+    y5, _, stages = fl._dp_step(rhs, 0.1, y, h, rhs(0.1, y))
+    for theta, want in ((0.0, y), (1.0, y5)):
+        got = fl._dense(y, h, stages, theta)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(1.2, -0.9, 1.1, 0.4), (-1.55, 1.3, -0.95, 2.9), (0.93, 1.58, -1.4, 5.1),
+     (np.sqrt(2.0), 1.0, 1.0, 0.0)],
+    ids=["box-1", "box-2", "box-3", "calabi"],
+)
+def test_rk45_samples_match_the_grid_clipped_oracle(params):
+    # the grid-clipped integrator is independent of the interpolant: each
+    # of its samples ends a step, where the continuous extension reads most
+    # of the new ones inside a step, at 0.6 of its rhs evaluations or less
+    p = n11_problem(*params)
+    seed, cfg = startup_seed(p, 1.0, 1e-4), FlowConfig(t_end=0.5)
+    traj = integrate(cfg, seed)
+    assert traj.stop_reason == "completed"
+    flow = fl._degenerate_flow(seed)
+    times = fl._sample_times(seed.t, cfg.t_end, cfg.sample_dt)
+    states, stats = grid_clipped_rk45(flow.rhs, flow.validity, flow.y0, times, cfg.tol)
+    assert np.array_equal(traj.times(), times)
+    assert traj.stats["rhs_evals"] <= 0.6 * stats.rhs_evals
+    for smp, want in zip(traj.samples, states, strict=True):
+        got = p.pack(smp.data["w"], smp.data["f"] * smp.data["s"])
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_rk45_steps_ignore_the_sample_grid():
+    seed = startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4)
+    fine, coarse = (integrate(FlowConfig(t_end=0.5, sample_dt=dt), seed) for dt in (0.01, 0.5))
+    assert len(fine.samples) == 51 and len(coarse.samples) == 2
+    for key in ("accepted_steps", "rhs_evals"):
+        assert fine.stats[key] == coarse.stats[key]
+    assert np.array_equal(fine.samples[-1].data["w"], coarse.samples[-1].data["w"])
+
+
+def test_rk45_interpolated_state_failing_its_check_stops_the_run(monkeypatch):
+    # a state read inside a step that has no split ends the run at its
+    # sample time, with the samples of the steps before it
+    monkeypatch.setattr(fl, "_dense", lambda y, h, stages, theta: np.full_like(y, np.nan))
+    seed = startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4)
+    traj = integrate(FlowConfig(t_end=0.1), seed)
+    assert traj.stop_reason == "step_failure"
+    assert traj.stop_cause == "interpolated state check failed at t = 0.0201"
+    assert traj.samples[-1].t == pytest.approx(0.0101)
+
+
+def test_rk45_step_budget_ends_the_run(monkeypatch):
+    hs, accept = [], fl._Stats.accept
+    monkeypatch.setattr(fl, "_MAX_RK45_STEPS", 5)
+    monkeypatch.setattr(fl._Stats, "accept", lambda st, h: hs.append(h) or accept(st, h))
+    seed = startup_seed(n11_problem(), 1.0, 1e-4)
+    traj = integrate(FlowConfig(t_end=0.5), seed)
+    assert traj.stop_reason == "step_budget" and traj.stats["accepted_steps"] == len(hs) == 5
+    assert traj.stop_cause.startswith("5 accepted steps at t = ")
+    assert len(traj.samples) > 1 and traj.samples[-1].t <= seed.t + sum(hs) + 1e-12
 
 
 # ------------------------------------------------------------ generic flow

@@ -3,6 +3,7 @@ packed right-hand side, and the orders the fixed-step integrators show.
 
 The orders are measured from a state at t = 0.1, away from the singular
 seed at t = 1e-4: steps that start at the seed show an order between 1 and 2.
+The continuous extension of rk45 is measured against DOP853's own.
 """
 
 import numpy as np
@@ -52,3 +53,21 @@ def test_fixed_step_orders_from_a_state_at_t_0_1(n11):
     dp5 = lambda f, t, y, h: fl._dp_step(f, t, y, h, f(t, y))[0]  # the 5th-order solution
     assert 3.7 <= _observed_order(fl._rk4_step, rhs, y, 0.1, 0.1, 5) <= 4.3
     assert _observed_order(dp5, rhs, y, 0.1, 0.1, 5) >= 4.3
+
+
+def test_continuous_extension_order_from_a_state_at_t_0_1(n11):
+    # the interpolant at the midpoint of the last of n and 2n Dormand-Prince
+    # steps from t = 0.1 to 0.2, against DOP853's dense output there
+    problem, seed, rhs = n11
+    y0 = _reference(rhs, seed.t, 0.1, problem.pack(seed.w, seed.f * seed.s))
+    want = scipy_integrate.solve_ivp(rhs, (0.1, 0.2), y0, method="DOP853", rtol=1e-13,
+                                     atol=1e-13, dense_output=True).sol
+    errors = []
+    for m in (5, 10):
+        h, y = 0.1 / m, y0
+        for i in range(m):
+            y_step, t = y, 0.1 + i * h
+            y, _, stages = fl._dp_step(rhs, t, y_step, h, rhs(t, y_step))
+        mid = fl._dense(y_step, h, stages, 0.5)
+        errors.append(np.max(np.abs(mid - want(0.2 - h / 2))))
+    assert np.log2(errors[0] / errors[1]) >= 3.7
