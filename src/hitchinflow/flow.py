@@ -93,8 +93,8 @@ __all__ = [
 
 _BLOWUP_NORM = 1e8
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.8 kB and takes about 1 ms: 10^5
-# samples are 180 MB and under two minutes of work.
+# A degenerate sample holds about 1.7 kB and takes about 0.3 ms: 10^5
+# samples are 170 MB and under a minute of work.
 _MAX_SAMPLES = 10**5
 # A degenerate rk4 step (4 rhs and a validity check) takes about 0.55 ms:
 # 10^6 steps are about 9 minutes.
@@ -320,6 +320,11 @@ class DegenerateFlowState:
         om7 = self.omega_form(on_distribution=False)
         rho7 = self.problem.from_dist(self.rho_form())
         return self.f * wedge(om7, self.problem.e_phi_form()) + rho7
+
+    def star_phi_form(self) -> KForm:
+        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space."""
+        om7, s7 = self.omega_form(on_distribution=False), self.s_form(on_distribution=False)
+        return 0.5 * wedge(om7, om7) + self.f * wedge(self.problem.e_phi_form(), s7)
 
 
 @dataclass(frozen=True)
@@ -598,12 +603,12 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     return _Split(om6, jS * (-1.0 / f), S6, f, J, sign, om3, wedge_om)
 
 
-def _split_class(sp: _Split) -> stable.StructureClass:
-    """The class of the split's pair by ``stable.classify_coeffs``, with
-    the split's J and sign and J*rho = -sign S/f (no pullback).  The split
-    itself has already refused lambda ~ 0."""
+def _split_class(sp: _Split) -> tuple:
+    """``stable.classify_coeffs`` of the split's pair, (tag, reason,
+    signature, metric), with the split's J and sign and J*rho = -sign S/f
+    (no pullback).  The split itself has already refused lambda ~ 0."""
     jrho = (-sp.sign / sp.f) * sp.S6
-    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, jrho, sp.om3)[0]
+    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, jrho, sp.om3)
 
 
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
@@ -646,9 +651,8 @@ def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
     """Sup-norm of the coefficients of d(*phi)."""
     if isinstance(state, GenericFlowState):
         star = _stable(seven_structure(state.phi_form())).star_phi
-    else:  # *phi = omega^2/2 + f e^phi ^ s for split states
-        om7, s7 = state.omega_form(on_distribution=False), state.s_form(on_distribution=False)
-        star = 0.5 * wedge(om7, om7) + state.f * wedge(state.problem.e_phi_form(), s7)
+    else:
+        star = state.star_phi_form()
     return float(state.problem.space.d(star).max_abs())
 
 
@@ -831,13 +835,6 @@ def _rk45_states(f, times, y, tol, validity, stats):
 # ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------
-def _seven(data: dict, s: SevenStructure) -> SevenStructure:
-    """A sample's 7-dimensional structure: phi and *phi (None when phi is
-    not stable) go into the sample data, where torsion_residual reads them."""
-    data["phi"], data["star_phi"] = s.phi.coeffs, (s.star_phi.coeffs if s.ok else None)
-    return s
-
-
 def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
     """fn with a one-entry memo keyed by a packed state's bytes: the rhs,
     step check and sample of one state follow one another."""
@@ -850,25 +847,6 @@ def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
         return val
 
     return memoized
-
-
-def _split_monitors(problem: DegenerateProblem, s7: SevenStructure, s6: np.ndarray,
-                    sign: int) -> dict:
-    """The class, |s|^2 - 4 and the signature of g8 = g7 + dr^2 from the
-    metric g7 of phi alone: on the distribution g7 is the metric g6 of
-    (omega, rho), whose signature and the sign of lambda give the class."""
-    tag = stable.StructureClass.NOT_A_STRUCTURE
-    if s7.ok:
-        g6 = SymBilinear(s7.g7.matrix[np.ix_(problem.dist_axes, problem.dist_axes)])
-        try:
-            tag = stable.signature_class(g6.signature(), sign)
-        except ValueError:  # g6 is degenerate
-            pass
-    if tag is stable.StructureClass.NOT_A_STRUCTURE:
-        return {"normalization_residual": np.inf, "class": tag.value, "g8_signature": None}
-    s6, (p, q) = KForm(6, 3, s6), s7.g7.signature()
-    return {"normalization_residual": abs(float(form_pairing(g6, s6, s6)) - 4.0),
-            "class": tag.value, "g8_signature": (p + 1, q)}
 
 
 @dataclass(frozen=True)
@@ -887,19 +865,27 @@ class _Flow:
 def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     """The pair (omega, S = f J*rho) packed; f is re-derived from S.
 
-    A trial state is valid when its split has the seed's class.  A sample
-    classifies from the metric of phi = f omega ^ e^phi + rho instead.
-    When the seed's own pair is an SU(3) or SU(1,2) structure, the first
-    sample must reproduce the seed's class and the g8 signature of
-    ``bundle_Phi``, the 8-form construction on the KForm path."""
+    A trial state is valid when its split has the seed's class, which must
+    be a structure.  The step check's classification is memoized with the
+    split, and a sample reads from it the class, the signature (p, q) of
+    the metric g6 of (omega, rho) and g6 itself: g8 = g6 + f^2 (e^phi)^2 +
+    dr^2 has signature (p + 2, q), and the normalization monitor is |s|^2
+    - 4 in g6.  phi comes from the frame tables and *phi from
+    ``DegenerateFlowState.star_phi_form``.  When the seed's own pair is an
+    SU(3) or SU(1,2) structure, the first sample must reproduce the seed's
+    class and the g8 signature of ``bundle_Phi``, the 8-form construction
+    on the KForm path."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
     split = _memo(lambda y: _derive_split(problem, y, branch))
+    classify = _memo(lambda y: _split_class(split(y)))
     try:
-        seed_tag = _split_class(split(y0))
+        seed_tag, why = classify(y0)[:2]
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
+    if why is not None:
+        raise PreconditionFailed("classification", f"the seed at t = {seed.t}: {why}")
     reference = None
     try:
         g8 = bundle_Phi(abs(seed.f), seed.omega_form(), seed.rho_form())[1]
@@ -912,21 +898,22 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         if float(np.max(np.abs(y))) > _BLOWUP_NORM:
             return True  # reported as a blow-up
         try:
-            sp = split(y)
+            return classify(y)[0] is seed_tag
         except _NUMERICAL_FAILURES:
             return False
-        return _split_class(sp) is seed_tag
 
-    def sample(t, y):
-        sp = split(y)
+    def sample(t, y):  # a state the step check (or the seed's) classified
+        sp, (tag, _, (p, q), g6) = split(y), classify(y)
         w, S = problem.unpack(y)
-        state = DegenerateFlowState(t, sp.f, w, S / sp.f, problem)
-        data = {"f": state.f, "w": state.w.copy(), "s": state.s.copy()}
+        state = DegenerateFlowState(t, sp.f, w.copy(), S / sp.f, problem)
         phi = sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6
-        s7 = _seven(data, seven_structure(KForm(7, 3, phi)))
-        monitors = {"cocal_residual": cocal_residual(state)}
-        monitors.update(_split_monitors(problem, s7, ops.s6 @ state.s, sp.sign))
-        return Sample(t, data, monitors)
+        s6 = KForm(6, 3, ops.s6 @ state.s)
+        data = {"f": state.f, "w": state.w, "s": state.s, "phi": phi,
+                "star_phi": state.star_phi_form().coeffs}
+        return Sample(t, data, {
+            "cocal_residual": cocal_residual(state),
+            "normalization_residual": abs(float(form_pairing(SymBilinear(g6), s6, s6)) - 4.0),
+            "class": tag.value, "g8_signature": (p + 2, q)})
 
     rhs = lambda t, y: _rhs_packed(problem, y, branch, split(y))
     return _Flow("degenerate", y0, rhs, validity, sample, reference)
@@ -943,8 +930,8 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
         return seven(y).klass is seed_class
 
     def sample(t, y):
-        data = {"x": y.copy()}
-        s = _seven(data, seven(y))
+        s = seven(y)
+        data = {"x": y.copy(), "phi": s.phi.coeffs, "star_phi": s.star_phi.coeffs if s.ok else None}
         cocal = float(problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf
         return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
 
@@ -962,10 +949,10 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
 
     Raises PreconditionFailed before any step when the seed holds a nan
     or an infinity, when a degenerate t_end does not lie beyond the seed,
-    away from f = 0, when the run would record more than _MAX_SAMPLES
-    samples or take more than _MAX_RK4_STEPS rk4 steps, and when the
-    first sample does not reproduce the seed's reference class and g8
-    signature."""
+    away from f = 0, or the seed's split is no structure, when the run
+    would record more than _MAX_SAMPLES samples or take more than
+    _MAX_RK4_STEPS rk4 steps, and when the first sample does not
+    reproduce the seed's reference class and g8 signature."""
     if isinstance(seed, DegenerateFlowState):
         values = {"t": seed.t, "f": seed.f, "w": seed.w, "s": seed.s}
     elif isinstance(seed, GenericFlowState):

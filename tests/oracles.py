@@ -15,7 +15,11 @@ the 56-wedge loop that built the 7-dimensional bilinear form B before
 the product tables replaced it.  ``degenerate_monitors_oracle`` and
 ``torsion_residual_oracle`` are the KForm monitors and the torsion
 residual that recomputed ``seven_structure`` per sample, before samples
-took their checks from one 7-dimensional structure and stored *phi.
+took their checks from one 7-dimensional structure and stored *phi;
+now that a sample reads its class and metric from its split's
+classification and builds *phi from the split, they are the routes
+through ``classify_pair_oracle``, ``bundle_Phi`` and phi's own metric
+that check it.
 ``dense_pairing``, ``dense_hodge`` and ``dense_pullback`` are the dense
 products with the full compound matrix that ``form_pairing``, ``hodge``
 and ``pullback`` computed before their exact branches skipped zero

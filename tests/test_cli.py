@@ -130,23 +130,23 @@ def test_extreme_values_keep_the_exit_code_contract(args, code, cause, capsys):
 
 
 def test_run_ending_on_unstable_samples_has_no_torsion(tmp_path, capsys):
-    # rk45 stops with step_failure near t = 0.432 and the samples from
-    # t = 0.41 on are NotAStructure, so phi has no *phi there: the run
-    # reports the torsion residual of the 41 stable samples before, up to
-    # torsion_t_last, has none after them, and exits 0
+    # rk45 stops with step_failure near t = 0.432, where omega degenerates;
+    # every sample before is an SU(3) structure of the split, whose *phi
+    # the sample stores, so the torsion residual covers all 44 samples up
+    # to torsion_t_last = t_last, and the run exits 0
     args = ["--scenario", "n11-spin7", "--set", "a=1.40", "--set", "b=0.64",
             "--set", "c_param=0.66", "--output", str(tmp_path)]
     assert _run(args) == 0
     assert len(capsys.readouterr().err.splitlines()) <= 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["stop_reason"] == "step_failure"
-    assert math.isfinite(report["max_torsion_residual"])
-    assert abs(report["torsion_t_last"] - 0.40) < 0.005
+    assert report["n_samples"] == 44
+    assert report["classification_first"] == report["classification_last"] == "SU3"
+    assert report["torsion_t_last"] == report["t_last"]
     with open(tmp_path / "trajectory.csv") as fh:
         torsion = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
-    assert all(math.isfinite(x) for x in torsion[:41])
-    assert torsion[41:] and all(math.isnan(x) for x in torsion[41:])
-    assert max(torsion[:41]) == report["max_torsion_residual"]
+    assert len(torsion) == 44 and all(math.isfinite(x) for x in torsion)
+    assert max(torsion) == report["max_torsion_residual"]
 
 
 @pytest.mark.parametrize(

@@ -258,16 +258,33 @@ def test_problems_on_one_frame_share_its_tables():
 def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
     # the rhs, the step check and the sample of one state share its split:
     # one _derive_split per rhs evaluation, plus the seed's; a sample that
-    # rk45 reads inside a step is a state no rhs saw, with a split of its own
-    calls, inside = [], []
-    derive, dense = fl._derive_split, fl._dense
+    # rk45 reads inside a step is a state no rhs saw, with a split of its own.
+    # A sample reads its class from the classification of its step check:
+    # stable.classify_coeffs runs once per step check, plus once for the
+    # seed's split and once for the pair of bundle_Phi's reference.  rk45
+    # may classify one state twice: the end of the last step, sampled
+    # after the states read inside that step took its memo entry
+    calls, inside, checks, classified = [], [], [], []
+    derive, dense, classify = fl._derive_split, fl._dense, stable.classify_coeffs
     monkeypatch.setattr(fl, "_derive_split", lambda *a: calls.append(a) or derive(*a))
     monkeypatch.setattr(fl, "_dense", lambda *a: inside.append(a) or dense(*a))
+    monkeypatch.setattr(stable, "classify_coeffs", lambda *a: classified.append(a) or classify(*a))
+    flow_of = fl._degenerate_flow
+
+    def counted(seed):
+        flow = flow_of(seed)
+        return replace(flow, validity=lambda y: checks.append(y) or flow.validity(y))
+
+    monkeypatch.setattr(fl, "_degenerate_flow", counted)
     cfg = FlowConfig(t_end=0.1, integrator=integrator, step=2e-3, sample_dt=0.01)
-    traj = integrate(cfg, startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4))
+    seed = startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4)
+    classified.clear()
+    traj = integrate(cfg, seed)
     assert traj.stop_reason == "completed"
     assert len(calls) <= traj.stats["rhs_evals"] + len(inside) + 2
     assert integrator == "rk45-adaptive" or not inside
+    assert len(checks) >= len(traj.samples) - 1
+    assert len(classified) <= len(checks) + 2 + (integrator == "rk45-adaptive")
 
 
 def test_generic_run_builds_one_seven_structure_per_state(monkeypatch):
@@ -295,15 +312,14 @@ def test_rk4_stats_count_four_evaluations_per_step():
 
 
 def test_rk45_stats_reuse_the_last_stage():
-    # first same as last: at most 6 evaluations per attempted step, plus
-    # the first stage of the seed; the last stage of a step starts the next
+    # first same as last: 6 evaluations per attempted step, plus the first
+    # stage of the seed; the last stage of a step starts the next, and a
+    # rejected attempt's first stage the retry
     p = n11_problem()
     cfg = FlowConfig(space="n11", t_end=0.2, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.02)
     traj = integrate(cfg, startup_seed(p, 1.0, 1e-4))
     st = traj.stats
-    attempts = st["accepted_steps"] + st["rejected_steps"]
-    assert st["accepted_steps"] >= len(traj.samples) - 1
-    assert st["rhs_evals"] <= 6 * attempts + 1
+    assert st["rhs_evals"] == 6 * (st["accepted_steps"] + st["rejected_steps"]) + 1
     assert 0 < st["h_min"] <= st["h_max"]
 
 
@@ -740,14 +756,14 @@ def test_split_class_matches_classify_pair_on_every_step(monkeypatch, integrator
     assert len(splits) >= traj.stats["accepted_steps"] >= 5
     for sp in splits:
         want = classify_pair_oracle(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag
-        assert split_class(sp) is want is stable.StructureClass.SU3
+        assert split_class(sp)[0] is want is stable.StructureClass.SU3
 
 
 def test_split_class_on_the_flat_su12_seed():
     p = flat7_problem("su12")
     seed = startup_seed(p, 1.0, 1e-3)
     sp = fl._derive_split(p, p.pack(seed.w, seed.f * seed.s), 1.0)
-    assert fl._split_class(sp) is stable.StructureClass.SU12
+    assert fl._split_class(sp)[0] is stable.StructureClass.SU12
     want = classify_pair_oracle(seed.omega_form(), seed.rho_form())
     assert want.tag is stable.StructureClass.SU12
 
@@ -786,7 +802,7 @@ def test_split_class_matches_classify_pair_on_model_and_failing_pairs(case, want
     if case == "2rho":
         assert cls.diagnostics == "normalization J*rho ^ rho != (2/3) omega^3"
     for f in (1.0, 0.3):
-        assert fl._split_class(_split_of_pair(om, rho, f)) is cls.tag
+        assert fl._split_class(_split_of_pair(om, rho, f))[0] is cls.tag
 
 
 def test_bundle_phi_metric_is_g7_plus_dr2():
@@ -805,19 +821,47 @@ def test_bundle_phi_metric_is_g7_plus_dr2():
         assert np.max(np.abs(g8.matrix - want)) < 1e-10
 
 
-@pytest.mark.parametrize("case", ["n11-rk45", "n11-rk4", "flat-su12"])
+# runs that end in a step failure at a singular end, where the metric of
+# phi alone (seven_structure's det floor) refused samples the split and
+# the oracle find to be SU(3) structures: (a, b, c_param) and the run
+_SINGULAR_ENDS = {
+    "n11-0.6-rk45": ((0.6, 0.6, 1.6), {"integrator": "rk45", "sample_dt": 0.002, "t_end": 0.3}),
+    "n11-0.6-rk4": ((0.6, 0.6, 1.6),
+                    {"integrator": "rk4", "step": 1e-3, "sample_dt": 0.002, "t_end": 0.3}),
+    "n11-1,2,1-rk45": ((1.0, 2.0, 1.0), {"integrator": "rk45", "sample_dt": 0.002, "t_end": 0.8}),
+    "n11-1.40-rk45": ((1.40, 0.64, 0.66), {"integrator": "rk45"}),
+}
+
+
+@pytest.mark.parametrize("case", ["n11-rk45", "n11-rk4", "flat-su12", *_SINGULAR_ENDS])
 def test_sample_monitors_match_the_kform_oracle(case):
     if case == "flat-su12":
         cfg = FlowConfig(space="flat7", t_end=0.2, integrator="rk4", step=1e-3, sample_dt=0.05)
         traj = integrate(cfg, startup_seed(flat7_problem("su12"), 1.0, 1e-3))
+    elif case in _SINGULAR_ENDS:
+        params, settings = _SINGULAR_ENDS[case]
+        traj = integrate(FlowConfig(**settings), startup_seed(n11_problem(*params), 1.0, 1e-4))
+        assert traj.stop_reason == "step_failure"
     else:
         traj = _n11_run("rk45-adaptive" if case == "n11-rk45" else "rk4-fixed")
-    for i, sample in enumerate(traj.samples):
+    n = len(traj.samples)
+    # the oracle takes about 5 ms a sample: a singular run checks its last
+    # 6 samples, where phi's metric degenerates, and every 50th before them
+    checked = sorted({*range(0, n, 50), *range(n - 6, n)}) if case in _SINGULAR_ENDS else range(n)
+    for i in checked:
+        sample = traj.samples[i]
         want = degenerate_monitors_oracle(traj.state_at(i))
         got = sample.monitors
         assert got["cocal_residual"] == want["cocal_residual"]
         assert abs(got["normalization_residual"] - want["normalization_residual"]) <= 1e-12
         assert (got["class"], got["g8_signature"]) == (want["class"], want["g8_signature"])
+        # *phi from the split is the Hodge dual of phi wherever phi's own
+        # metric is nondegenerate to seven_structure
+        seven = seven_structure(KForm(7, 3, sample.data["phi"]))
+        assert seven.ok or case in _SINGULAR_ENDS
+        if seven.ok:
+            star = seven.star_phi.coeffs
+            assert np.max(np.abs(sample.data["star_phi"] - star)) <= 1e-12 * np.max(np.abs(star))
 
 
 def test_torsion_residual_matches_the_oracle():
@@ -855,8 +899,9 @@ def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     monkeypatch.setattr(fl, "seven_structure", count)
     torsion_residual(traj)
     assert calls == []
+    # the degenerate sample builds phi and *phi from the split
     flow.sample(st.t, st.problem.pack(st.w, st.f * st.s))
-    assert len(calls) == 1
+    assert calls == []
     gp = generic_problem("abelian7")
     gseed = GenericFlowState(0.0, gp.basis(3)[2] @ model_phi("su3").coeffs, gp)
     calls.clear()
@@ -866,13 +911,26 @@ def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
 
 
 def test_first_sample_must_reproduce_the_seed_reference():
-    # at epsilon = 1e-7 the bundle metric of the seed is degenerate and phi
-    # is not stable: the first sample cannot reproduce the seed's class
+    # at epsilon = 1e-7 the g8 of bundle_Phi is degenerate in floats (f^2 =
+    # 1e-14): the first sample's (8, 0), from the split's metric, cannot
+    # reproduce the reference's missing signature
     p = n11_problem()
     cfg = FlowConfig(space="n11", t_end=0.05, integrator="rk45-adaptive")
     with pytest.raises(PreconditionFailed) as err:
         integrate(cfg, startup_seed(p, 1.0, 1e-7))
     assert err.value.condition == "seed_reference"
+
+
+def test_integrate_refuses_a_seed_whose_split_is_no_structure():
+    # omega ^ rho != 0: no class for the step check to keep, and no metric
+    # for the samples to read
+    seed = startup_seed(flat7_problem(), 1.0, 1e-3)
+    w = seed.w.copy()
+    w[1] += 5.0
+    with pytest.raises(PreconditionFailed) as err:
+        integrate(FlowConfig(space="flat7", t_end=0.05), replace(seed, w=w))
+    assert err.value.condition == "classification"
+    assert "omega ^ rho != 0" in str(err.value)
 
 
 @pytest.mark.parametrize(
