@@ -42,6 +42,7 @@ epsilon/2 guards the seeding error.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -322,7 +323,12 @@ class DegenerateFlowState:
         return self.f * wedge(om7, self.problem.e_phi_form()) + rho7
 
     def star_phi_form(self) -> KForm:
-        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space."""
+        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space, built
+        once per state: a sample stores it and ``cocal_residual`` reads it."""
+        return self._star_phi
+
+    @functools.cached_property
+    def _star_phi(self) -> KForm:
         om7, s7 = self.omega_form(on_distribution=False), self.s_form(on_distribution=False)
         return 0.5 * wedge(om7, om7) + self.f * wedge(self.problem.e_phi_form(), s7)
 
@@ -335,6 +341,9 @@ class GenericFlowState:
 
     def phi_form(self) -> KForm:
         return self.problem.phi(self.x)
+
+    def star_phi_form(self) -> KForm:
+        return _stable(seven_structure(self.phi_form())).star_phi
 
 
 _INTEGRATORS = {"rk4": "rk4", "rk4-fixed": "rk4", "rk45": "rk45", "rk45-adaptive": "rk45"}
@@ -649,11 +658,7 @@ def generic_rhs(state: GenericFlowState, structure: SevenStructure | None = None
 
 def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
     """Sup-norm of the coefficients of d(*phi)."""
-    if isinstance(state, GenericFlowState):
-        star = _stable(seven_structure(state.phi_form())).star_phi
-    else:
-        star = state.star_phi_form()
-    return float(state.problem.space.d(star).max_abs())
+    return float(state.problem.space.d(state.star_phi_form()).max_abs())
 
 
 # ----------------------------------------------------------------------
@@ -765,7 +770,8 @@ def _check_norm(t, y):
 
 def _rk4_states(f, times, y, step, validity, stats):
     """(t, y) at each sample time after the first, from fixed steps of
-    about `step` that divide each sample interval."""
+    about `step` that divide each sample interval.  Each step's state
+    passes the blow-up cap, then validity."""
     for t0, t1 in zip(times[:-1], times[1:]):
         n = max(1, int(round(abs(t1 - t0) / step)))
         h, t = (t1 - t0) / n, t0
@@ -775,12 +781,12 @@ def _rk4_states(f, times, y, step, validity, stats):
             except _NUMERICAL_FAILURES as exc:
                 stats.reject(type(exc).__name__)
                 raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
+            _check_norm(t + h, ynew)
             if not validity(ynew):
                 stats.reject("state_check")
                 raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
             stats.accept(h)
             t, y = t + h, ynew
-        _check_norm(t1, y)
         yield t1, y
 
 
@@ -788,6 +794,7 @@ def _rk45_states(f, times, y, tol, validity, stats):
     """(t, y) at each sample time after the first, from adaptive steps
     bounded by the last time only.  A step starts from the last stage of
     the step before it, or from the first stage of a rejected attempt.  A
+    trial within the error norm passes the blow-up cap, then validity.  A
     sample on a step's end is its state; one inside a step is read from
     the step's stages (``_dense``) and must pass validity."""
     t, t1, k1, h, retries, i = times[0], times[-1], None, 1e-2, 0, 1
@@ -804,8 +811,10 @@ def _rk45_states(f, times, y, tol, validity, stats):
             ynew, err, stages = _dp_step(f, t, y, h, k1)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
-            cause = "error_norm" if not bounded else None if validity(ynew) else "state_check"
+            cause = "error_norm"
+            if np.all(np.isfinite(ynew)) and enorm <= 1.0:
+                _check_norm(t + h, ynew)
+                cause = None if validity(ynew) else "state_check"
         except _NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
         if cause is not None:
@@ -816,7 +825,6 @@ def _rk45_states(f, times, y, tol, validity, stats):
             h = h / 2
             continue
         stats.accept(h)
-        _check_norm(t + h, ynew)
         while i < len(times) and (times[i] - (t + h)) * direction <= 1e-15:
             ts, ys, i = times[i], ynew, i + 1
             if abs(ts - (t + h)) > 1e-15:  # inside the step
@@ -866,15 +874,13 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     """The pair (omega, S = f J*rho) packed; f is re-derived from S.
 
     A trial state is valid when its split has the seed's class, which must
-    be a structure.  The step check's classification is memoized with the
-    split, and a sample reads from it the class, the signature (p, q) of
-    the metric g6 of (omega, rho) and g6 itself: g8 = g6 + f^2 (e^phi)^2 +
-    dr^2 has signature (p + 2, q), and the normalization monitor is |s|^2
-    - 4 in g6.  phi comes from the frame tables and *phi from
-    ``DegenerateFlowState.star_phi_form``.  When the seed's own pair is an
-    SU(3) or SU(1,2) structure, the first sample must reproduce the seed's
-    class and the g8 signature of ``bundle_Phi``, the 8-form construction
-    on the KForm path."""
+    be a structure.  A sample reads the class and the metric g6 of (omega,
+    rho) from the step check's classification, memoized with the split:
+    g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2, 0), and the
+    normalization monitor is |s|^2 - 4 in g6.  phi comes from the frame
+    tables, *phi from the state.  The first sample must reproduce the class
+    and the g8 signature that ``bundle_Phi`` gives the seed's pair, when it
+    gives one."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
@@ -895,8 +901,6 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         pass
 
     def validity(y):
-        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            return True  # reported as a blow-up
         try:
             return classify(y)[0] is seed_tag
         except _NUMERICAL_FAILURES:
@@ -924,10 +928,7 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
     seven = _memo(lambda y: seven_structure(problem.phi(y)))
     seed_class = _stable(seven(y0)).klass  # the first sample reuses it
 
-    def validity(y):
-        if float(np.max(np.abs(y))) > _BLOWUP_NORM:
-            return True
-        return seven(y).klass is seed_class
+    validity = lambda y: seven(y).klass is seed_class
 
     def sample(t, y):
         s = seven(y)

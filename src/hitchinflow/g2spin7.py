@@ -94,11 +94,15 @@ class EightStructure:
     klass: EightClass
 
 
-def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, SevenClass]:
-    """Associated metric, volume and class of a 3-form on R^7.
+_SEVEN_CLASS = {(7, 0): SevenClass.G2, (3, 4): SevenClass.G2_STAR}
 
-    Returns (None, None, NOT_STABLE) when the quadratic form degenerates.
-    """
+
+def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, SevenClass]:
+    """Associated metric, volume and class of a 3-form on R^7: G2 where g7
+    has signature (7, 0) and G2* at (3, 4).  g7's signature alone decides
+    stability (``linalg.signature``'s eigenvalue floor in floats); (None,
+    None, NOT_STABLE) otherwise, or where det B, whose ninth root g7 and
+    vol7 take, is 0 or not finite."""
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("expected a 3-form on R^7")
     exact = phi.exact
@@ -109,32 +113,22 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T)
     B = (B + B.T) / 12  # symmetric to the last bit in floats
     d = linalg.det(B)
-    scale = max(float(max(abs(x) for x in B.reshape(-1))), 1e-30)
-    # a product, not scale**7, which raises where it leaves the float range
-    if (exact and d == 0) or not (exact or 1e-12 * math.prod([scale] * 7) < abs(d) < math.inf):
+    if not (d != 0 and abs(d) < math.inf):  # nan too
         return None, None, SevenClass.NOT_STABLE
     s9 = linalg.nth_root_signed(d, 9)
-    g7 = SymBilinear(B / s9)
-    vol7 = volume_form(7, s9, exact=exact)
     try:
-        sig = g7.signature()
-    except ValueError:
+        with np.errstate(over="ignore"):  # SymBilinear refuses an entry beyond float range
+            g7 = SymBilinear(B / s9)
+        klass = _SEVEN_CLASS[g7.signature()]
+    except (ValueError, KeyError):  # degenerate, or another signature
         return None, None, SevenClass.NOT_STABLE
-    if sig == (7, 0):
-        klass = SevenClass.G2
-    elif sig == (3, 4):
-        klass = SevenClass.G2_STAR
-    else:
-        return None, None, SevenClass.NOT_STABLE
-    return g7, vol7, klass
+    return g7, volume_form(7, s9, exact=exact), klass
 
 
 def seven_structure(phi: KForm) -> SevenStructure:
     """Assemble the full SevenStructure (metric, volume, dual 4-form)."""
     g7, vol7, klass = metric_vol_from_phi(phi)
-    if klass is SevenClass.NOT_STABLE:
-        return SevenStructure(phi, None, None, None, klass)
-    return SevenStructure(phi, g7, vol7, hodge(g7, vol7, phi), klass)
+    return SevenStructure(phi, g7, vol7, None if g7 is None else hodge(g7, vol7, phi), klass)
 
 
 def solve_dstar(s: SevenStructure, beta: KForm) -> KForm:

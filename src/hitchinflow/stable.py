@@ -191,7 +191,10 @@ def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
 
 
 def _degenerate(omega: np.ndarray, om3) -> bool:
-    """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3."""
+    """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3:
+    a floor of its own, as omega^3 is a product of only three skew
+    eigenvalues, it guards the wedge solve, which has no metric to ask, and
+    degenerate runs meet their singular end at it."""
     scale = max(float(np.abs(omega).max()), 1e-30)
     return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
 
@@ -387,9 +390,9 @@ def iota(sigma: KForm) -> KForm:
 
     omega is the dual-bivector inverse of sigma, scaled to its half-square.
     Of the two solutions +-omega, returns the one whose first nonzero
-    canonical coefficient is positive.  Raises UnstableForm if sigma is no
-    half-square (|omega^2/2 - sigma| > 1e-12 max(max|sigma|, 1)) or if
-    max|sigma|^3 is not finite.
+    canonical coefficient is positive.  Raises UnstableForm if max|sigma|^3
+    is not finite or sigma is no half-square (|omega^2/2 - sigma| > 1e-12
+    max(max|sigma|, 1)), the one test of degeneracy, with no floor on det B.
     """
     if sigma.dim != 6 or sigma.degree != 4:
         raise ValueError("expected a 4-form on R^6")
@@ -401,16 +404,17 @@ def iota(sigma: KForm) -> KForm:
     # sigma) on e^{1..6}, which is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
     I2 = interior_tensor(6, 2)
     B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs)) / scale
-    if not abs(float(np.linalg.det(B))) >= 1e-14:
-        raise UnstableForm("4-form is not a nondegenerate half-square")
-    # the 2-form of the antisymmetric part of B^{-1}
-    cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
-    sq = wedge(cand, cand) * 0.5
-    ratio = (sq.coeffs @ sigma.coeffs) / max(sq.coeffs @ sq.coeffs, 1e-300)
-    if ratio <= 0:
-        raise UnstableForm("4-form is not in the half-square orbit")
-    omega = cand * float(np.sqrt(ratio))
-    if not (wedge(omega, omega) * 0.5 - sigma).max_abs() <= 1e-12 * max(sigma.max_abs(), 1.0):
-        raise UnstableForm("4-form is not a half-square")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan fails the residual
+        try:  # the 2-form of the antisymmetric part of B^{-1}
+            cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
+        except np.linalg.LinAlgError as exc:
+            raise UnstableForm("4-form is not a nondegenerate half-square") from exc
+        sq = wedge(cand, cand) * 0.5
+        ratio = (sq.coeffs @ sigma.coeffs) / max(sq.coeffs @ sq.coeffs, 1e-300)
+        if ratio <= 0:
+            raise UnstableForm("4-form is not in the half-square orbit")
+        omega = cand * float(np.sqrt(ratio))
+        if not (wedge(omega, omega) * 0.5 - sigma).max_abs() <= 1e-12 * max(sigma.max_abs(), 1.0):
+            raise UnstableForm("4-form is not a half-square")
     lead = next((c for c in omega.coeffs if abs(c) > 1e-12 * omega.max_abs()), 1.0)
     return -omega if lead < 0 else omega

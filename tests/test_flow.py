@@ -416,6 +416,9 @@ def test_blowup_reported():
     cfg = FlowConfig(space="flat7", t_end=0.2, integrator="rk4-fixed", step=1e-2, sample_dt=0.1)
     traj = integrate(cfg, big)
     assert traj.stop_reason == "blow_up"
+    # the cap is checked on every step: the run stops at the first step
+    # over it, before its sample interval ends at t = 0.1001
+    assert traj.stop_cause.endswith("at t = 0.0101") and len(traj.samples) == 1
 
 
 def test_rk45_blowup_reported():
@@ -821,9 +824,8 @@ def test_bundle_phi_metric_is_g7_plus_dr2():
         assert np.max(np.abs(g8.matrix - want)) < 1e-10
 
 
-# runs that end in a step failure at a singular end, where the metric of
-# phi alone (seven_structure's det floor) refused samples the split and
-# the oracle find to be SU(3) structures: (a, b, c_param) and the run
+# runs that end in a step failure at a singular end, where the condition
+# number of phi's metric reaches 5e3 to 3e5: (a, b, c_param) and the run
 _SINGULAR_ENDS = {
     "n11-0.6-rk45": ((0.6, 0.6, 1.6), {"integrator": "rk45", "sample_dt": 0.002, "t_end": 0.3}),
     "n11-0.6-rk4": ((0.6, 0.6, 1.6),
@@ -855,13 +857,12 @@ def test_sample_monitors_match_the_kform_oracle(case):
         assert got["cocal_residual"] == want["cocal_residual"]
         assert abs(got["normalization_residual"] - want["normalization_residual"]) <= 1e-12
         assert (got["class"], got["g8_signature"]) == (want["class"], want["g8_signature"])
-        # *phi from the split is the Hodge dual of phi wherever phi's own
-        # metric is nondegenerate to seven_structure
+        # *phi from the split is the Hodge dual of phi, which g7's signature
+        # finds stable up to the singular end
         seven = seven_structure(KForm(7, 3, sample.data["phi"]))
-        assert seven.ok or case in _SINGULAR_ENDS
-        if seven.ok:
-            star = seven.star_phi.coeffs
-            assert np.max(np.abs(sample.data["star_phi"] - star)) <= 1e-12 * np.max(np.abs(star))
+        assert seven.ok
+        star = seven.star_phi.coeffs
+        assert np.max(np.abs(sample.data["star_phi"] - star)) <= 1e-12 * np.max(np.abs(star))
 
 
 def test_torsion_residual_matches_the_oracle():
@@ -908,6 +909,21 @@ def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     gflow = fl._generic_flow(gseed)
     gflow.sample(0.0, gseed.x)  # the seed's structure, built with the flow
     assert len(calls) == 1
+
+
+def test_degenerate_sample_builds_star_phi_once(monkeypatch):
+    # *phi = omega^2/2 + f e^phi ^ s takes two wedges: the sample stores it
+    # and its cocal_residual reads the same form from the state
+    traj = _n11_run("rk45-adaptive", t_end=0.1)
+    flow = fl._degenerate_flow(traj.state_at(0))
+    st = traj.state_at(2)
+    calls, cocal = [], []
+    wedge_of = fl.wedge
+    monkeypatch.setattr(fl, "wedge", lambda *forms: calls.append(1) or wedge_of(*forms))
+    monkeypatch.setattr(fl, "cocal_residual", lambda s: cocal.append(1) or cocal_residual(s))
+    got = flow.sample(st.t, st.problem.pack(st.w, st.f * st.s))
+    assert len(calls) == 2 and len(cocal) == 1
+    assert got.monitors == traj.samples[2].monitors
 
 
 def test_first_sample_must_reproduce_the_seed_reference():

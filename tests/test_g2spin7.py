@@ -97,6 +97,21 @@ def test_metric_vol_matches_wedge_oracle(name, rng):
         assert relative_gap(g7.matrix * vol7.coeffs[0], g_want * vol_want) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["su3", "su12"])
+def test_metric_vol_classifies_well_conditioned_conjugates(name):
+    # diagonal conjugates whose g7 = A^T g0 A has k eigenvalues at 1/cond:
+    # stable, as g7's signature says, where a floor on det B / max|B|^7 (a
+    # product of eigenvalue ratios) refuses conditions of 4.7e3
+    g0, _, klass = metric_vol_from_phi(model_phi(name))
+    for k in (3, 4, 6):
+        for cond in (4.7e3, 1e6):
+            A = np.diag([cond**-0.5] * k + [1.0] * (7 - k))
+            g7, _, got = metric_vol_from_phi(pullback(A, model_phi(name)))
+            assert got is klass
+            want = A.T @ g0.matrix @ A
+            assert relative_gap(g7.matrix, want) <= 1e-10
+
+
 def test_metric_vol_unstable_returns_not_stable():
     g7, vol7, klass = metric_vol_from_phi(KForm.basis(7, (0, 1, 2)))
     assert klass is SevenClass.NOT_STABLE and g7 is None and vol7 is None

@@ -411,6 +411,16 @@ def test_iota_is_equivariant_and_refuses_minus_a_half_square(rng, name):
             iota(-0.5 * wedge(w, w))
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-8])
+def test_iota_returns_a_2form_with_a_small_skew_pair(eps):
+    # the dual bivector of e12 + e34 + eps e56 has det eps^4: no floor on
+    # det B refuses it, the half-square residual decides
+    om = KForm.basis(6, (0, 1)) + KForm.basis(6, (2, 3)) + eps * KForm.basis(6, (4, 5))
+    assert np.max(np.abs(iota(0.5 * wedge(om, om)).coeffs - om.coeffs)) <= 1e-12
+    with pytest.raises(UnstableForm):  # a singular dual bivector
+        iota(KForm.basis(6, (0, 1, 2, 3)) + 1e-20 * KForm.basis(6, (2, 3, 4, 5)))
+
+
 def test_iota_rejects_non_square():
     with pytest.raises(UnstableForm):
         iota(KForm.basis(6, (0, 1, 2, 3)))
