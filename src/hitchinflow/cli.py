@@ -43,8 +43,10 @@ _DEFAULT_PARAMS = {
 # the layout of report.json: raised when a key is added, removed or changes
 # meaning (2: stats gained rejections, the rejected steps by cause; 3: the
 # torsion residual covers the samples up to torsion_t_last; 4: flow, the
-# run's resolved FlowConfig, which --config takes back)
-_SCHEMA_VERSION = 4
+# run's resolved FlowConfig, which --config takes back; 5: a rejection is
+# counted under the step check's reason, and torsion_t_last is gone, since
+# every sample's phi is stable)
+_SCHEMA_VERSION = 5
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")
 
@@ -75,9 +77,7 @@ class RunReport:
     t_first: float | None = None
     t_last: float | None = None
     max_cocal_residual: float | None = None
-    # over the prefix of samples whose phi is stable, which ends at torsion_t_last
     max_torsion_residual: float | None = None
-    torsion_t_last: float | None = None
     max_normalization_residual: float | None = None
     smoothness: dict | None = None
     classification_first: str | None = None
@@ -216,7 +216,7 @@ def run_point(
         start = time.perf_counter()
         try:
             torsion = fl.torsion_residual(traj)
-        except ValueError:  # fewer than 3 samples whose phi is stable
+        except ValueError:  # fewer than 3 samples
             torsion = None
         timings["torsion_s"] = time.perf_counter() - start
         start = time.perf_counter()
@@ -230,10 +230,8 @@ def run_point(
         report.t_first = float(traj.samples[0].t)
         report.t_last = float(traj.samples[-1].t)
         report.max_cocal_residual = float(np.max(traj.monitor("cocal_residual")))
-        if torsion is not None:  # nan after the stable prefix
-            n = int(np.count_nonzero(~np.isnan(torsion)))
-            report.max_torsion_residual = float(np.max(torsion[:n]))
-            report.torsion_t_last = float(traj.samples[n - 1].t)
+        if torsion is not None:
+            report.max_torsion_residual = float(np.max(torsion))
     except Exception as exc:  # a refused startup keeps its stop_reason
         if report.stop_reason != "refused_startup":
             report.stop_reason = "failed"

@@ -739,7 +739,7 @@ class _Stats:
     """What the integrator did: right-hand side evaluations, accepted and
     rejected steps, the smallest and largest accepted |h|, and rejections
     by cause: "error_norm" (error estimate above 1 or a state not finite),
-    "state_check" (validity failed) or the numerical exception's class."""
+    the numerical exception's class, or the reason the step check gave."""
 
     rhs_evals: int = 0
     accepted_steps: int = 0
@@ -771,20 +771,21 @@ def _check_norm(t, y):
 def _rk4_states(f, times, y, step, validity, stats):
     """(t, y) at each sample time after the first, from fixed steps of
     about `step` that divide each sample interval.  Each step's state
-    passes the blow-up cap, then validity."""
+    passes the blow-up cap, then validity (None, or why it refuses)."""
     for t0, t1 in zip(times[:-1], times[1:]):
         n = max(1, int(round(abs(t1 - t0) / step)))
         h, t = (t1 - t0) / n, t0
         for _ in range(n):
             try:
                 ynew = _rk4_step(f, t, y, h)
+                _check_norm(t + h, ynew)
+                reason = validity(ynew)
             except _NUMERICAL_FAILURES as exc:
                 stats.reject(type(exc).__name__)
-                raise StepFailure(f"right-hand side failed at t = {t:.6g}: {exc}") from exc
-            _check_norm(t + h, ynew)
-            if not validity(ynew):
-                stats.reject("state_check")
-                raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}")
+                raise StepFailure(f"step failed at t = {t:.6g}: {exc}") from exc
+            if reason is not None:
+                stats.reject(reason)
+                raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}: {reason}")
             stats.accept(h)
             t, y = t + h, ynew
         yield t1, y
@@ -796,7 +797,8 @@ def _rk45_states(f, times, y, tol, validity, stats):
     the step before it, or from the first stage of a rejected attempt.  A
     trial within the error norm passes the blow-up cap, then validity.  A
     sample on a step's end is its state; one inside a step is read from
-    the step's stages (``_dense``) and must pass validity."""
+    the step's stages (``_dense``) and must pass validity, or the run stops
+    with the reason."""
     t, t1, k1, h, retries, i = times[0], times[-1], None, 1e-2, 0, 1
     direction = 1.0 if t1 >= t else -1.0
     while (t1 - t) * direction > 1e-15:
@@ -814,7 +816,7 @@ def _rk45_states(f, times, y, tol, validity, stats):
             cause = "error_norm"
             if np.all(np.isfinite(ynew)) and enorm <= 1.0:
                 _check_norm(t + h, ynew)
-                cause = None if validity(ynew) else "state_check"
+                cause = validity(ynew)
         except _NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
         if cause is not None:
@@ -829,11 +831,11 @@ def _rk45_states(f, times, y, tol, validity, stats):
             ts, ys, i = times[i], ynew, i + 1
             if abs(ts - (t + h)) > 1e-15:  # inside the step
                 try:
-                    valid = validity(ys := _dense(y, h, stages, (ts - t) / h))
-                except _NUMERICAL_FAILURES:
-                    valid = False
-                if not valid:
-                    raise StepFailure(f"interpolated state check failed at t = {ts:.6g}")
+                    reason = validity(ys := _dense(y, h, stages, (ts - t) / h))
+                except _NUMERICAL_FAILURES as exc:
+                    reason = type(exc).__name__
+                if reason is not None:
+                    raise StepFailure(f"interpolated state check failed at t = {ts:.6g}: {reason}")
             yield ts, ys
         t, y, k1, retries = t + h, ynew, stages[-1], 0
         grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
@@ -859,27 +861,27 @@ def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
 
 @dataclass(frozen=True)
 class _Flow:
-    """One flow as the sampling loop sees it; reference holds the monitors
-    the first sample must reproduce (None when there is no reference)."""
+    """One flow as the sampling loop sees it: validity(y) is None for a
+    state with the seed's class, else why the step check refuses it."""
 
     kind: str
     y0: np.ndarray
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    validity: Callable[[np.ndarray], bool]
+    validity: Callable[[np.ndarray], str | None]
     sample: Callable[[float, np.ndarray], Sample]
-    reference: dict | None = None
 
 
 def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     """The pair (omega, S = f J*rho) packed; f is re-derived from S.
 
     A trial state is valid when its split has the seed's class, which must
-    be a structure.  A sample reads the class and the metric g6 of (omega,
-    rho) from the step check's classification, memoized with the split:
-    g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2, 0), and the
-    normalization monitor is |s|^2 - 4 in g6.  phi comes from the frame
-    tables, *phi from the state.  The first sample must reproduce the class
-    and the g8 signature that ``bundle_Phi`` gives the seed's pair, when it
+    be a structure; otherwise the step check names the classification's
+    reason, or the class.  A sample reads the class and the metric g6 of
+    (omega, rho) from the step check's classification, memoized with the
+    split: g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2, 0),
+    and the normalization monitor is |s|^2 - 4 in g6.  phi comes from the
+    frame tables, *phi from the state.  The seed's split must reproduce
+    the g8 signature that ``bundle_Phi`` gives the seed's pair, when it
     gives one."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
@@ -887,24 +889,24 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     split = _memo(lambda y: _derive_split(problem, y, branch))
     classify = _memo(lambda y: _split_class(split(y)))
     try:
-        seed_tag, why = classify(y0)[:2]
+        seed_tag, why, sig6 = classify(y0)[:3]
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
     if why is not None:
         raise PreconditionFailed("classification", f"the seed at t = {seed.t}: {why}")
-    reference = None
+    want = (sig6[0] + 2, sig6[1])  # the first sample's g8 signature
     try:
         g8 = bundle_Phi(abs(seed.f), seed.omega_form(), seed.rho_form())[1]
         sig8 = g8.signature() if g8.is_nondegenerate() else None
-        reference = {"class": seed_tag.value, "g8_signature": sig8}
     except UnstableForm:  # classify_pair refuses the seed's pair: nothing to compare
-        pass
+        sig8 = want
+    if sig8 != want:
+        raise PreconditionFailed("seed_reference", f"the split's g8 signature {want} != {sig8} "
+                                                   f"of the seed's pair at t = {seed.t}")
 
     def validity(y):
-        try:
-            return classify(y)[0] is seed_tag
-        except _NUMERICAL_FAILURES:
-            return False
+        tag, why = classify(y)[:2]
+        return why or (None if tag is seed_tag else f"class {tag.value}")
 
     def sample(t, y):  # a state the step check (or the seed's) classified
         sp, (tag, _, (p, q), g6) = split(y), classify(y)
@@ -920,20 +922,23 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
             "class": tag.value, "g8_signature": (p + 2, q)})
 
     rhs = lambda t, y: _rhs_packed(problem, y, branch, split(y))
-    return _Flow("degenerate", y0, rhs, validity, sample, reference)
+    return _Flow("degenerate", y0, rhs, validity, sample)
 
 
 def _generic_flow(seed: GenericFlowState) -> _Flow:
+    """A trial state is valid when its phi has the seed's class, which must
+    be stable: so is every sample's."""
     problem, y0 = seed.problem, np.asarray(seed.x, dtype=float)
     seven = _memo(lambda y: seven_structure(problem.phi(y)))
-    seed_class = _stable(seven(y0)).klass  # the first sample reuses it
-
-    validity = lambda y: seven(y).klass is seed_class
+    if not (s0 := seven(y0)).ok:  # the first sample reuses it
+        raise PreconditionFailed("classification", f"the seed at t = {seed.t}: phi is not stable")
+    seed_class = s0.klass
+    validity = lambda y: None if (k := seven(y).klass) is seed_class else f"class {k.value}"
 
     def sample(t, y):
         s = seven(y)
-        data = {"x": y.copy(), "phi": s.phi.coeffs, "star_phi": s.star_phi.coeffs if s.ok else None}
-        cocal = float(problem.space.d(s.star_phi).max_abs()) if s.ok else np.inf
+        data = {"x": y.copy(), "phi": s.phi.coeffs, "star_phi": s.star_phi.coeffs}
+        cocal = float(problem.space.d(s.star_phi).max_abs())
         return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
 
     rhs = lambda t, y: generic_rhs(GenericFlowState(t, y, problem), seven(y))
@@ -952,8 +957,9 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
     or an infinity, when a degenerate t_end does not lie beyond the seed,
     away from f = 0, or the seed's split is no structure, when the run
     would record more than _MAX_SAMPLES samples or take more than
-    _MAX_RK4_STEPS rk4 steps, and when the first sample does not
-    reproduce the seed's reference class and g8 signature."""
+    _MAX_RK4_STEPS rk4 steps, when a generic seed's phi is not stable, and
+    when a degenerate seed's split does not reproduce the g8 signature of
+    its pair."""
     if isinstance(seed, DegenerateFlowState):
         values = {"t": seed.t, "f": seed.f, "w": seed.w, "s": seed.s}
     elif isinstance(seed, GenericFlowState):
@@ -996,10 +1002,6 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
 
     times = _sample_times(seed.t, config.t_end, config.sample_dt)
     samples = [sample(times[0], flow.y0)]
-    first = samples[0].monitors
-    if flow.reference and any(first[k] != v for k, v in flow.reference.items()):
-        found = {k: first[k] for k in flow.reference}
-        raise PreconditionFailed("seed_reference", f"first sample {found} != seed {flow.reference}")
     if config.kind() == "rk4":
         states = _rk4_states(rhs, times, flow.y0, config.step, flow.validity, stats)
     else:
@@ -1031,20 +1033,15 @@ def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
 def torsion_residual(traj: Trajectory) -> np.ndarray:
     """Per-sample residual |d/dt(*phi) - d phi| + |d(*phi)| on the stored
     grid (``np.gradient``, second order), from phi and *phi as each sample
-    stored them, over the longest prefix of samples whose phi is stable and
-    nan after it; raises ValueError when that prefix has fewer than 3."""
-    n = next((i for i, s in enumerate(traj.samples) if s.data["star_phi"] is None),
-             len(traj.samples))
-    if n < 3:
-        raise ValueError("need at least 3 samples with a stable phi")
-    sp, prefix = traj.problem.space, traj.samples[:n]
-    stars = np.array([s.data["star_phi"] for s in prefix])
-    phis = np.array([s.data["phi"] for s in prefix])
-    derivs = np.gradient(stars, traj.times()[:n], axis=0, edge_order=2)
+    stored them; raises ValueError for fewer than 3 samples."""
+    if len(traj.samples) < 3:
+        raise ValueError("need at least 3 samples")
+    sp = traj.problem.space
+    stars = np.array([s.data["star_phi"] for s in traj.samples])
+    phis = np.array([s.data["phi"] for s in traj.samples])
+    derivs = np.gradient(stars, traj.times(), axis=0, edge_order=2)
     flow_res = np.max(np.abs(derivs - phis @ sp.d_matrix(3).T), axis=1)
-    out = np.full(len(traj.samples), np.nan)
-    out[:n] = flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
-    return out
+    return flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
 
 
 def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowState:

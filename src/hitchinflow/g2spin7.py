@@ -112,7 +112,8 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     M = contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4)
     B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T)
     B = (B + B.T) / 12  # symmetric to the last bit in floats
-    d = linalg.det(B)
+    with np.errstate(over="ignore"):  # refused below
+        d = linalg.det(B)
     if not (d != 0 and abs(d) < math.inf):  # nan too
         return None, None, SevenClass.NOT_STABLE
     s9 = linalg.nth_root_signed(d, 9)

@@ -673,7 +673,7 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
             scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
             bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
-            cause = "error_norm" if not bounded else None if validity(ynew) else "state_check"
+            cause = validity(ynew) if bounded else "error_norm"
         except _NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
         if cause is None:

@@ -132,8 +132,8 @@ def test_extreme_values_keep_the_exit_code_contract(args, code, cause, capsys):
 def test_run_ending_on_unstable_samples_has_no_torsion(tmp_path, capsys):
     # rk45 stops with step_failure near t = 0.432, where omega degenerates;
     # every sample before is an SU(3) structure of the split, whose *phi
-    # the sample stores, so the torsion residual covers all 44 samples up
-    # to torsion_t_last = t_last, and the run exits 0
+    # the sample stores, so the torsion residual covers all 44 samples, and
+    # the run exits 0
     args = ["--scenario", "n11-spin7", "--set", "a=1.40", "--set", "b=0.64",
             "--set", "c_param=0.66", "--output", str(tmp_path)]
     assert _run(args) == 0
@@ -142,7 +142,6 @@ def test_run_ending_on_unstable_samples_has_no_torsion(tmp_path, capsys):
     assert report["stop_reason"] == "step_failure"
     assert report["n_samples"] == 44
     assert report["classification_first"] == report["classification_last"] == "SU3"
-    assert report["torsion_t_last"] == report["t_last"]
     with open(tmp_path / "trajectory.csv") as fh:
         torsion = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
     assert len(torsion) == 44 and all(math.isfinite(x) for x in torsion)
@@ -164,7 +163,7 @@ def test_failed_run_writes_its_report(tmp_path, args, code, cause, timings, caps
     # timings of the phases that finished
     assert _run(["--scenario", "n11-spin7", *args, "--output", str(tmp_path)]) == code
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 4 and report["stop_reason"] == "failed"
+    assert report["schema_version"] == 5 and report["stop_reason"] == "failed"
     assert report["stop_cause"].startswith(cause)
     assert list(report["timings"]) == timings
     assert not (tmp_path / "trajectory.csv").exists()
@@ -272,7 +271,7 @@ def test_report_carries_version_and_timings(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     keys = list(report)
     assert keys[:2] == ["schema_version", "version"]
-    assert report["schema_version"] == 4 and report["version"] == __version__
+    assert report["schema_version"] == 5 and report["version"] == __version__
     assert keys[keys.index("params") + 1] == "flow"
     assert keys[keys.index("stats") + 1] == "timings"
     timings = report["timings"]

@@ -261,7 +261,7 @@ def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
     # rk45 reads inside a step is a state no rhs saw, with a split of its own.
     # A sample reads its class from the classification of its step check:
     # stable.classify_coeffs runs once per step check, plus once for the
-    # seed's split and once for the pair of bundle_Phi's reference.  rk45
+    # seed's split and once for bundle_Phi's pair in the seed's g8 check.  rk45
     # may classify one state twice: the end of the last step, sampled
     # after the states read inside that step took its memo entry
     calls, inside, checks, classified = [], [], [], []
@@ -485,7 +485,7 @@ def test_rk45_interpolated_state_failing_its_check_stops_the_run(monkeypatch):
     seed = startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4)
     traj = integrate(FlowConfig(t_end=0.1), seed)
     assert traj.stop_reason == "step_failure"
-    assert traj.stop_cause == "interpolated state check failed at t = 0.0201"
+    assert traj.stop_cause == "interpolated state check failed at t = 0.0201: UnstableForm"
     assert traj.samples[-1].t == pytest.approx(0.0101)
 
 
@@ -868,6 +868,8 @@ def test_sample_monitors_match_the_kform_oracle(case):
 def test_torsion_residual_matches_the_oracle():
     traj = _n11_run("rk45-adaptive")
     assert np.max(np.abs(torsion_residual(traj) - torsion_residual_oracle(traj))) <= 1e-10
+    with pytest.raises(ValueError):  # second-order differences need 3 samples
+        torsion_residual(replace(traj, samples=traj.samples[:2]))
     # a generic run off the cocalibrated slice, where |d(*phi)| is not ~ 0
     gp = generic_problem("n11")
     seed = generic_state_from_split(gp, n11_problem(), 1.0)
@@ -876,19 +878,6 @@ def test_torsion_residual_matches_the_oracle():
     gtraj = integrate(FlowConfig(space="n11", t_end=0.05, sample_dt=0.0125), pert)
     assert np.min(gtraj.monitor("cocal_residual")) > 1e-3
     assert np.max(np.abs(torsion_residual(gtraj) - torsion_residual_oracle(gtraj))) <= 1e-10
-
-
-def test_torsion_residual_covers_the_stable_prefix():
-    # samples whose phi is not stable end the residual: the prefix has the
-    # residual of the trajectory cut there, the rest nan; a prefix of fewer
-    # than 3 samples has none
-    traj = _n11_run("rk45-adaptive")
-    unstable = tuple(replace(s, data={**s.data, "star_phi": None}) for s in traj.samples[6:])
-    got = torsion_residual(replace(traj, samples=traj.samples[:6] + unstable))
-    assert np.array_equal(got[:6], torsion_residual(replace(traj, samples=traj.samples[:6])))
-    assert len(got) == len(traj.samples) and np.isnan(got[6:]).all()
-    with pytest.raises(ValueError):
-        torsion_residual(replace(traj, samples=traj.samples[:2] + unstable))
 
 
 def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
@@ -947,6 +936,29 @@ def test_integrate_refuses_a_seed_whose_split_is_no_structure():
         integrate(FlowConfig(space="flat7", t_end=0.05), replace(seed, w=w))
     assert err.value.condition == "classification"
     assert "omega ^ rho != 0" in str(err.value)
+
+
+def test_integrate_refuses_an_unstable_generic_seed():
+    # phi = 0 has no metric: refused like a degenerate seed that is no
+    # structure, before any step
+    gp = generic_problem("n11")
+    seed = GenericFlowState(0.0, np.zeros(len(gp.basis(3).forms)), gp)
+    with pytest.raises(PreconditionFailed) as err:
+        integrate(FlowConfig(t_end=0.05), seed)
+    assert err.value.condition == "classification"
+
+
+def test_step_check_names_each_refusal():
+    # (1.2, 1, 1) lies below the complete surface a^2 = b^2 + c^2 on b = c:
+    # its run ends where the split's metric degenerates, and every rejected
+    # step is counted under the reason the step check gave
+    seed = startup_seed(n11_problem(1.2, 1.0, 1.0), 1.0, 1e-4)
+    traj = integrate(FlowConfig(t_end=51, tol=1e-9, sample_dt=0.5), seed)
+    assert traj.stop_reason == "step_failure"
+    assert float(traj.stop_cause.rsplit("= ", 1)[1]) == pytest.approx(50.0114397, rel=1e-6)
+    rejections = traj.stats["rejections"]
+    assert set(rejections) == {"associated metric is degenerate"}
+    assert sum(rejections.values()) == traj.stats["rejected_steps"]
 
 
 @pytest.mark.parametrize(

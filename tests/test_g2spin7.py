@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,8 @@ def test_star_derivative_rejects_unstable():
 
 
 def test_seven_structure_beyond_float_range_is_not_ok():
-    # det B ~ max|B|^7 leaves the float range: not stable, no OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # det B ~ max|B|^7 leaves the float range: not stable, with no
+    # OverflowError and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert not seven_structure(model_phi("su3") * 1e20).ok
