@@ -12,8 +12,9 @@ differential and the isotropy action of ``homogeneous``.
 
 Coefficients are float64 by default; an exact mode (object arrays of
 ``fractions.Fraction``) is available for the model identity suite.
-Pullbacks and the Gram matrices behind the pairing and the Hodge star
-are products with compound matrices, and ``contract`` with the tables.
+A float pullback contracts the form's antisymmetric tensor with the matrix
+one axis at a time; the pairing and the Hodge star pull back by g^-1, whose
+compound matrix is the Gram.
 A product or sum is exact only when no operand is a float (``KForm * scalar``
 too).  Exact products run in Python ints over one common denominator, read
 only a form's nonzero coefficients and build one Fraction per output entry.
@@ -23,6 +24,7 @@ Vectors are plain 1-d numpy arrays and linear maps are (n, n) matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -384,40 +386,56 @@ def contract(table: np.ndarray, *vectors: np.ndarray):
 
 
 # -- pullback ---------------------------------------------------------
+@lru_cache(maxsize=None)
+def _antisymmetrizer(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed scatter of a k-form on R^n into its antisymmetric n^k
+    tensor: the flat entry of each ordering of every increasing k-tuple, the
+    identity first (the first C(n, k) are the tuples), and each sign."""
+    tuples = np.array(increasing_tuples(n, k), dtype=int).reshape(comb(n, k), k)
+    orders = list(itertools.permutations(range(k)))
+    flat = np.concatenate([tuples[:, p] @ n ** np.arange(k - 1, -1, -1) for p in orders])
+    signs = np.array([[sort_sign(p)[0]] for p in orders], dtype=float)
+    for x in (flat, signs):
+        x.setflags(write=False)
+    return flat, signs
+
+
 def pullback(mat: np.ndarray, a: KForm) -> KForm:
-    """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk); a float matrix or
-    form makes a float product."""
-    mat = np.asarray(mat)
-    if mat.shape != (a.dim, a.dim):
-        raise DimensionMismatch(f"matrix {mat.shape} vs dim {a.dim}")
+    """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk), a @ minors(A, k); a
+    float matrix or form makes a float product.  Exact ones read the int
+    minors at a's nonzero coefficients; floats contract a's antisymmetric
+    tensor with A one axis at a time (k products of an n^(k-1) x n block)."""
+    mat, n, k = np.asarray(mat), a.dim, a.degree
+    if mat.shape != (n, n):
+        raise DimensionMismatch(f"matrix {mat.shape} vs dim {n}")
     if a.exact and mat.dtype.kind != "f":
-        return KForm(a.dim, a.degree, _compound_dot(a.coeffs, mat, a.degree))
-    return KForm(a.dim, a.degree, a.to_float().coeffs @ linalg.minors(mat.astype(float), a.degree))
+        (m, den), (v, dv) = linalg.scale_to_int(mat), linalg.scale_to_int(a.coeffs)
+        nz = np.flatnonzero(v)
+        return KForm(n, k, linalg.divide_ints(v[nz] @ linalg.laplace_minors(m, k)[nz], den**k * dv))
+    flat, signs = _antisymmetrizer(n, k)
+    t = np.zeros(n**k)
+    t[flat] = (signs * np.asarray(a.coeffs, dtype=float)).ravel()
+    mat_t = mat.astype(float).T
+    for _ in range(k):  # contract the last axis and move the new one first
+        t = mat_t @ t.reshape(-1, n).T
+    return KForm(n, k, t.ravel()[flat[: len(a.coeffs)]])
 
 
 # -- metric pairing and Hodge star ------------------------------------
-def _compound_dot(v: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    """v @ minors(m, k) for exact v and m in Python ints, the int minors
-    read only at v's nonzero entries (minors(g^-1, k) is the Gram)."""
-    m, den = linalg.scale_to_int(m)
-    v, dv = linalg.scale_to_int(v)
-    nz = np.flatnonzero(v)
-    return linalg.divide_ints(v[nz] @ linalg.int_minors(m, k)[nz], den**k * dv)
-
-
-def _float_gram(g: SymBilinear, k: int) -> np.ndarray:
-    """minors(g^-1, k), the Gram on k-forms, of g's entries as floats."""
-    return linalg.minors(linalg.inverse(np.asarray(g.matrix, dtype=float)), k)
+def _gram_dot(g: SymBilinear, a: KForm, exact: bool) -> np.ndarray:
+    """The Gram minors(g^-1, k) times a: the pullback by g^-1, as the Gram is
+    symmetric, of g's entries as floats unless exact."""
+    inv = g.inverse() if exact else linalg.inverse(np.asarray(g.matrix, dtype=float))
+    return pullback(inv, a).coeffs
 
 
 def form_pairing(g: SymBilinear, a: KForm, b: KForm):
     """Induced inner product <a, b>_g on k-forms; as in ``contract``, a
     float operand makes a float product."""
     a._check_like(b)
-    if g.exact and a.exact and b.exact:  # the Gram is symmetric: a @ gram, then b
-        a_gram = _compound_dot(a.coeffs, g.inverse(), a.degree)
-        return linalg.exact_product(np.dot, a_gram, b.coeffs)
-    return a.to_float().coeffs @ _float_gram(g, a.degree) @ b.to_float().coeffs
+    exact = g.exact and a.exact and b.exact
+    a_gram = _gram_dot(g, a, exact)
+    return linalg.exact_product(np.dot, a_gram, b.coeffs) if exact else a_gram @ b.to_float().coeffs
 
 
 def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
@@ -429,10 +447,9 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
         raise DegenerateMetric("volume form vanishes")
     if not g.is_nondegenerate():
         raise DegenerateMetric("metric is degenerate")
-    if g.exact and a.exact and vol.exact:  # <e^J, a> per increasing J; the Gram is symmetric
-        paired, scale = _compound_dot(a.coeffs, g.inverse(), a.degree), vol.coeffs[0]
-    else:  # a float operand makes a float product, as in contract
-        paired, scale = _float_gram(g, a.degree) @ a.to_float().coeffs, float(vol.coeffs[0])
+    exact = g.exact and a.exact and vol.exact
+    paired = _gram_dot(g, a, exact)  # <e^J, a> per increasing J
+    scale = vol.coeffs[0] if exact else float(vol.coeffs[0])
     # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
     return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * scale)

@@ -41,6 +41,7 @@ from .forms import (
     embed,
     hodge,
     interior_tensor,
+    pullback,
     volume_form,
     wedge,
     wedge_tensor,
@@ -142,8 +143,8 @@ def solve_dstar(s: SevenStructure, beta: KForm) -> KForm:
     for G2 and G2* alike, so xi = ((7/4) pi_1 + 2 pi_7 - 1) *beta.
     psi = *beta is the 3-form whose star is beta: the star on 3-forms is
     top^T minors(g^-1, 3) vol with top the pairing of 3- and 4-forms, and
-    minors(g, 3) is the inverse Gram (Cauchy-Binet), 3 x 3 determinants
-    where ``hodge`` of a 4-form takes 4 x 4 ones.  pi_1 psi = (psi ^ *phi)
+    minors(g, 3) is the inverse Gram (Cauchy-Binet), so psi is the pullback
+    by g of top beta / vol.  pi_1 psi = (psi ^ *phi)
     / (phi ^ *phi) phi, and pi_7 psi = X . *phi for the X with
     (X . *phi) ^ phi = psi ^ phi, since the other two parts wedge phi to
     zero: the projections take a 7 x 7 solve and no Gram.
@@ -152,7 +153,7 @@ def solve_dstar(s: SevenStructure, beta: KForm) -> KForm:
         raise UnstableForm("structure is not stable")
     phi, star_phi = s.phi.coeffs, s.star_phi.coeffs
     top = wedge_tensor(7, 3, 4)[0]
-    psi = linalg.minors(s.g7.matrix, 3) @ (top @ beta.coeffs) / s.vol7.coeffs[0]
+    psi = pullback(s.g7.matrix, KForm(7, 3, top @ beta.coeffs)).coeffs / s.vol7.coeffs[0]
     pi1 = (psi @ top @ star_phi) / (phi @ top @ star_phi) * phi
     wedge_phi = contract(wedge_tensor(7, 3, 3), phi)  # a -> a ^ phi on 3-forms
     a7 = contract(interior_tensor(7, 4).transpose(1, 0, 2), star_phi)  # e_c . *phi

@@ -5,12 +5,12 @@ Float mode uses numpy directly.  Exact mode takes object arrays of
 scale to Python ints by the lcm of the denominators (``scale_to_int``),
 compute in ints, build one Fraction per output entry (``divide_ints``); a
 float operand makes a float product (``exact_product``).  ``minors``, the
-k-th compound matrix, computes every minor and exact determinant in the
-package: batched LAPACK determinants for floats, for Fractions a Laplace
-expansion in ints that reuses the smaller minors.  The exact inverse is the
-int adjugate over the int determinant, the exact signature Descartes' rule
-on the int characteristic polynomial, and the exact nullspace the unique
-reduced echelon form, from Gauss-Jordan on primitive int rows.
+k-th compound matrix, computes every exact determinant in the package by a
+Laplace expansion in ints that reuses the smaller minors (floats take the
+same expansion).  The exact inverse is the int adjugate over the int
+determinant, the exact signature Descartes' rule on the int characteristic
+polynomial, and the exact nullspace the unique reduced echelon form, from
+Gauss-Jordan on primitive int rows.
 """
 
 from __future__ import annotations
@@ -80,13 +80,13 @@ def nth_root_signed(x, n: int):
 def inverse(a: np.ndarray) -> np.ndarray:
     """Inverse; in exact mode, for a = m / den with m in ints, den times the
     int adjugate of m over its int determinant, both read off
-    ``int_minors(m, n - 1)``: its entry [n-1-i, n-1-j] is the minor
+    ``laplace_minors(m, n - 1)``: its entry [n-1-i, n-1-j] is the minor
     without row i and column j."""
     if not is_exact(a):
         return np.linalg.inv(a)
     n = a.shape[0]
     m, den = scale_to_int(a)
-    adj = int_minors(m, n - 1)[::-1, ::-1].T * (-1) ** np.add.outer(range(n), range(n))
+    adj = laplace_minors(m, n - 1)[::-1, ::-1].T * (-1) ** np.add.outer(range(n), range(n))
     d = m[0] @ adj[:, 0]
     if d == 0:
         raise np.linalg.LinAlgError("singular exact matrix")
@@ -116,16 +116,6 @@ def _laplace_tables(n: int, k: int, j: int):
     return first, rest, np.array(cols), drop
 
 
-@lru_cache(maxsize=None)
-def _submatrix_index(n: int, k: int) -> np.ndarray:
-    """Flat indices into an n x n matrix of its k x k submatrices over
-    increasing k-tuples: entry [i, j, a, b] is row I_i[a], column J_j[b]."""
-    idx = np.array(increasing_tuples(n, k))
-    flat = idx[:, None, :, None] * n + idx[None, :, None, :]
-    flat.setflags(write=False)
-    return flat
-
-
 def scale_to_int(m) -> tuple[np.ndarray, int]:
     """(d m, d) for an array of ints/Fractions and the lcm d of its
     denominators, d m as an object array of Python ints."""
@@ -151,11 +141,11 @@ def exact_product(f, *operands):
     return divide_ints(f(*(m for m, _ in scaled)), math.prod(d for _, d in scaled))
 
 
-def int_minors(m: np.ndarray, k: int) -> np.ndarray:
-    """``minors`` of a square object array of Python ints, in ints, each
-    level expanded along first rows from the one below: n * 2**(n-1) int
-    products for one n x n determinant."""
-    level = m[k - 1 :] if k else np.ones((1, 1), dtype=object)
+def laplace_minors(m: np.ndarray, k: int) -> np.ndarray:
+    """``minors`` of a square array of floats or of Python ints (object),
+    each level expanded along first rows from the one below: n * 2**(n-1)
+    products for one n x n determinant, exact in ints."""
+    level = m[k - 1 :] if k else np.ones((1, 1), dtype=m.dtype)
     for j in range(2, k + 1):
         first, rest, col, drop = _laplace_tables(m.shape[0], k, j)
         prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
@@ -165,18 +155,13 @@ def int_minors(m: np.ndarray, k: int) -> np.ndarray:
 
 def minors(m: np.ndarray, k: int) -> np.ndarray:
     """k-th compound matrix of a square m: C[i, j] = det m[I_i, J_j] over
-    the increasing k-tuples I_i, J_j in lexicographic order.
-
-    Float input takes batched LAPACK determinants; exact (object) input is
-    scaled to ints by the lcm d of its denominators, and its ``int_minors``
-    are divided by d**k."""
+    the increasing k-tuples I_i, J_j in lexicographic order, from
+    ``laplace_minors``; exact (object) input is scaled to ints by the lcm d
+    of its denominators first, and its int minors are divided by d**k."""
     if not is_exact(m):
-        if k == 0:
-            return np.full((1, 1), 1.0)
-        with np.errstate(divide="ignore"):  # numpy's det takes log 0 on a singular block
-            return np.linalg.det(np.take(m, _submatrix_index(m.shape[0], k)))
+        return laplace_minors(m, k)
     m, den = scale_to_int(m)
-    return divide_ints(int_minors(m, k), den**k)
+    return divide_ints(laplace_minors(m, k), den**k)
 
 
 def signature(g: np.ndarray) -> tuple[int, int]:

@@ -29,7 +29,7 @@ sqrt|lambda| (P the pairing of 3-forms; no minors), and ``pair_structure``
 and ``assoc_metric`` wrap that for KForms.  ``classify_coeffs`` is the one
 structure rule (omega^3 != 0, omega ^ rho = 0, the normalization, and
 the metric signature with the sign of lambda, ``signature_class``):
-``classify_pair`` runs the sequence once, with one K and one pullback,
+``classify_pair`` runs the sequence once, with one K and no pullback,
 and then the rule, and the flow's step check runs the rule on its split.
 """
 
@@ -50,7 +50,6 @@ from .forms import (
     SymBilinear,
     contract,
     interior_tensor,
-    pullback,
     wedge,
     wedge_tensor,
 )
@@ -154,8 +153,8 @@ def k_endomorphism(rho: KForm) -> np.ndarray:
     return _k_matrix(rho.coeffs)
 
 
-def _lambda(K: np.ndarray):
-    return np.trace(K @ K) / 6
+def _lambda(K: np.ndarray):  # an exact K in ints (linalg.exact_product)
+    return linalg.exact_product(lambda a, b: np.trace(a @ b), K, K) / 6
 
 
 def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
@@ -176,17 +175,22 @@ def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
 def omega_cube(omega: np.ndarray, mat=None):
     """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients, given
     mat, the matrix of alpha -> alpha ^ omega, if the caller has it."""
-    mat = contract(wedge_tensor(6, 2, 2), omega) if mat is None else mat
+    W = wedge_tensor(6, 2, 2)
+    if omega.dtype == object:  # two int scatters
+        return contract(wedge_tensor(6, 4, 2)[0], contract(W, omega, omega), omega)
+    mat = contract(W, omega) if mat is None else mat
     return contract(wedge_tensor(6, 4, 2)[0].T, mat @ omega) @ omega
 
 
 def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
     # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^{-1} = sign J
-    G = contract(interior_tensor(6, 2), omega) @ (J * sign)
+    G = linalg.exact_product(np.matmul, contract(interior_tensor(6, 2), omega), J * sign)
     return (G + G.T) / 2
 
 
 def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
+    if jrho.dtype == rho.dtype == object:  # one int scatter, one Fraction
+        return contract(wedge_tensor(6, 3, 3)[0], jrho, rho)
     return contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
 
 
@@ -197,18 +201,6 @@ def _degenerate(omega: np.ndarray, om3) -> bool:
     degenerate runs meet their singular end at it."""
     scale = max(float(np.abs(omega).max()), 1e-30)
     return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
-
-
-def _oriented(rho: np.ndarray, K: np.ndarray, om3, pull, lam):
-    """The K -> J -> J*rho -> sign rule sequence from rho's K, omega^3 and
-    lambda: (lambda, J, J*rho = pull(J, lambda), J*rho ^ rho), (J, J*rho)
-    flipped unless J*rho ^ rho is a positive multiple of omega^3."""
-    lam, J = _lambda_and_J(K, rho, lam)
-    jrho = pull(J, lam)
-    num = _jrho_wedge_rho(jrho, rho)
-    if num * om3 < 0:
-        J, jrho, num = -J, -jrho, -num
-    return lam, J, jrho, num
 
 
 _SIX_CLASS = {(6, 0): StructureClass.SU3, (2, 4): StructureClass.SU12, (3, 3): StructureClass.SL3R}
@@ -292,9 +284,10 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
     """pair_structure in coefficient space: coefficient vectors (floats or
     Fractions) of a 2-form and a 3-form on R^6, no KForm.
 
-    Returns (J, sign, J*rho, nu) with J*rho from the gradient of lambda
-    (``_dual_table``) and nu = (J*rho ^ rho) / ((2/3) omega^3), 1 on a
-    normalized pair and nan when omega^3 = 0; om3 is omega^3 and K rho's K
+    Returns (J, sign, J*rho, nu), J*rho from the gradient of lambda
+    (``_dual_table``) and both signed so that J*rho ^ rho is a positive
+    multiple of omega^3, nu = (J*rho ^ rho) / ((2/3) omega^3): 1 on a
+    normalized pair, nan when omega^3 = 0; om3 is omega^3 and K rho's K
     if the caller has them.  lambda = grad lambda . rho / 4 (Euler) is
     closer than the cancelling tr(K^2)/6.  Raises UnstableForm as assoc_J
     does.
@@ -302,10 +295,14 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
     om3 = omega_cube(omega) if om3 is None else om3
     K = _k_matrix(rho) if K is None else K
     with np.errstate(over="ignore", invalid="ignore"):  # _lambda_and_J refuses inf and nan
-        grad = contract(_dual_table(), K.ravel()) @ rho  # 3 P grad lambda
+        D = _dual_table()  # 3 P grad lambda = D K rho; exact: one int scatter
+        grad = contract(D, rho, K.ravel()) if rho.dtype == object else contract(D, K.ravel()) @ rho
         lam = _jrho_wedge_rho(grad, rho) / 12
-    dual = lambda J, lam: grad / ((6 if lam > 0 else -6) * linalg.sqrt_scalar(abs(lam)))
-    lam, J, jrho, num = _oriented(rho, K, om3, dual, lam)
+    lam, J = _lambda_and_J(K, rho, lam)
+    jrho = grad / ((6 if lam > 0 else -6) * linalg.sqrt_scalar(abs(lam)))
+    num = _jrho_wedge_rho(jrho, rho)
+    if num * om3 < 0:
+        J, jrho, num = -J, -jrho, -num
     nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
     return J, (-1 if lam < 0 else 1), jrho, nu
 
@@ -316,16 +313,16 @@ def assoc_metric(omega: KForm, rho: KForm) -> SymBilinear:
 
 
 def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
-    """Structure classification of a (2-form, 3-form) pair: one K, one J
-    and one pullback J*rho unless omega is degenerate, then the checks of
-    ``classify_coeffs``.  Failures are reported in the returned value."""
+    """Structure classification of a (2-form, 3-form) pair: one K, J and
+    J*rho from ``pair_coeffs`` unless omega is degenerate, then the checks
+    of ``classify_coeffs``; failures in the returned value, lambda = tr(K^2)/6."""
     om, r = omega.coeffs, rho.coeffs
     K, om3 = k_endomorphism(rho), omega_cube(om)
     lam, J, jrho = _lambda(K), None, None
     sign = -1 if lam < 0 else 1
     if not _degenerate(om, om3):  # an exact J may need a root that a failing pair lacks
         try:
-            J, jrho = _oriented(r, K, om3, lambda J, _: pullback(J, rho).coeffs, lam)[1:3]
+            J, _, jrho, _ = pair_coeffs(om, r, om3, K)
         except UnstableForm:
             sign = 0
         except ValueError:  # exact K, sqrt|lambda| irrational: J stays None

@@ -23,7 +23,9 @@ that check it.
 ``dense_pairing``, ``dense_hodge`` and ``dense_pullback`` are the dense
 products with the full compound matrix that ``form_pairing``, ``hodge``
 and ``pullback`` computed before their exact branches skipped zero
-coefficients; the float branches still compute exactly these expressions.
+coefficients and their float branches became tensor contractions.  For
+floats they take ``lapack_minors``, the compound matrix of batched LAPACK
+determinants that ``linalg.minors`` computed before.
 ``classify_pair_oracle`` is ``classify_pair`` as it was before the six-
 dimensional structure rule became one coefficient-space core: KForm
 wedges for omega^3, omega ^ rho and J*rho ^ rho, the metric from omega
@@ -129,24 +131,39 @@ def bareiss_det(a) -> Fraction:
     return sign * m[n - 1, n - 1]
 
 
+def lapack_minors(m, k: int) -> np.ndarray:
+    """k-th compound matrix of a float m: the LAPACK determinants of its
+    k x k submatrices over increasing k-tuples, gathered in one batch."""
+    if k == 0:
+        return np.full((1, 1), 1.0)
+    idx = np.array(increasing_tuples(m.shape[0], k))
+    flat = idx[:, None, :, None] * m.shape[0] + idx[None, :, None, :]
+    with np.errstate(divide="ignore"):  # numpy's det takes log 0 on a singular block
+        return np.linalg.det(np.take(m, flat))
+
+
+def compound(m, k: int) -> np.ndarray:
+    """``linalg.minors`` of an exact m, ``lapack_minors`` of a float one."""
+    return linalg.minors(m, k) if m.dtype == object else lapack_minors(m, k)
+
+
 def dense_pairing(g, a, b):
     """<a, b>_g = a @ minors(g^-1, k) @ b over every coefficient."""
-    return a.coeffs @ linalg.minors(g.inverse(), a.degree) @ b.coeffs
+    return a.coeffs @ compound(g.inverse(), a.degree) @ b.coeffs
 
 
 def dense_hodge(g, vol, a):
     """Hodge star through the full Gram matrix: <e^J, a> for every J,
     read through the top-degree pairing."""
-    paired = linalg.minors(g.inverse(), a.degree) @ a.coeffs
+    paired = compound(g.inverse(), a.degree) @ a.coeffs
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
     return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * vol.coeffs[0])
 
 
 def dense_pullback(mat, a):
     """Pullback as a @ minors(A, k) over every coefficient."""
-    if a.exact:
-        mat = linalg.as_exact(mat)
-    return KForm(a.dim, a.degree, a.coeffs @ linalg.minors(mat, a.degree))
+    mat = linalg.as_exact(mat) if a.exact else np.asarray(mat, dtype=float)
+    return KForm(a.dim, a.degree, a.coeffs @ compound(mat, a.degree))
 
 
 def wedge_eval(a, b, vectors) -> float:
@@ -217,7 +234,7 @@ def hodge_matrices(g, vol, k: int):
     """Gram matrix of <,>_g on k-forms and the matrix of the Hodge star
     on k-forms: ``star @ a.coeffs`` equals ``hodge(g, vol, a).coeffs`` up
     to rounding.  Float metrics only."""
-    gram = linalg.minors(g.inverse(), k)
+    gram = lapack_minors(g.inverse(), k)
     top = wedge_tensor(g.dim, k, g.dim - k)[0]
     return gram, top.T @ gram * vol.coeffs[0]
 

@@ -229,6 +229,26 @@ def test_kernel_makes_no_minors_call_and_builds_no_kform(monkeypatch):
     assert kforms == []
 
 
+def test_a_generic_and_a_degenerate_point_ask_for_no_float_minors(monkeypatch):
+    # float pullbacks contract tensors: the Grams of the pairing and the
+    # star and solve_dstar's inverse Gram build no compound matrix, so a
+    # generic point (integrate, torsion_residual) and a degenerate point
+    # (integrate with its sample monitors) make no float linalg.minors call
+    from hitchinflow import linalg
+
+    float_calls, minors = [], linalg.minors
+    monkeypatch.setattr(
+        linalg, "minors", lambda m, k: (m.dtype != object and float_calls.append(k)) or minors(m, k)
+    )
+    seed = generic_state_from_split(generic_problem("n11"), n11_problem(), 1.0)
+    generic = integrate(FlowConfig(space="n11", t_end=0.05, tol=1e-9), seed)
+    torsion_residual(generic)
+    seed = startup_seed(n11_problem(), 1.0, 1e-4)
+    degenerate = integrate(FlowConfig(t_end=0.1, tol=1e-9, sample_dt=0.05), seed)
+    assert generic.stop_reason == degenerate.stop_reason == "completed"
+    assert float_calls == []
+
+
 def test_kernel_builds_the_wedge_matrix_of_omega_once(monkeypatch):
     # the split takes omega's wedge matrix from the frame's table, and
     # omega^3 and the 2-form solve reuse it: stable builds none
@@ -951,11 +971,15 @@ def test_integrate_refuses_an_unstable_generic_seed():
 def test_step_check_names_each_refusal():
     # (1.2, 1, 1) lies below the complete surface a^2 = b^2 + c^2 on b = c:
     # its run ends where the split's metric degenerates, and every rejected
-    # step is counted under the reason the step check gave
+    # step is counted under the reason the step check gave. Where rk45
+    # stalls depends on the seed's last bits: with s scaled by 1 + k 2.2e-16
+    # for |k| <= 2, it stalls at t = 47.6, 47.8, 50.0 or 51.8 (pullbacks by
+    # LAPACK minors or by contraction), so only that window is pinned, and
+    # the run goes to t = 60, past all of them
     seed = startup_seed(n11_problem(1.2, 1.0, 1.0), 1.0, 1e-4)
-    traj = integrate(FlowConfig(t_end=51, tol=1e-9, sample_dt=0.5), seed)
+    traj = integrate(FlowConfig(t_end=60, tol=1e-9, sample_dt=0.5), seed)
     assert traj.stop_reason == "step_failure"
-    assert float(traj.stop_cause.rsplit("= ", 1)[1]) == pytest.approx(50.0114397, rel=1e-6)
+    assert 47 <= float(traj.stop_cause.rsplit("= ", 1)[1]) <= 53
     rejections = traj.stats["rejections"]
     assert set(rejections) == {"associated metric is degenerate"}
     assert sum(rejections.values()) == traj.stats["rejected_steps"]

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -356,17 +356,26 @@ def test_exact_products_equal_dense_oracle(n, rng):
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_float_products_are_the_dense_expressions(n, rng):
-    # floats keep the dense products bit for bit: the degenerate-flow
-    # CSVs depend on the last bits of the pairing and the star, and of
-    # wedge and interior, which keep the bits of the loop-table scatter
+    # the float pullback contracts a tensor where the dense products take
+    # LAPACK minors, so the pairing, the star and the pullback agree with
+    # them to 1e-13 of their size bound k! max|M|^k |a|_1 (|b|_1), M the
+    # matrix they pull back by: g^-1 for the first two, whose minors cancel
+    # when g is ill-conditioned; wedge and interior keep the bits of the
+    # loop-table scatter
     A = rng.normal(size=(n, n))
     g = SymBilinear(A @ np.diag([1.0, -1.0] * (n // 2) + [1.0] * (n % 2)) @ A.T)
     vol = volume_form(n, 1.3)
     for k in (2, 3, 4):
         a, b = (KForm(n, k, rng.normal(size=comb(n, k))) for _ in range(2))
-        assert form_pairing(g, a, b) == dense_pairing(g, a, b)
-        assert np.array_equal(hodge(g, vol, a).coeffs, dense_hodge(g, vol, a).coeffs)
-        assert np.array_equal(pullback(A, a).coeffs, dense_pullback(A, a).coeffs)
+        size = lambda M, *forms: factorial(k) * np.abs(M).max() ** k * prod(
+            np.abs(x.coeffs).sum() for x in forms
+        )
+        ginv = g.inverse()
+        assert abs(form_pairing(g, a, b) - dense_pairing(g, a, b)) <= 1e-13 * size(ginv, a, b)
+        star = hodge(g, vol, a).coeffs - dense_hodge(g, vol, a).coeffs
+        assert np.abs(star).max() <= 1e-13 * 1.3 * size(ginv, a)
+        pulled = pullback(A, a).coeffs - dense_pullback(A, a).coeffs
+        assert np.abs(pulled).max() <= 1e-13 * size(A, a)
         for v in (rng.normal(size=n), np.eye(n)[k]):
             assert interior(v, a).coeffs.tobytes() == scatter_interior(v, a).tobytes()
         for q in range(n - k + 1):

