@@ -9,10 +9,13 @@ Built-in scenarios:
 * ``flat-abelian``: the generic flow of the model structure on a flat
   7-torus algebra; the trajectory is constant and all residuals vanish.
 
-A run writes a trajectory CSV (fixed column order, coefficients labeled
-by their leading basis tuple), a report JSON, and, for sweeps, an
-aggregate index JSON.  Exit codes: 0 success, 2 precondition failure,
-3 numerical failure.
+A run is a list of points: the Cartesian product of the list-valued
+parameters, or one point when none is a list.  Every point writes a
+trajectory CSV (fixed column order, coefficients labeled by their
+leading basis tuple) and a report JSON; a sweep also writes an index
+JSON with one entry per point.  Exit codes: 0 success, 2 precondition
+failure, 3 numerical failure; a sweep exits with the largest of its
+points' codes.
 """
 
 from __future__ import annotations
@@ -86,15 +89,7 @@ class RunReport:
     identity_suite: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=_json_default)
-
-
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, tuple):
-        return list(x)
-    raise TypeError(f"not serializable: {type(x)}")
+        return json.dumps(asdict(self), indent=2)
 
 
 def _parse_scalar(text: str):
@@ -134,15 +129,10 @@ def _validate_config(raw: dict, origin: str):
         raise PreconditionFailed(
             "config_scenario", f"{origin}: scenario must be one of {_SCENARIOS}, got {scenario!r}"
         )
-    for key, val in raw.get("params", {}).items():
+    for key in raw.get("params", {}):
         if key not in _DEFAULT_PARAMS[scenario]:
             raise PreconditionFailed(
                 "config_key", f"{origin}: unknown parameter '{key}' for {scenario}"
-            )
-        # a repeated value would write one point directory twice
-        if isinstance(val, list) and (not val or any(v in val[:i] for i, v in enumerate(val))):
-            raise PreconditionFailed(
-                "config_sweep", f"{origin}: '{key}' must sweep distinct values, got {val!r}"
             )
     for key in raw.get("flow", {}):
         if key not in _FLOW_KEYS:
@@ -181,12 +171,13 @@ def run_point(
     with_verify: bool = False,
 ) -> RunReport:
     """Execute one scenario point: startup, integration, monitors, files.
-    The report is written on every exit, a failure's with its cause."""
-    _make_dir(outdir)
+    The report is written on every exit, a failure's with its cause; an
+    exception leaves with that report as its ``report`` attribute."""
     flow = {key: getattr(flow_cfg, key) for key in _FLOW_KEYS}
     report = RunReport(scenario=scenario, params=dict(params), flow=flow)
     timings = report.timings
     try:
+        _make_dir(outdir)
         if with_verify:
             checks = verify_identities()
             report.identity_suite = {"passed": sum(c.passed for c in checks), "total": len(checks)}
@@ -236,42 +227,50 @@ def run_point(
         if report.stop_reason != "refused_startup":
             report.stop_reason = "failed"
         report.stop_cause = f"{type(exc).__name__}: {exc}"
+        exc.report = report
         raise
     finally:
-        _write_report(outdir, report)
+        if outdir is not None and outdir.is_dir():
+            (outdir / "report.json").write_text(report.to_json() + "\n")
     return report
 
 
 def _make_dir(outdir: Path | None):
     """Create the output directory; PreconditionFailed when it cannot be,
-    for instance because the path names an existing file."""
+    for instance because the path names an existing file or holds a NUL."""
     if outdir is not None:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise PreconditionFailed("output", f"cannot create directory {outdir}: {exc}") from exc
 
 
-def _write_report(outdir: Path | None, report: RunReport):
-    if outdir is not None:
-        _make_dir(outdir)
-        (outdir / "report.json").write_text(report.to_json() + "\n")
-
-
-def _sweep_points(params: dict) -> list[dict]:
+def _sweep_points(params: dict) -> list[tuple[str, dict]]:
+    """The points of the Cartesian product of the list-valued parameters,
+    each with its directory's label: "" when no parameter is a list."""
     keys = sorted(params)
-    lists = [(k, params[k] if isinstance(params[k], list) else [params[k]]) for k in keys]
-    points = []
-    for combo in itertools.product(*[v for _, v in lists]):
-        points.append({k: v for (k, _), v in zip(lists, combo)})
-    return points
+    swept = [k for k in keys if isinstance(params[k], list)]
+    combos = itertools.product(*[params[k] if k in swept else [params[k]] for k in keys])
+    points = [dict(zip(keys, combo)) for combo in combos]
+    labels = ["_".join(f"{k}={point[k]}" for k in swept) for point in points]
+    # an empty list sweeps nothing; two equal values (1 and 1.0) run one point
+    # twice, and two labels alike (0.5 and "0.5") write one directory twice
+    repeated = any(v in params[k][:i] for k in swept for i, v in enumerate(params[k]))
+    if not points or repeated or len(set(labels)) < len(labels) or any(
+        set(label) & set("/\\\0") for label in labels
+    ):
+        raise PreconditionFailed(
+            "config_sweep", f"a sweep needs distinct points and directory names, got {labels!r}"
+        )
+    return list(zip(labels, points))
 
 
-def _point_label(point: dict, base: dict) -> str:
-    swept = [k for k in point if isinstance(base.get(k), list)]
-    if not swept:
-        return "run"
-    return "_".join(f"{k}={point[k]}" for k in sorted(swept))
+def _failure_code(exc: Exception) -> int:
+    """Print the one line a refused or failed point leaves on stderr, and
+    return its exit code."""
+    refused = isinstance(exc, PreconditionFailed)
+    print(f"{'precondition' if refused else 'numerical'} failure: {exc}", file=sys.stderr)
+    return 2 if refused else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,73 +301,59 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config) if args.config else {}
+        if args.verify and not (args.scenario or raw.get("scenario")):
+            checks = verify_identities()
+            print(format_report(checks))
+            return 0 if all(c.passed for c in checks) else 2
+        scenario = args.scenario or raw.get("scenario")
+        if scenario is None:
+            raise PreconditionFailed(
+                "config_scenario", "no scenario given (use --scenario or --config)"
+            )
+        params = dict(_DEFAULT_PARAMS[scenario])
+        params.update(raw.get("params", {}))
+        for item in args.set:
+            if "=" not in item:
+                raise PreconditionFailed("config_set", f"--set expects KEY=VALUE, got {item!r}")
+            key, val = item.split("=", 1)
+            if key not in params:
+                raise PreconditionFailed("config_key", f"unknown parameter '{key}' for {scenario}")
+            params[key] = _parse_scalar(val)
+        points = _sweep_points(params)
+        flow_dict = dict(raw.get("flow", {}))
+        for key in ("t_end", "tol", "startup_epsilon"):
+            if getattr(args, key, None) is not None:
+                flow_dict[key] = getattr(args, key)
+        if args.integrator:
+            flow_dict["integrator"] = args.integrator
+        flow_cfg = fl.FlowConfig(**flow_dict)
+        outdir = Path(args.output) if args.output else (Path(raw["output"]) if "output" in raw else None)
+        _make_dir(outdir)
     except PreconditionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.verify and not (args.scenario or raw.get("scenario")):
-        checks = verify_identities()
-        print(format_report(checks))
-        return 0 if all(c.passed for c in checks) else 2
-
-    scenario = args.scenario or raw.get("scenario")
-    if scenario is None:
-        print("error: no scenario given (use --scenario or --config)", file=sys.stderr)
-        return 2
-    params = dict(_DEFAULT_PARAMS[scenario])
-    params.update(raw.get("params", {}))
-    for item in args.set:
-        if "=" not in item:
-            print(f"error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 2
-        key, val = item.split("=", 1)
-        if key not in params:
-            print(f"error: unknown parameter '{key}' for {scenario}", file=sys.stderr)
-            return 2
-        params[key] = _parse_scalar(val)
-    flow_dict = dict(raw.get("flow", {}))
-    for key in ("t_end", "tol", "startup_epsilon"):
-        if getattr(args, key, None) is not None:
-            flow_dict[key] = getattr(args, key)
-    if args.integrator:
-        flow_dict["integrator"] = args.integrator
-    outdir = Path(args.output) if args.output else (Path(raw["output"]) if "output" in raw else None)
+        return _failure_code(exc)
     report_only = args.report_only or bool(raw.get("report_only", False))
     with_verify = args.verify or bool(raw.get("verify", False))
 
-    points = _sweep_points(params)
-    try:
-        flow_cfg = fl.FlowConfig(**flow_dict)
-        if len(points) == 1:
-            report = run_point(scenario, points[0], flow_cfg, outdir, report_only, with_verify)
-            print(report.to_json())
-        else:
-            base = dict(raw.get("params", {}))
-            index = []
-            for point in points:
-                label = _point_label(point, base)
-                sub = (outdir / label) if outdir else None
-                report = run_point(scenario, point, flow_cfg, sub, report_only, with_verify)
-                index.append(
-                    {
-                        "label": label,
-                        "params": report.params,
-                        "stop_reason": report.stop_reason,
-                        "report": f"{label}/report.json" if outdir else None,
-                    }
-                )
-            if outdir is not None:
-                _make_dir(outdir)
-                (outdir / "index.json").write_text(
-                    json.dumps(index, indent=2, default=_json_default) + "\n"
-                )
-            print(json.dumps(index, indent=2, default=_json_default))
-    except PreconditionFailed as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 2
-    except (StepFailure, np.linalg.LinAlgError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    index = []
+    for label, point in points:
+        sub = outdir / label if outdir is not None else None
+        try:
+            report, code = run_point(scenario, point, flow_cfg, sub, report_only, with_verify), 0
+        except (PreconditionFailed, StepFailure, np.linalg.LinAlgError, OverflowError) as exc:
+            report, code = exc.report, _failure_code(exc)
+        written = sub is not None and sub.is_dir()
+        index.append({"label": label, "params": report.params, "exit_code": code,
+                      "stop_reason": report.stop_reason, "stop_cause": report.stop_cause,
+                      "t_last": report.t_last,
+                      "report": f"{label}/report.json" if written else None})
+    if index[0]["label"]:
+        text = json.dumps(index, indent=2)
+        if outdir is not None:
+            (outdir / "index.json").write_text(text + "\n")
+    else:  # nothing swept: the one point's report is the run's record
+        text = report.to_json()
+    print(text)
+    return max(entry["exit_code"] for entry in index)
 
 
 if __name__ == "__main__":

@@ -238,11 +238,31 @@ def test_output_naming_a_file_exits_two(tmp_path, capsys):
     assert out.read_text() == "keep"
 
 
+def test_output_holding_a_nul_exits_two(tmp_path, capsys):
+    # a config's output may hold any character, and a NUL cannot name a path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "flat-abelian", "output": str(tmp_path / "a\0b")}))
+    assert _run(["--config", str(cfg), "--t-end", "0.02"]) == 2
+    assert "precondition failure: output" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
-    "params", [{"theta": [0.1, 0.1]}, {"a": [1, 2, 1.0]}], ids=["theta=0.1,0.1", "a=1,2,1.0"]
+    "params",
+    [
+        {"theta": [0.1, 0.1]},
+        {"a": [1, 2, 1.0]},
+        {"theta": [0.5, "0.5"]},
+        {"bundle": ["squared", "../squared"]},
+        {"bundle": ["squared", "a\\b"]},
+        {"theta": [0.0, 0.5], "bundle": ["squared", "x\0"]},
+    ],
+    ids=["theta=0.1,0.1", "a=1,2,1.0", "theta=0.5,'0.5'", "bundle=../squared", "bundle=a\\b",
+         "bundle=NUL"],
 )
 def test_repeated_sweep_value_exits_two(tmp_path, params, capsys):
-    # two equal values would write one directory twice and lose a run
+    # two equal values would run one point twice, two values with one label
+    # would write one directory twice and lose a run, and a label that holds
+    # a path separator or a NUL names no directory of its own
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": params,
                                "output": str(tmp_path / "out")}))
@@ -357,6 +377,58 @@ def test_sweep_writes_index_and_theta_invariance(tmp_path):
 
     f0, f1 = fseries("theta=0.0"), fseries("theta=0.5")
     assert max(abs(a - b) for a, b in zip(f0, f1)) < 1e-6
+
+
+def _sweep(tmp_path, params, flow):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": params, "flow": flow,
+                               "output": str(tmp_path / "out"), "report_only": True}))
+    code = _run(["--config", str(cfg)])
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    reports = [json.loads((tmp_path / "out" / x["report"]).read_text()) for x in index]
+    return code, index, reports
+
+
+def test_sweep_runs_every_point_past_a_refused_one(tmp_path, capsys):
+    # the unsquared point is refused, and the squared point after it still
+    # runs; the index records both, and the run exits with the larger code
+    code, index, reports = _sweep(tmp_path, {"bundle": ["unsquared", "squared"]}, {"t_end": 0.02})
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == index
+    assert [x["label"] for x in index] == ["bundle=unsquared", "bundle=squared"]
+    assert [x["exit_code"] for x in index] == [2, 0]
+    assert [x["stop_reason"] for x in index] == ["refused_startup", "completed"]
+    assert [r["stop_reason"] for r in reports] == ["refused_startup", "completed"]
+    assert index[0]["stop_cause"] == reports[0]["stop_cause"] and "c = -2" in index[0]["stop_cause"]
+    assert index[0]["t_last"] is None and index[1]["t_last"] == reports[1]["t_last"] == 0.02
+
+
+def test_sweep_point_whose_directory_is_taken_is_refused_alone(tmp_path):
+    # a file where a point's directory would go refuses that point only; its
+    # report cannot be written, so its entry names none
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "theta=0.5").write_text("keep")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": {"theta": [0.5, 0.0]},
+                               "flow": {"t_end": 0.02}, "output": str(tmp_path / "out")}))
+    assert _run(["--config", str(cfg), "--report-only"]) == 2
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert [(x["exit_code"], x["stop_reason"]) for x in index] == [(2, "failed"), (0, "completed")]
+    assert index[0]["stop_cause"].startswith("PreconditionFailed: output")
+    assert [x["report"] for x in index] == [None, "theta=0.0/report.json"]
+    assert (tmp_path / "out" / "theta=0.5").read_text() == "keep"
+
+
+def test_sweep_records_where_each_point_stopped(tmp_path):
+    # (0.6, 0.6, 1.6) meets omega^3 = 0 near t = 0.2582 and stops with
+    # step_failure, which exits 0; (1.0, 0.6, 1.6) completes to t = 0.5
+    params = {"a": [0.6, 1.0], "b": 0.6, "c_param": 1.6}
+    code, index, reports = _sweep(tmp_path, params, {"t_end": 0.5})
+    assert code == 0 and [x["exit_code"] for x in index] == [0, 0]
+    assert [x["stop_reason"] for x in index] == ["step_failure", "completed"]
+    for entry, report in zip(index, reports):
+        assert (entry["stop_cause"], entry["t_last"]) == (report["stop_cause"], report["t_last"])
+    assert 0.25 <= index[0]["t_last"] < 0.2583 and index[1]["t_last"] == 0.5
 
 
 def test_fixed_step_csv_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Property test of the CLI exit-code contract: 0 ok, 2 precondition
-failure, 3 numerical failure, for any family parameter and flow value.
+failure, 3 numerical failure, for any family parameter and flow value,
+and for a sweep the largest code of its points, each recorded.
 
 Parameters and flow values range over the whole float line (subnormals,
 1e-300 to 1e300, both signs, 0, nan, inf), strings and booleans.  The
@@ -78,3 +79,34 @@ def test_any_family_parameter_exits_zero_two_or_three(sets):
 @given(_FLOW)
 def test_any_flow_value_exits_zero_two_or_three(flow):
     assert _exit_code({}, {"t_end": 0.02, **flow}) in (0, 2, 3), flow
+
+
+def _sweep(key: str, values: list):
+    """Exit code, index and reports of a sweep of key over values; index and
+    reports are None when the sweep is refused before any point runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": {key: values},
+                                   "flow": {"t_end": 0.02}, "output": str(out),
+                                   "report_only": True}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(cfg)])
+        if not out.exists():
+            return code, None, None
+        index = json.loads((out / "index.json").read_text())
+        return code, index, [json.loads((out / x["report"]).read_text()) for x in index]
+
+
+@_CAPPED
+@given(st.sampled_from(["a", "b", "c_param", "theta"]),
+       st.lists(_mostly(_FLOATS), min_size=2, max_size=2, unique_by=repr))
+def test_any_sweep_exits_with_the_largest_code_of_its_points(key, values):
+    code, index, reports = _sweep(key, values)
+    assert code in (0, 2, 3), values
+    if index is None:  # values equal by ==, or labels: refused before any point runs
+        assert code == 2, values
+        return
+    assert len(index) == 2 and code == max(x["exit_code"] for x in index), (values, index)
+    for entry, report in zip(index, reports):
+        fields = ("stop_reason", "stop_cause", "t_last")
+        assert [entry[f] for f in fields] == [report[f] for f in fields], (values, entry)
