@@ -102,41 +102,59 @@ def _parse_scalar(text: str):
 
 
 def load_config(path: str) -> dict:
+    """The config file's JSON object, with its top-level keys and value types checked."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PreconditionFailed("config_parse", f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionFailed("config_read", f"{path}: {exc}") from exc
-    _validate_config(raw, path)
-    return raw
-
-
-def _validate_config(raw: dict, origin: str):
     if not isinstance(raw, dict):
-        raise PreconditionFailed("config_type", f"{origin}: a config must be a JSON object")
-    allowed_top = {"scenario", *_CONFIG_TYPES}
+        raise PreconditionFailed("config_type", f"{path}: a config must be a JSON object")
     for key in raw:
-        if key not in allowed_top:
-            raise PreconditionFailed("config_key", f"{origin}: unknown key '{key}'")
+        if key != "scenario" and key not in _CONFIG_TYPES:
+            raise PreconditionFailed("config_key", f"{path}: unknown key '{key}'")
     for key, (want, name) in _CONFIG_TYPES.items():
         if key in raw and not isinstance(raw[key], want):
             raise PreconditionFailed(
-                "config_type", f"{origin}: '{key}' must be {name}, got {raw[key]!r}"
+                "config_type", f"{path}: '{key}' must be {name}, got {raw[key]!r}"
             )
-    scenario = raw.get("scenario")
+    return raw
+
+
+def _run_document(args: argparse.Namespace) -> dict:
+    """The config file with the flags laid over it, key by key, and checked
+    once: its scenario is known, every params and flow key belongs to it,
+    and an output is not empty.  A document that asks for the identity
+    suite and names no scenario is the suite alone, checked no further."""
+    run = load_config(args.config) if args.config else {}
+    params = dict(run.get("params", {}))
+    for item in args.set:
+        if "=" not in item:
+            raise PreconditionFailed("config_set", f"--set expects KEY=VALUE, got {item!r}")
+        key, val = item.split("=", 1)
+        params[key] = _parse_scalar(val)
+    flow = dict(run.get("flow", {}))
+    flow.update({k: getattr(args, k) for k in _FLOW_KEYS if getattr(args, k, None) is not None})
+    run.update(params=params, flow=flow)
+    run.update({k: getattr(args, k) for k in ("scenario", "output", "verify", "report_only")
+                if getattr(args, k) not in (None, False)})
+    scenario = run.get("scenario")
+    if scenario is None and run.get("verify"):
+        return run
     if scenario not in _SCENARIOS:
         raise PreconditionFailed(
-            "config_scenario", f"{origin}: scenario must be one of {_SCENARIOS}, got {scenario!r}"
+            "config_scenario", f"scenario must be one of {_SCENARIOS}, got {scenario!r}"
         )
-    for key in raw.get("params", {}):
+    for key in params:
         if key not in _DEFAULT_PARAMS[scenario]:
-            raise PreconditionFailed(
-                "config_key", f"{origin}: unknown parameter '{key}' for {scenario}"
-            )
-    for key in raw.get("flow", {}):
+            raise PreconditionFailed("config_key", f"unknown parameter '{key}' for {scenario}")
+    for key in flow:
         if key not in _FLOW_KEYS:
-            raise PreconditionFailed("config_key", f"{origin}: unknown flow key '{key}'")
+            raise PreconditionFailed("config_key", f"unknown flow key '{key}'")
+    if run.get("output") == "":
+        raise PreconditionFailed("output", "an empty path names no directory")
+    return run
 
 
 def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
@@ -168,19 +186,18 @@ def run_point(
     flow_cfg: fl.FlowConfig,
     outdir: Path | None,
     report_only: bool = False,
-    with_verify: bool = False,
+    identity_suite: dict | None = None,
 ) -> RunReport:
     """Execute one scenario point: startup, integration, monitors, files.
-    The report is written on every exit, a failure's with its cause; an
-    exception leaves with that report as its ``report`` attribute."""
+    The report, which carries identity_suite, the run's suite summary, is
+    written on every exit, a failure's with its cause; an exception leaves
+    with that report as its ``report`` attribute."""
     flow = {key: getattr(flow_cfg, key) for key in _FLOW_KEYS}
-    report = RunReport(scenario=scenario, params=dict(params), flow=flow)
+    report = RunReport(scenario=scenario, params=dict(params), flow=flow,
+                       identity_suite=identity_suite)
     timings = report.timings
     try:
         _make_dir(outdir)
-        if with_verify:
-            checks = verify_identities()
-            report.identity_suite = {"passed": sum(c.passed for c in checks), "total": len(checks)}
         start = time.perf_counter()
         if scenario == "n11-spin7":
             problem = fl.n11_problem(**params)
@@ -265,11 +282,12 @@ def _sweep_points(params: dict) -> list[tuple[str, dict]]:
     return list(zip(labels, points))
 
 
-def _failure_code(exc: Exception) -> int:
-    """Print the one line a refused or failed point leaves on stderr, and
-    return its exit code."""
+def _failure_code(exc: Exception, label: str = "") -> int:
+    """Print the one line a refused or failed point leaves on stderr, with
+    the point's label when it has one, and return its exit code."""
     refused = isinstance(exc, PreconditionFailed)
-    print(f"{'precondition' if refused else 'numerical'} failure: {exc}", file=sys.stderr)
+    where = f" [{label}]" if label else ""
+    print(f"{'precondition' if refused else 'numerical'} failure{where}: {exc}", file=sys.stderr)
     return 2 if refused else 3
 
 
@@ -300,47 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = load_config(args.config) if args.config else {}
-        if args.verify and not (args.scenario or raw.get("scenario")):
+        run = _run_document(args)
+        if run.get("scenario") is None:  # the identity suite alone
             checks = verify_identities()
             print(format_report(checks))
             return 0 if all(c.passed for c in checks) else 2
-        scenario = args.scenario or raw.get("scenario")
-        if scenario is None:
-            raise PreconditionFailed(
-                "config_scenario", "no scenario given (use --scenario or --config)"
-            )
-        params = dict(_DEFAULT_PARAMS[scenario])
-        params.update(raw.get("params", {}))
-        for item in args.set:
-            if "=" not in item:
-                raise PreconditionFailed("config_set", f"--set expects KEY=VALUE, got {item!r}")
-            key, val = item.split("=", 1)
-            if key not in params:
-                raise PreconditionFailed("config_key", f"unknown parameter '{key}' for {scenario}")
-            params[key] = _parse_scalar(val)
-        points = _sweep_points(params)
-        flow_dict = dict(raw.get("flow", {}))
-        for key in ("t_end", "tol", "startup_epsilon"):
-            if getattr(args, key, None) is not None:
-                flow_dict[key] = getattr(args, key)
-        if args.integrator:
-            flow_dict["integrator"] = args.integrator
-        flow_cfg = fl.FlowConfig(**flow_dict)
-        outdir = Path(args.output) if args.output else (Path(raw["output"]) if "output" in raw else None)
+        points = _sweep_points({**_DEFAULT_PARAMS[run["scenario"]], **run["params"]})
+        flow_cfg = fl.FlowConfig(**run["flow"])
+        outdir = Path(run["output"]) if "output" in run else None
         _make_dir(outdir)
     except PreconditionFailed as exc:
         return _failure_code(exc)
-    report_only = args.report_only or bool(raw.get("report_only", False))
-    with_verify = args.verify or bool(raw.get("verify", False))
+    suite = None
+    if run.get("verify"):
+        checks = verify_identities()
+        suite = {"passed": sum(c.passed for c in checks), "total": len(checks)}
 
     index = []
     for label, point in points:
         sub = outdir / label if outdir is not None else None
         try:
-            report, code = run_point(scenario, point, flow_cfg, sub, report_only, with_verify), 0
+            report = run_point(run["scenario"], point, flow_cfg, sub,
+                               run.get("report_only", False), suite)
+            code = 0
         except (PreconditionFailed, StepFailure, np.linalg.LinAlgError, OverflowError) as exc:
-            report, code = exc.report, _failure_code(exc)
+            report, code = exc.report, _failure_code(exc, label)
         written = sub is not None and sub.is_dir()
         index.append({"label": label, "params": report.params, "exit_code": code,
                       "stop_reason": report.stop_reason, "stop_cause": report.stop_cause,

@@ -241,17 +241,13 @@ def lie_derivative(mpos: int, alpha: InvariantForm) -> InvariantForm:
     return InvariantForm(KForm(sp.mdim, k, L @ alpha.form.to_float().coeffs), sp)
 
 
-def pi_project(alpha: InvariantForm | KForm, e_phi_index: int) -> InvariantForm | KForm:
+def pi_project(form: KForm, e_phi_index: int) -> KForm:
     """Projection pi(a) = a - e^phi ^ (e_phi . a) onto forms annihilating
     the e_phi direction (an index into the m-basis)."""
-    form = alpha.form if isinstance(alpha, InvariantForm) else alpha
     if form.degree == 0:
-        return alpha
+        return form
     ephi = KForm.basis(form.dim, [e_phi_index], exact=form.exact)
-    out = form - wedge(ephi, interior(ephi.coeffs, form))
-    if isinstance(alpha, InvariantForm):
-        return InvariantForm(out, alpha.space)
-    return out
+    return form - wedge(ephi, interior(ephi.coeffs, form))
 
 
 # -- registry -----------------------------------------------------------

@@ -7,19 +7,25 @@ import warnings
 import numpy as np
 import pytest
 
+from hitchinflow import cli
 from hitchinflow import flow as fl
 from hitchinflow.cli import main, run_point
+from hitchinflow.verify import verify_identities
 
 
 def _run(args):
     return main(args)
 
 
-def test_verify_exits_zero(capsys):
-    assert _run(["--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "identities hold" in out
-    assert "FAIL" not in out
+def test_verify_exits_zero(tmp_path, capsys):
+    # the suite alone, asked for by the flag or by a file without a scenario
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": True}))
+    for args in (["--verify"], ["--config", str(cfg)]):
+        assert _run(args) == 0
+        out = capsys.readouterr().out
+        assert "identities hold" in out
+        assert "FAIL" not in out
 
 
 def test_flat_abelian_constant(tmp_path, capsys):
@@ -84,6 +90,24 @@ def test_config_strict_mode(tmp_path, capsys):
     assert _run(["--config", str(cfg)]) == 2
     cfg.write_text("{not json")
     assert _run(["--config", str(cfg)]) == 2
+    # params are checked against the run's scenario, here the flag's, not
+    # against the scenario the file names
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": {"a": 1.2},
+                               "flow": {"t_end": 0.02}}))
+    assert _run(["--scenario", "flat-abelian", "--config", str(cfg)]) == 2
+    assert "config_key: unknown parameter 'a' for flat-abelian" in capsys.readouterr().err
+
+
+def test_config_may_leave_the_scenario_to_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"t_end": 0.02}}))
+    args = ["--scenario", "n11-spin7", "--config", str(cfg), "--output", str(tmp_path / "out")]
+    assert _run(args) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scenario"] == "n11-spin7" and report["flow"]["t_end"] == 0.02
+    assert report["stop_reason"] == "completed"
 
 
 def test_set_overrides_and_bad_key(capsys):
@@ -238,12 +262,20 @@ def test_output_naming_a_file_exits_two(tmp_path, capsys):
     assert out.read_text() == "keep"
 
 
-def test_output_holding_a_nul_exits_two(tmp_path, capsys):
-    # a config's output may hold any character, and a NUL cannot name a path
+def test_output_holding_a_nul_exits_two(tmp_path, monkeypatch, capsys):
+    # a config's output may hold any character, and a NUL cannot name a path;
+    # an empty output, from the file or from the flag, names no directory
+    # and is refused before any point runs, so nothing is written
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "flat-abelian", "output": str(tmp_path / "a\0b")}))
-    assert _run(["--config", str(cfg), "--t-end", "0.02"]) == 2
-    assert "precondition failure: output" in capsys.readouterr().err
+    for output in (str(tmp_path / "a\0b"), ""):
+        cfg.write_text(json.dumps({"scenario": "flat-abelian", "output": output}))
+        assert _run(["--config", str(cfg), "--t-end", "0.02"]) == 2
+        assert "precondition failure: output" in capsys.readouterr().err
+    assert _run(["--scenario", "flat-abelian", "--t-end", "0.02", "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert "precondition failure: output" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -394,13 +426,38 @@ def test_sweep_runs_every_point_past_a_refused_one(tmp_path, capsys):
     # runs; the index records both, and the run exits with the larger code
     code, index, reports = _sweep(tmp_path, {"bundle": ["unsquared", "squared"]}, {"t_end": 0.02})
     assert code == 2
-    assert json.loads(capsys.readouterr().out) == index
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == index
+    # the refused point's one stderr line names the point
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("precondition failure [bundle=unsquared]: smoothness: ")
     assert [x["label"] for x in index] == ["bundle=unsquared", "bundle=squared"]
     assert [x["exit_code"] for x in index] == [2, 0]
     assert [x["stop_reason"] for x in index] == ["refused_startup", "completed"]
     assert [r["stop_reason"] for r in reports] == ["refused_startup", "completed"]
     assert index[0]["stop_cause"] == reports[0]["stop_cause"] and "c = -2" in index[0]["stop_cause"]
     assert index[0]["t_last"] is None and index[1]["t_last"] == reports[1]["t_last"] == 0.02
+
+
+def test_sweep_runs_the_identity_suite_once(tmp_path, monkeypatch):
+    # the suite runs once per run, and every point's report carries its summary
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return verify_identities()
+
+    monkeypatch.setattr(cli, "verify_identities", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "n11-spin7", "params": {"theta": [0.0, 0.5, 1.0]},
+                               "flow": {"t_end": 0.02}, "output": str(tmp_path / "out"),
+                               "report_only": True, "verify": True}))
+    assert _run(["--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    reports = [json.loads((tmp_path / "out" / x["report"]).read_text()) for x in index]
+    assert len(reports) == 3
+    assert all(r["identity_suite"] == {"passed": 49, "total": 49} for r in reports)
 
 
 def test_sweep_point_whose_directory_is_taken_is_refused_alone(tmp_path):
