@@ -24,8 +24,9 @@ Two flows are implemented on a registered homogeneous space:
   singular startup second-order accurate in the state variables.
 
   The right-hand side works on the packed invariant coefficients, with
-  every linear map a table built once per frame (``_Operators``); the
-  rhs, step check and sample of one state share its split (``_memo``).
+  every map a table built once per frame (``_Operators``), the gradient
+  of lambda a cubic one; the rhs, step check and sample of one state
+  share its split (``_memo``).
 
 rk4 and Dormand-Prince rk45 advance both flows.  rk4 divides each sample
 interval into fixed steps.  rk45's steps ignore the sample grid: each
@@ -94,15 +95,16 @@ __all__ = [
 
 _BLOWUP_NORM = 1e8
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.7 kB and takes about 0.3 ms: 10^5
-# samples are 170 MB and under a minute of work.
+# A degenerate sample holds about 1.7 kB and takes about 0.1 ms: 10^5
+# samples are 170 MB and about 10 s of work.
 _MAX_SAMPLES = 10**5
-# A degenerate rk4 step (4 rhs and a validity check) takes about 0.55 ms:
-# 10^6 steps are about 9 minutes.
+# A degenerate rk4 step (4 rhs and a validity check) takes about 0.25 ms:
+# 10^6 steps are about 4 minutes.
 _MAX_RK4_STEPS = 10**6
-# An rk45 step (6 rhs and a validity check) takes about 1.2 ms on the
-# degenerate flow and 6 ms on the generic one on n11: 10^4 accepted steps
-# are about 12 s and a minute, where a benchmark point takes 15-26.
+# An rk45 step (6 rhs and a validity check) takes about 0.4 ms on the
+# degenerate flow and 1.1 ms on the generic one on n11: 10^4 accepted
+# steps are about 4 s and 11 s, where a benchmark point takes 18-26 and
+# 6-13.
 _MAX_RK45_STEPS = 10**4
 # Step halvings rk45 tries in a row before it gives up on a step.
 _MAX_RETRIES = 60
@@ -227,27 +229,30 @@ def _matrix_of(fn: Callable[[KForm], KForm], forms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Operators:
-    """The linear part of the degenerate flow on one frame, as matrices
-    between coefficient vectors: w and S in the invariant bases, omega6,
-    rho6 and the 2-form velocity alpha on the distribution."""
+    """The degenerate flow's maps on one frame, as tables on coefficient
+    vectors: y = (w, S) packed, omega6, rho6 and the 2-form velocity alpha
+    on the distribution.  A velocity v on m stands as (pinv v, (mat pinv -
+    1) v, v): packed coordinates, the leak out of the invariant span, and v
+    to scale its bound."""
 
-    omega6: np.ndarray  # w -> omega on the distribution
-    s6: np.ndarray  # S -> S on the distribution
-    k8: np.ndarray  # stable.k_table() with s6 on both sides: K = k8 @ S @ S
-    wedge_w: np.ndarray  # w -> the matrix of alpha -> alpha ^ omega6
-    tau: np.ndarray  # (rho6, f w) -> to_dist(pi(d rho7 + f omega7 ^ de^phi))
-    # alpha and (rho6, f w) -> (pinv v, (mat pinv - 1) v, v) for the velocities
-    # v on m, from_dist(alpha) and L_{e_phi} rho7 - f pi(d omega7): packed
-    # coordinates, the leak out of the invariant span, and v to scale its bound
-    w_velocity: np.ndarray
-    s_velocity: np.ndarray
-    w_e_phi: np.ndarray  # w -> omega7 ^ e^phi
-    from_dist3: np.ndarray  # rho6 -> from_dist(rho6)
+    # y -> (omega6, the 4-form that pairs with omega6 ^ omega6 to omega^3,
+    # the f-parts of tau = to_dist(pi(d rho7 + f omega7 ^ de^phi)) and of the
+    # S velocity, the matrix of alpha -> alpha ^ omega6, S6)
+    lin: np.ndarray
+    grad: np.ndarray  # S -> 3 P grad lambda(S6), cubic: one product with S per degree
+    k8: np.ndarray  # S -> K(S6), quadratic, as grad
+    rho: np.ndarray  # rho6 -> the rho-parts of tau and of the S velocity
+    w_velocity: np.ndarray  # alpha -> the velocity from_dist(alpha)
+    segments: np.ndarray  # where the parts of (w velocity, tau, S velocity) start
+    packed: np.ndarray  # the packed coordinates in that vector
+    phi: np.ndarray  # (f w, rho6) -> phi = f omega7 ^ e^phi + from_dist(rho6)
+    star: np.ndarray  # (w (x) w, S) -> *phi = omega7^2/2 + e^phi ^ S7
 
     @staticmethod
     def build(problem: "DegenerateProblem") -> "_Operators":
         """The tables of the problem's frame; reads nothing of omega0, rho0."""
         wb, sb, sp = problem.w_basis(), problem.s_basis(), problem.space
+        nw, ns = len(wb.forms), len(sb.forms)
         units = lambda k: [KForm(6, k, e) for e in np.eye(len(increasing_tuples(6, k)))]
         pi6 = lambda form: problem.to_dist(problem.pi(form))
         velocity = lambda b, v: np.vstack([b.pinv @ v, (b.mat @ b.pinv - np.eye(len(v))) @ v, v])
@@ -258,16 +263,28 @@ class _Operators:
         w_de_phi = _matrix_of(lambda om: pi6(wedge(om, problem.de_phi())), wb.forms)
         lie_rho = problem.e_phi_scale * sp.lie_matrix(problem.e_phi_index, 3) @ from_dist3
         pi_d_w = _matrix_of(lambda om: problem.pi(sp.d(om)), wb.forms)
+        e_phi, wedge7 = problem.e_phi_form(), wedge_tensor(problem.mdim, 2, 2)
+        on_w = np.vstack([omega6, wedge_tensor(6, 4, 2)[0] @ omega6, w_de_phi,
+                          velocity(sb, -pi_d_w), (wedge_tensor(6, 2, 2) @ omega6).reshape(-1, nw)])
+        # K[k] = S k8[k] S and 3 P grad lambda = D K S6 (stable.dual_table) with S6 = s6 S,
+        # stored with S's axes first and read by one product with S each
+        kt = stable.k_table().reshape(36, 20, 20)
+        k8 = np.einsum("kab,ai,bj->kij", kt, s6, s6, optimize=True)
+        grad = np.einsum("xbk,bl,kij->jilx", stable.dual_table(), s6, k8, optimize=True)
+        w_sizes, s_sizes = (nw, len(wb.mat), len(wb.mat)), (15, ns, len(sb.mat), len(sb.mat))
+        half_squares = 0.5 * np.einsum("oij,ia,jb->oab", wedge7, wb.mat, wb.mat)
         return _Operators(
-            omega6=omega6,
-            s6=s6,
-            k8=s6.T @ stable.k_table().reshape(36, 20, 20) @ s6,
-            wedge_w=wedge_tensor(6, 2, 2) @ omega6,
-            tau=np.hstack([d_rho, w_de_phi]),
+            lin=np.vstack([np.hstack([on_w, np.zeros((len(on_w), ns))]),
+                           np.hstack([np.zeros((20, nw)), s6])]),
+            grad=np.ascontiguousarray(grad).reshape(ns, -1),
+            k8=np.ascontiguousarray(k8.transpose(2, 1, 0)).reshape(ns, -1),
+            rho=np.vstack([d_rho, velocity(sb, lie_rho)]),
             w_velocity=velocity(wb, _matrix_of(problem.from_dist, units(2))),
-            s_velocity=velocity(sb, np.hstack([lie_rho, -pi_d_w])),
-            w_e_phi=_matrix_of(lambda om: wedge(om, problem.e_phi_form()), wb.forms),
-            from_dist3=from_dist3,
+            segments=np.cumsum([0, *w_sizes, *s_sizes[:-1]]),
+            packed=np.r_[0:nw, sum(w_sizes) + 15 + np.arange(ns)],
+            phi=np.hstack([_matrix_of(lambda om: wedge(om, e_phi), wb.forms), from_dist3]),
+            star=np.hstack([half_squares.reshape(len(wedge7), -1),
+                            _matrix_of(lambda x: wedge(e_phi, x), sb.forms)]),
         )
 
 
@@ -323,14 +340,16 @@ class DegenerateFlowState:
         return self.f * wedge(om7, self.problem.e_phi_form()) + rho7
 
     def star_phi_form(self) -> KForm:
-        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space, built
-        once per state: a sample stores it and ``cocal_residual`` reads it."""
+        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space, from the
+        frame's tables and built once per state: a sample stores it and
+        ``cocal_residual`` reads it."""
         return self._star_phi
 
     @functools.cached_property
     def _star_phi(self) -> KForm:
-        om7, s7 = self.omega_form(on_distribution=False), self.s_form(on_distribution=False)
-        return 0.5 * wedge(om7, om7) + self.f * wedge(self.problem.e_phi_form(), s7)
+        ww = np.multiply.outer(self.w, self.w).ravel()
+        star = self.problem.operators().star @ np.concatenate([ww, self.f * self.s])
+        return KForm(self.problem.mdim, 4, star)
 
 
 @dataclass(frozen=True)
@@ -584,32 +603,41 @@ def _check_leak(resid, size, what: str):
 # ----------------------------------------------------------------------
 class _Split(NamedTuple):
     """The split of a packed state (w, S = f J*rho): omega, rho and S on the
-    distribution, the fiber length f, J, the sign of lambda (J^2 = sign Id),
-    omega^3 and the matrix of alpha -> alpha ^ omega (None: not computed)."""
+    distribution, the fiber length f, the sign of lambda (J^2 = sign Id), J
+    on demand (only the step check's metric needs it), omega^3, the matrix
+    of alpha -> alpha ^ omega and the f-parts of the velocities (None: not
+    computed)."""
 
     om6: np.ndarray
     rho6: np.ndarray
     S6: np.ndarray
     f: float
-    J: np.ndarray
     sign: int
+    J: Callable[[], np.ndarray]
     om3: float | None = None
     wedge_om: np.ndarray | None = None
+    f_parts: np.ndarray | None = None
 
 
 def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _Split:
     """f and rho from S by the normalization J*r ^ r = (2/3) omega^3 with
     r = -J*S: since J*(J*S) = sign S, the ratio J*r ^ r / ((2/3) omega^3)
-    is -sign nu(omega, S), and one J*S is all it takes."""
-    ops, (w, S) = problem.operators(), problem.unpack(y)
-    om6, S6, wedge_om = ops.omega6 @ w, ops.s6 @ S, ops.wedge_w @ w
-    om3 = stable.omega_cube(om6, wedge_om)
-    J, sign, jS, nu = stable.pair_coeffs(om6, S6, om3, (ops.k8 @ S @ S).reshape(6, 6))
-    ratio = -sign * nu
+    is -sign nu(omega, S), and one J*S is all it takes.  One product of
+    the frame's tables gives the linear part, three the gradient of
+    lambda, which ``stable.pair_normalization`` takes to J*S and nu
+    (``ndarray.dot``: a fraction of matmul's call overhead)."""
+    ops = problem.operators()
+    S, v = y[-len(ops.grad):], ops.lin.dot(y)  # grad's leading axis is S's
+    om6, wedge_om, S6 = v[:15], v[-245:-20].reshape(15, 15), v[-20:]
+    om3 = float(v[15:30].dot(wedge_om.dot(om6)))
+    grad = S.dot(S.dot(S.dot(ops.grad).reshape(len(S), -1)).reshape(len(S), -1))
+    lam, root, jS, nu = stable.pair_normalization(grad, S6, om3)
+    ratio = nu if lam < 0 else -nu
     if not 0 < ratio < math.inf:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    return _Split(om6, jS * (-1.0 / f), S6, f, J, sign, om3, wedge_om)
+    J = lambda: S.dot(S.dot(ops.k8).reshape(len(S), -1)).reshape(6, 6) / root
+    return _Split(om6, jS * (-1.0 / f), S6, f, -1 if lam < 0 else 1, J, om3, wedge_om, v[30:-245])
 
 
 def _split_class(sp: _Split) -> tuple:
@@ -617,7 +645,7 @@ def _split_class(sp: _Split) -> tuple:
     signature, metric), with the split's J and sign and J*rho = -sign S/f
     (no pullback).  The split itself has already refused lambda ~ 0."""
     jrho = (-sp.sign / sp.f) * sp.S6
-    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J, sp.sign, jrho, sp.om3)
+    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J(), sp.sign, jrho, sp.om3)
 
 
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
@@ -626,13 +654,14 @@ def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=Non
     L_{e_phi} rho - f pi(d omega), on coefficients.  Raises
     ProjectionFailure when either leaves the invariant span."""
     sp, ops = sp or _derive_split(problem, y, branch), problem.operators()
-    nw, ns = ops.omega6.shape[1], ops.s6.shape[1]
-    u = np.concatenate([sp.rho6, sp.f * y[:nw]])
-    alpha = stable.solve_wedge_coeffs(sp.om6, ops.tau @ u, sp.om3, sp.wedge_om)
-    vw, vs = ops.w_velocity @ alpha, ops.s_velocity @ u
-    for what, v, n in (("omega velocity", vw, nw), ("s velocity", vs, ns)):
-        _check_leak(*np.abs(v[n:]).reshape(2, -1).max(axis=1), what)  # leak, then size
-    return np.concatenate([vw[:nw], vs[:ns]])
+    x = ops.rho.dot(sp.rho6) + sp.f * sp.f_parts  # (tau, the S velocity)
+    alpha = stable.solve_wedge_coeffs(sp.om6, x[:15], sp.om3, sp.wedge_om)
+    v = np.concatenate([ops.w_velocity.dot(alpha), x])
+    # the largest |.| of each part: packed, leak and size of either velocity
+    sup = np.maximum.reduceat(np.abs(v), ops.segments)
+    _check_leak(sup[1], sup[2], "omega velocity")
+    _check_leak(sup[5], sup[6], "s velocity")
+    return v[ops.packed]
 
 
 # ----------------------------------------------------------------------
@@ -764,7 +793,7 @@ class _Stop(Exception):
 
 
 def _check_norm(t, y):
-    if (norm := float(np.max(np.abs(y)))) > _BLOWUP_NORM:
+    if (norm := float(np.abs(y).max())) > _BLOWUP_NORM:
         raise _Stop("blow_up", f"coefficient norm {norm:.3g} at t = {t:.6g}")
 
 
@@ -846,15 +875,22 @@ def _rk45_states(f, times, y, tol, validity, stats):
 # integrate
 # ----------------------------------------------------------------------
 def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """fn with a one-entry memo keyed by a packed state's bytes: the rhs,
-    step check and sample of one state follow one another."""
-    key, val = None, None
+    """fn with a memo of two entries keyed by a packed state's bytes: the
+    rhs, step check and sample of one state follow one another.  A miss
+    evicts an entry read since it was made, else the older: the end of an
+    rk45 step, checked before the states read inside the step (each
+    checked, then read), outlives them to its own sample."""
+    memo = {}  # bytes -> [value, read since made]
 
     def memoized(y):
-        nonlocal key, val
-        if (k := y.tobytes()) != key:
-            val, key = fn(y), k
-        return val
+        if (entry := memo.get(k := y.tobytes())) is None:
+            if len(memo) == 2:
+                old, new = memo
+                del memo[new if memo[new][1] and not memo[old][1] else old]
+            memo[k] = entry = [fn(y), False]
+        else:
+            entry[1] = True
+        return entry[0]
 
     return memoized
 
@@ -879,17 +915,17 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     reason, or the class.  A sample reads the class and the metric g6 of
     (omega, rho) from the step check's classification, memoized with the
     split: g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2, 0),
-    and the normalization monitor is |s|^2 - 4 in g6.  phi comes from the
-    frame tables, *phi from the state.  The seed's split must reproduce
-    the g8 signature that ``bundle_Phi`` gives the seed's pair, when it
-    gives one."""
+    and the normalization monitor is |s|^2 - 4 in g6.  phi and *phi come
+    from the frame's tables: a sample builds no wedge.  The seed's split
+    must reproduce the g8 signature that ``bundle_Phi`` gives the seed's
+    pair, when it gives one."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
     split = _memo(lambda y: _derive_split(problem, y, branch))
-    classify = _memo(lambda y: _split_class(split(y)))
+    classify = _memo(lambda y: (sp := split(y), *_split_class(sp)))  # the split with its class
     try:
-        seed_tag, why, sig6 = classify(y0)[:3]
+        seed_tag, why, sig6 = classify(y0)[1:4]
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
     if why is not None:
@@ -905,15 +941,15 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
                                                    f"of the seed's pair at t = {seed.t}")
 
     def validity(y):
-        tag, why = classify(y)[:2]
+        tag, why = classify(y)[1:3]
         return why or (None if tag is seed_tag else f"class {tag.value}")
 
     def sample(t, y):  # a state the step check (or the seed's) classified
-        sp, (tag, _, (p, q), g6) = split(y), classify(y)
+        sp, tag, _, (p, q), g6 = classify(y)
         w, S = problem.unpack(y)
         state = DegenerateFlowState(t, sp.f, w.copy(), S / sp.f, problem)
-        phi = sp.f * (ops.w_e_phi @ w) + ops.from_dist3 @ sp.rho6
-        s6 = KForm(6, 3, ops.s6 @ state.s)
+        phi = ops.phi.dot(np.concatenate([sp.f * w, sp.rho6]))
+        s6 = KForm(6, 3, sp.S6 / sp.f)
         data = {"f": state.f, "w": state.w, "s": state.s, "phi": phi,
                 "star_phi": state.star_phi_form().coeffs}
         return Sample(t, data, {

@@ -63,6 +63,7 @@ __all__ = [
     "assoc_metric",
     "pair_structure",
     "pair_coeffs",
+    "pair_normalization",
     "classify_pair",
     "classify_coeffs",
     "signature_class",
@@ -73,6 +74,7 @@ __all__ = [
     "model_pair",
     "omega_cube",
     "k_table",
+    "dual_table",
 ]
 
 def model_pair(name: str, exact: bool = False) -> tuple[KForm, KForm]:
@@ -130,7 +132,7 @@ def k_table() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _dual_table() -> np.ndarray:
+def dual_table() -> np.ndarray:
     """Integer tensor D with P grad lambda = (contract(D, K.ravel()) @ rho) / 3:
     grad lambda = (1/3) sum_ij K_ji (T + T^t)[i, j] rho for T = k_table(),
     and the signed permutation P = wedge_tensor(6, 3, 3)[0] folded in."""
@@ -157,19 +159,17 @@ def _lambda(K: np.ndarray):  # an exact K in ints (linalg.exact_product)
     return linalg.exact_product(lambda a, b: np.trace(a @ b), K, K) / 6
 
 
-def _lambda_and_J(K: np.ndarray, rho: np.ndarray, lam=None):
-    """(lambda, J = K / sqrt|lambda|) for the K of a 3-form with
-    coefficients rho, lambda = tr(K^2)/6 unless given.  Raises
-    UnstableForm when |lambda| is at or below 1e-12 max|rho|^4
+def _root(lam, rho: np.ndarray):
+    """sqrt|lambda| for the lambda of a 3-form with coefficients rho.
+    Raises UnstableForm when |lambda| is at or below 1e-12 max|rho|^4
     (OverflowError, before lambda overflows too, when that bound does) or
-    is not finite; an exact K needs a rational sqrt|lambda|."""
+    is not finite; an exact lambda needs a rational sqrt|lambda|."""
     floor = 1e-12 * max(float(np.abs(rho).max()), 1e-30) ** 4
-    lam = _lambda(K) if lam is None else lam
     if not abs(lam) < math.inf:
         raise UnstableForm(f"lambda = {lam} is not finite")
     if abs(lam) <= floor:
         raise UnstableForm("lambda ~ 0: form is not stable")
-    return lam, K / linalg.sqrt_scalar(abs(lam))
+    return linalg.sqrt_scalar(abs(lam))
 
 
 def omega_cube(omega: np.ndarray, mat=None):
@@ -191,7 +191,7 @@ def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
 def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
     if jrho.dtype == rho.dtype == object:  # one int scatter, one Fraction
         return contract(wedge_tensor(6, 3, 3)[0], jrho, rho)
-    return contract(wedge_tensor(6, 3, 3)[0].T, jrho) @ rho
+    return jrho.dot(wedge_tensor(6, 3, 3)[0]).dot(rho)
 
 
 def _degenerate(omega: np.ndarray, om3) -> bool:
@@ -266,7 +266,8 @@ def assoc_J(rho: KForm) -> np.ndarray:
     J^2 = -Id on the complex orbit, +Id on the para-complex orbit, and
     assoc_J(A* rho) = sign(det A) A^{-1} J A for A in GL(6).
     """
-    return _lambda_and_J(k_endomorphism(rho), rho.coeffs)[1]
+    K = k_endomorphism(rho)
+    return K / _root(_lambda(K), rho.coeffs)
 
 
 def pair_structure(omega: KForm, rho: KForm):
@@ -284,27 +285,35 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
     """pair_structure in coefficient space: coefficient vectors (floats or
     Fractions) of a 2-form and a 3-form on R^6, no KForm.
 
-    Returns (J, sign, J*rho, nu), J*rho from the gradient of lambda
-    (``_dual_table``) and both signed so that J*rho ^ rho is a positive
-    multiple of omega^3, nu = (J*rho ^ rho) / ((2/3) omega^3): 1 on a
-    normalized pair, nan when omega^3 = 0; om3 is omega^3 and K rho's K
-    if the caller has them.  lambda = grad lambda . rho / 4 (Euler) is
-    closer than the cancelling tr(K^2)/6.  Raises UnstableForm as assoc_J
-    does.
+    Returns (J, sign, J*rho, nu) of ``pair_normalization`` on the gradient
+    of lambda from K (``dual_table``), J = K / root; om3 is omega^3 and K
+    rho's K if the caller has them.  Raises UnstableForm as assoc_J does.
     """
     om3 = omega_cube(omega) if om3 is None else om3
     K = _k_matrix(rho) if K is None else K
-    with np.errstate(over="ignore", invalid="ignore"):  # _lambda_and_J refuses inf and nan
-        D = _dual_table()  # 3 P grad lambda = D K rho; exact: one int scatter
+    with np.errstate(over="ignore", invalid="ignore"):  # pair_normalization refuses inf and nan
+        D = dual_table()  # 3 P grad lambda = D K rho; exact: one int scatter
         grad = contract(D, rho, K.ravel()) if rho.dtype == object else contract(D, K.ravel()) @ rho
+    lam, root, jrho, nu = pair_normalization(grad, rho, om3)
+    return K / root, (-1 if lam < 0 else 1), jrho, nu
+
+
+def pair_normalization(grad, rho, om3):
+    """The normalization of a pair from grad = 3 P grad lambda of its
+    3-form rho (floats or Fractions) and omega^3: (lambda, root, J*rho,
+    nu).  lambda = grad . P rho / 12 (Euler) is closer than the cancelling
+    tr(K^2)/6.  root = +-sqrt|lambda| with the sign of omega^3, so that J
+    = K / root and J*rho = grad / (6 sign(lambda) root) make J*rho ^ rho =
+    2 root a positive multiple of omega^3; that value is read off, not
+    wedged.  nu = (J*rho ^ rho) / ((2/3) omega^3): 1 on a normalized pair,
+    nan when omega^3 = 0.  Raises UnstableForm as assoc_J does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _root refuses inf and nan
         lam = _jrho_wedge_rho(grad, rho) / 12
-    lam, J = _lambda_and_J(K, rho, lam)
-    jrho = grad / ((6 if lam > 0 else -6) * linalg.sqrt_scalar(abs(lam)))
-    num = _jrho_wedge_rho(jrho, rho)
-    if num * om3 < 0:
-        J, jrho, num = -J, -jrho, -num
-    nu = num / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
-    return J, (-1 if lam < 0 else 1), jrho, nu
+    root = _root(lam, rho)
+    root = -root if om3 < 0 else root
+    jrho = grad / ((6 if lam > 0 else -6) * root)
+    nu = 2 * root / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
+    return lam, root, jrho, nu
 
 
 def assoc_metric(omega: KForm, rho: KForm) -> SymBilinear:
@@ -376,7 +385,7 @@ def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None, mat=None) -
     if _degenerate(omega, omega_cube(omega, mat) if om3 is None else om3):
         raise DegenerateOmega("omega^3 = 0")
     alpha = np.linalg.solve(mat, tau)
-    resid = float(np.abs(mat @ alpha - tau).max())
+    resid = float(np.abs(mat.dot(alpha) - tau).max())
     if resid > 1e-10 * max(float(np.abs(tau).max()), 1e-30):
         raise DegenerateOmega("wedge solve residual too large")
     return alpha

@@ -16,6 +16,8 @@ the product tables replaced it.  ``degenerate_monitors_oracle`` and
 ``torsion_residual_oracle`` are the KForm monitors and the torsion
 residual that recomputed ``seven_structure`` per sample, before samples
 took their checks from one 7-dimensional structure and stored *phi;
+``star_phi_oracle`` is that stored *phi as two 7-dimensional wedges,
+before the frame's tables built it;
 now that a sample reads its class and metric from its split's
 classification and builds *phi from the split, they are the routes
 through ``classify_pair_oracle``, ``bundle_Phi`` and phi's own metric
@@ -396,6 +398,12 @@ def degenerate_monitors_oracle(state) -> dict:
         "class": cls.tag.value,
         "g8_signature": sig8,
     }
+
+
+def star_phi_oracle(state) -> KForm:
+    """*phi = omega7^2/2 + f e^phi ^ s7 of a degenerate state, by wedges."""
+    om7, s7 = state.omega_form(on_distribution=False), state.s_form(on_distribution=False)
+    return 0.5 * wedge(om7, om7) + state.f * wedge(state.problem.e_phi_form(), s7)
 
 
 def torsion_residual_oracle(traj) -> np.ndarray:
