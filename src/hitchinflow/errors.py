@@ -18,7 +18,7 @@ class UnstableForm(ValueError):
 
 
 class DegenerateOmega(ValueError):
-    """The 2-form is degenerate (omega^3 = 0); the wedge solve is singular."""
+    """The 2-form is degenerate (omega^3 = 0): the wedge solve divides by it."""
 
 
 class NotClosed(ValueError):

@@ -235,10 +235,10 @@ class _Operators:
     1) v, v): packed coordinates, the leak out of the invariant span, and v
     to scale its bound."""
 
-    # y -> (omega6, the 4-form that pairs with omega6 ^ omega6 to omega^3,
-    # the f-parts of tau = to_dist(pi(d rho7 + f omega7 ^ de^phi)) and of the
-    # S velocity, the matrix of alpha -> alpha ^ omega6, S6)
+    # y -> (omega6, the f-parts of tau = to_dist(pi(d rho7 + f omega7 ^ de^phi))
+    # and of the S velocity, S6)
     lin: np.ndarray
+    bivector: np.ndarray  # w -> omega6's bivector B (stable.omega_cube), quadratic, as grad
     grad: np.ndarray  # S -> 3 P grad lambda(S6), cubic: one product with S per degree
     k8: np.ndarray  # S -> K(S6), quadratic, as grad
     rho: np.ndarray  # rho6 -> the rho-parts of tau and of the S velocity
@@ -264,8 +264,9 @@ class _Operators:
         lie_rho = problem.e_phi_scale * sp.lie_matrix(problem.e_phi_index, 3) @ from_dist3
         pi_d_w = _matrix_of(lambda om: problem.pi(sp.d(om)), wb.forms)
         e_phi, wedge7 = problem.e_phi_form(), wedge_tensor(problem.mdim, 2, 2)
-        on_w = np.vstack([omega6, wedge_tensor(6, 4, 2)[0] @ omega6, w_de_phi,
-                          velocity(sb, -pi_d_w), (wedge_tensor(6, 2, 2) @ omega6).reshape(-1, nw)])
+        on_w = np.vstack([omega6, w_de_phi, velocity(sb, -pi_d_w)])
+        bivector = 0.5 * np.einsum("pr,rij,ia,jb->abp", wedge_tensor(6, 2, 4)[0],
+                                   wedge_tensor(6, 2, 2), omega6, omega6, optimize=True)
         # K[k] = S k8[k] S and 3 P grad lambda = D K S6 (stable.dual_table) with S6 = s6 S,
         # stored with S's axes first and read by one product with S each
         kt = stable.k_table().reshape(36, 20, 20)
@@ -276,6 +277,7 @@ class _Operators:
         return _Operators(
             lin=np.vstack([np.hstack([on_w, np.zeros((len(on_w), ns))]),
                            np.hstack([np.zeros((20, nw)), s6])]),
+            bivector=np.ascontiguousarray(bivector).reshape(nw, -1),
             grad=np.ascontiguousarray(grad).reshape(ns, -1),
             k8=np.ascontiguousarray(k8.transpose(2, 1, 0)).reshape(ns, -1),
             rho=np.vstack([d_rho, velocity(sb, lie_rho)]),
@@ -570,13 +572,10 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
         raise PreconditionFailed(
             "smoothness_norm", f"|c| = {abs(c)} != 1: no smooth extension"
         )
-    jrho6 = cls.jrho
-    drho = problem.space.d(problem.rho0)
-    tau6 = problem.to_dist(problem.pi(drho))
-    wdot0 = stable.solve_wedge_omega(om6, tau6)
+    wdot0 = stable.solve_wedge_omega(om6, problem.to_dist(problem.pi(problem.space.d(problem.rho0))))
     w_form7 = problem.omega0 + epsilon * problem.from_dist(wdot0)
     w = problem.w_basis().coords(w_form7.coeffs, "omega seed")
-    s = problem.s_basis().coords(problem.from_dist(jrho6).coeffs, "s seed")
+    s = problem.s_basis().coords(problem.from_dist(cls.jrho).coeffs, "s seed")
     return DegenerateFlowState(t=epsilon, f=c * epsilon, w=w, s=s, problem=problem)
 
 
@@ -604,9 +603,8 @@ def _check_leak(resid, size, what: str):
 class _Split(NamedTuple):
     """The split of a packed state (w, S = f J*rho): omega, rho and S on the
     distribution, the fiber length f, the sign of lambda (J^2 = sign Id), J
-    on demand (only the step check's metric needs it), omega^3, the matrix
-    of alpha -> alpha ^ omega and the f-parts of the velocities (None: not
-    computed)."""
+    on demand (only the step check's metric needs it), omega^3, omega's
+    bivector and the f-parts of the velocities (None: not computed)."""
 
     om6: np.ndarray
     rho6: np.ndarray
@@ -615,7 +613,7 @@ class _Split(NamedTuple):
     sign: int
     J: Callable[[], np.ndarray]
     om3: float | None = None
-    wedge_om: np.ndarray | None = None
+    bivector: np.ndarray | None = None
     f_parts: np.ndarray | None = None
 
 
@@ -623,13 +621,13 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     """f and rho from S by the normalization J*r ^ r = (2/3) omega^3 with
     r = -J*S: since J*(J*S) = sign S, the ratio J*r ^ r / ((2/3) omega^3)
     is -sign nu(omega, S), and one J*S is all it takes.  One product of
-    the frame's tables gives the linear part, three the gradient of
-    lambda, which ``stable.pair_normalization`` takes to J*S and nu
-    (``ndarray.dot``: a fraction of matmul's call overhead)."""
+    the frame's tables gives the linear part, two omega's bivector, three
+    the gradient of lambda, which ``stable.pair_normalization`` takes to
+    J*S and nu (``ndarray.dot``: a fraction of matmul's call overhead)."""
     ops = problem.operators()
-    S, v = y[-len(ops.grad):], ops.lin.dot(y)  # grad's leading axis is S's
-    om6, wedge_om, S6 = v[:15], v[-245:-20].reshape(15, 15), v[-20:]
-    om3 = float(v[15:30].dot(wedge_om.dot(om6)))
+    w, S, v = y[:len(ops.bivector)], y[-len(ops.grad):], ops.lin.dot(y)  # their leading axes
+    om6, B, S6 = v[:15], w.dot(w.dot(ops.bivector).reshape(len(w), -1)), v[-20:]
+    om3 = float(stable.omega_cube(om6, B))
     grad = S.dot(S.dot(S.dot(ops.grad).reshape(len(S), -1)).reshape(len(S), -1))
     lam, root, jS, nu = stable.pair_normalization(grad, S6, om3)
     ratio = nu if lam < 0 else -nu
@@ -637,7 +635,7 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
     J = lambda: S.dot(S.dot(ops.k8).reshape(len(S), -1)).reshape(6, 6) / root
-    return _Split(om6, jS * (-1.0 / f), S6, f, -1 if lam < 0 else 1, J, om3, wedge_om, v[30:-245])
+    return _Split(om6, jS * (-1.0 / f), S6, f, -1 if lam < 0 else 1, J, om3, B, v[15:-20])
 
 
 def _split_class(sp: _Split) -> tuple:
@@ -655,7 +653,7 @@ def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=Non
     ProjectionFailure when either leaves the invariant span."""
     sp, ops = sp or _derive_split(problem, y, branch), problem.operators()
     x = ops.rho.dot(sp.rho6) + sp.f * sp.f_parts  # (tau, the S velocity)
-    alpha = stable.solve_wedge_coeffs(sp.om6, x[:15], sp.om3, sp.wedge_om)
+    alpha = stable.solve_wedge_coeffs(sp.om6, x[:15], sp.bivector)
     v = np.concatenate([ops.w_velocity.dot(alpha), x])
     # the largest |.| of each part: packed, leak and size of either velocity
     sup = np.maximum.reduceat(np.abs(v), ops.segments)

@@ -31,6 +31,7 @@ structure rule (omega^3 != 0, omega ^ rho = 0, the normalization, and
 the metric signature with the sign of lambda, ``signature_class``):
 ``classify_pair`` runs the sequence once, with one K and no pullback,
 and then the rule, and the flow's step check runs the rule on its split.
+``solve_wedge_omega`` is one closed form, exact on Fractions.
 """
 
 from __future__ import annotations
@@ -172,14 +173,16 @@ def _root(lam, rho: np.ndarray):
     return linalg.sqrt_scalar(abs(lam))
 
 
-def omega_cube(omega: np.ndarray, mat=None):
-    """Coefficient of omega^3 on e^{1..6} for a 2-form's coefficients, given
-    mat, the matrix of alpha -> alpha ^ omega, if the caller has it."""
-    W = wedge_tensor(6, 2, 2)
-    if omega.dtype == object:  # two int scatters
-        return contract(wedge_tensor(6, 4, 2)[0], contract(W, omega, omega), omega)
-    mat = contract(W, omega) if mat is None else mat
-    return contract(wedge_tensor(6, 4, 2)[0].T, mat @ omega) @ omega
+def _omega_bivector(omega):
+    """B = Q(omega, omega), the pair-ordered bivector of omega^2/2 for a
+    2-form's coefficients: B[p] = e^p ^ omega^2/2 on e^{1..6}, omega^3 =
+    2 <B, omega>, and Q(B, B) = (omega^3 / 6) omega."""
+    return contract(wedge_tensor(6, 2, 4)[0], contract(wedge_tensor(6, 2, 2), omega, omega)) / 2
+
+
+def omega_cube(omega: np.ndarray, B=None):
+    """omega^3 on e^{1..6} for a 2-form's coefficients and its bivector B if given."""
+    return 2 * (_omega_bivector(omega) if B is None else B).dot(omega)
 
 
 def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
@@ -197,7 +200,7 @@ def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
 def _degenerate(omega: np.ndarray, om3) -> bool:
     """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3:
     a floor of its own, as omega^3 is a product of only three skew
-    eigenvalues, it guards the wedge solve, which has no metric to ask, and
+    eigenvalues, it guards the wedge solve's division by omega^3, and
     degenerate runs meet their singular end at it."""
     scale = max(float(np.abs(omega).max()), 1e-30)
     return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
@@ -364,41 +367,45 @@ def theta_deform(omega: KForm, rho: KForm, theta: float) -> tuple[KForm, KForm]:
 
 # -- the quadratic 4-form inverse ---------------------------------------
 def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
-    """Unique alpha with alpha ^ omega = tau, for nondegenerate omega.
-
-    The map alpha -> alpha ^ omega is a 15 x 15 isomorphism when
-    omega^3 != 0.
-    """
+    """Unique alpha with alpha ^ omega = tau, for nondegenerate omega:
+    exact when both forms are, else in floats (``solve_wedge_coeffs``)."""
     if omega.dim != 6 or omega.degree != 2 or tau.degree != 4:
         raise ValueError("expected a 2-form and a 4-form on R^6")
-    alpha = solve_wedge_coeffs(omega.to_float().coeffs, tau.to_float().coeffs)
-    return KForm(6, 2, alpha)
+    if not (omega.exact and tau.exact):  # as KForm arithmetic: floats unless both are exact
+        omega, tau = omega.to_float(), tau.to_float()
+    return KForm(6, 2, solve_wedge_coeffs(omega.coeffs, tau.coeffs))
 
 
-def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, om3=None, mat=None) -> np.ndarray:
-    """solve_wedge_omega on float coefficient vectors: alpha with
-    alpha ^ omega = tau, given omega^3 as om3 and the matrix mat of alpha ->
-    alpha ^ omega when the caller has them.  Raises DegenerateOmega when
-    omega^3 = 0 (to 1e-12 relative) or when the solve leaves a residual
-    above 1e-10 relative."""
-    mat = contract(wedge_tensor(6, 2, 2), omega) if mat is None else mat
-    if _degenerate(omega, omega_cube(omega, mat) if om3 is None else om3):
+@functools.lru_cache(maxsize=None)
+def _iota_table() -> np.ndarray:
+    """L with iota_B tau = contract(L, B).reshape(15, 15) @ tau for a
+    bivector B: the wedge transposed, L[q, r, p] = wedge_tensor(6, 2, 2)[r, p, q]."""
+    L = np.ascontiguousarray(wedge_tensor(6, 2, 2).transpose(2, 0, 1)).reshape(225, 15)
+    L.setflags(write=False)
+    return L
+
+
+def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, B=None) -> np.ndarray:
+    """solve_wedge_omega on coefficients, floats or Fractions, given omega's
+    bivector B (``_omega_bivector``) if the caller has it: by the Lefschetz
+    decomposition, alpha = (6 iota_B tau - 3 <tau ^ omega> omega) / omega^3.
+    Raises DegenerateOmega when omega^3 = 0 (to 1e-12 relative)."""
+    B = _omega_bivector(omega) if B is None else B
+    if _degenerate(omega, om3 := omega_cube(omega, B)):
         raise DegenerateOmega("omega^3 = 0")
-    alpha = np.linalg.solve(mat, tau)
-    resid = float(np.abs(mat.dot(alpha) - tau).max())
-    if resid > 1e-10 * max(float(np.abs(tau).max()), 1e-30):
-        raise DegenerateOmega("wedge solve residual too large")
-    return alpha
+    iota_tau = contract(_iota_table(), B).reshape(15, 15).dot(tau)
+    return (6 * iota_tau - 3 * contract(wedge_tensor(6, 4, 2)[0], omega).dot(tau) * omega) / om3
 
 
 def iota(sigma: KForm) -> KForm:
     """Inverse of omega -> omega^2/2 on nondegenerate 2-forms.
 
-    omega is the dual-bivector inverse of sigma, scaled to its half-square.
-    Of the two solutions +-omega, returns the one whose first nonzero
-    canonical coefficient is positive.  Raises UnstableForm if max|sigma|^3
-    is not finite or sigma is no half-square (|omega^2/2 - sigma| > 1e-12
-    max(max|sigma|, 1)), the one test of degeneracy, with no floor on det B.
+    sigma = omega^2/2 has omega's bivector B, and Q(B, B) is a multiple of
+    omega (``_omega_bivector``), scaled to its half-square.  Of the two
+    solutions +-omega, returns the one whose first nonzero canonical
+    coefficient is positive.  Raises UnstableForm if max|sigma|^3 is not
+    finite or sigma is no half-square (|omega^2/2 - sigma| > 1e-12
+    max(max|sigma|, 1)), the one test of degeneracy.
     """
     if sigma.dim != 6 or sigma.degree != 4:
         raise ValueError("expected a 4-form on R^6")
@@ -406,15 +413,9 @@ def iota(sigma: KForm) -> KForm:
     scale = max(sigma.max_abs(), 1e-30)
     if not scale * scale * scale < math.inf:  # nan too
         raise UnstableForm("4-form is not a nondegenerate half-square within float range")
-    # the dual bivector over max|sigma|, so scale-free: B[i, j] = (e^i ^ e^j ^
-    # sigma) on e^{1..6}, which is -Pf(Omega) Omega^{-1} for sigma = omega^2/2
-    I2 = interior_tensor(6, 2)
-    B = contract(I2, contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs)) / scale
+    B = contract(wedge_tensor(6, 2, 4)[0], sigma.coeffs) / scale  # sigma's bivector, scale-free
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan fails the residual
-        try:  # the 2-form of the antisymmetric part of B^{-1}
-            cand = KForm(6, 2, np.tensordot(np.linalg.inv(B), I2, 2) / 2)
-        except np.linalg.LinAlgError as exc:
-            raise UnstableForm("4-form is not a nondegenerate half-square") from exc
+        cand = KForm(6, 2, _omega_bivector(B))
         sq = wedge(cand, cand) * 0.5
         ratio = (sq.coeffs @ sigma.coeffs) / max(sq.coeffs @ sq.coeffs, 1e-300)
         if ratio <= 0:

@@ -46,6 +46,9 @@ exact inverse used before the adjugate from ``linalg.minors``, and
 that ``flow`` exported before the packed kernel left it unused; like the
 KForm rhs oracle it builds its own linear maps (``lie_e_phi`` and the
 forms), not the tables that ``flow`` builds once per frame.
+``wedge_solve_oracle`` is the 15 x 15 LAPACK solve of the wedge matrix
+of omega that the degenerate flow ran before ``stable.solve_wedge_coeffs``
+became a closed form; both rhs oracles solve with it.
 ``theta_rotation_matrix`` is the basis change that realizes the theta
 deformation of the complex orbit, which ``stable`` exported although
 only the tests used it.  ``fraction_contract`` is the exact branch of
@@ -60,6 +63,8 @@ the invariant bases and solved against the coordinates of d phi.
 signature and nullspace as they ran in Fraction arithmetic, before both
 followed ``linalg``'s int rule: a symmetric congruence with a pivot-pair
 search on a zero diagonal, and Gauss-Jordan elimination on Fractions.
+``ending_spread`` reruns a pinned ending from seeds whose s differs in
+its last bits, to state how far rounding moves it.
 ``calabi_time`` is the exact time along the family's closed-form member,
 by scipy quadrature.  ``_advance_rk45`` is the adaptive integrator as it
 ran before samples were read from the Dormand-Prince continuous
@@ -69,12 +74,13 @@ extension: it clipped every step to the next sample time, and
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, prod
 
 import numpy as np
 
-from hitchinflow import flow, linalg, stable
+from hitchinflow import flow, linalg
 from hitchinflow.errors import NonpositiveF, StepFailure, UnstableForm
 from hitchinflow.flow import _MAX_RETRIES, _NUMERICAL_FAILURES, cocal_residual
 from hitchinflow.forms import (
@@ -295,17 +301,25 @@ def lie_e_phi(problem, degree):
     return problem.e_phi_scale * problem.space.lie_matrix(problem.e_phi_index, degree)
 
 
+def wedge_solve_oracle(omega6, tau6):
+    """alpha with alpha ^ omega6 = tau6 for float coefficient vectors on R^6:
+    the LAPACK solve of the matrix of alpha -> alpha ^ omega6, built column
+    by column from wedges, which the closed form in ``stable`` replaced."""
+    om = KForm(6, 2, np.asarray(omega6, dtype=float))
+    wedge_map = np.stack(
+        [wedge(KForm.basis(6, t), om).coeffs for t in increasing_tuples(6, 2)], axis=1
+    )
+    return np.linalg.solve(wedge_map, np.asarray(tau6, dtype=float))
+
+
 def degenerate_rhs_oracle(problem, y, branch):
     """Packed velocity (wdot, Sdot) of the two degenerate flow equations,
     evaluated with KForms; the 2-form velocity solves wdot ^ omega = tau
-    through the matrix of alpha -> alpha ^ omega built from wedges."""
+    by ``wedge_solve_oracle``."""
     om7, om6, rho6, f, _ = degenerate_split_oracle(problem, y, branch)
     rho7 = problem.from_dist(rho6)
     tau7 = problem.pi(problem.space.d(rho7) + f * wedge(om7, problem.de_phi()))
-    wedge_map = np.stack(
-        [wedge(KForm.basis(6, t), om6).coeffs for t in increasing_tuples(6, 2)], axis=1
-    )
-    wdot6 = KForm(6, 2, np.linalg.solve(wedge_map, problem.to_dist(tau7).coeffs))
+    wdot6 = KForm(6, 2, wedge_solve_oracle(om6.coeffs, problem.to_dist(tau7).coeffs))
     lrho = KForm(problem.mdim, 3, lie_e_phi(problem, 3) @ rho7.coeffs)
     Sdot7 = lrho - f * problem.pi(problem.space.d(om7))
     _, _, wpinv = problem.w_basis()
@@ -553,7 +567,7 @@ def split_rhs_oracle(state):
     _, g6, _, js6 = pair_structure(om6, s6)
     om7, rho7 = state.omega_form(False), problem.from_dist(-1.0 * js6)
     tau7 = problem.pi(problem.space.d(rho7) + state.f * wedge(om7, problem.de_phi()))
-    wdot6 = KForm(6, 2, stable.solve_wedge_coeffs(om6.coeffs, problem.to_dist(tau7).coeffs))
+    wdot6 = KForm(6, 2, wedge_solve_oracle(om6.coeffs, problem.to_dist(tau7).coeffs))
     lrho = KForm(problem.mdim, 3, lie_e_phi(problem, 3) @ rho7.coeffs)
     rhs2_6 = problem.to_dist(lrho - state.f * problem.pi(problem.space.d(om7)))
     fdot = float(form_pairing(g6, rhs2_6, s6) / form_pairing(g6, s6, s6))
@@ -563,6 +577,22 @@ def split_rhs_oracle(state):
             raise UnstableForm("right-hand side is not parallel to s at f = 0")
         return fdot, wdot6, KForm.zero(6, 3)
     return fdot, wdot6, residual * (1.0 / state.f)
+
+
+def ending_spread(problem, config, ks):
+    """How far rounding moves the end of a run: for each k, the run of
+    config from the problem's startup seed (c = 1, config.startup_epsilon)
+    with s scaled by 1 + k 2^-52, as (stop time, stop reason, rejections by
+    cause).  The stop time is the one the stop cause names, or the last
+    sample's when the run completed."""
+    seed = flow.startup_seed(problem, 1.0, config.startup_epsilon)
+    out = []
+    for k in ks:
+        traj = flow.integrate(config, replace(seed, s=seed.s * (1 + k * 2.0**-52)))
+        cause = traj.stop_cause
+        t_stop = float(cause.rsplit("= ", 1)[1]) if cause else float(traj.samples[-1].t)
+        out.append((t_stop, traj.stop_reason, traj.stats["rejections"]))
+    return out
 
 
 def theta_rotation_matrix(theta: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from hitchinflow.errors import DegenerateOmega, UnstableForm
 from hitchinflow.forms import KForm, pullback, wedge
+from hitchinflow.linalg import increasing_tuples
 from hitchinflow.stable import (
     StructureClass,
     assoc_J,
@@ -22,7 +23,12 @@ from hitchinflow.stable import (
     theta_deform,
 )
 
-from oracles import classify_pair_oracle, dense_pullback, theta_rotation_matrix
+from oracles import (
+    classify_pair_oracle,
+    dense_pullback,
+    theta_rotation_matrix,
+    wedge_solve_oracle,
+)
 
 
 def _random_glplus(rng, dim=6):
@@ -481,6 +487,42 @@ def test_solve_wedge_degenerate():
     degenerate = KForm.basis(6, (0, 1))  # omega^3 = 0
     with pytest.raises(DegenerateOmega):
         solve_wedge_omega(degenerate, KForm.zero(6, 4))
+    exact = KForm.basis(6, (0, 1), exact=True) + KForm.basis(6, (2, 3), exact=True)
+    with pytest.raises(DegenerateOmega):
+        solve_wedge_omega(exact, KForm.zero(6, 4, exact=True))
+
+
+def test_closed_form_wedge_solve_is_as_accurate_as_lapack(rng):
+    # on random GL(6) conjugates of the model 2-forms the closed form and the
+    # LAPACK solve of omega's wedge matrix M agree within 1e-15 cond(M),
+    # relative: both are backward stable, and neither is closer than that
+    for name in ("su3", "su12", "sl3r"):
+        om, _ = model_pair(name)
+        for _ in range(50):
+            omega = pullback(rng.normal(size=(6, 6)), om).coeffs
+            tau = rng.normal(size=15)
+            mat = np.stack([wedge(KForm.basis(6, t), KForm(6, 2, omega)).coeffs
+                            for t in increasing_tuples(6, 2)], axis=1)
+            want = wedge_solve_oracle(omega, tau)
+            gap = np.max(np.abs(solve_wedge_coeffs(omega, tau) - want)) / np.max(np.abs(want))
+            assert gap <= 1e-15 * np.linalg.cond(mat)
+
+
+@pytest.mark.parametrize("name", ["su3", "su12", "sl3r"])
+def test_solve_wedge_omega_is_exact_on_fractions(rng, name):
+    # one formula for floats and Fractions: exact forms give an exact alpha
+    # with alpha ^ omega = tau, with no cast to floats
+    om, _ = model_pair(name, exact=True)
+    A = rng.integers(-3, 4, size=(6, 6))
+    while round(np.linalg.det(A)) == 0:
+        A = rng.integers(-3, 4, size=(6, 6))
+    omega = pullback(A, om)
+    tau = KForm(6, 4, np.array([Fraction(int(n), int(d)) for n, d in
+                                zip(rng.integers(-9, 10, 15), rng.integers(1, 7, 15))], dtype=object))
+    alpha = solve_wedge_omega(omega, tau)
+    assert alpha.exact and all(type(c) is Fraction for c in alpha.coeffs)
+    assert np.array_equal(wedge(alpha, omega).coeffs, tau.coeffs)
+    assert np.array_equal(solve_wedge_omega(om, wedge(om, om)).coeffs, om.coeffs)
 
 
 # --------------------------------------------------- invariant identities
