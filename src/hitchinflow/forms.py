@@ -145,14 +145,11 @@ class KForm:
             raise ValueError(f"need {self.degree} vectors")
         if self.degree == 0:
             return self.coeffs[0]
-        v = np.array(vectors)
-        total = Fraction(0) if self.exact else 0.0
-        for pos, idx in enumerate(self.tuples()):
-            c = self.coeffs[pos]
-            if c == 0:
-                continue
-            sub = v[:, list(idx)]
-            total += c * (linalg.det(sub.astype(object)) if self.exact else linalg.det(sub))
+        exact = self.exact and all(np.asarray(x).dtype.kind != "f" for x in vectors)  # as products
+        v, total = np.array(vectors, dtype=object if exact else float), Fraction(0) if exact else 0.0
+        for c, idx in zip(self.coeffs if exact else self.to_float().coeffs, self.tuples()):
+            if c != 0:
+                total += c * linalg.det(v[:, list(idx)])
         return total
 
     # -- arithmetic ---------------------------------------------------
@@ -245,8 +242,14 @@ class SymBilinear:
     def is_nondegenerate(self) -> bool:
         return not isinstance(self._signature, ValueError)
 
+    @cached_property
+    def _inverse(self) -> np.ndarray:  # computed once, read-only
+        inv = linalg.inverse(self.matrix)
+        inv.setflags(write=False)
+        return inv
+
     def inverse(self) -> np.ndarray:
-        return linalg.inverse(self.matrix)
+        return self._inverse
 
 
 def volume_form(dim: int, coeff=1, exact: bool = False) -> KForm:
@@ -402,8 +405,8 @@ def _antisymmetrizer(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pullback(mat: np.ndarray, a: KForm) -> KForm:
     """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk), a @ minors(A, k); a
-    float matrix or form makes a float product.  Exact ones read the int
-    minors at a's nonzero coefficients; floats contract a's antisymmetric
+    float matrix or form makes a float product.  Exact ones compute the int
+    minors only at a's nonzero coefficients; floats contract a's antisymmetric
     tensor with A one axis at a time (k products of an n^(k-1) x n block)."""
     mat, n, k = np.asarray(mat), a.dim, a.degree
     if mat.shape != (n, n):
@@ -411,7 +414,7 @@ def pullback(mat: np.ndarray, a: KForm) -> KForm:
     if a.exact and mat.dtype.kind != "f":
         (m, den), (v, dv) = linalg.scale_to_int(mat), linalg.scale_to_int(a.coeffs)
         nz = np.flatnonzero(v)
-        return KForm(n, k, linalg.divide_ints(v[nz] @ linalg.laplace_minors(m, k)[nz], den**k * dv))
+        return KForm(n, k, linalg.divide_ints(v[nz] @ linalg.laplace_minors(m, k, nz), den**k * dv))
     flat, signs = _antisymmetrizer(n, k)
     t = np.zeros(n**k)
     t[flat] = (signs * np.asarray(a.coeffs, dtype=float)).ravel()
@@ -449,22 +452,42 @@ def hodge(g: SymBilinear, vol: KForm, a: KForm) -> KForm:
         raise DegenerateMetric("metric is degenerate")
     exact = g.exact and a.exact and vol.exact
     paired = _gram_dot(g, a, exact)  # <e^J, a> per increasing J
-    scale = vol.coeffs[0] if exact else float(vol.coeffs[0])
-    # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing
+    # e^J ^ star(a) = <e^J, a> vol: read through the top-degree pairing;
+    # exact, vol's coefficient is one more vector of the int scatter
     top = wedge_tensor(a.dim, a.degree, a.dim - a.degree)[0]
-    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * scale)
+    if exact:
+        return KForm(a.dim, a.dim - a.degree, contract(top.T[:, :, None], paired, vol.coeffs))
+    return KForm(a.dim, a.dim - a.degree, contract(top.T, paired) * float(vol.coeffs[0]))
 
 
 # -- index embeddings --------------------------------------------------
+@lru_cache(maxsize=None)
+def _index_map(n: int, k: int, dim: int, axes: tuple) -> np.ndarray:
+    """Rows src, dst, sign: coefficient src of a k-form on R^n moves to dst
+    on R^dim with the sign of sorting when old axis i becomes axes[i];
+    terms with an axis that maps to None drop."""
+    moved = []
+    for pos, t in enumerate(increasing_tuples(n, k)):
+        if all(axes[i] is not None for i in t):
+            sign, srt = sort_sign(axes[i] for i in t)
+            moved.append((pos, tuple_position(dim, srt), sign))
+    table = np.array(moved, dtype=int).reshape(-1, 3).T
+    table.setflags(write=False)
+    return table
+
+
 def _reindex(a: KForm, dim: int, new_axis: dict) -> KForm:
     """The form on R^dim with each e^I of a moved to e^{new_axis[I]}, the
-    sign of sorting included; terms with an axis not in new_axis drop."""
-    coeffs = KForm.zero(dim, a.degree, exact=a.exact).coeffs.copy()
-    for c, t in zip(a.coeffs, a.tuples()):
-        if c != 0 and all(i in new_axis for i in t):
-            sign, srt = sort_sign(new_axis[i] for i in t)
-            coeffs[tuple_position(dim, srt)] += sign * c
-    return KForm(dim, a.degree, coeffs)
+    sign of sorting included; terms with an axis not in new_axis drop.
+    Floats read 0.0 + sign * a[src] at dst, so a zero lands as +0.0."""
+    src, dst, sign = _index_map(a.dim, a.degree, dim, tuple(new_axis.get(i) for i in range(a.dim)))
+
+    def move(c):  # np.add.at sums terms that a non-injective map sends to one dst
+        out = np.zeros(comb(dim, a.degree), dtype=c.dtype)
+        np.add.at(out, dst, sign * c[src])
+        return out
+
+    return KForm(dim, a.degree, linalg.exact_product(move, a.coeffs))
 
 
 def embed(a: KForm, dim: int, index_map=None) -> KForm:

@@ -111,8 +111,14 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     C = contract(interior_tensor(7, 3), phi.coeffs)
     p4 = contract(wedge_tensor(7, 4, 3)[0], phi.coeffs)  # 4-forms ^ phi on e^{1..7}
     M = contract(wedge_tensor(7, 2, 2).transpose(1, 2, 0), p4)
-    B = linalg.exact_product(lambda c, m, ct: c @ m @ ct, C, M, C.T)
-    B = (B + B.T) / 12  # symmetric to the last bit in floats
+    if exact:  # B = Bi / den in ints: one Fraction per entry of B and of g7
+        (c, dc), (m, dm) = linalg.scale_to_int(C), linalg.scale_to_int(M)
+        Bi = c @ m @ c.T
+        Bi, den = Bi + Bi.T, 12 * dc * dm * dc
+        B = linalg.divide_ints(Bi, den)
+    else:
+        B = C @ M @ C.T
+        B = (B + B.T) / 12  # symmetric to the last bit in floats
     with np.errstate(over="ignore"):  # refused below
         d = linalg.det(B)
     if not (d != 0 and abs(d) < math.inf):  # nan too
@@ -120,7 +126,8 @@ def metric_vol_from_phi(phi: KForm) -> tuple[SymBilinear | None, KForm | None, S
     s9 = linalg.nth_root_signed(d, 9)
     try:
         with np.errstate(over="ignore"):  # SymBilinear refuses an entry beyond float range
-            g7 = SymBilinear(B / s9)
+            g7 = SymBilinear(
+                linalg.divide_ints(Bi * s9.denominator, den * s9.numerator) if exact else B / s9)
         klass = _SEVEN_CLASS[g7.signature()]
     except (ValueError, KeyError):  # degenerate, or another signature
         return None, None, SevenClass.NOT_STABLE

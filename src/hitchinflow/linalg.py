@@ -2,15 +2,16 @@
 
 Float mode uses numpy directly.  Exact mode takes object arrays of
 ``fractions.Fraction``, for the model identity suite, and follows one rule:
-scale to Python ints by the lcm of the denominators (``scale_to_int``),
-compute in ints, build one Fraction per output entry (``divide_ints``); a
-float operand makes a float product (``exact_product``).  ``minors``, the
-k-th compound matrix, computes every exact determinant in the package by a
-Laplace expansion in ints that reuses the smaller minors (floats take the
-same expansion).  The exact inverse is the int adjugate over the int
-determinant, the exact signature Descartes' rule on the int characteristic
-polynomial, and the exact nullspace the unique reduced echelon form, from
-Gauss-Jordan on primitive int rows.
+scale the nonzero entries to Python ints by the lcm of their denominators
+(``scale_to_int``), compute in ints, build one Fraction per output entry
+(``divide_ints``); a float operand makes a float product (``exact_product``).
+``minors``, the k-th compound matrix, computes every exact determinant in
+the package by a Laplace expansion in ints that reuses the smaller minors,
+on the rows a caller reads (floats take the same expansion).  The exact
+inverse is the int adjugate over the int determinant, the exact signature
+Descartes' rule on the int characteristic polynomial, and the exact
+nullspace the unique reduced echelon form, from Gauss-Jordan on primitive
+int rows.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ def increasing_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def is_exact(a: np.ndarray) -> bool:
     return a.dtype == object
-
-
-def as_exact(a) -> np.ndarray:
-    """Convert an array-like of ints/Fractions to an exact object array."""
-    arr = np.array(a, dtype=object)
-    flat = arr.reshape(-1)
-    for i, x in enumerate(flat):
-        flat[i] = x if type(x) is Fraction else Fraction(x)
-    return flat.reshape(arr.shape)
 
 
 def _int_root(a: int, n: int) -> int:
@@ -100,28 +92,38 @@ def det(a: np.ndarray):
     return minors(a, a.shape[0])[0, 0]
 
 
-@lru_cache(maxsize=None)
-def _laplace_tables(n: int, k: int, j: int):
-    """Tables that build the j-minors on the rows that are j-suffixes of
-    k-tuples from the (j-1)-minors: row (r0,) + rest -> r0 and the position
-    of rest; column J -> J[p] and the position of J without J[p]."""
-    rows = [t for t in increasing_tuples(n, j) if t[0] >= k - j]
-    below = [t for t in increasing_tuples(n, j - 1) if t[0] >= k - j + 1]
-    below_pos = {t: i for i, t in enumerate(below)}
-    col_pos = {t: i for i, t in enumerate(increasing_tuples(n, j - 1))}
-    cols = increasing_tuples(n, j)
-    first = np.array([r[0] for r in rows])
-    rest = np.array([below_pos[r[1:]] for r in rows])
-    drop = np.array([[col_pos[c[:p] + c[p + 1 :]] for p in range(j)] for c in cols])
-    return first, rest, np.array(cols), drop
+@lru_cache(maxsize=256)  # bounded: row lists follow the nonzero patterns of forms
+def _laplace_tables(n: int, k: int, rows: tuple[int, ...] | None):
+    """Per level j the rows of the j-minors that the k-minors on the given
+    rows (positions among the k-tuples, all if None) read, the j-suffixes of
+    those k-tuples: at j = 1 rows of m; above, row (r0,) + rest -> r0 and
+    the position of rest on the level below, and column J -> J[p] and the
+    position of J without J[p]."""
+    tuples = increasing_tuples(n, k)
+    want = tuples if rows is None else [tuples[r] for r in rows]
+    levels = [sorted({t[k - j :] for t in want}) for j in range(1, k)] + [want]
+    tables = [np.array([r[0] for r in levels[0]], dtype=int)]
+    for j, (below, level) in enumerate(zip(levels, levels[1:]), 2):
+        pos = {t: i for i, t in enumerate(below)}
+        col_pos = {t: i for i, t in enumerate(increasing_tuples(n, j - 1))}
+        cols = increasing_tuples(n, j)
+        first, rest = [r[0] for r in level], [pos[r[1:]] for r in level]
+        drop = [[col_pos[c[:p] + c[p + 1 :]] for p in range(j)] for c in cols]
+        tables.append(tuple(np.array(x, dtype=int) for x in (first, rest, cols, drop)))
+    return tables
 
 
 def scale_to_int(m) -> tuple[np.ndarray, int]:
     """(d m, d) for an array of ints/Fractions and the lcm d of its
-    denominators, d m as an object array of Python ints."""
-    m = as_exact(m)
-    den = math.lcm(*(x.denominator for x in m.flat))
-    return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(m), den
+    denominators, d m as an object array of Python ints.  Only nonzero
+    entries are read, through their numerator and denominator; a float
+    entry is taken exactly, as its Fraction."""
+    m, out = np.asarray(m, dtype=object), np.zeros(np.shape(m), dtype=object)
+    nz = np.flatnonzero(m)
+    vals = [x if type(x) in (int, Fraction) else Fraction(x) for x in m.flat[nz]]
+    den = math.lcm(*(x.denominator for x in vals))
+    out.flat[nz] = [x.numerator * (den // x.denominator) for x in vals]
+    return out, den
 
 
 def divide_ints(a, den: int):
@@ -141,13 +143,17 @@ def exact_product(f, *operands):
     return divide_ints(f(*(m for m, _ in scaled)), math.prod(d for _, d in scaled))
 
 
-def laplace_minors(m: np.ndarray, k: int) -> np.ndarray:
+def laplace_minors(m: np.ndarray, k: int, rows=None) -> np.ndarray:
     """``minors`` of a square array of floats or of Python ints (object),
     each level expanded along first rows from the one below: n * 2**(n-1)
-    products for one n x n determinant, exact in ints."""
-    level = m[k - 1 :] if k else np.ones((1, 1), dtype=m.dtype)
-    for j in range(2, k + 1):
-        first, rest, col, drop = _laplace_tables(m.shape[0], k, j)
+    products for one n x n determinant, exact in ints.  Given rows
+    (positions among the k-tuples), only those rows of the compound
+    matrix, in that order: each level expands only the suffixes they read."""
+    if k == 0:
+        return np.ones((1 if rows is None else len(rows), 1), dtype=m.dtype)
+    first, *levels = _laplace_tables(m.shape[0], k, None if rows is None else tuple(map(int, rows)))
+    level = m[first]
+    for first, rest, col, drop in levels:
         prod = m[first[:, None, None], col] * level[rest[:, None, None], drop]
         level = prod[..., ::2].sum(axis=-1) - prod[..., 1::2].sum(axis=-1)
     return level

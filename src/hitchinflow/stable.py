@@ -186,8 +186,14 @@ def omega_cube(omega: np.ndarray, B=None):
 
 
 def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
-    # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^{-1} = sign J
-    G = linalg.exact_product(np.matmul, contract(interior_tensor(6, 2), omega), J * sign)
+    # omega(v, w) = g(v, J w)  =>  G = Omega J^{-1}, with J^{-1} = sign J,
+    # symmetrized; exact, in ints over one denominator
+    Omega = contract(interior_tensor(6, 2), omega)
+    if Omega.dtype == J.dtype == object:
+        (o, do), (j, dj) = linalg.scale_to_int(Omega), linalg.scale_to_int(J)
+        G = o @ j * sign
+        return linalg.divide_ints(G + G.T, 2 * do * dj)
+    G = Omega @ (J * sign)
     return (G + G.T) / 2
 
 
@@ -236,7 +242,9 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=
     if not sign:
         return fail, "rho is not stable (lambda = 0)", None, None
     scale = max(float(np.abs(omega).max()), 1e-30) * max(float(np.abs(rho).max()), 1e-30)
-    if float(np.abs(contract(wedge_tensor(6, 2, 3), rho) @ omega).max()) > 1e-10 * scale:
+    W = wedge_tensor(6, 2, 3)  # exact: one int scatter
+    om_rho = contract(W, omega, rho) if omega.dtype == rho.dtype == object else contract(W, rho) @ omega
+    if float(np.abs(np.asarray(om_rho, dtype=float)).max()) > 1e-10 * scale:
         return fail, "omega ^ rho != 0", None, None
     # an irrational J*rho has J*rho ^ rho = q / |lambda|^(3/2), q rational,
     # which is never the rational (2/3) omega^3

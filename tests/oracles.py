@@ -70,6 +70,11 @@ by scipy quadrature.  ``_advance_rk45`` is the adaptive integrator as it
 ran before samples were read from the Dormand-Prince continuous
 extension: it clipped every step to the next sample time, and
 ``grid_clipped_rk45`` drives it over a sample grid as ``integrate`` did.
+``as_exact`` builds exact test data, the Fraction array of an array-like
+of ints, Fractions or floats; the package stopped needing it once
+``linalg.scale_to_int`` read ints and Fractions as they are.  ``reindex_oracle`` is the
+per-coefficient sort_sign loop that ``forms.embed`` and ``forms.restrict``
+ran before a signed index map moved the coefficients.
 """
 
 import itertools
@@ -92,6 +97,7 @@ from hitchinflow.forms import (
     interior_tensor,
     pullback,
     sort_sign,
+    tuple_position,
     wedge,
     wedge_tensor,
 )
@@ -104,6 +110,26 @@ from hitchinflow.stable import (
     lambda_invariant,
     pair_structure,
 )
+
+
+def as_exact(a) -> np.ndarray:
+    """Convert an array-like of ints/Fractions to an exact object array."""
+    arr = np.array(a, dtype=object)
+    flat = arr.reshape(-1)
+    for i, x in enumerate(flat):
+        flat[i] = x if type(x) is Fraction else Fraction(x)
+    return flat.reshape(arr.shape)
+
+
+def reindex_oracle(a, dim: int, new_axis: dict) -> KForm:
+    """The form on R^dim with each e^I of a moved to e^{new_axis[I]}, one
+    coefficient at a time; terms with an axis not in new_axis drop."""
+    coeffs = KForm.zero(dim, a.degree, exact=a.exact).coeffs.copy()
+    for c, t in zip(a.coeffs, a.tuples()):
+        if c != 0 and all(i in new_axis for i in t):
+            sign, srt = sort_sign(new_axis[i] for i in t)
+            coeffs[tuple_position(dim, srt)] += sign * c
+    return KForm(dim, a.degree, coeffs)
 
 
 def _position(n: int, t: tuple) -> int:
@@ -170,7 +196,7 @@ def dense_hodge(g, vol, a):
 
 def dense_pullback(mat, a):
     """Pullback as a @ minors(A, k) over every coefficient."""
-    mat = linalg.as_exact(mat) if a.exact else np.asarray(mat, dtype=float)
+    mat = as_exact(mat) if a.exact else np.asarray(mat, dtype=float)
     return KForm(a.dim, a.degree, a.coeffs @ compound(mat, a.degree))
 
 
@@ -657,7 +683,7 @@ def fraction_nullspace(a) -> list[np.ndarray]:
     """Nullspace basis of a Fraction matrix by Gauss-Jordan elimination in
     Fractions, one vector per free column with a 1 there, read off the
     reduced echelon form."""
-    m = linalg.as_exact(a).copy()
+    m = as_exact(a).copy()
     rows, cols = m.shape
     pivots = []
     r = 0

@@ -4,6 +4,7 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from hitchinflow import linalg
 from hitchinflow.errors import DegenerateMetric, DegreeOverflow, DimensionMismatch
 from hitchinflow.forms import (
     KForm,
@@ -23,10 +24,10 @@ from hitchinflow.forms import (
     wedge_tensor,
 )
 from hitchinflow.g2spin7 import SevenClass, metric_vol_from_phi, model_phi
-from hitchinflow.linalg import as_exact
 from hitchinflow.stable import model_pair
 
 from oracles import (
+    as_exact,
     dense_hodge,
     dense_pairing,
     dense_pullback,
@@ -34,6 +35,7 @@ from oracles import (
     hodge_matrices,
     interior_table_oracle,
     metric_vol_oracle,
+    reindex_oracle,
     scatter_interior,
     scatter_wedge,
     theta_rotation_matrix,
@@ -289,15 +291,20 @@ def test_hodge_rejects_degenerate_metric():
 
 def _exact_forms(rng, n, k):
     """A dense Fraction k-form with thirds and sevenths, a sparse one
-    (about a quarter of it), the zero form, and a dense one with the
-    coprime denominators 7, 9, 11 and 13."""
+    (about a quarter of it), the zero form, a dense one with the coprime
+    denominators 7, 9, 11 and 13, and one with a fifth of its coefficients
+    nonzero: 14 of 70 on an 8-dimensional 4-form, as many as Phi has."""
     size = comb(n, k)
     nums, dens = rng.integers(-9, 10, size), rng.choice([1, 3, 7], size)
     dense = np.array([Fraction(int(p), int(q)) for p, q in zip(nums, dens)], dtype=object)
-    sparse = dense.copy()
+    sparse, fifth = dense.copy(), KForm.zero(n, k, exact=True).coeffs.copy()
     sparse[rng.random(size) < 0.75] = Fraction(0)
+    fifth[rng.permutation(size)[: size // 5]] = [
+        Fraction(int(p), int(q)) for p, q in zip(rng.choice([-5, -2, 1, 3, 7], size // 5),
+                                                 rng.choice([7, 9, 11, 13], size // 5))]
     coprime = _coprime(rng, size)
-    return [KForm(n, k, dense), KForm(n, k, sparse), KForm.zero(n, k, exact=True), KForm(n, k, coprime)]
+    return [KForm(n, k, dense), KForm(n, k, sparse), KForm.zero(n, k, exact=True), KForm(n, k, coprime),
+            KForm(n, k, fifth)]
 
 
 def _coprime(rng, *shape):
@@ -494,6 +501,57 @@ def test_restrict_in_any_axis_order_is_the_pullback(rng):
         assert moved.exact == a.exact
         assert np.array_equal(moved.coeffs, pullback(np.eye(6)[perm], a).coeffs)
         assert np.array_equal(restrict(moved, perm).coeffs, a.coeffs)
+
+
+def test_embed_and_restrict_are_the_per_coefficient_loop(rng):
+    # the signed index map against the sort_sign loop, bit for bit: floats
+    # with zeros, -0.0, nan and inf (0.0 + sign * c keeps the loop's +0.0
+    # where it skipped a zero), and Fractions with zeros; embeddings under
+    # permuted and non-injective maps, restrictions in any axis order
+    c = rng.normal(size=20)
+    c[[1, 5, 9]], c[[2, 7, 11]], c[3], c[4] = 0.0, -0.0, np.nan, -np.inf
+    q = as_exact(rng.integers(-3, 4, size=20)) / 7
+    for a in (KForm(6, 3, c), KForm(6, 3, q), KForm(6, 3, -c), KForm.zero(6, 3, exact=True)):
+        cases = [(embed(a, dim, m), dim, dict(enumerate(range(6) if m is None else m)))
+                 for dim, m in ((6, None), (8, None), (6, [3, 5, 0, 4, 1, 2]), (8, [7, 1, 2, 0, 6, 4]),
+                                (7, [0, 0, 1, 2, 3, 4]))]
+        cases += [(restrict(a, axes), len(axes), {old: new for new, old in enumerate(axes)})
+                  for axes in ([4, 0, 5, 2], [0, 1, 2, 3, 4, 5], [5, 3, 1], [2, 3, 4])]
+        for got, dim, new_axis in cases:
+            want = reindex_oracle(a, dim, new_axis)
+            assert got.exact == want.exact == a.exact
+            if a.exact:
+                assert list(got.coeffs) == list(want.coeffs) and _all_fractions(got.coeffs)
+            else:
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_exact_form_on_float_vectors_is_a_float():
+    # a float vector makes a float value, as for products: not the Fraction
+    # of the float's binary value; exact vectors (ints too) keep it exact
+    rho = model_pair("su3", exact=True)[1]
+    e = np.eye(6)
+    got = rho(0.1 * e[0], e[2], e[4])  # a LAPACK determinant: 0.1 to rounding
+    assert isinstance(got, float) and abs(got - 0.1) <= 1e-16
+    tenth = as_exact(e[0]) * Fraction(1, 10)
+    got = rho(tenth, as_exact(e[2]), e[4].astype(int))
+    assert type(got) is Fraction and got == Fraction(1, 10)
+    got = rho.to_float()(tenth, as_exact(e[2]), as_exact(e[4]))
+    assert isinstance(got, float) and abs(got - 0.1) <= 1e-16
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_metric_inverse_is_computed_once_and_read_only(exact, monkeypatch):
+    m = as_exact(np.diag([2, -3, 5, 1])) / 7 + as_exact(np.eye(4, k=1) + np.eye(4, k=-1))
+    g = SymBilinear(m if exact else np.asarray(m, dtype=float))
+    want = linalg.inverse(g.matrix)
+    calls, inverse = [], linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(a) or inverse(a))
+    first = g.inverse()
+    assert g.inverse() is first and len(calls) == 1
+    assert not first.flags.writeable and np.array_equal(first, want)
+    with pytest.raises(ValueError):
+        first[0, 0] = 1
 
 
 def test_volume_form_nonzero_required():

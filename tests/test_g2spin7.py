@@ -31,8 +31,7 @@ from hitchinflow.g2spin7 import (
 )
 from hitchinflow.stable import classify_pair, model_pair
 
-from hitchinflow.linalg import as_exact
-from oracles import fd_jacobian, metric_vol_oracle, relative_gap, star_derivative
+from oracles import as_exact, fd_jacobian, metric_vol_oracle, relative_gap, star_derivative
 
 
 def _e7(exact=False):

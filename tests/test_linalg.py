@@ -8,6 +8,7 @@ from hitchinflow import homogeneous, linalg
 from hitchinflow.verify import verify_identities
 
 from oracles import (
+    as_exact,
     bareiss_det,
     congruence_signature,
     fraction_nullspace,
@@ -17,7 +18,7 @@ from oracles import (
 
 
 def _integer_matrix(rng, n):
-    return linalg.as_exact(rng.integers(-9, 10, size=(n, n)))
+    return as_exact(rng.integers(-9, 10, size=(n, n)))
 
 
 def _fraction_matrix(rng, n):
@@ -35,7 +36,7 @@ def test_exact_minors_match_per_minor_oracle(rng, n, k):
     # row and the zero matrix give zero minors, still as Fractions
     mats = [_integer_matrix(rng, n), _fraction_matrix(rng, n), _fraction_matrix(rng, n)]
     mats[2][1] = Fraction(0)
-    mats.append(linalg.as_exact(np.zeros((n, n), dtype=int)))
+    mats.append(as_exact(np.zeros((n, n), dtype=int)))
     tups = list(itertools.combinations(range(n), k))
     for m in mats:
         want = np.array(
@@ -45,6 +46,21 @@ def test_exact_minors_match_per_minor_oracle(rng, n, k):
         assert got.shape == (len(tups), len(tups))
         assert np.all(got == want)
         assert all(type(x) is Fraction for x in got.flat)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_minors_on_rows_are_those_rows_of_the_compound(rng, n):
+    # the row list expands only the suffixes its rows read: every k, k = 0,
+    # 1 and n too, on no rows, on all, and on rows out of order with repeats
+    for _ in range(2):
+        m, _ = linalg.scale_to_int(_fraction_matrix(rng, n))
+        for k in range(n + 1):
+            full, size = linalg.laplace_minors(m, k), len(linalg.increasing_tuples(n, k))
+            picks = [rng.choice(size, size=min(size, 5), replace=False), rng.integers(0, size, 7)]
+            for rows in ([], list(range(size)), *picks, np.flatnonzero(rng.random(size) < 0.2)):
+                got = linalg.laplace_minors(m, k, rows)
+                assert got.shape == (len(rows), size)
+                assert np.all(got == full[list(rows)])
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (7, 3), (8, 4)])
@@ -62,7 +78,7 @@ def test_float_minors_are_the_blockwise_lapack_determinants(rng, n, k):
 
 def test_exact_det_pivots_and_detects_singularity():
     # a zero (1,1) entry sends the oracle down its row-swap branch
-    m = linalg.as_exact([[0, 2, 1, 3], [1, 5, -2, 0], [4, -1, 3, 2], [2, 2, 2, 7]])
+    m = as_exact([[0, 2, 1, 3], [1, 5, -2, 0], [4, -1, 3, 2], [2, 2, 2, 7]])
     assert linalg.det(m) == bareiss_det(m) != 0
     singular = m.copy()
     singular[3] = singular[0] + 2 * singular[1]
@@ -150,7 +166,7 @@ def test_exact_signature_is_the_congruence_oracle(rng, monkeypatch):
         assert signature(g) == want
         checked += 1
     assert checked >= len(classified) + 80
-    degenerate = [linalg.as_exact(np.zeros((3, 3), dtype=int))]
+    degenerate = [as_exact(np.zeros((3, 3), dtype=int))]
     for n in (2, 5, 8):
         g = _symmetric_fraction_matrix(rng, n)
         g[-1], g[:, -1] = g[0] * 3, g[:, 0] * 3  # the last row and column are 3x the first
@@ -180,7 +196,7 @@ def _rational_matrix(rng, rows, cols, rank=None):
 def test_rational_nullspace_is_the_fraction_oracle(rng):
     # Gauss-Jordan on primitive int rows gives the Fractions of the old
     # Fraction elimination: the reduced echelon form is unique
-    mats = [linalg.as_exact(np.zeros((3, 5), dtype=int))]
+    mats = [as_exact(np.zeros((3, 5), dtype=int))]
     for rows, cols in ((2, 6), (3, 8), (7, 4), (9, 3), (5, 5)):
         mats.append(_rational_matrix(rng, rows, cols))
         mats.append(_rational_matrix(rng, rows, cols, rank=min(rows, cols) - 1))
@@ -214,5 +230,8 @@ def test_exact_linalg_does_no_fraction_arithmetic(rng, monkeypatch):
     assert len(linalg.rational_nullspace(nullable)) == 4
     assert linalg.det(a) == linalg.minors(a, 5)[0, 0]
     assert linalg.minors(a, 3).shape == (10, 10)
+    m, den = linalg.scale_to_int(a)
+    assert all(type(x) is int for x in m.flat) and np.all(linalg.divide_ints(m, den) == a)
+    assert np.all(linalg.laplace_minors(m, 3, [7, 0, 7]) == linalg.laplace_minors(m, 3)[[7, 0, 7]])
     assert linalg.sqrt_scalar(Fraction(49, 4)) == Fraction(7, 2)
     assert linalg.nth_root_signed(Fraction(-8, 27), 3) == Fraction(-2, 3)

@@ -1,5 +1,6 @@
 import textwrap
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,23 @@ def test_runtime_budget():
     t0 = time.perf_counter()
     verify_identities()
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_a_warm_pass_builds_at_most_4000_fractions(monkeypatch):
+    # exact products scale only nonzero entries to ints and build one
+    # Fraction per nonzero output entry; counted over a pass whose tables
+    # are built
+    verify_identities()
+    count, new = [0], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    verify_identities()
+    monkeypatch.undo()
+    assert 0 < count[0] <= 4000, count[0]
 
 
 def test_corrupted_model_is_detected(monkeypatch):
