@@ -15,9 +15,11 @@ The package is organized in layers:
 * :mod:`hitchinflow.homogeneous` -- Chevalley-Eilenberg calculus on
   reductive homogeneous spaces (structure constants, invariant form
   bases, d, Lie derivatives, the fiber projection).
+* :mod:`hitchinflow.ode` -- rk4 and Dormand-Prince rk45 with a
+  continuous extension, on any y' = f(t, y); no geometry.
 * :mod:`hitchinflow.flow` -- the invariant Hitchin flow: the generic
   cocalibrated evolution and the degenerate line-bundle system with its
-  singular startup, monitors and integrators.
+  singular startup and monitors, advanced by :mod:`hitchinflow.ode`.
 * :mod:`hitchinflow.verify` -- the exact-rational model identity suite.
 * :mod:`hitchinflow.cli` -- the scenario runner.
 """

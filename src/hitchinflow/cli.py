@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import flow as fl
-from .errors import PreconditionFailed, StepFailure
+from .errors import PreconditionFailed
 from .g2spin7 import model_phi
 from .verify import format_report, verify_identities
 
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
             report = run_point(run["scenario"], point, flow_cfg, sub,
                                run.get("report_only", False), suite)
             code = 0
-        except (PreconditionFailed, StepFailure, np.linalg.LinAlgError, OverflowError) as exc:
+        except (PreconditionFailed, np.linalg.LinAlgError, OverflowError) as exc:
             report, code = exc.report, _failure_code(exc, label)
         written = sub is not None and sub.is_dir()
         index.append({"label": label, "params": report.params, "exit_code": code,

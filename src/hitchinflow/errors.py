@@ -41,10 +41,6 @@ class NonpositiveF(ValueError):
     """The fiber length must be positive for this operation."""
 
 
-class StepFailure(RuntimeError):
-    """The integrator could not produce an acceptable step."""
-
-
 class ProjectionFailure(RuntimeError):
     """A computed form left the invariant subspace it must lie in.
 

@@ -28,13 +28,8 @@ Two flows are implemented on a registered homogeneous space:
   of lambda a cubic one; the rhs, step check and sample of one state
   share its split (``_memo``).
 
-rk4 and Dormand-Prince rk45 advance both flows.  rk4 divides each sample
-interval into fixed steps.  rk45's steps ignore the sample grid: each
-reuses the last stage of the step before it ("first same as last"), and a
-sample inside a step is read from that step's stages by the continuous
-extension of order 4, at no rhs cost (Hairer, Norsett & Wanner, Solving
-ODEs I, II.5 and II.6).  Every trajectory counts what the integrator did
-in its stats.
+``hitchinflow.ode``'s rk4 and Dormand-Prince rk45 advance both flows;
+every trajectory keeps its stats, what the integrator did.
 
 The system is singular at f = 0; trajectories start from a small-time
 Taylor seed at t = epsilon and a Richardson check over epsilon vs
@@ -53,17 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, stable
-from .errors import (
-    DegenerateMetric,
-    DegenerateOmega,
-    NonpositiveF,
-    NotProportional,
-    PreconditionFailed,
-    ProjectionFailure,
-    StepFailure,
-    UnstableForm,
-)
+from . import linalg, ode, stable
+from .errors import NotProportional, PreconditionFailed, ProjectionFailure, UnstableForm
 from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
                     wedge, wedge_tensor)
 from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, solve_dstar
@@ -93,7 +79,6 @@ __all__ = [
     "richardson_deviation",
 ]
 
-_BLOWUP_NORM = 1e8
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
 # A degenerate sample holds about 1.7 kB and takes about 0.1 ms: 10^5
 # samples are 170 MB and about 10 s of work.
@@ -101,13 +86,6 @@ _MAX_SAMPLES = 10**5
 # A degenerate rk4 step (4 rhs and a validity check) takes about 0.25 ms:
 # 10^6 steps are about 4 minutes.
 _MAX_RK4_STEPS = 10**6
-# An rk45 step (6 rhs and a validity check) takes about 0.4 ms on the
-# degenerate flow and 1.1 ms on the generic one on n11: 10^4 accepted
-# steps are about 4 s and 11 s, where a benchmark point takes 18-26 and
-# 6-13.
-_MAX_RK45_STEPS = 10**4
-# Step halvings rk45 tries in a row before it gives up on a step.
-_MAX_RETRIES = 60
 
 
 # ----------------------------------------------------------------------
@@ -689,187 +667,6 @@ def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
 
 
 # ----------------------------------------------------------------------
-# integrators
-# ----------------------------------------------------------------------
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-# the continuous extension of order 4 (Shampine 1986; Hairer, Norsett &
-# Wanner, II.6): row i holds the coefficients of theta, ..., theta^4 in b_i
-_DP_DENSE = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
-
-def _dp_step(f, t, y, h, k1):
-    """One Dormand-Prince step from the first stage k1 = f(t, y).  The
-    5th-order solution is the 7th stage's argument itself, so the last
-    stage f(t + h, y5) is the next step's first ("first same as last");
-    returns (y5, error estimate, the 7 stages as rows)."""
-    k = [k1]
-    for i in range(1, 7):
-        yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(f(t + _DP_C[i] * h, yi))
-    stages = np.stack(k)
-    return yi, h * ((_DP_B5 - _DP_B4) @ stages), stages
-
-
-def _dense(y, h, stages, theta):
-    """The state at theta = (t - t_n) / h in [0, 1] of the step of size h
-    from y with these stages: y + h sum_i b_i(theta) k_i."""
-    return y + h * ((_DP_DENSE @ theta ** np.arange(1, 5)) @ stages)
-
-
-# Numerical events a step may run into.  The adaptive integrator retries
-# them with a smaller step and the fixed-step one stops; any other
-# exception (a DimensionMismatch, a ProjectionFailure) is a defect and
-# propagates out of integrate.
-_NUMERICAL_FAILURES = (
-    UnstableForm,
-    DegenerateOmega,
-    DegenerateMetric,
-    NonpositiveF,
-    np.linalg.LinAlgError,
-)
-
-
-@dataclass
-class _Stats:
-    """What the integrator did: right-hand side evaluations, accepted and
-    rejected steps, the smallest and largest accepted |h|, and rejections
-    by cause: "error_norm" (error estimate above 1 or a state not finite),
-    the numerical exception's class, or the reason the step check gave."""
-
-    rhs_evals: int = 0
-    accepted_steps: int = 0
-    rejected_steps: int = 0
-    h_min: float | None = None
-    h_max: float | None = None
-    rejections: dict = field(default_factory=dict)
-
-    def reject(self, cause: str):
-        self.rejected_steps += 1
-        self.rejections[cause] = self.rejections.get(cause, 0) + 1
-
-    def accept(self, h: float):
-        h = abs(float(h))
-        self.accepted_steps += 1
-        self.h_min = h if self.h_min is None else min(self.h_min, h)
-        self.h_max = h if self.h_max is None else max(self.h_max, h)
-
-
-class _Stop(Exception):
-    """A run ends early with args (stop_reason, stop_cause)."""
-
-
-def _check_norm(t, y):
-    if (norm := float(np.abs(y).max())) > _BLOWUP_NORM:
-        raise _Stop("blow_up", f"coefficient norm {norm:.3g} at t = {t:.6g}")
-
-
-def _rk4_states(f, times, y, step, validity, stats):
-    """(t, y) at each sample time after the first, from fixed steps of
-    about `step` that divide each sample interval.  Each step's state
-    passes the blow-up cap, then validity (None, or why it refuses)."""
-    for t0, t1 in zip(times[:-1], times[1:]):
-        n = max(1, int(round(abs(t1 - t0) / step)))
-        h, t = (t1 - t0) / n, t0
-        for _ in range(n):
-            try:
-                ynew = _rk4_step(f, t, y, h)
-                _check_norm(t + h, ynew)
-                reason = validity(ynew)
-            except _NUMERICAL_FAILURES as exc:
-                stats.reject(type(exc).__name__)
-                raise StepFailure(f"step failed at t = {t:.6g}: {exc}") from exc
-            if reason is not None:
-                stats.reject(reason)
-                raise StepFailure(f"fixed-step state check failed at t = {t + h:.6g}: {reason}")
-            stats.accept(h)
-            t, y = t + h, ynew
-        yield t1, y
-
-
-def _rk45_states(f, times, y, tol, validity, stats):
-    """(t, y) at each sample time after the first, from adaptive steps
-    bounded by the last time only.  A step starts from the last stage of
-    the step before it, or from the first stage of a rejected attempt.  A
-    trial within the error norm passes the blow-up cap, then validity.  A
-    sample on a step's end is its state; one inside a step is read from
-    the step's stages (``_dense``) and must pass validity, or the run stops
-    with the reason."""
-    t, t1, k1, h, retries, i = times[0], times[-1], None, 1e-2, 0, 1
-    direction = 1.0 if t1 >= t else -1.0
-    while (t1 - t) * direction > 1e-15:
-        if stats.accepted_steps >= _MAX_RK45_STEPS:
-            raise _Stop("step_budget", f"{stats.accepted_steps} accepted steps at t = {t:.6g}")
-        h = direction * min(abs(h), abs(t1 - t))
-        if t + h == t:
-            raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
-        try:
-            if k1 is None:
-                k1 = f(t, y)
-            ynew, err, stages = _dp_step(f, t, y, h, k1)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
-            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            cause = "error_norm"
-            if np.all(np.isfinite(ynew)) and enorm <= 1.0:
-                _check_norm(t + h, ynew)
-                cause = validity(ynew)
-        except _NUMERICAL_FAILURES as exc:
-            cause, enorm = type(exc).__name__, np.inf
-        if cause is not None:
-            stats.reject(cause)
-            retries += 1
-            if retries > _MAX_RETRIES:
-                raise StepFailure(f"no acceptable step at t = {t:.6g}")
-            h = h / 2
-            continue
-        stats.accept(h)
-        while i < len(times) and (times[i] - (t + h)) * direction <= 1e-15:
-            ts, ys, i = times[i], ynew, i + 1
-            if abs(ts - (t + h)) > 1e-15:  # inside the step
-                try:
-                    reason = validity(ys := _dense(y, h, stages, (ts - t) / h))
-                except _NUMERICAL_FAILURES as exc:
-                    reason = type(exc).__name__
-                if reason is not None:
-                    raise StepFailure(f"interpolated state check failed at t = {ts:.6g}: {reason}")
-            yield ts, ys
-        t, y, k1, retries = t + h, ynew, stages[-1], 0
-        grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
-        h = h * min(5.0, max(0.2, grow))
-
-
-# ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------
 def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
@@ -982,10 +779,8 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
 def integrate(config: FlowConfig, seed) -> Trajectory:
     """Advance a seed to config.t_end, sampling every config.sample_dt.
 
-    Stops early, keeping the samples so far, with stop_reason 'blow_up'
-    when the coefficient norm exceeds 1e8, 'step_failure' when no
-    acceptable step exists and 'step_budget' past _MAX_RK45_STEPS rk45
-    steps; stop_cause then says why.
+    Stops early, keeping the samples so far, with the stop_reason and
+    stop_cause of ``ode.Stop``.
 
     Raises PreconditionFailed before any step when the seed holds a nan
     or an infinity, when a degenerate t_end does not lie beyond the seed,
@@ -1019,13 +814,7 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         flow = _degenerate_flow(seed)
     else:
         flow = _generic_flow(seed)
-    stats = _Stats()
-
-    def rhs(t, y):
-        stats.rhs_evals += 1
-        return flow.rhs(t, y)
-
-    sample_s = 0.0
+    stats, sample_s = ode.Stats(), 0.0
 
     def sample(t, y):
         nonlocal sample_s
@@ -1034,31 +823,20 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         sample_s += time.perf_counter() - start
         return out
 
-    times = _sample_times(seed.t, config.t_end, config.sample_dt)
+    times = ode.sample_times(seed.t, config.t_end, config.sample_dt)
     samples = [sample(times[0], flow.y0)]
     if config.kind() == "rk4":
-        states = _rk4_states(rhs, times, flow.y0, config.step, flow.validity, stats)
+        states = ode.rk4_states(flow.rhs, times, flow.y0, config.step, flow.validity, stats)
     else:
-        states = _rk45_states(rhs, times, flow.y0, config.tol, flow.validity, stats)
+        states = ode.rk45_states(flow.rhs, times, flow.y0, config.tol, flow.validity, stats)
     stop, cause = "completed", None
     try:
         for t, y in states:
             samples.append(sample(t, y))
-    except StepFailure as exc:
-        stop, cause = "step_failure", str(exc)
-    except _Stop as exc:
+    except ode.Stop as exc:
         stop, cause = exc.args
     return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause,
                       asdict(stats), sample_s)
-
-
-def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
-    n = int(math.floor(abs(t1 - t0) / dt + 1e-9))
-    sign = 1.0 if t1 >= t0 else -1.0
-    ts = [t0 + sign * dt * k for k in range(n + 1)]
-    if abs(ts[-1] - t1) > 1e-12:
-        ts.append(t1)
-    return np.array(ts)
 
 
 # ----------------------------------------------------------------------

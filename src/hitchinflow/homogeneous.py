@@ -179,7 +179,10 @@ class HomogeneousSpace:
 
     def invariant_projector_nullspace(self, k: int) -> list[np.ndarray]:
         """Exact nullspace of the stacked h-actions on Lambda^k m* (every
-        k-form when h = 0)."""
+        k-form when h = 0); raises ValueError when h acts by float constants,
+        which an exact nullspace would read as rationals."""
+        if self.split.h and not self.algebra.exact:
+            raise ValueError(f"'{self.name}': invariant forms need exact structure constants")
 
         def build():
             mats = [self.h_action_matrix(p, k, exact=True) for p in range(len(self.split.h))]

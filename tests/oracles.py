@@ -85,9 +85,9 @@ from math import comb, prod
 
 import numpy as np
 
-from hitchinflow import flow, linalg
-from hitchinflow.errors import NonpositiveF, StepFailure, UnstableForm
-from hitchinflow.flow import _MAX_RETRIES, _NUMERICAL_FAILURES, cocal_residual
+from hitchinflow import flow, linalg, ode
+from hitchinflow.errors import NonpositiveF, UnstableForm
+from hitchinflow.flow import cocal_residual
 from hitchinflow.forms import (
     KForm,
     SymBilinear,
@@ -728,8 +728,8 @@ def calabi_time(u: float) -> float:
 
 
 def _dp_step(f, t, y, h, k1):
-    """``flow._dp_step`` with its last stage in place of all seven."""
-    y5, err, stages = flow._dp_step(f, t, y, h, k1)
+    """``ode.dp_step`` with its last stage in place of all seven."""
+    y5, err, stages = ode.dp_step(f, t, y, h, k1)
     return y5, err, stages[-1]
 
 
@@ -746,7 +746,7 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
     while (t1 - t) * direction > 1e-15:
         h = direction * min(abs(h), abs(t1 - t))
         if t + h == t:
-            raise StepFailure(f"step {h:.3g} no longer advances t = {t:.9g}")
+            raise ode.Stop("step_failure", f"step {h:.3g} no longer advances t = {t:.9g}")
         try:
             if k1 is None:
                 k1 = f(t, y)
@@ -755,7 +755,7 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
             enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
             bounded = np.all(np.isfinite(ynew)) and enorm <= 1.0
             cause = validity(ynew) if bounded else "error_norm"
-        except _NUMERICAL_FAILURES as exc:
+        except ode.NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
         if cause is None:
             stats.accept(h)
@@ -766,8 +766,8 @@ def _advance_rk45(f, t0, y0, t1, tol, h, k1, validity, stats):
         else:
             stats.reject(cause)
             retries += 1
-            if retries > _MAX_RETRIES:
-                raise StepFailure(f"no acceptable step at t = {t:.6g}")
+            if retries > ode.MAX_RETRIES:
+                raise ode.Stop("step_failure", f"no acceptable step at t = {t:.6g}")
             h = h / 2
     return y, h, k1
 
@@ -777,12 +777,8 @@ def grid_clipped_rk45(rhs, validity, y0, times, tol):
     sample interval, each carrying the step and the last stage of the one
     before it, as ``integrate`` advanced rk45 before the continuous
     extension; stats count the steps and rhs evaluations like ``integrate``'s."""
-    stats, h, k1, states = flow._Stats(), None, None, [y0]
-
-    def counted(t, y):
-        stats.rhs_evals += 1
-        return rhs(t, y)
-
+    stats, h, k1, states = ode.Stats(), None, None, [y0]
+    counted = stats.counted(rhs)
     for t_prev, t_next in zip(times[:-1], times[1:]):
         y, h, k1 = _advance_rk45(counted, t_prev, states[-1], t_next, tol, h, k1, validity, stats)
         states.append(y)

@@ -9,6 +9,7 @@ import pytest
 
 from hitchinflow import cli
 from hitchinflow import flow as fl
+from hitchinflow import ode
 from hitchinflow.cli import main, run_point
 from hitchinflow.verify import verify_identities
 
@@ -533,7 +534,7 @@ def test_report_settings_rerun_the_same_csv(tmp_path):
 def test_rk45_step_budget_reported(tmp_path, monkeypatch, capsys):
     # past the budget the run keeps its samples, reports step_budget with
     # the time and the count, and exits 0
-    monkeypatch.setattr(fl, "_MAX_RK45_STEPS", 5)
+    monkeypatch.setattr(ode, "MAX_RK45_STEPS", 5)
     report = run_point("n11-spin7", {}, fl.FlowConfig(), tmp_path / "point")
     on_disk = json.loads((tmp_path / "point" / "report.json").read_text())
     assert on_disk["stop_reason"] == report.stop_reason == "step_budget"

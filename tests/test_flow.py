@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hitchinflow import flow as fl
+from hitchinflow import ode
 from hitchinflow import stable
 from hitchinflow.errors import (
     DimensionMismatch,
@@ -300,9 +301,9 @@ def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
     # The end of rk45's last step is sampled after the states read inside
     # that step, and its classification outlives theirs in the memo
     calls, inside, checks, classified = [], [], [], []
-    derive, dense, classify = fl._derive_split, fl._dense, stable.classify_coeffs
+    derive, dense, classify = fl._derive_split, ode.dense, stable.classify_coeffs
     monkeypatch.setattr(fl, "_derive_split", lambda *a: calls.append(a) or derive(*a))
-    monkeypatch.setattr(fl, "_dense", lambda *a: inside.append(a) or dense(*a))
+    monkeypatch.setattr(ode, "dense", lambda *a: inside.append(a) or dense(*a))
     monkeypatch.setattr(stable, "classify_coeffs", lambda *a: classified.append(a) or classify(*a))
     flow_of = fl._degenerate_flow
 
@@ -475,9 +476,9 @@ def test_continuous_extension_ends_on_the_step():
     last = integrate(FlowConfig(t_end=0.1), startup_seed(p, 1.0, 1e-4)).samples[-1]
     y, h = p.pack(last.data["w"], last.data["f"] * last.data["s"]), 0.05
     rhs = lambda t, y: fl._rhs_packed(p, y, 1.0)
-    y5, _, stages = fl._dp_step(rhs, 0.1, y, h, rhs(0.1, y))
+    y5, _, stages = ode.dp_step(rhs, 0.1, y, h, rhs(0.1, y))
     for theta, want in ((0.0, y), (1.0, y5)):
-        got = fl._dense(y, h, stages, theta)
+        got = ode.dense(y, h, stages, theta)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -496,7 +497,7 @@ def test_rk45_samples_match_the_grid_clipped_oracle(params):
     traj = integrate(cfg, seed)
     assert traj.stop_reason == "completed"
     flow = fl._degenerate_flow(seed)
-    times = fl._sample_times(seed.t, cfg.t_end, cfg.sample_dt)
+    times = ode.sample_times(seed.t, cfg.t_end, cfg.sample_dt)
     states, stats = grid_clipped_rk45(flow.rhs, flow.validity, flow.y0, times, cfg.tol)
     assert np.array_equal(traj.times(), times)
     assert traj.stats["rhs_evals"] <= 0.6 * stats.rhs_evals
@@ -517,7 +518,7 @@ def test_rk45_steps_ignore_the_sample_grid():
 def test_rk45_interpolated_state_failing_its_check_stops_the_run(monkeypatch):
     # a state read inside a step that has no split ends the run at its
     # sample time, with the samples of the steps before it
-    monkeypatch.setattr(fl, "_dense", lambda y, h, stages, theta: np.full_like(y, np.nan))
+    monkeypatch.setattr(ode, "dense", lambda y, h, stages, theta: np.full_like(y, np.nan))
     seed = startup_seed(n11_problem(a=1.2, b=-0.9, c_param=1.1, theta=0.4), 1.0, 1e-4)
     traj = integrate(FlowConfig(t_end=0.1), seed)
     assert traj.stop_reason == "step_failure"
@@ -526,9 +527,9 @@ def test_rk45_interpolated_state_failing_its_check_stops_the_run(monkeypatch):
 
 
 def test_rk45_step_budget_ends_the_run(monkeypatch):
-    hs, accept = [], fl._Stats.accept
-    monkeypatch.setattr(fl, "_MAX_RK45_STEPS", 5)
-    monkeypatch.setattr(fl._Stats, "accept", lambda st, h: hs.append(h) or accept(st, h))
+    hs, accept = [], ode.Stats.accept
+    monkeypatch.setattr(ode, "MAX_RK45_STEPS", 5)
+    monkeypatch.setattr(ode.Stats, "accept", lambda st, h: hs.append(h) or accept(st, h))
     seed = startup_seed(n11_problem(), 1.0, 1e-4)
     traj = integrate(FlowConfig(t_end=0.5), seed)
     assert traj.stop_reason == "step_budget" and traj.stats["accepted_steps"] == len(hs) == 5

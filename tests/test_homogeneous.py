@@ -1,9 +1,13 @@
+import hashlib
+from math import comb
+
 import numpy as np
 import pytest
 
 from hitchinflow.errors import NotClosed
 from hitchinflow.forms import KForm, embed, wedge
 from hitchinflow.homogeneous import (
+    HomogeneousSpace,
     InvariantForm,
     ReductiveSplit,
     ce_differential,
@@ -74,6 +78,41 @@ def test_reductive_splits():
     # h = span(e1, e2) is not reductive: [e1, e7] = -e2 lands in h
     bad = ReductiveSplit(h=(0, 1), m=(2, 3, 4, 5, 6, 7))
     assert not check_reductive(space("n11").algebra, bad)
+
+
+def test_invariant_basis_refuses_float_structure_constants():
+    # su(3) with m's basis rotated by an orthogonal R: no constant snaps to
+    # a rational, so they stay floats.  Read as exact, the floats gave one
+    # invariant form in all, [1, 0, ..., 0] by degree, where the h-action's
+    # nullity by SVD is [1, 3, 7, 13, 13, 7, 3, 1]
+    b = su3_basis()
+    R = np.linalg.qr(np.random.default_rng(0).normal(size=(7, 7)))[0]
+    p = structure_constants([*np.tensordot(R, np.array(b[:7]), axes=1), b[7]])
+    assert not p.exact
+    sp = HomogeneousSpace("rotated-n11", p, ReductiveSplit(h=(7,), m=tuple(range(7))))
+    nullity = [comb(7, k) - np.linalg.matrix_rank(sp.h_action_matrix(0, k), tol=1e-9)
+               for k in range(8)]
+    assert nullity == [1, 3, 7, 13, 13, 7, 3, 1]
+    for k in range(8):
+        with pytest.raises(ValueError, match="'rotated-n11': .*exact structure constants"):
+            invariant_basis(sp, k)
+    # with no isotropy every form is invariant, whatever the constants
+    free = HomogeneousSpace("rotated-free", p, ReductiveSplit(h=(), m=tuple(range(8))))
+    assert len(invariant_basis(free, 2)) == 28
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("n11", "df41beec0ace05cd"), ("flag", "a3d3a83a7b3011b3"),
+    ("abelian7", "9e3d3d2b4f13f642"), ("flat7", "9e3d3d2b4f13f642"),
+])
+def test_registered_spaces_build_their_pinned_bases(name, digest):
+    # SHA-256 of every degree's basis coefficients, in order, as floats
+    sp, h = space(name), hashlib.sha256()
+    assert sp.algebra.exact
+    for k in range(sp.mdim + 1):
+        for b in invariant_basis(sp, k):
+            h.update(np.asarray(b.form.coeffs, dtype=float).tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_invariant_basis_degree2_contents():

@@ -1,0 +1,118 @@
+"""The integrators of ``hitchinflow.ode`` on scalar ODEs with known
+solutions: no geometry, so every end and every count is the integrator's.
+
+The three models of ROADMAP finding 11 end where the degenerate flow's
+runs end (findings 1 and 2): at a square-root singularity the adaptive
+steps shrink until t + h == t, a finite-time blow-up trips the norm cap,
+and so does polynomial growth that never blows up.
+"""
+
+import numpy as np
+import pytest
+
+from hitchinflow import ode
+
+
+def oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def cos_sin(t):
+    return np.array([np.cos(t), -np.sin(t)])
+
+
+def run(states):
+    """The (t, y) a run yields and how it ended, (stop_reason, stop_cause)."""
+    out = []
+    try:
+        for t, y in states:
+            out.append((t, y))
+    except ode.Stop as exc:
+        return out, exc.args
+    return out, ("completed", None)
+
+
+@pytest.mark.parametrize("kind,arg,bound", [("rk4", 1e-2, 2e-9), ("rk45", 1e-9, 1e-8)])
+def test_harmonic_oscillator_follows_cos_and_sin(kind, arg, bound):
+    states = ode.rk4_states if kind == "rk4" else ode.rk45_states
+    times, stats = ode.sample_times(0.0, 10.0, 0.5), ode.Stats()
+    out, end = run(states(oscillator, times, cos_sin(0.0), arg, lambda y: None, stats))
+    assert end == ("completed", None)
+    assert [t for t, _ in out] == list(times[1:])
+    assert max(np.max(np.abs(y - cos_sin(t))) for t, y in out) <= bound
+    assert stats.rejected_steps == 0 and stats.rejections == {}
+    if kind == "rk4":  # 1000 steps of 4 evaluations each
+        assert (stats.accepted_steps, stats.rhs_evals) == (1000, 4000)
+        assert stats.h_min == pytest.approx(1e-2) and stats.h_max == pytest.approx(1e-2)
+    else:  # first same as last: 6 evaluations a step, and the first stage
+        assert stats.rhs_evals == 6 * stats.accepted_steps + 1
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+def test_continuous_extension_has_order_4(theta):
+    # one step from the exact state: the interpolant's local error is
+    # O(h^5), so each halving of h divides it by about 32
+    errors = []
+    for h in (0.2, 0.1, 0.05):
+        y0 = cos_sin(0.0)
+        _, _, stages = ode.dp_step(oscillator, 0.0, y0, h, oscillator(0.0, y0))
+        errors.append(np.max(np.abs(ode.dense(y0, h, stages, theta) - cos_sin(theta * h))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((4.7 <= orders) & (orders <= 5.5)), orders
+
+
+def sqrt_end(t, y):  # y' = -1/(2y), y(0) = 1: y = sqrt(1 - t) ends at t* = 1
+    return -1 / (2 * y)
+
+
+def positive(y):
+    return None if y[0] > 0 else "y <= 0"
+
+
+def _model(f, t1, validity=lambda y: None):
+    """rk45 at tol 1e-9 from y(0) = 1 to t1 over 11 samples."""
+    stats = ode.Stats()
+    times = ode.sample_times(0.0, t1, t1 / 10)
+    assert len(times) == 11
+    out, end = run(ode.rk45_states(f, times, np.array([1.0]), 1e-9, validity, stats))
+    return [float(t) for t, _ in out], end, stats
+
+
+def test_square_root_singularity_stalls_at_its_end():
+    # the check refuses y <= 0.  ROADMAP direction 13 (name how a run
+    # ends) changes this pin: today the steps shrink to 1e-16 and the run
+    # ends with the stall
+    times, end, stats = _model(sqrt_end, 2.0, positive)
+    assert end == ("step_failure", "step 1e-16 no longer advances t = 1.00000001")
+    assert times == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
+    assert (stats.rhs_evals, stats.accepted_steps, stats.rejected_steps) == (4357, 317, 409)
+    assert stats.rejections == {"error_norm": 391, "y <= 0": 18}
+
+
+def test_finite_time_blow_up_trips_the_norm_cap():
+    # y' = y^2: y = 1 / (1 - t) blows up at t* = 1.  ROADMAP direction 13
+    # changes this pin: today the norm cap ends it, at t* to 1e-8
+    times, end, stats = _model(lambda t, y: y * y, 2.0)
+    assert end == ("blow_up", "coefficient norm 1.04e+08 at t = 1")
+    assert times == pytest.approx([0.2, 0.4, 0.6, 0.8])
+    assert (stats.rhs_evals, stats.accepted_steps, stats.rejected_steps) == (2887, 480, 0)
+
+
+def test_polynomial_growth_is_reported_as_blow_up():
+    # y' = 3y / (1 + t): y = (1 + t)^3 is finite at every t, yet passes the
+    # cap 1e8 at t = 463.2.  ROADMAP direction 13 changes this pin: today
+    # the run ends as blow_up at the first step past it
+    times, end, stats = _model(lambda t, y: 3 * y / (1 + t), 1000.0)
+    assert end == ("blow_up", "coefficient norm 1.03e+08 at t = 468.262")
+    assert times == pytest.approx([100.0, 200.0, 300.0, 400.0])
+    assert (stats.rhs_evals, stats.accepted_steps, stats.rejected_steps) == (1777, 295, 0)
+
+
+def test_rk4_refused_state_ends_the_run():
+    # the fixed-step integrator does not retry: the step check's refusal
+    # of y <= 0 past t* = 1 ends the run, counted as one rejection
+    stats, times = ode.Stats(), ode.sample_times(0.0, 2.0, 0.2)
+    out, end = run(ode.rk4_states(sqrt_end, times, np.array([1.0]), 1e-2, positive, stats))
+    assert end == ("step_failure", "fixed-step state check failed at t = 1.01: y <= 0")
+    assert [t for t, _ in out] == list(times[1:6])
+    assert (stats.rhs_evals, stats.accepted_steps, stats.rejections) == (404, 100, {"y <= 0": 1})

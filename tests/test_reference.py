@@ -12,6 +12,7 @@ import pytest
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
 from hitchinflow import flow as fl  # noqa: E402
+from hitchinflow import ode  # noqa: E402
 
 
 def _reference(rhs, t0, t1, y0):
@@ -50,8 +51,8 @@ def _observed_order(step, rhs, y0, t0, span, n):
 def test_fixed_step_orders_from_a_state_at_t_0_1(n11):
     problem, seed, rhs = n11
     y = _reference(rhs, seed.t, 0.1, problem.pack(seed.w, seed.f * seed.s))
-    dp5 = lambda f, t, y, h: fl._dp_step(f, t, y, h, f(t, y))[0]  # the 5th-order solution
-    assert 3.7 <= _observed_order(fl._rk4_step, rhs, y, 0.1, 0.1, 5) <= 4.3
+    dp5 = lambda f, t, y, h: ode.dp_step(f, t, y, h, f(t, y))[0]  # the 5th-order solution
+    assert 3.7 <= _observed_order(ode.rk4_step, rhs, y, 0.1, 0.1, 5) <= 4.3
     assert _observed_order(dp5, rhs, y, 0.1, 0.1, 5) >= 4.3
 
 
@@ -67,7 +68,7 @@ def test_continuous_extension_order_from_a_state_at_t_0_1(n11):
         h, y = 0.1 / m, y0
         for i in range(m):
             y_step, t = y, 0.1 + i * h
-            y, _, stages = fl._dp_step(rhs, t, y_step, h, rhs(t, y_step))
-        mid = fl._dense(y_step, h, stages, 0.5)
+            y, _, stages = ode.dp_step(rhs, t, y_step, h, rhs(t, y_step))
+        mid = ode.dense(y_step, h, stages, 0.5)
         errors.append(np.max(np.abs(mid - want(0.2 - h / 2))))
     assert np.log2(errors[0] / errors[1]) >= 3.7
