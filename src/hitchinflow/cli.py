@@ -44,11 +44,7 @@ _DEFAULT_PARAMS = {
 }
 
 # the layout of report.json: raised when a key is added, removed or changes
-# meaning (2: stats gained rejections, the rejected steps by cause; 3: the
-# torsion residual covers the samples up to torsion_t_last; 4: flow, the
-# run's resolved FlowConfig, which --config takes back; 5: a rejection is
-# counted under the step check's reason, and torsion_t_last is gone, since
-# every sample's phi is stable)
+# meaning (README.md lists the keys)
 _SCHEMA_VERSION = 5
 
 _FLOW_KEYS = ("t_end", "integrator", "step", "tol", "startup_epsilon", "sample_dt")

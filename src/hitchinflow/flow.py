@@ -23,10 +23,11 @@ Two flows are implemented on a registered homogeneous space:
   the geometry rather than by fiat, and makes first-order seeding of the
   singular startup second-order accurate in the state variables.
 
-  The right-hand side works on the packed invariant coefficients, with
-  every map a table built once per frame (``_Operators``), the gradient
-  of lambda a cubic one; the rhs, step check and sample of one state
-  share its split (``_memo``).
+  The rhs and step check work on the packed invariant coefficients, with
+  every map a table built once per frame (``_Operators``): the gradient
+  of lambda and the check's metric cubic ones, the 2-form velocity a
+  product with omega's bivector; the rhs, step check and sample of one
+  state share its split (``_memo``).
 
 ``hitchinflow.ode``'s rk4 and Dormand-Prince rk45 advance both flows;
 every trajectory keeps its stats, what the integrator did.
@@ -50,41 +51,25 @@ import numpy as np
 
 from . import linalg, ode, stable
 from .errors import NotProportional, PreconditionFailed, ProjectionFailure, UnstableForm
-from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior, restrict,
-                    wedge, wedge_tensor)
+from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior,
+                    interior_tensor, restrict, wedge, wedge_tensor)
 from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, solve_dstar
 from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
 __all__ = [
-    "FlowConfig",
-    "Basis",
-    "DegenerateProblem",
-    "GenericProblem",
-    "DegenerateFlowState",
-    "GenericFlowState",
-    "Trajectory",
-    "SmoothnessResult",
-    "n11_problem",
-    "flat7_problem",
-    "smoothness_check",
-    "startup_seed",
-    "mirror_seed",
-    "generic_rhs",
-    "cocal_residual",
-    "integrate",
-    "torsion_residual",
-    "deform_state",
-    "generic_problem",
-    "generic_state_from_split",
+    "FlowConfig", "Basis", "DegenerateProblem", "GenericProblem", "DegenerateFlowState",
+    "GenericFlowState", "Trajectory", "SmoothnessResult", "n11_problem", "flat7_problem",
+    "smoothness_check", "startup_seed", "mirror_seed", "generic_rhs", "cocal_residual",
+    "integrate", "torsion_residual", "deform_state", "generic_problem", "generic_state_from_split",
     "richardson_deviation",
 ]
 
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.7 kB and takes about 0.1 ms: 10^5
-# samples are 170 MB and about 10 s of work.
+# A degenerate sample holds about 1.7 kB and takes about 0.08 ms: 10^5
+# samples are 170 MB and about 8 s of work.
 _MAX_SAMPLES = 10**5
-# A degenerate rk4 step (4 rhs and a validity check) takes about 0.25 ms:
-# 10^6 steps are about 4 minutes.
+# A degenerate rk4 step (4 rhs and a validity check) takes about 0.19 ms:
+# 10^6 steps are about 3 minutes.
 _MAX_RK4_STEPS = 10**6
 
 
@@ -138,7 +123,7 @@ class DegenerateProblem:
     e_phi_scale: float
     omega0: KForm
     rho0: KForm
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # the bases
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # bases, tables
 
     def __post_init__(self):
         nm = self.space.mdim
@@ -189,8 +174,10 @@ class DegenerateProblem:
 
     def operators(self) -> "_Operators":
         """The flow's tables, built once per frame and cached by the space."""
-        key = ("frame", self.e_phi_index, self.e_phi_scale)
-        return self.space.memo(key, lambda: _Operators.build(self))
+        if (ops := self._cache.get("operators")) is None:
+            key = ("frame", self.e_phi_index, self.e_phi_scale)
+            ops = self._cache["operators"] = self.space.memo(key, lambda: _Operators.build(self))
+        return ops
 
     def pack(self, w_coeffs: np.ndarray, S_coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate([w_coeffs, S_coeffs])
@@ -208,19 +195,20 @@ def _matrix_of(fn: Callable[[KForm], KForm], forms) -> np.ndarray:
 @dataclass(frozen=True)
 class _Operators:
     """The degenerate flow's maps on one frame, as tables on coefficient
-    vectors: y = (w, S) packed, omega6, rho6 and the 2-form velocity alpha
-    on the distribution.  A velocity v on m stands as (pinv v, (mat pinv -
-    1) v, v): packed coordinates, the leak out of the invariant span, and v
-    to scale its bound."""
+    vectors: y = (w, S) packed, omega6, rho6 and tau on the distribution.  A
+    velocity v on m stands as V v = (pinv v, (mat pinv - 1) v, v): packed
+    coordinates, the leak out of the invariant span, and v to scale its
+    bound."""
 
-    # y -> (omega6, the f-parts of tau = to_dist(pi(d rho7 + f omega7 ^ de^phi))
-    # and of the S velocity, S6)
+    # y -> (omega6, S6, the c with c . tau = <tau ^ omega6>, V omega6, the
+    # f-parts of tau = to_dist(pi(d rho7 + f omega7 ^ de^phi)) and of the S
+    # velocity)
     lin: np.ndarray
     bivector: np.ndarray  # w -> omega6's bivector B (stable.omega_cube), quadratic, as grad
+    iota: np.ndarray  # B -> the matrix of tau -> V iota_B tau (stable.solve_wedge_coeffs)
     grad: np.ndarray  # S -> 3 P grad lambda(S6), cubic: one product with S per degree
-    k8: np.ndarray  # S -> K(S6), quadratic, as grad
+    metric: np.ndarray  # (S, S, w) -> root sign G for the metric G, cubic as grad
     rho: np.ndarray  # rho6 -> the rho-parts of tau and of the S velocity
-    w_velocity: np.ndarray  # alpha -> the velocity from_dist(alpha)
     segments: np.ndarray  # where the parts of (w velocity, tau, S velocity) start
     packed: np.ndarray  # the packed coordinates in that vector
     phi: np.ndarray  # (f w, rho6) -> phi = f omega7 ^ e^phi + from_dist(rho6)
@@ -242,24 +230,31 @@ class _Operators:
         lie_rho = problem.e_phi_scale * sp.lie_matrix(problem.e_phi_index, 3) @ from_dist3
         pi_d_w = _matrix_of(lambda om: problem.pi(sp.d(om)), wb.forms)
         e_phi, wedge7 = problem.e_phi_form(), wedge_tensor(problem.mdim, 2, 2)
-        on_w = np.vstack([omega6, w_de_phi, velocity(sb, -pi_d_w)])
+        V = velocity(wb, _matrix_of(problem.from_dist, units(2)))
+        on_w = np.vstack([wedge_tensor(6, 4, 2)[0] @ omega6, V @ omega6, w_de_phi,
+                          velocity(sb, -pi_d_w)])
         bivector = 0.5 * np.einsum("pr,rij,ia,jb->abp", wedge_tensor(6, 2, 4)[0],
                                    wedge_tensor(6, 2, 2), omega6, omega6, optimize=True)
+        iota = np.einsum("mq,qrp->pmr", V, stable.iota_table().reshape(15, 15, 15))
         # K[k] = S k8[k] S and 3 P grad lambda = D K S6 (stable.dual_table) with S6 = s6 S,
         # stored with S's axes first and read by one product with S each
         kt = stable.k_table().reshape(36, 20, 20)
         k8 = np.einsum("kab,ai,bj->kij", kt, s6, s6, optimize=True)
         grad = np.einsum("xbk,bl,kij->jilx", stable.dual_table(), s6, k8, optimize=True)
+        # root sign G = (Omega6 K(S6) + its transpose) / 2, Omega6 = interior_tensor(6, 2) omega6
+        omega_k = np.einsum("ikp,pc,kjab->abcij", interior_tensor(6, 2), omega6,
+                            k8.reshape(6, 6, ns, ns), optimize=True)
         w_sizes, s_sizes = (nw, len(wb.mat), len(wb.mat)), (15, ns, len(sb.mat), len(sb.mat))
         half_squares = 0.5 * np.einsum("oij,ia,jb->oab", wedge7, wb.mat, wb.mat)
         return _Operators(
-            lin=np.vstack([np.hstack([on_w, np.zeros((len(on_w), ns))]),
-                           np.hstack([np.zeros((20, nw)), s6])]),
+            lin=np.vstack([np.hstack([omega6, np.zeros((15, ns))]),
+                           np.hstack([np.zeros((20, nw)), s6]),
+                           np.hstack([on_w, np.zeros((len(on_w), ns))])]),
             bivector=np.ascontiguousarray(bivector).reshape(nw, -1),
+            iota=np.ascontiguousarray(iota).reshape(15, -1),
             grad=np.ascontiguousarray(grad).reshape(ns, -1),
-            k8=np.ascontiguousarray(k8.transpose(2, 1, 0)).reshape(ns, -1),
+            metric=((omega_k + omega_k.swapaxes(3, 4)) / 2).reshape(ns, -1),
             rho=np.vstack([d_rho, velocity(sb, lie_rho)]),
-            w_velocity=velocity(wb, _matrix_of(problem.from_dist, units(2))),
             segments=np.cumsum([0, *w_sizes, *s_sizes[:-1]]),
             packed=np.r_[0:nw, sum(w_sizes) + 15 + np.arange(ns)],
             phi=np.hstack([_matrix_of(lambda om: wedge(om, e_phi), wb.forms), from_dist3]),
@@ -543,13 +538,9 @@ def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> Degene
     except NotProportional as exc:
         raise PreconditionFailed("smoothness_proportionality", str(exc)) from exc
     if abs(sm.c - c) > 1e-8 * max(abs(c), 1.0):
-        raise PreconditionFailed(
-            "smoothness_constant", f"required c = {c}, data gives c = {sm.c}"
-        )
+        raise PreconditionFailed("smoothness_constant", f"required c = {c}, data gives c = {sm.c}")
     if abs(abs(c) - 1.0) > 1e-8:
-        raise PreconditionFailed(
-            "smoothness_norm", f"|c| = {abs(c)} != 1: no smooth extension"
-        )
+        raise PreconditionFailed("smoothness_norm", f"|c| = {abs(c)} != 1: no smooth extension")
     wdot0 = stable.solve_wedge_omega(om6, problem.to_dist(problem.pi(problem.space.d(problem.rho0))))
     w_form7 = problem.omega0 + epsilon * problem.from_dist(wdot0)
     w = problem.w_basis().coords(w_form7.coeffs, "omega seed")
@@ -580,18 +571,22 @@ def _check_leak(resid, size, what: str):
 # ----------------------------------------------------------------------
 class _Split(NamedTuple):
     """The split of a packed state (w, S = f J*rho): omega, rho and S on the
-    distribution, the fiber length f, the sign of lambda (J^2 = sign Id), J
-    on demand (only the step check's metric needs it), omega^3, omega's
-    bivector and the f-parts of the velocities (None: not computed)."""
+    distribution, the fiber length f, the sign of lambda (J^2 = sign Id),
+    root = +-sqrt|lambda(S6)| with the sign of omega^3 (J = K(S6) / root),
+    and what the rhs reads (None: not computed): omega^3, max|omega|,
+    omega's bivector, c and V omega (``_Operators.lin``) and the f-parts."""
 
     om6: np.ndarray
     rho6: np.ndarray
     S6: np.ndarray
     f: float
     sign: int
-    J: Callable[[], np.ndarray]
+    root: float
     om3: float | None = None
+    om_size: float | None = None
     bivector: np.ndarray | None = None
+    pairing: np.ndarray | None = None
+    w_omega: np.ndarray | None = None
     f_parts: np.ndarray | None = None
 
 
@@ -604,37 +599,47 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
     J*S and nu (``ndarray.dot``: a fraction of matmul's call overhead)."""
     ops = problem.operators()
     w, S, v = y[:len(ops.bivector)], y[-len(ops.grad):], ops.lin.dot(y)  # their leading axes
-    om6, B, S6 = v[:15], w.dot(w.dot(ops.bivector).reshape(len(w), -1)), v[-20:]
+    m = 50 + ops.iota.shape[1] // 15  # where V omega6 ends in v
+    om6, S6, B = v[:15], v[15:35], w.dot(w.dot(ops.bivector).reshape(len(w), -1))
     om3 = float(stable.omega_cube(om6, B))
+    om_size, s_size = np.maximum.reduceat(np.abs(v[:35]), (0, 15)).tolist()  # max|om6|, max|S6|
     grad = S.dot(S.dot(S.dot(ops.grad).reshape(len(S), -1)).reshape(len(S), -1))
-    lam, root, jS, nu = stable.pair_normalization(grad, S6, om3)
+    lam, root, jS, nu = stable.pair_normalization(grad, S6, om3, s_size)
     ratio = nu if lam < 0 else -nu
     if not 0 < ratio < math.inf:
         raise UnstableForm(f"normalization ratio {ratio} is not positive")
     f = branch * math.sqrt(ratio)
-    J = lambda: S.dot(S.dot(ops.k8).reshape(len(S), -1)).reshape(6, 6) / root
-    return _Split(om6, jS * (-1.0 / f), S6, f, -1 if lam < 0 else 1, J, om3, B, v[15:-20])
+    return _Split(om6, jS * (-1.0 / f), S6, f, -1 if lam < 0 else 1, root, om3, om_size, B,
+                  v[35:50], v[50:m], v[m:])
 
 
-def _split_class(sp: _Split) -> tuple:
+def _split_class(ops: _Operators, y: np.ndarray, sp: _Split) -> tuple:
     """``stable.classify_coeffs`` of the split's pair, (tag, reason,
-    signature, metric), with the split's J and sign and J*rho = -sign S/f
-    (no pullback).  The split itself has already refused lambda ~ 0."""
+    signature, metric), with the split's sign and omega^3, J*rho = -sign
+    S/f (no pullback) and G from the frame's cubic table.  The split itself
+    has already refused lambda ~ 0."""
+    w, S = y[:len(ops.bivector)], y[-len(ops.grad):]
+    G = w.dot(S.dot(S.dot(ops.metric).reshape(len(S), -1)).reshape(len(w), -1)).reshape(6, 6)
+    G *= sp.sign / sp.root
     jrho = (-sp.sign / sp.f) * sp.S6
-    return stable.classify_coeffs(sp.om6, sp.rho6, sp.J(), sp.sign, jrho, sp.om3)
+    return stable.classify_coeffs(sp.om6, sp.rho6, None, sp.sign, jrho, sp.om3, G)
 
 
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
     """The packed velocity at a packed state, from its split sp if given:
     wdot solving wdot ^ omega = pi(d rho) + f omega ^ de^phi and Sdot =
-    L_{e_phi} rho - f pi(d omega), on coefficients.  Raises
-    ProjectionFailure when either leaves the invariant span."""
+    L_{e_phi} rho - f pi(d omega), on coefficients, V wdot by
+    ``stable.wedge_solution`` from the frame's tables.  Raises
+    DegenerateOmega when omega^3 = 0, then ProjectionFailure when either
+    velocity leaves the invariant span."""
     sp, ops = sp or _derive_split(problem, y, branch), problem.operators()
     x = ops.rho.dot(sp.rho6) + sp.f * sp.f_parts  # (tau, the S velocity)
-    alpha = stable.solve_wedge_coeffs(sp.om6, x[:15], sp.bivector)
-    v = np.concatenate([ops.w_velocity.dot(alpha), x])
+    tau = x[:15]
+    iota_tau = sp.bivector.dot(ops.iota).reshape(-1, 15).dot(tau)
+    wdot = stable.wedge_solution(sp.om3, sp.om_size, iota_tau, sp.pairing.dot(tau), sp.w_omega)
+    v = np.concatenate([wdot, x])
     # the largest |.| of each part: packed, leak and size of either velocity
-    sup = np.maximum.reduceat(np.abs(v), ops.segments)
+    sup = np.maximum.reduceat(np.abs(v), ops.segments).tolist()
     _check_leak(sup[1], sup[2], "omega velocity")
     _check_leak(sup[5], sup[6], "s velocity")
     return v[ops.packed]
@@ -718,7 +723,7 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
     split = _memo(lambda y: _derive_split(problem, y, branch))
-    classify = _memo(lambda y: (sp := split(y), *_split_class(sp)))  # the split with its class
+    classify = _memo(lambda y: (sp := split(y), *_split_class(ops, y, sp)))  # with its class
     try:
         seed_tag, why, sig6 = classify(y0)[1:4]
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats

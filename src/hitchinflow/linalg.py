@@ -198,9 +198,10 @@ def signature(g: np.ndarray) -> tuple[int, int]:
         return p, n - p
     eigs = np.linalg.eigvalsh(np.asarray(g, dtype=float)).tolist()
     cut = 1e-10 * max(max(map(abs, eigs)), 1.0)
-    if not all(abs(e) > cut for e in eigs):  # nan too
+    p, q = len([e for e in eigs if e > cut]), len([e for e in eigs if e < -cut])
+    if p + q < n:  # nan too
         raise ValueError("degenerate bilinear form")
-    return sum(e > 0 for e in eigs), sum(e < 0 for e in eigs)
+    return p, q
 
 
 def rational_nullspace(a: np.ndarray) -> list[np.ndarray]:

@@ -22,9 +22,9 @@ import numpy as np
 from .errors import DegenerateMetric, DegenerateOmega, NonpositiveF, UnstableForm
 
 BLOWUP_NORM = 1e8
-# An rk45 step (6 rhs and a validity check) takes about 0.7 ms on n11's
-# degenerate flow and 1.2 ms on its generic one (2 x86 cores, numpy 2.4):
-# 10^4 accepted steps are about 7 s and 12 s.
+# An rk45 step (6 rhs and a validity check) takes about 0.35 ms on n11's
+# degenerate flow and 1.3 ms on its generic one (2 x86 cores, numpy 2.4):
+# 10^4 accepted steps are about 3.5 s and 13 s.
 MAX_RK45_STEPS = 10**4
 # Step halvings rk45 tries in a row before it gives up on a step.
 MAX_RETRIES = 60

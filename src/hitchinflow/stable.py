@@ -20,18 +20,13 @@ normalization, picking the J with J*rho ^ rho a positive multiple of
 hold on both orientation components of the orbit, with metric signature
 in {(6,0), (2,4), (3,3)}.
 
-One core serves floats and Fractions alike.  K is a quadratic
-contraction of rho's coefficients with an integer table built from the
-``forms`` product tensors.  One sequence takes K to J, lambda and J*rho
-and applies the Z_2 sign rule: ``pair_coeffs`` runs it with J*rho =
-(sign lambda / (2 sqrt|lambda|)) P grad lambda, the derivative of
-sqrt|lambda| (P the pairing of 3-forms; no minors), and ``pair_structure``
-and ``assoc_metric`` wrap that for KForms.  ``classify_coeffs`` is the one
-structure rule (omega^3 != 0, omega ^ rho = 0, the normalization, and
-the metric signature with the sign of lambda, ``signature_class``):
-``classify_pair`` runs the sequence once, with one K and no pullback,
-and then the rule, and the flow's step check runs the rule on its split.
-``solve_wedge_omega`` is one closed form, exact on Fractions.
+One core serves floats and Fractions alike, on integer tables built from
+the ``forms`` product tensors: K is quadratic in rho, and
+``pair_normalization`` is the one Z_2 sign rule, with J*rho = (sign lambda
+/ (2 sqrt|lambda|)) P grad lambda (P the pairing of 3-forms; no minors).
+``classify_coeffs`` is the one structure rule, which ``classify_pair`` and
+the flow's step check run; ``wedge_solution`` the one closed-form inverse
+of alpha -> alpha ^ omega.
 """
 
 from __future__ import annotations
@@ -46,57 +41,22 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateOmega, UnstableForm
-from .forms import (
-    KForm,
-    SymBilinear,
-    contract,
-    interior_tensor,
-    wedge,
-    wedge_tensor,
-)
+from .forms import KForm, SymBilinear, contract, interior_tensor, wedge, wedge_tensor
 
 __all__ = [
-    "StructureClass",
-    "SixStructureClass",
-    "k_endomorphism",
-    "lambda_invariant",
-    "assoc_J",
-    "assoc_metric",
-    "pair_structure",
-    "pair_coeffs",
-    "pair_normalization",
-    "classify_pair",
-    "classify_coeffs",
-    "signature_class",
-    "theta_deform",
-    "iota",
-    "solve_wedge_omega",
-    "solve_wedge_coeffs",
-    "model_pair",
-    "omega_cube",
-    "k_table",
-    "dual_table",
+    "StructureClass", "SixStructureClass", "k_endomorphism", "lambda_invariant", "assoc_J",
+    "assoc_metric", "pair_structure", "pair_coeffs", "pair_normalization", "classify_pair",
+    "classify_coeffs", "signature_class", "theta_deform", "iota", "solve_wedge_omega",
+    "solve_wedge_coeffs", "wedge_solution", "model_pair", "omega_cube", "k_table", "dual_table",
+    "iota_table",
 ]
 
 def model_pair(name: str, exact: bool = False) -> tuple[KForm, KForm]:
     """Model (omega, rho) pairs: 'su3', 'su12', or 'sl3r'."""
-    e = lambda *idx: KForm.basis(6, [i - 1 for i in idx], exact=exact)
-    if name == "su3":
-        return (
-            e(1, 2) + e(3, 4) + e(5, 6),
-            e(1, 3, 5) - e(1, 4, 6) - e(2, 3, 6) - e(2, 4, 5),
-        )
-    if name == "su12":
-        return (
-            -e(1, 2) - e(3, 4) + e(5, 6),
-            e(1, 3, 5) - e(1, 4, 6) - e(2, 3, 6) - e(2, 4, 5),
-        )
-    if name == "sl3r":
-        return (
-            e(1, 2) + e(3, 4) + e(5, 6),
-            e(1, 3, 5) + e(1, 4, 6) + e(2, 3, 6) + e(2, 4, 5),
-        )
-    raise KeyError(name)
+    a, b = {"su3": (1, -1), "su12": (-1, -1), "sl3r": (1, 1)}[name]  # KeyError for others
+    return (KForm.from_terms(6, 2, {(0, 1): a, (2, 3): a, (4, 5): 1}, exact=exact),
+            KForm.from_terms(6, 3, {(0, 2, 4): 1, (0, 3, 5): b, (1, 2, 5): b, (1, 3, 4): b},
+                             exact=exact))
 
 
 class StructureClass(Enum):
@@ -160,12 +120,20 @@ def _lambda(K: np.ndarray):  # an exact K in ints (linalg.exact_product)
     return linalg.exact_product(lambda a, b: np.trace(a @ b), K, K) / 6
 
 
-def _root(lam, rho: np.ndarray):
-    """sqrt|lambda| for the lambda of a 3-form with coefficients rho.
+def _max_abs(x: np.ndarray) -> float:
+    """max|x| of a nonempty coefficient array as a float: an exact one from
+    its largest and smallest entry, which builds no Fraction."""
+    if x.dtype == object:
+        return max(float(max(x.flat)), -float(min(x.flat)))
+    return float(np.abs(x).max())
+
+
+def _root(lam, size: float):
+    """sqrt|lambda| for the lambda of a 3-form rho with max|rho| = size.
     Raises UnstableForm when |lambda| is at or below 1e-12 max|rho|^4
     (OverflowError, before lambda overflows too, when that bound does) or
     is not finite; an exact lambda needs a rational sqrt|lambda|."""
-    floor = 1e-12 * max(float(np.abs(rho).max()), 1e-30) ** 4
+    floor = 1e-12 * max(size, 1e-30) ** 4
     if not abs(lam) < math.inf:
         raise UnstableForm(f"lambda = {lam} is not finite")
     if abs(lam) <= floor:
@@ -197,18 +165,27 @@ def _metric_matrix(omega: np.ndarray, J: np.ndarray, sign: int) -> np.ndarray:
     return (G + G.T) / 2
 
 
+@functools.lru_cache(maxsize=None)
+def _pairing_sign() -> np.ndarray:
+    """P = wedge_tensor(6, 3, 3)[0] pairs e^I with its complement, the index
+    in reverse lexicographic order: (a P)[j] = sign[j] a[19 - j]."""
+    return wedge_tensor(6, 3, 3)[0][::-1].diagonal().copy()
+
+
 def _jrho_wedge_rho(jrho: np.ndarray, rho: np.ndarray):
-    if jrho.dtype == rho.dtype == object:  # one int scatter, one Fraction
+    """J*rho ^ rho on e^{1..6}: exact in one int scatter and one Fraction,
+    floats by ``np.vdot``, which warns of no overflow (callers refuse inf)."""
+    if jrho.dtype == rho.dtype == object:
         return contract(wedge_tensor(6, 3, 3)[0], jrho, rho)
-    return jrho.dot(wedge_tensor(6, 3, 3)[0]).dot(rho)
+    return float(np.vdot(jrho[::-1] * _pairing_sign(), rho))
 
 
-def _degenerate(omega: np.ndarray, om3) -> bool:
-    """omega^3 = 0 to 1e-12 relative, for omega's coefficients and omega^3:
-    a floor of its own, as omega^3 is a product of only three skew
-    eigenvalues, it guards the wedge solve's division by omega^3, and
-    degenerate runs meet their singular end at it."""
-    scale = max(float(np.abs(omega).max()), 1e-30)
+def _degenerate(om3, size: float) -> bool:
+    """omega^3 = 0 to 1e-12 relative, for omega^3 and max|omega|: a floor
+    of its own, as omega^3 is a product of only three skew eigenvalues, it
+    guards the wedge solve's division by omega^3, and degenerate runs meet
+    their singular end at it."""
+    scale = max(size, 1e-30)
     return abs(om3) / scale / scale / scale <= 1e-12  # no power to overflow
 
 
@@ -223,28 +200,32 @@ def signature_class(signature: tuple[int, int], sign: int) -> StructureClass:
     return tag if (tag is StructureClass.SL3R) == (sign > 0) else StructureClass.NOT_A_STRUCTURE
 
 
-def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=None):
+def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=None, G=None):
     """The six-dimensional structure rule on the coefficients (floats or
     Fractions) of a 2-form and a 3-form on R^6, given J, the sign of lambda
     (0 when rho is not stable) and J*rho, both None when irrational (an
-    exact K with no rational sqrt|lambda|), and omega^3 if the caller has
-    it.  In this order: omega^3 finite and != 0 (1e-12 relative), rho
+    exact K with no rational sqrt|lambda|), and omega^3 and the metric G
+    with omega(v, w) = g(v, J w) if the caller has them (then J is not
+    read).  In this order: omega^3 finite and != 0 (1e-12 relative), rho
     stable, omega ^ rho = 0 and J*rho ^ rho = (2/3) omega^3 (1e-10
-    relative), then ``signature_class`` of the metric G with omega(v, w) =
-    g(v, J w).  Returns (tag, reason, signature, G): reason None for a
-    structure, signature and G None when not computed."""
+    relative), then ``signature_class`` of G.  Returns (tag, reason,
+    signature, G): reason None for a structure, signature and G None when
+    not computed."""
     fail = StructureClass.NOT_A_STRUCTURE
     om3 = omega_cube(omega) if om3 is None else om3
     if not abs(om3) < math.inf:
         return fail, "omega^3 is out of float range", None, None
-    if _degenerate(omega, om3):
+    if _degenerate(om3, size := _max_abs(omega)):
         return fail, "omega is degenerate (omega^3 = 0)", None, None
     if not sign:
         return fail, "rho is not stable (lambda = 0)", None, None
-    scale = max(float(np.abs(omega).max()), 1e-30) * max(float(np.abs(rho).max()), 1e-30)
-    W = wedge_tensor(6, 2, 3)  # exact: one int scatter
-    om_rho = contract(W, omega, rho) if omega.dtype == rho.dtype == object else contract(W, rho) @ omega
-    if float(np.abs(np.asarray(om_rho, dtype=float)).max()) > 1e-10 * scale:
+    scale = max(size, 1e-30) * max(_max_abs(rho), 1e-30)
+    W = wedge_tensor(6, 2, 3)  # exact: one int scatter; floats: two products
+    if omega.dtype == rho.dtype == object:
+        om_rho = contract(W, omega, rho)
+    else:
+        om_rho = W.reshape(90, 20).dot(rho).reshape(6, 15).dot(omega)
+    if _max_abs(om_rho) > 1e-10 * scale:
         return fail, "omega ^ rho != 0", None, None
     # an irrational J*rho has J*rho ^ rho = q / |lambda|^(3/2), q rational,
     # which is never the rational (2/3) omega^3
@@ -253,7 +234,7 @@ def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=
     two_thirds = Fraction(2, 3) if isinstance(om3, Fraction) else 2.0 / 3.0
     if num is None or abs(num - om3 * two_thirds) > 1e-10 * max(abs(num), abs(om3), 1e-30):
         return fail, "normalization J*rho ^ rho != (2/3) omega^3", None, None
-    G = _metric_matrix(omega, J, sign)
+    G = _metric_matrix(omega, J, sign) if G is None else G
     try:
         sig = linalg.signature(G)
     except ValueError:
@@ -278,7 +259,7 @@ def assoc_J(rho: KForm) -> np.ndarray:
     assoc_J(A* rho) = sign(det A) A^{-1} J A for A in GL(6).
     """
     K = k_endomorphism(rho)
-    return K / _root(_lambda(K), rho.coeffs)
+    return K / _root(_lambda(K), _max_abs(rho.coeffs))
 
 
 def pair_structure(omega: KForm, rho: KForm):
@@ -293,13 +274,11 @@ def pair_structure(omega: KForm, rho: KForm):
 
 
 def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
-    """pair_structure in coefficient space: coefficient vectors (floats or
-    Fractions) of a 2-form and a 3-form on R^6, no KForm.
-
-    Returns (J, sign, J*rho, nu) of ``pair_normalization`` on the gradient
-    of lambda from K (``dual_table``), J = K / root; om3 is omega^3 and K
-    rho's K if the caller has them.  Raises UnstableForm as assoc_J does.
-    """
+    """pair_structure on the coefficients (floats or Fractions) of a 2-form
+    and a 3-form on R^6: (J, sign, J*rho, nu) of ``pair_normalization`` on
+    the gradient of lambda from K (``dual_table``), J = K / root, given
+    omega^3 and rho's K if the caller has them.  Raises UnstableForm as
+    assoc_J does."""
     om3 = omega_cube(omega) if om3 is None else om3
     K = _k_matrix(rho) if K is None else K
     with np.errstate(over="ignore", invalid="ignore"):  # pair_normalization refuses inf and nan
@@ -309,18 +288,18 @@ def pair_coeffs(omega: np.ndarray, rho: np.ndarray, om3=None, K=None):
     return K / root, (-1 if lam < 0 else 1), jrho, nu
 
 
-def pair_normalization(grad, rho, om3):
+def pair_normalization(grad, rho, om3, size=None):
     """The normalization of a pair from grad = 3 P grad lambda of its
-    3-form rho (floats or Fractions) and omega^3: (lambda, root, J*rho,
-    nu).  lambda = grad . P rho / 12 (Euler) is closer than the cancelling
-    tr(K^2)/6.  root = +-sqrt|lambda| with the sign of omega^3, so that J
-    = K / root and J*rho = grad / (6 sign(lambda) root) make J*rho ^ rho =
-    2 root a positive multiple of omega^3; that value is read off, not
-    wedged.  nu = (J*rho ^ rho) / ((2/3) omega^3): 1 on a normalized pair,
-    nan when omega^3 = 0.  Raises UnstableForm as assoc_J does."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _root refuses inf and nan
-        lam = _jrho_wedge_rho(grad, rho) / 12
-    root = _root(lam, rho)
+    3-form rho (floats or Fractions), omega^3 and max|rho| if the caller
+    has it: (lambda, root, J*rho, nu).  lambda = grad . P rho / 12 (Euler)
+    is closer than the cancelling tr(K^2)/6.  root = +-sqrt|lambda| with
+    the sign of omega^3, so that J = K / root and J*rho = grad / (6
+    sign(lambda) root) make J*rho ^ rho = 2 root a positive multiple of
+    omega^3; that value is read off, not wedged.  nu = (J*rho ^ rho) /
+    ((2/3) omega^3): 1 on a normalized pair, nan when omega^3 = 0.  Raises
+    UnstableForm as assoc_J does."""
+    lam = _jrho_wedge_rho(grad, rho) / 12  # _root refuses inf and nan
+    root = _root(lam, _max_abs(rho) if size is None else size)
     root = -root if om3 < 0 else root
     jrho = grad / ((6 if lam > 0 else -6) * root)
     nu = 2 * root / ((2.0 / 3.0) * om3) if om3 != 0 else math.nan
@@ -340,7 +319,7 @@ def classify_pair(omega: KForm, rho: KForm) -> SixStructureClass:
     K, om3 = k_endomorphism(rho), omega_cube(om)
     lam, J, jrho = _lambda(K), None, None
     sign = -1 if lam < 0 else 1
-    if not _degenerate(om, om3):  # an exact J may need a root that a failing pair lacks
+    if not _degenerate(om3, _max_abs(om)):  # an exact J may need a root that a failing pair lacks
         try:
             J, _, jrho, _ = pair_coeffs(om, r, om3, K)
         except UnstableForm:
@@ -385,7 +364,7 @@ def solve_wedge_omega(omega: KForm, tau: KForm) -> KForm:
 
 
 @functools.lru_cache(maxsize=None)
-def _iota_table() -> np.ndarray:
+def iota_table() -> np.ndarray:
     """L with iota_B tau = contract(L, B).reshape(15, 15) @ tau for a
     bivector B: the wedge transposed, L[q, r, p] = wedge_tensor(6, 2, 2)[r, p, q]."""
     L = np.ascontiguousarray(wedge_tensor(6, 2, 2).transpose(2, 0, 1)).reshape(225, 15)
@@ -396,13 +375,22 @@ def _iota_table() -> np.ndarray:
 def solve_wedge_coeffs(omega: np.ndarray, tau: np.ndarray, B=None) -> np.ndarray:
     """solve_wedge_omega on coefficients, floats or Fractions, given omega's
     bivector B (``_omega_bivector``) if the caller has it: by the Lefschetz
-    decomposition, alpha = (6 iota_B tau - 3 <tau ^ omega> omega) / omega^3.
-    Raises DegenerateOmega when omega^3 = 0 (to 1e-12 relative)."""
+    decomposition, alpha = (6 iota_B tau - 3 <tau ^ omega> omega) / omega^3
+    (``wedge_solution``)."""
     B = _omega_bivector(omega) if B is None else B
-    if _degenerate(omega, om3 := omega_cube(omega, B)):
+    iota_tau = contract(iota_table(), B).reshape(15, 15).dot(tau)
+    tau_omega = contract(wedge_tensor(6, 4, 2)[0], omega).dot(tau)
+    return wedge_solution(omega_cube(omega, B), _max_abs(omega), iota_tau, tau_omega, omega)
+
+
+def wedge_solution(om3, size: float, iota_tau, tau_omega, image) -> np.ndarray:
+    """L alpha for alpha ^ omega = tau and a linear map L, from omega^3,
+    max|omega|, L iota_B tau, <tau ^ omega> and L omega: (6 L iota_B tau - 3
+    <tau ^ omega> L omega) / omega^3.  Raises DegenerateOmega when omega^3 =
+    0 (to 1e-12 relative)."""
+    if _degenerate(om3, size):
         raise DegenerateOmega("omega^3 = 0")
-    iota_tau = contract(_iota_table(), B).reshape(15, 15).dot(tau)
-    return (6 * iota_tau - 3 * contract(wedge_tensor(6, 4, 2)[0], omega).dot(tau) * omega) / om3
+    return iota_tau * (6 / om3) - image * (3 * tau_omega / om3)
 
 
 def iota(sigma: KForm) -> KForm:

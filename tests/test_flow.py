@@ -11,6 +11,7 @@ from hitchinflow.errors import (
     NotProportional,
     PreconditionFailed,
     ProjectionFailure,
+    UnstableForm,
 )
 from hitchinflow.flow import (
     DegenerateFlowState,
@@ -29,7 +30,7 @@ from hitchinflow.flow import (
     startup_seed,
     torsion_residual,
 )
-from hitchinflow.forms import KForm, form_pairing, wedge, wedge_tensor
+from hitchinflow.forms import KForm, form_pairing, wedge
 from hitchinflow.g2spin7 import bundle_Phi, model_phi, seven_structure
 from hitchinflow.homogeneous import HomogeneousSpace, space
 from hitchinflow.stable import classify_pair
@@ -200,6 +201,12 @@ def _kernel_states():
     return [(st.problem, st.problem.pack(st.w, st.f * st.s)) for st in states]
 
 
+def _split_J(split):
+    """J = K(S6) / root, the split's J as the step check read it before the
+    frame's metric table."""
+    return stable.k_endomorphism(KForm(6, 3, split.S6)) / split.root
+
+
 @pytest.mark.parametrize(
     "index", range(5), ids=["n11-t0.1", "n11-t0.2", "n11-t0.3", "su3", "su12"]
 )
@@ -208,18 +215,26 @@ def test_kernel_matches_kform_oracle(index):
     _, om6, rho6, f, J = degenerate_split_oracle(problem, y, 1.0)
     split = fl._derive_split(problem, y, 1.0)
     assert abs(split.f - f) <= 1e-12 * abs(f)
-    assert relative_gap(split.J(), J) <= 1e-12
+    assert relative_gap(_split_J(split), J) <= 1e-12
     assert relative_gap(split.om6, om6.coeffs) <= 1e-12
     assert relative_gap(split.rho6, rho6.coeffs) <= 1e-12
+    # the step check's metric from the frame's cubic table, against G =
+    # omega(., J .) of stable's rule
+    G = fl._split_class(problem.operators(), y, split)[3]
+    assert relative_gap(G, stable._metric_matrix(split.om6, J, split.sign)) <= 1e-13
     velocity = fl._rhs_packed(problem, y, 1.0)
     assert relative_gap(velocity, degenerate_rhs_oracle(problem, y, 1.0)) <= 1e-12
     # the closed-form omega velocity, with and without the split's bivector,
-    # against the LAPACK solve of omega's wedge matrix
+    # and the kernel's, composed with the frame's tables, against the LAPACK
+    # solve of omega's wedge matrix
     tau = (problem.operators().rho.dot(split.rho6) + split.f * split.f_parts)[:15]
     want = wedge_solve_oracle(split.om6, tau)  # 0 on the flat seeds, which stand still
     for got in (stable.solve_wedge_coeffs(split.om6, tau, split.bivector),
                 stable.solve_wedge_coeffs(split.om6, tau)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    nw = len(problem.w_basis().forms)
+    want = problem.w_basis().pinv @ problem.from_dist(KForm(6, 2, want)).coeffs
+    assert np.max(np.abs(velocity[:nw] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_kernel_makes_no_minors_call_and_builds_no_kform(monkeypatch):
@@ -263,8 +278,8 @@ def test_a_generic_and_a_degenerate_point_ask_for_no_float_minors(monkeypatch):
 def test_kernel_solves_for_the_omega_velocity_without_a_linear_solve(monkeypatch):
     # the split reads omega's bivector off the frame's quadratic table, and
     # omega^3 and the closed-form inverse of alpha -> alpha ^ omega reuse
-    # it: an evaluation makes no LAPACK solve and builds no wedge matrix of
-    # omega, so it contracts no wedge_tensor(6, 2, 2)
+    # it through the frame's tables: an evaluation makes no LAPACK solve
+    # and builds no wedge matrix of omega, so it contracts no table of stable
     problem, y = _kernel_states()[0]
     sp = fl._derive_split(problem, y, 1.0)
     assert relative_gap(sp.bivector, stable._omega_bivector(sp.om6)) <= 1e-14
@@ -273,7 +288,7 @@ def test_kernel_solves_for_the_omega_velocity_without_a_linear_solve(monkeypatch
     monkeypatch.setattr(stable, "contract", lambda t, *v: tables.append(t) or contract(t, *v))
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
     fl._rhs_packed(problem, y, 1.0)
-    assert tables and not any(t is wedge_tensor(6, 2, 2) for t in tables)
+    assert tables == []
     assert solves == []
 
 
@@ -782,28 +797,36 @@ def _n11_run(integrator, t_end=0.3):
 
 def _split_of_pair(om6, rho6, f=1.0):
     """A split made from a pair directly, with rho = -J*S/f as the kernel
-    has it, for pairs the flow's normalization would refuse as well."""
+    has it, for pairs the flow's normalization would refuse as well, and
+    the flat frame's tables and packed state (w, S) it is read with."""
     J, sign, jrho, _ = stable.pair_coeffs(om6.coeffs, rho6.coeffs)
-    return fl._Split(om6.coeffs, rho6.coeffs, -sign * f * jrho, f, sign, lambda: J)
+    S6, om3 = -sign * f * jrho, stable.omega_cube(om6.coeffs)
+    root = np.sqrt(abs(stable.lambda_invariant(KForm(6, 3, S6))))
+    p = flat7_problem()
+    y = p.pack(p.w_basis().coords(p.from_dist(om6).coeffs, "omega"),
+               p.s_basis().coords(p.from_dist(KForm(6, 3, S6)).coeffs, "S"))
+    sp = fl._Split(om6.coeffs, rho6.coeffs, S6, f, sign, -root if om3 < 0 else root, om3)
+    return p.operators(), y, sp
 
 
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_split_class_matches_classify_pair_on_every_step(monkeypatch, integrator):
     splits = []
     split_class = fl._split_class
-    monkeypatch.setattr(fl, "_split_class", lambda sp: splits.append(sp) or split_class(sp))
+    monkeypatch.setattr(fl, "_split_class", lambda *a: splits.append(a) or split_class(*a))
     traj = _n11_run(integrator, t_end=0.1)
     assert len(splits) >= traj.stats["accepted_steps"] >= 5
-    for sp in splits:
+    for ops, y, sp in splits:
         want = classify_pair_oracle(KForm(6, 2, sp.om6), KForm(6, 3, sp.rho6)).tag
-        assert split_class(sp)[0] is want is stable.StructureClass.SU3
+        assert split_class(ops, y, sp)[0] is want is stable.StructureClass.SU3
 
 
 def test_split_class_on_the_flat_su12_seed():
     p = flat7_problem("su12")
     seed = startup_seed(p, 1.0, 1e-3)
-    sp = fl._derive_split(p, p.pack(seed.w, seed.f * seed.s), 1.0)
-    assert fl._split_class(sp)[0] is stable.StructureClass.SU12
+    y = p.pack(seed.w, seed.f * seed.s)
+    sp = fl._derive_split(p, y, 1.0)
+    assert fl._split_class(p.operators(), y, sp)[0] is stable.StructureClass.SU12
     want = classify_pair_oracle(seed.omega_form(), seed.rho_form())
     assert want.tag is stable.StructureClass.SU12
 
@@ -842,7 +865,15 @@ def test_split_class_matches_classify_pair_on_model_and_failing_pairs(case, want
     if case == "2rho":
         assert cls.diagnostics == "normalization J*rho ^ rho != (2/3) omega^3"
     for f in (1.0, 0.3):
-        assert fl._split_class(_split_of_pair(om, rho, f))[0] is cls.tag
+        ops, y, sp = _split_of_pair(om, rho, f)
+        tag, why, _, G = fl._split_class(ops, y, sp)
+        assert tag is cls.tag
+        # the rule with stable's metric from J gives the same tag and reason
+        jrho = (-sp.sign / f) * sp.S6
+        want = stable.classify_coeffs(sp.om6, sp.rho6, _split_J(sp), sp.sign, jrho, sp.om3)
+        assert (tag, why) == want[:2]
+        if G is not None:
+            assert relative_gap(G, want[3]) <= 1e-13
 
 
 def test_bundle_phi_metric_is_g7_plus_dr2():
@@ -1000,6 +1031,71 @@ def test_integrate_refuses_an_unstable_generic_seed():
     with pytest.raises(PreconditionFailed) as err:
         integrate(FlowConfig(t_end=0.05), seed)
     assert err.value.condition == "classification"
+
+
+def _checked_states(monkeypatch, seed, cfg):
+    """Every state the step check of a run sees, refused ones included:
+    trial states, ends of steps and interpolated samples."""
+    states, flow_of = [], fl._degenerate_flow
+
+    def collecting(seed):
+        flow = flow_of(seed)
+        return replace(flow, validity=lambda y: states.append(y) or flow.validity(y))
+
+    monkeypatch.setattr(fl, "_degenerate_flow", collecting)
+    traj = integrate(cfg, seed)
+    monkeypatch.undo()
+    return traj, states
+
+
+def _singular_tail():
+    # (1.2, 1.0001, 1) from its sample at t = 17.5 to its stall
+    seed = startup_seed(n11_problem(1.2, 1.0001, 1.0), 1.0, 1e-4)
+    traj = integrate(FlowConfig(t_end=17.5, tol=1e-9, sample_dt=17.5 - 1e-4), seed)
+    return traj.state_at(len(traj.samples) - 1), FlowConfig(t_end=18, tol=1e-9, sample_dt=0.5)
+
+
+_TABLED_CHECK_RUNS = {
+    "n11-0.6-rk45": lambda: (startup_seed(n11_problem(0.6, 0.6, 1.6), 1.0, 1e-4),
+                             FlowConfig(**_SINGULAR_ENDS["n11-0.6-rk45"][1])),
+    "n11-0.6-rk4": lambda: (startup_seed(n11_problem(0.6, 0.6, 1.6), 1.0, 1e-4),
+                            FlowConfig(**_SINGULAR_ENDS["n11-0.6-rk4"][1])),
+    "n11-1.2,1.0001,1-tail": _singular_tail,
+    "n11-1.2,-0.95,1.1-rk4": lambda: (startup_seed(n11_problem(1.2, -0.95, 1.1, 0.4), 1.0, 1e-4),
+                                      FlowConfig(t_end=0.5, integrator="rk4", step=2e-3)),
+    "n11-1.2,-0.95,1.1-rk45": lambda: (startup_seed(n11_problem(1.2, -0.95, 1.1, 0.4), 1.0, 1e-4),
+                                       FlowConfig(t_end=0.5, tol=1e-9)),
+}
+
+
+@pytest.mark.parametrize("case", _TABLED_CHECK_RUNS)
+def test_tabled_step_check_matches_the_rule_on_every_state(monkeypatch, case):
+    # on every state a run's step check sees, the frame's metric table and
+    # stable's rule with G = omega(., J .) from J = K(S6) / root give the
+    # same tag and reason, and the same G to 1e-13 wherever both compute it
+    seed, cfg = _TABLED_CHECK_RUNS[case]()
+    traj, states = _checked_states(monkeypatch, seed, cfg)
+    assert traj.stop_reason == ("completed" if "1.1" in case else "step_failure")
+    problem, ops = seed.problem, seed.problem.operators()
+    reasons = set()
+    for y in states:
+        try:
+            sp = fl._derive_split(problem, y, 1.0)
+        except UnstableForm:  # the split refuses the state before any check
+            continue
+        tag, why, _, G = fl._split_class(ops, y, sp)
+        want = stable.classify_coeffs(sp.om6, sp.rho6, _split_J(sp), sp.sign,
+                                      (-sp.sign / sp.f) * sp.S6, sp.om3)
+        assert (tag, why) == want[:2]
+        if G is not None and want[3] is not None:
+            assert relative_gap(G, want[3]) <= 1e-13
+        reasons.add(why if why or tag is stable.StructureClass.SU3 else tag.value)
+    if case == "n11-1.2,1.0001,1-tail":
+        assert "no longer advances t = 17.88" in traj.stop_cause
+        assert "associated metric is degenerate" in reasons
+    if case == "n11-0.6-rk4":
+        assert traj.stop_cause == "fixed-step state check failed at t = 0.2591: class SU12"
+        assert "SU12" in reasons
 
 
 def test_step_check_names_each_refusal():

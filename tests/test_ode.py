@@ -116,3 +116,31 @@ def test_rk4_refused_state_ends_the_run():
     assert end == ("step_failure", "fixed-step state check failed at t = 1.01: y <= 0")
     assert [t for t, _ in out] == list(times[1:6])
     assert (stats.rhs_evals, stats.accepted_steps, stats.rejections) == (404, 100, {"y <= 0": 1})
+
+
+# finding 11's three models and the harmonic oscillator, each stopped
+# before its end: (f, t1, y(0), bound on the gap to DOP853 over max(|y|, 1)).
+# Near the square root's end y' = -1/(2y) reaches -5 at t = 0.99, and the
+# gap grows to about 1e-7 there
+_CROSS_CHECKED = {
+    "cubic": (lambda t, y: 3 * y / (1 + t), 10.0, [1.0], 1e-8),
+    "blow-up": (lambda t, y: y * y, 0.9, [1.0], 1e-8),
+    "square-root": (sqrt_end, 0.99, [1.0], 1e-6),
+    "oscillator": (oscillator, 10.0, [1.0, 0.0], 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", _CROSS_CHECKED)
+def test_rk45_follows_dop853_on_the_scalar_models(name):
+    # scipy's DOP853 at rtol 1e-13 is an integrator of its own, which the
+    # package does not use: rk45 at tol 1e-9 meets it at every sample
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    f, t1, y0, bound = _CROSS_CHECKED[name]
+    times = ode.sample_times(0.0, t1, t1 / 10)
+    out, end = run(ode.rk45_states(f, times, np.array(y0), 1e-9, lambda y: None, ode.Stats()))
+    assert end == ("completed", None) and len(out) == 10
+    ref = scipy_integrate.solve_ivp(f, (0.0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-13,
+                                    t_eval=[t for t, _ in out]).y.T
+    for (t, y), want in zip(out, ref):
+        assert np.max(np.abs(y - want)) <= bound * max(np.max(np.abs(want)), 1.0), t
+

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hitchinflow import stable
 from hitchinflow.errors import DegenerateOmega, UnstableForm
 from hitchinflow.forms import KForm, pullback, wedge
 from hitchinflow.linalg import increasing_tuples
@@ -332,6 +333,20 @@ def test_pair_coeffs_refuses_unstable_rho():
     om, _ = model_pair("su3")
     with pytest.raises(UnstableForm):
         pair_coeffs(om.coeffs, KForm.basis(6, (0, 1, 2)).coeffs)
+
+
+def test_max_abs_of_an_exact_array_builds_no_fraction(monkeypatch):
+    # the scale of the exact checks reads the largest and smallest entry:
+    # max|x| as a float, with no Fraction built, and np.abs(x).max() on floats
+    x = np.array([Fraction(1, 3), Fraction(-7, 2), Fraction(0), Fraction(5, 4)], dtype=object)
+    y = -x[[0, 3]]
+    built, new = [], Fraction.__new__
+    counting = lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert (stable._max_abs(x), stable._max_abs(y)) == (3.5, 1.25)
+    monkeypatch.undo()
+    assert built == []
+    assert stable._max_abs(np.array([0.5, -2.0, 1.5])) == 2.0
 
 
 def test_solve_wedge_coeffs_matches_kform_solve(rng):
