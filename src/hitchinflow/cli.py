@@ -157,22 +157,19 @@ def _write_csv(path: Path, traj: fl.Trajectory, torsion: np.ndarray | None):
     """One row per sample; the state columns follow the trajectory's kind,
     and torsion is nan where the trajectory has none (see run_point)."""
     if torsion is None:
-        torsion = [float("nan")] * len(traj.samples)
+        torsion = np.full(len(traj.samples), np.nan)
     if traj.kind == "degenerate":
         wl = ["w_" + l for l in traj.problem.basis_labels(2)]
         sl = ["s_" + l for l in traj.problem.basis_labels(3)]
         header = ["t", "f", *wl, *sl, "cocal_residual", "normalization_residual"]
-        values = lambda s: [
-            s.t, s.data["f"], *s.data["w"], *s.data["s"],
-            s.monitors["cocal_residual"], s.monitors["normalization_residual"],
-        ]
+        columns = [traj.series("f"), traj.series("w"), traj.series("s"),
+                   traj.monitor("cocal_residual"), traj.monitor("normalization_residual")]
     else:
         nx = len(traj.samples[0].data["x"])
         header = ["t", *[f"x_{i}" for i in range(nx)], "cocal_residual"]
-        values = lambda s: [s.t, *s.data["x"], s.monitors["cocal_residual"]]
-    lines = [",".join([*header, "torsion_residual"])]
-    for s, tors in zip(traj.samples, torsion):
-        lines.append(",".join(repr(float(v)) for v in [*values(s), tors]))
+        columns = [traj.series("x"), traj.monitor("cocal_residual")]
+    rows = np.column_stack([traj.times(), *columns, torsion]).tolist()  # Python floats
+    lines = [",".join([*header, "torsion_residual"]), *(",".join(map(repr, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -26,11 +26,12 @@ Two flows are implemented on a registered homogeneous space:
   The rhs and step check work on the packed invariant coefficients, with
   every map a table built once per frame (``_Operators``): the gradient
   of lambda and the check's metric cubic ones, the 2-form velocity a
-  product with omega's bivector; the rhs, step check and sample of one
-  state share its split (``_memo``).
+  product with omega's bivector; the rhs and step check of one state
+  share its split (``_memo``).
 
 ``hitchinflow.ode``'s rk4 and Dormand-Prince rk45 advance both flows;
-every trajectory keeps its stats, what the integrator did.
+every trajectory keeps its stats, what the integrator did.  One stacked
+pass after the step loop builds its samples and monitors (``_Flow``).
 
 The system is singular at f = 0; trajectories start from a small-time
 Taylor seed at t = epsilon and a Richardson check over epsilon vs
@@ -39,7 +40,7 @@ epsilon/2 guards the seeding error.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import numbers
 import time
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import linalg, ode, stable
 from .errors import NotProportional, PreconditionFailed, ProjectionFailure, UnstableForm
-from .forms import (KForm, SymBilinear, embed, form_pairing, increasing_tuples, interior,
-                    interior_tensor, restrict, wedge, wedge_tensor)
+from .forms import (KForm, embed, increasing_tuples, interior, interior_tensor, pullback, restrict,
+                    wedge, wedge_tensor)
 from .g2spin7 import SevenStructure, bundle_Phi, seven_structure, solve_dstar
 from .homogeneous import HomogeneousSpace, invariant_basis, pi_project, space
 
@@ -65,9 +66,10 @@ __all__ = [
 ]
 
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.7 kB and takes about 0.08 ms: 10^5
-# samples are 170 MB and about 8 s of work.
-_MAX_SAMPLES = 10**5
+# A degenerate sample holds about 1.8 kB and takes about 0.015 ms, and its
+# record 1 kB more until the run ends; the stacked pass, _PASS_ROWS samples
+# at a time, 5.5 kB each while it runs: 10^5 samples are 300 MB and 1.5 s.
+_MAX_SAMPLES, _PASS_ROWS = 10**5, 4096
 # A degenerate rk4 step (4 rhs and a validity check) takes about 0.19 ms:
 # 10^6 steps are about 3 minutes.
 _MAX_RK4_STEPS = 10**6
@@ -123,7 +125,7 @@ class DegenerateProblem:
     e_phi_scale: float
     omega0: KForm
     rho0: KForm
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # bases, tables
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # bases, tables, checks
 
     def __post_init__(self):
         nm = self.space.mdim
@@ -181,10 +183,6 @@ class DegenerateProblem:
 
     def pack(self, w_coeffs: np.ndarray, S_coeffs: np.ndarray) -> np.ndarray:
         return np.concatenate([w_coeffs, S_coeffs])
-
-    def unpack(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nw = self.w_basis().mat.shape[1]
-        return y[:nw], y[nw:]
 
 
 def _matrix_of(fn: Callable[[KForm], KForm], forms) -> np.ndarray:
@@ -314,18 +312,6 @@ class DegenerateFlowState:
         rho7 = self.problem.from_dist(self.rho_form())
         return self.f * wedge(om7, self.problem.e_phi_form()) + rho7
 
-    def star_phi_form(self) -> KForm:
-        """*phi = omega^2/2 + f e^phi ^ s on the 7-dimensional space, from the
-        frame's tables and built once per state: a sample stores it and
-        ``cocal_residual`` reads it."""
-        return self._star_phi
-
-    @functools.cached_property
-    def _star_phi(self) -> KForm:
-        ww = np.multiply.outer(self.w, self.w).ravel()
-        star = self.problem.operators().star @ np.concatenate([ww, self.f * self.s])
-        return KForm(self.problem.mdim, 4, star)
-
 
 @dataclass(frozen=True)
 class GenericFlowState:
@@ -335,9 +321,6 @@ class GenericFlowState:
 
     def phi_form(self) -> KForm:
         return self.problem.phi(self.x)
-
-    def star_phi_form(self) -> KForm:
-        return _stable(seven_structure(self.phi_form())).star_phi
 
 
 _INTEGRATORS = {"rk4": "rk4", "rk4-fixed": "rk4", "rk45": "rk45", "rk45-adaptive": "rk45"}
@@ -398,7 +381,7 @@ class Trajectory:
     stop_cause: str | None = None  # why the run ended early; None if completed
     # rhs_evals, accepted/rejected_steps, rejections by cause, h_min/h_max (None before a step)
     stats: dict | None = None
-    sample_s: float = 0.0  # seconds integrate spent recording samples
+    sample_s: float = 0.0  # seconds integrate spent recording and building samples
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -509,9 +492,11 @@ def smoothness_check(
 
 
 def problem_smoothness(problem: DegenerateProblem) -> SmoothnessResult:
-    return smoothness_check(
-        problem.space, problem.omega0, problem.rho0, problem.e_phi_index, problem.e_phi_scale
-    )
+    """``smoothness_check`` of the problem's data, computed once per problem."""
+    if (sm := problem._cache.get("smoothness")) is None:
+        sm = problem._cache["smoothness"] = smoothness_check(
+            problem.space, problem.omega0, problem.rho0, problem.e_phi_index, problem.e_phi_scale)
+    return sm
 
 
 def startup_seed(problem: DegenerateProblem, c: float, epsilon: float) -> DegenerateFlowState:
@@ -615,14 +600,14 @@ def _derive_split(problem: DegenerateProblem, y: np.ndarray, branch: float) -> _
 
 def _split_class(ops: _Operators, y: np.ndarray, sp: _Split) -> tuple:
     """``stable.classify_coeffs`` of the split's pair, (tag, reason,
-    signature, metric), with the split's sign and omega^3, J*rho = -sign
-    S/f (no pullback) and G from the frame's cubic table.  The split itself
-    has already refused lambda ~ 0."""
+    signature, metric), with the split's sign, omega^3 and max|omega|, J*rho
+    = -sign S/f (no pullback) and G from the frame's cubic table.  The split
+    itself has already refused lambda ~ 0."""
     w, S = y[:len(ops.bivector)], y[-len(ops.grad):]
     G = w.dot(S.dot(S.dot(ops.metric).reshape(len(S), -1)).reshape(len(w), -1)).reshape(6, 6)
     G *= sp.sign / sp.root
     jrho = (-sp.sign / sp.f) * sp.S6
-    return stable.classify_coeffs(sp.om6, sp.rho6, None, sp.sign, jrho, sp.om3, G)
+    return stable.classify_coeffs(sp.om6, sp.rho6, None, sp.sign, jrho, sp.om3, G, sp.om_size)
 
 
 def _rhs_packed(problem: DegenerateProblem, y: np.ndarray, branch: float, sp=None) -> np.ndarray:
@@ -666,9 +651,10 @@ def generic_rhs(state: GenericFlowState, structure: SevenStructure | None = None
     return problem.basis(3).coords(xi.coeffs, "phi velocity")
 
 
-def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
-    """Sup-norm of the coefficients of d(*phi)."""
-    return float(state.problem.space.d(state.star_phi_form()).max_abs())
+def cocal_residual(sp: HomogeneousSpace, stars: np.ndarray) -> np.ndarray:
+    """Sup-norm of the coefficients of d(*phi) on the space, for each row
+    (..., C) of *phi's coefficients: one product for a stack of them."""
+    return np.max(np.abs(stars @ sp.d_matrix(4).T), axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -676,9 +662,9 @@ def cocal_residual(state: GenericFlowState | DegenerateFlowState) -> float:
 # ----------------------------------------------------------------------
 def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
     """fn with a memo of two entries keyed by a packed state's bytes: the
-    rhs, step check and sample of one state follow one another.  A miss
-    evicts an entry read since it was made, else the older: the end of an
-    rk45 step, checked before the states read inside the step (each
+    rhs, step check and sample record of one state follow one another.  A
+    miss evicts an entry read since it was made, else the older: the end of
+    an rk45 step, checked before the states read inside the step (each
     checked, then read), outlives them to its own sample."""
     memo = {}  # bytes -> [value, read since made]
 
@@ -695,16 +681,24 @@ def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
     return memoized
 
 
+def _samples(times, data: dict, monitors: dict) -> list[Sample]:
+    """One Sample per time from columns: sample i holds entry i of each."""
+    return [Sample(t, dict(zip(data, d)), dict(zip(monitors, m)))
+            for t, d, m in zip(times, zip(*data.values()), zip(*monitors.values()))]
+
+
 @dataclass(frozen=True)
 class _Flow:
-    """One flow as the sampling loop sees it: validity(y) is None for a
-    state with the seed's class, else why the step check refuses it."""
+    """One flow as the step loop sees it: validity(y) is None for a state
+    with the seed's class, else the step check's refusal; record(t, y) keeps
+    what a checked state's sample reads, and samples(records) stacks them."""
 
     kind: str
     y0: np.ndarray
     rhs: Callable[[float, np.ndarray], np.ndarray]
     validity: Callable[[np.ndarray], str | None]
-    sample: Callable[[float, np.ndarray], Sample]
+    record: Callable[[float, np.ndarray], tuple]
+    samples: Callable[[list], list[Sample]]
 
 
 def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
@@ -712,13 +706,13 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
 
     A trial state is valid when its split has the seed's class, which must
     be a structure; otherwise the step check names the classification's
-    reason, or the class.  A sample reads the class and the metric g6 of
-    (omega, rho) from the step check's classification, memoized with the
-    split: g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2, 0),
-    and the normalization monitor is |s|^2 - 4 in g6.  phi and *phi come
-    from the frame's tables: a sample builds no wedge.  The seed's split
-    must reproduce the g8 signature that ``bundle_Phi`` gives the seed's
-    pair, when it gives one."""
+    reason, or the class.  A sample records f, rho6, the class and metric
+    g6 of (omega, rho) of the step check's classification, memoized with
+    the split: g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2,
+    0), and |s|^2 - 4 in g6, from the Gram of the S basis, is the
+    normalization monitor.  phi and *phi come from the frame's tables: no
+    wedge.  The seed's split must reproduce the g8 signature that
+    ``bundle_Phi`` gives the seed's pair, when it gives one."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
@@ -744,21 +738,27 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         tag, why = classify(y)[1:3]
         return why or (None if tag is seed_tag else f"class {tag.value}")
 
-    def sample(t, y):  # a state the step check (or the seed's) classified
+    def record(t, y):  # a state the step check (or the seed's) classified
         sp, tag, _, (p, q), g6 = classify(y)
-        w, S = problem.unpack(y)
-        state = DegenerateFlowState(t, sp.f, w.copy(), S / sp.f, problem)
-        phi = ops.phi.dot(np.concatenate([sp.f * w, sp.rho6]))
-        s6 = KForm(6, 3, sp.S6 / sp.f)
-        data = {"f": state.f, "w": state.w, "s": state.s, "phi": phi,
-                "star_phi": state.star_phi_form().coeffs}
-        return Sample(t, data, {
-            "cocal_residual": cocal_residual(state),
-            "normalization_residual": abs(float(form_pairing(SymBilinear(g6), s6, s6)) - 4.0),
-            "class": tag.value, "g8_signature": (p + 2, q)})
+        return t, y, sp.f, sp.rho6, tag.value, (p + 2, q), g6
+
+    nw, s6 = len(ops.bivector), ops.lin[15:35, -len(ops.grad):]  # s6: S -> S6
+
+    def samples(records):
+        times, ys, fs, rho6, tags, sig8, g6 = zip(*records)
+        Y, f, inv = np.array(ys), np.array(fs)[:, None], np.linalg.inv(g6)
+        w, s = Y[:, :nw], Y[:, nw:] / f
+        phi = np.hstack([f * w, rho6]) @ ops.phi.T
+        star = np.hstack([(w[:, :, None] * w[:, None, :]).reshape(len(w), -1), f * s]) @ ops.star.T
+        # gram[j, n, i] = <b_j, b_i> in sample n's g6, b the S basis on the distribution
+        gram = np.array([pullback(inv, KForm(6, 3, b)) for b in s6.T]) @ s6
+        norm = np.abs(np.einsum("ni,jni,nj->n", s, gram, s) - 4.0).tolist()
+        return _samples(times, {"f": fs, "w": w, "s": s, "phi": phi, "star_phi": star}, {
+            "cocal_residual": cocal_residual(problem.space, star).tolist(),
+            "normalization_residual": norm, "class": tags, "g8_signature": sig8})
 
     rhs = lambda t, y: _rhs_packed(problem, y, branch, split(y))
-    return _Flow("degenerate", y0, rhs, validity, sample)
+    return _Flow("degenerate", y0, rhs, validity, record, samples)
 
 
 def _generic_flow(seed: GenericFlowState) -> _Flow:
@@ -771,14 +771,16 @@ def _generic_flow(seed: GenericFlowState) -> _Flow:
     seed_class = s0.klass
     validity = lambda y: None if (k := seven(y).klass) is seed_class else f"class {k.value}"
 
-    def sample(t, y):
-        s = seven(y)
-        data = {"x": y.copy(), "phi": s.phi.coeffs, "star_phi": s.star_phi.coeffs}
-        cocal = float(problem.space.d(s.star_phi).max_abs())
-        return Sample(t, data, {"cocal_residual": cocal, "class": s.klass.value})
+    record = lambda t, y: (t, y, (s := seven(y)).phi.coeffs, s.star_phi.coeffs, s.klass.value)
+
+    def samples(records):
+        times, x, phi, star, klass = zip(*records)
+        star = np.array(star)
+        return _samples(times, {"x": np.array(x), "phi": np.array(phi), "star_phi": star}, {
+            "cocal_residual": cocal_residual(problem.space, star).tolist(), "class": klass})
 
     rhs = lambda t, y: generic_rhs(GenericFlowState(t, y, problem), seven(y))
-    return _Flow("generic", y0, rhs, validity, sample)
+    return _Flow("generic", y0, rhs, validity, record, samples)
 
 
 def integrate(config: FlowConfig, seed) -> Trajectory:
@@ -819,27 +821,23 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         flow = _degenerate_flow(seed)
     else:
         flow = _generic_flow(seed)
-    stats, sample_s = ode.Stats(), 0.0
-
-    def sample(t, y):
-        nonlocal sample_s
-        start = time.perf_counter()
-        out = flow.sample(t, y)
-        sample_s += time.perf_counter() - start
-        return out
-
-    times = ode.sample_times(seed.t, config.t_end, config.sample_dt)
-    samples = [sample(times[0], flow.y0)]
+    stats, times = ode.Stats(), ode.sample_times(seed.t, config.t_end, config.sample_dt)
     if config.kind() == "rk4":
         states = ode.rk4_states(flow.rhs, times, flow.y0, config.step, flow.validity, stats)
     else:
         states = ode.rk45_states(flow.rhs, times, flow.y0, config.tol, flow.validity, stats)
-    stop, cause = "completed", None
+    stop, cause, records, sample_s = "completed", None, [], 0.0
     try:
-        for t, y in states:
-            samples.append(sample(t, y))
+        for t, y in itertools.chain([(times[0], flow.y0)], states):  # the seed's sample first
+            start = time.perf_counter()
+            records.append(flow.record(t, y))
+            sample_s += time.perf_counter() - start
     except ode.Stop as exc:
         stop, cause = exc.args
+    start, samples = time.perf_counter(), []
+    for i in range(0, len(records), _PASS_ROWS):  # the stacked pass, its transients bounded
+        samples += flow.samples(records[i:i + _PASS_ROWS])
+    sample_s += time.perf_counter() - start
     return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause,
                       asdict(stats), sample_s)
 
@@ -850,15 +848,13 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
 def torsion_residual(traj: Trajectory) -> np.ndarray:
     """Per-sample residual |d/dt(*phi) - d phi| + |d(*phi)| on the stored
     grid (``np.gradient``, second order), from phi and *phi as each sample
-    stored them; raises ValueError for fewer than 3 samples."""
+    stored them and its stored cocalibration residual; raises ValueError
+    for fewer than 3 samples."""
     if len(traj.samples) < 3:
         raise ValueError("need at least 3 samples")
-    sp = traj.problem.space
-    stars = np.array([s.data["star_phi"] for s in traj.samples])
-    phis = np.array([s.data["phi"] for s in traj.samples])
-    derivs = np.gradient(stars, traj.times(), axis=0, edge_order=2)
-    flow_res = np.max(np.abs(derivs - phis @ sp.d_matrix(3).T), axis=1)
-    return flow_res + np.max(np.abs(stars @ sp.d_matrix(4).T), axis=1)
+    derivs = np.gradient(traj.series("star_phi"), traj.times(), axis=0, edge_order=2)
+    d_phi = traj.series("phi") @ traj.problem.space.d_matrix(3).T
+    return np.max(np.abs(derivs - d_phi), axis=1) + traj.monitor("cocal_residual")
 
 
 def deform_state(state: DegenerateFlowState, theta: float) -> DegenerateFlowState:

@@ -403,25 +403,27 @@ def _antisymmetrizer(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, signs
 
 
-def pullback(mat: np.ndarray, a: KForm) -> KForm:
+def pullback(mat: np.ndarray, a: KForm):
     """Pullback (A* a)(v1,...,vk) = a(A v1, ..., A vk), a @ minors(A, k); a
     float matrix or form makes a float product.  Exact ones compute the int
     minors only at a's nonzero coefficients; floats contract a's antisymmetric
-    tensor with A one axis at a time (k products of an n^(k-1) x n block)."""
+    tensor with A one axis at a time (k products of an n^(k-1) x n block), and
+    a float stack (..., n, n), k >= 1, gives each matrix's coefficient row."""
     mat, n, k = np.asarray(mat), a.dim, a.degree
-    if mat.shape != (n, n):
+    exact = a.exact and mat.dtype.kind != "f"
+    if mat.shape[-2:] != (n, n) or exact and mat.ndim != 2:
         raise DimensionMismatch(f"matrix {mat.shape} vs dim {n}")
-    if a.exact and mat.dtype.kind != "f":
+    if exact:
         (m, den), (v, dv) = linalg.scale_to_int(mat), linalg.scale_to_int(a.coeffs)
         nz = np.flatnonzero(v)
         return KForm(n, k, linalg.divide_ints(v[nz] @ linalg.laplace_minors(m, k, nz), den**k * dv))
     flat, signs = _antisymmetrizer(n, k)
     t = np.zeros(n**k)
     t[flat] = (signs * np.asarray(a.coeffs, dtype=float)).ravel()
-    mat_t = mat.astype(float).T
-    for _ in range(k):  # contract the last axis and move the new one first
-        t = mat_t @ t.reshape(-1, n).T
-    return KForm(n, k, t.ravel()[flat[: len(a.coeffs)]])
+    stack, mat_t, idx = mat.shape[:-2], mat.astype(float).swapaxes(-1, -2), flat[: len(a.coeffs)]
+    for i in range(k):  # contract the last axis and move the new one first
+        t = mat_t @ t.reshape((*stack, -1, n) if i else (-1, n)).swapaxes(-1, -2)
+    return t.reshape(*stack, -1)[..., idx] if stack else KForm(n, k, t.ravel()[idx])
 
 
 # -- metric pairing and Hodge star ------------------------------------

@@ -200,22 +200,23 @@ def signature_class(signature: tuple[int, int], sign: int) -> StructureClass:
     return tag if (tag is StructureClass.SL3R) == (sign > 0) else StructureClass.NOT_A_STRUCTURE
 
 
-def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=None, G=None):
+def classify_coeffs(omega: np.ndarray, rho: np.ndarray, J, sign: int, jrho, om3=None, G=None,
+                    size=None):
     """The six-dimensional structure rule on the coefficients (floats or
     Fractions) of a 2-form and a 3-form on R^6, given J, the sign of lambda
     (0 when rho is not stable) and J*rho, both None when irrational (an
-    exact K with no rational sqrt|lambda|), and omega^3 and the metric G
-    with omega(v, w) = g(v, J w) if the caller has them (then J is not
-    read).  In this order: omega^3 finite and != 0 (1e-12 relative), rho
-    stable, omega ^ rho = 0 and J*rho ^ rho = (2/3) omega^3 (1e-10
-    relative), then ``signature_class`` of G.  Returns (tag, reason,
+    exact K with no rational sqrt|lambda|), and omega^3, the metric G
+    with omega(v, w) = g(v, J w) and max|omega| if the caller has them
+    (given G, J is not read).  In this order: omega^3 finite and != 0
+    (1e-12 relative), rho stable, omega ^ rho = 0 and J*rho ^ rho = (2/3)
+    omega^3 (1e-10 relative), then ``signature_class`` of G.  Returns (tag, reason,
     signature, G): reason None for a structure, signature and G None when
     not computed."""
     fail = StructureClass.NOT_A_STRUCTURE
     om3 = omega_cube(omega) if om3 is None else om3
     if not abs(om3) < math.inf:
         return fail, "omega^3 is out of float range", None, None
-    if _degenerate(om3, size := _max_abs(omega)):
+    if _degenerate(om3, size := _max_abs(omega) if size is None else size):
         return fail, "omega is degenerate (omega^3 = 0)", None, None
     if not sign:
         return fail, "rho is not stable (lambda = 0)", None, None

@@ -15,7 +15,8 @@ the 56-wedge loop that built the 7-dimensional bilinear form B before
 the product tables replaced it.  ``degenerate_monitors_oracle`` and
 ``torsion_residual_oracle`` are the KForm monitors and the torsion
 residual that recomputed ``seven_structure`` per sample, before samples
-took their checks from one 7-dimensional structure and stored *phi;
+took their checks from one 7-dimensional structure and stored *phi, and
+before one stacked pass built a run's samples;
 ``star_phi_oracle`` is that stored *phi as two 7-dimensional wedges,
 before the frame's tables built it;
 now that a sample reads its class and metric from its split's
@@ -87,7 +88,6 @@ import numpy as np
 
 from hitchinflow import flow, linalg, ode
 from hitchinflow.errors import NonpositiveF, UnstableForm
-from hitchinflow.flow import cocal_residual
 from hitchinflow.forms import (
     KForm,
     SymBilinear,
@@ -308,9 +308,9 @@ def degenerate_split_oracle(problem, y, branch):
     """(omega7, omega6, rho6, f, J) of a packed degenerate state (w, S =
     f J*rho) from the normalization J*r ^ r = (2/3) omega^3, r = -J*S,
     evaluated with KForms."""
-    w, S = problem.unpack(y)
     _, wmat, _ = problem.w_basis()
     _, smat, _ = problem.s_basis()
+    w, S = y[:wmat.shape[1]], y[wmat.shape[1]:]
     om7 = KForm(problem.mdim, 2, wmat @ w)
     om6 = problem.to_dist(om7)
     S6 = problem.to_dist(KForm(problem.mdim, 3, smat @ S))
@@ -419,9 +419,10 @@ def classify_pair_oracle(omega, rho) -> SixStructureClass:
 
 
 def degenerate_monitors_oracle(state) -> dict:
-    """Monitors of a degenerate state on the KForm path: the oracle class
-    of (omega6, rho6), |s|_g^2 - 4 in its metric, and the signature of the
-    g8 that bundle_Phi assembles (None when it fails)."""
+    """Monitors of a degenerate state on the KForm path: |d(*phi)| of the
+    wedge-built *phi, the oracle class of (omega6, rho6), |s|_g^2 - 4 in
+    its metric, and the signature of the g8 that bundle_Phi assembles (None
+    when it fails)."""
     om6, s6, rho6 = state.omega_form(), state.s_form(), state.rho_form()
     cls = classify_pair_oracle(om6, rho6)
     norm_resid = abs(float(form_pairing(cls.metric, s6, s6)) - 4.0) if cls.ok else np.inf
@@ -433,7 +434,7 @@ def degenerate_monitors_oracle(state) -> dict:
         except (ValueError, UnstableForm):
             sig8 = None
     return {
-        "cocal_residual": cocal_residual(state),
+        "cocal_residual": state.problem.space.d(star_phi_oracle(state)).max_abs(),
         "normalization_residual": norm_resid,
         "class": cls.tag.value,
         "g8_signature": sig8,

@@ -22,7 +22,7 @@ from hitchinflow.flow import (
     torsion_residual,
 )
 from hitchinflow.forms import pullback, wedge
-from hitchinflow.g2spin7 import SevenClass, metric_vol_from_phi, model_phi
+from hitchinflow.g2spin7 import SevenClass, metric_vol_from_phi, model_phi, seven_structure
 from hitchinflow.homogeneous import invariant_basis, space
 from hitchinflow.stable import (
     StructureClass,
@@ -156,7 +156,7 @@ def test_criterion_4_generic_flow():
     gp = generic_problem("n11")
     dp = n11_problem()
     seed = generic_state_from_split(gp, dp, 1.0)
-    assert fl.cocal_residual(seed) < 1e-10
+    assert fl.cocal_residual(gp.space, seven_structure(seed.phi_form()).star_phi.coeffs) < 1e-10
     cfg = FlowConfig(space="n11", t_end=1.0, integrator="rk45-adaptive", tol=1e-9, sample_dt=0.02)
     traj = integrate(cfg, seed)
     cocal_max = float(np.max(traj.monitor("cocal_residual")))

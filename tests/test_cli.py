@@ -333,6 +333,14 @@ def test_report_carries_version_and_timings(tmp_path):
     assert timings["sample_s"] < timings["integrate_s"]
 
 
+def test_a_point_checks_smoothness_once(monkeypatch):
+    # the report's smoothness and the seed's check read one result per problem
+    calls, check = [], fl.smoothness_check
+    monkeypatch.setattr(fl, "smoothness_check", lambda *a: calls.append(a) or check(*a))
+    report = run_point("n11-spin7", {"a": 1.2}, fl.FlowConfig(t_end=0.02), None)
+    assert report.stop_reason == "completed" and len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "args,flow",
     [

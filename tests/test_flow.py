@@ -30,7 +30,7 @@ from hitchinflow.flow import (
     startup_seed,
     torsion_residual,
 )
-from hitchinflow.forms import KForm, form_pairing, wedge
+from hitchinflow.forms import KForm, form_pairing, pullback, wedge
 from hitchinflow.g2spin7 import bundle_Phi, model_phi, seven_structure
 from hitchinflow.homogeneous import HomogeneousSpace, space
 from hitchinflow.stable import classify_pair
@@ -553,13 +553,17 @@ def test_rk45_step_budget_ends_the_run(monkeypatch):
 
 
 # ------------------------------------------------------------ generic flow
+def _star_phi(state) -> np.ndarray:
+    return seven_structure(state.phi_form()).star_phi.coeffs
+
+
 def test_generic_stationary_abelian():
     gp = generic_problem("abelian7")
     _, _, pinv3 = gp.basis(3)
     x0 = pinv3 @ model_phi("su3").coeffs
     st = GenericFlowState(0.0, x0, gp)
     assert np.max(np.abs(generic_rhs(st))) == 0.0
-    assert cocal_residual(st) == 0.0
+    assert cocal_residual(gp.space, _star_phi(st)) == 0.0
     traj = integrate(FlowConfig(space="abelian7", t_end=0.3, sample_dt=0.1), st)
     assert all(np.array_equal(s.data["x"], x0) for s in traj.samples)
     assert np.max(torsion_residual(traj)) < 1e-12
@@ -606,11 +610,11 @@ def test_generic_cocalibration_examples():
     gp = generic_problem("n11")
     dp = n11_problem()
     seed = generic_state_from_split(gp, dp, 1.0)
-    assert cocal_residual(seed) < 1e-12
+    assert cocal_residual(gp.space, _star_phi(seed)) < 1e-12
     # randomly perturbed state is not cocalibrated
     rng = np.random.default_rng(2)
     pert = GenericFlowState(0.0, seed.x + 0.1 * rng.normal(size=len(seed.x)), gp)
-    assert cocal_residual(pert) > 1e-3
+    assert cocal_residual(gp.space, _star_phi(pert)) > 1e-3
 
 
 def test_generic_cocal_preserved_short():
@@ -915,15 +919,18 @@ def test_sample_monitors_match_the_kform_oracle(case):
     else:
         traj = _n11_run("rk45-adaptive" if case == "n11-rk45" else "rk4-fixed")
     n = len(traj.samples)
-    # the oracle takes about 5 ms a sample: a singular run checks its first
-    # sample and its last 6, where phi's metric degenerates
-    checked = [0, *range(n - 6, n)] if case in _SINGULAR_ENDS else range(n)
-    for i in checked:
+    # the stacked pass against the per-state oracle on every sample of a run
+    # (the rk4 (0.6, 0.6, 1.6) run to its stop at t = 0.2591 too); the
+    # oracle takes about 5 ms a sample, so the other singular runs check
+    # their first sample and their last 6, where phi's metric degenerates
+    every = case not in _SINGULAR_ENDS or case == "n11-0.6-rk4"
+    for i in range(n) if every else [0, *range(n - 6, n)]:
         sample = traj.samples[i]
         want = degenerate_monitors_oracle(traj.state_at(i))
         got = sample.monitors
-        assert got["cocal_residual"] == want["cocal_residual"]
-        assert abs(got["normalization_residual"] - want["normalization_residual"]) <= 1e-12
+        size = np.max(np.abs(sample.data["star_phi"]))
+        assert abs(got["cocal_residual"] - want["cocal_residual"]) <= 1e-14 * size
+        assert abs(got["normalization_residual"] - want["normalization_residual"]) <= 1e-14
         assert (got["class"], got["g8_signature"]) == (want["class"], want["g8_signature"])
         # *phi from the split is the Hodge dual of phi, which g7's signature
         # finds stable up to the singular end
@@ -948,6 +955,11 @@ def test_torsion_residual_matches_the_oracle():
     assert np.max(np.abs(torsion_residual(gtraj) - torsion_residual_oracle(gtraj))) <= 1e-10
 
 
+def _sample(flow, t, y):
+    """The sample of one state: the stacked pass over a stack of one."""
+    return flow.samples([flow.record(t, y)])[0]
+
+
 def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     traj = _n11_run("rk45-adaptive", t_end=0.1)
     flow = fl._degenerate_flow(traj.state_at(0))
@@ -958,30 +970,64 @@ def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
     torsion_residual(traj)
     assert calls == []
     # the degenerate sample builds phi and *phi from the split
-    flow.sample(st.t, st.problem.pack(st.w, st.f * st.s))
+    _sample(flow, st.t, st.problem.pack(st.w, st.f * st.s))
     assert calls == []
     gp = generic_problem("abelian7")
     gseed = GenericFlowState(0.0, gp.basis(3)[2] @ model_phi("su3").coeffs, gp)
     calls.clear()
     gflow = fl._generic_flow(gseed)
-    gflow.sample(0.0, gseed.x)  # the seed's structure, built with the flow
+    _sample(gflow, 0.0, gseed.x)  # the seed's structure, built with the flow
     assert len(calls) == 1
 
 
 def test_degenerate_sample_builds_star_phi_once(monkeypatch):
     # *phi = omega^2/2 + f e^phi ^ s comes from the frame's tables, with no
-    # wedge: the sample stores it and its cocal_residual reads the same form
-    # from the state
+    # wedge: the sample stores it and its cocal_residual reads the same rows
     traj = _n11_run("rk45-adaptive", t_end=0.1)
     flow = fl._degenerate_flow(traj.state_at(0))
     st = traj.state_at(2)
     calls, cocal = [], []
     wedge_of = fl.wedge
     monkeypatch.setattr(fl, "wedge", lambda *forms: calls.append(1) or wedge_of(*forms))
-    monkeypatch.setattr(fl, "cocal_residual", lambda s: cocal.append(1) or cocal_residual(s))
-    got = flow.sample(st.t, st.problem.pack(st.w, st.f * st.s))
+    monkeypatch.setattr(fl, "cocal_residual", lambda *a: cocal.append(1) or cocal_residual(*a))
+    got = _sample(flow, st.t, st.problem.pack(st.w, st.f * st.s))
     assert calls == [] and len(cocal) == 1
     assert got.monitors == traj.samples[2].monitors
+
+
+def test_a_run_monitors_its_samples_in_one_stacked_pass(monkeypatch):
+    # one cocal_residual for the run and one pullback per S-basis form,
+    # whatever the number of samples
+    calls, cocal = [], []
+    monkeypatch.setattr(fl, "pullback", lambda *a: calls.append(1) or pullback(*a))
+    monkeypatch.setattr(fl, "cocal_residual", lambda *a: cocal.append(1) or cocal_residual(*a))
+    traj = _n11_run("rk4-fixed")
+    assert len(traj.samples) == 16
+    assert len(cocal) == 1 and len(calls) == len(traj.problem.s_basis().forms)
+    # a run of more samples than a pass takes is passed over in parts, with
+    # the same samples
+    monkeypatch.setattr(fl, "_PASS_ROWS", 5)
+    cocal.clear()
+    parts = _n11_run("rk4-fixed")
+    assert len(cocal) == 4
+    for got, want in zip(parts.samples, traj.samples, strict=True):
+        assert got.t == want.t and got.monitors == want.monitors
+        assert all(np.array_equal(got.data[k], want.data[k]) for k in want.data)
+
+
+def test_generic_stacked_cocal_residual_is_the_per_sample_one():
+    gp = generic_problem("n11")
+    seed = generic_state_from_split(gp, n11_problem(1.2, -0.9, 1.1, 0.4), 1.0)
+    rng = np.random.default_rng(2)
+    pert = GenericFlowState(0.0, seed.x + 0.1 * rng.normal(size=len(seed.x)), gp)
+    for start in (seed, pert):  # cocalibrated, and not
+        traj = integrate(FlowConfig(space="n11", t_end=0.05, sample_dt=0.0125), start)
+        assert len(traj.samples) == 5
+        for i, sample in enumerate(traj.samples):
+            star = seven_structure(traj.state_at(i).phi_form()).star_phi
+            assert np.array_equal(sample.data["star_phi"], star.coeffs)
+            want = gp.space.d(star).max_abs()
+            assert abs(sample.monitors["cocal_residual"] - want) <= 1e-15 * star.max_abs()
 
 
 @pytest.mark.parametrize(
@@ -992,7 +1038,7 @@ def test_tabled_star_phi_matches_the_wedge_oracle(index):
     # two 7-dimensional wedges that built *phi before the frame's tables
     problem, y = _kernel_states()[index]
     flow = fl._degenerate_flow(startup_seed(problem, 1.0, 0.2 if index > 2 else 1e-4))
-    sample = flow.sample(0.0, y)
+    sample = _sample(flow, 0.0, y)
     state = DegenerateFlowState(0.0, sample.data["f"], sample.data["w"], sample.data["s"], problem)
     want = star_phi_oracle(state)
     assert relative_gap(sample.data["star_phi"], want.coeffs) <= 1e-14

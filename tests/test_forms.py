@@ -195,6 +195,24 @@ def test_pullback_functorial(rng):
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
 
 
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (7, 4), (6, 2), (5, 1)])
+def test_stacked_pullback_is_the_per_matrix_one_bit_for_bit(rng, n, k):
+    # a stack of matrices gives the stack of coefficient rows, each with the
+    # bits of its own matrix's pullback, for any leading axes
+    a = KForm(n, k, rng.normal(size=comb(n, k)))
+    mats = rng.normal(size=(3, 17, n, n))
+    rows = pullback(mats, a)
+    assert rows.shape == (3, 17, comb(n, k))
+    for idx in np.ndindex(3, 17):
+        assert np.array_equal(rows[idx], pullback(mats[idx], a).coeffs)
+    assert np.array_equal(pullback(mats[0], a), rows[0])
+    exact = KForm(n, k, np.array([Fraction(1)] * comb(n, k), dtype=object))
+    with pytest.raises(DimensionMismatch):  # exact stacks are not taken
+        pullback(np.full((2, n, n), Fraction(1), dtype=object), exact)
+    with pytest.raises(DimensionMismatch):
+        pullback(mats[..., :-1], a)
+
+
 def test_pullback_matches_evaluation(rng):
     from oracles import pullback_eval
 

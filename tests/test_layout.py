@@ -193,7 +193,7 @@ def test_the_check_finds_integrator_reads(tmp_path):
 # fresh process's peak RSS by about 3.5 MB (2-core x86, Python 3.11.7).  A
 # change that must grow the package raises this ceiling in its own diff and
 # says why in CHANGES.md.
-SOURCE_LINE_CEILING = 3591
+SOURCE_LINE_CEILING = 3587
 
 
 def test_package_source_stays_under_its_line_ceiling():
