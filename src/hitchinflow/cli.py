@@ -70,7 +70,7 @@ class RunReport:
     stop_cause: str | None = None
     stats: dict | None = None  # what the integrator did, see flow.Trajectory.stats
     # wall seconds per finished phase: seed_s, integrate_s (of which
-    # sample_s recorded samples), torsion_s and io_s (the trajectory CSV)
+    # sample_s built the samples), torsion_s and io_s (the trajectory CSV)
     timings: dict = field(default_factory=dict)
     n_samples: int = 0
     t_first: float | None = None

@@ -27,11 +27,12 @@ Two flows are implemented on a registered homogeneous space:
   every map a table built once per frame (``_Operators``): the gradient
   of lambda and the check's metric cubic ones, the 2-form velocity a
   product with omega's bivector; the rhs and step check of one state
-  share its split (``_memo``).
+  share its split, the last one made (``_last``).
 
 ``hitchinflow.ode``'s rk4 and Dormand-Prince rk45 advance both flows;
-every trajectory keeps its stats, what the integrator did.  One stacked
-pass after the step loop builds its samples and monitors (``_Flow``).
+every trajectory keeps its stats, what the integrator did.  Each sample
+comes with what its step check found, and one stacked pass after the
+step loop builds the samples and monitors (``_Flow``).
 
 The system is singular at f = 0; trajectories start from a small-time
 Taylor seed at t = epsilon and a Richardson check over epsilon vs
@@ -40,7 +41,6 @@ epsilon/2 guards the seeding error.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -66,11 +66,11 @@ __all__ = [
 ]
 
 # Work caps, checked before a run starts (times on 2 x86 cores, numpy 2.4).
-# A degenerate sample holds about 1.8 kB and takes about 0.015 ms, and its
-# record 1 kB more until the run ends; the stacked pass, _PASS_ROWS samples
-# at a time, 5.5 kB each while it runs: 10^5 samples are 300 MB and 1.5 s.
+# A degenerate sample holds about 1.8 kB, and its step check's finding
+# 1 kB more until the run ends; the stacked pass, _PASS_ROWS samples at a
+# time, 5.5 kB each while it runs: 10^5 samples are 300 MB and 1.5 s.
 _MAX_SAMPLES, _PASS_ROWS = 10**5, 4096
-# A degenerate rk4 step (4 rhs and a validity check) takes about 0.19 ms:
+# A degenerate rk4 step (4 rhs and a step check) takes about 0.19 ms:
 # 10^6 steps are about 3 minutes.
 _MAX_RK4_STEPS = 10**6
 
@@ -381,7 +381,7 @@ class Trajectory:
     stop_cause: str | None = None  # why the run ended early; None if completed
     # rhs_evals, accepted/rejected_steps, rejections by cause, h_min/h_max (None before a step)
     stats: dict | None = None
-    sample_s: float = 0.0  # seconds integrate spent recording and building samples
+    sample_s: float = 0.0  # seconds of the stacked pass that builds the samples
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -660,25 +660,18 @@ def cocal_residual(sp: HomogeneousSpace, stars: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # integrate
 # ----------------------------------------------------------------------
-def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """fn with a memo of two entries keyed by a packed state's bytes: the
-    rhs, step check and sample record of one state follow one another.  A
-    miss evicts an entry read since it was made, else the older: the end of
-    an rk45 step, checked before the states read inside the step (each
-    checked, then read), outlives them to its own sample."""
-    memo = {}  # bytes -> [value, read since made]
+def _last(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """fn that keeps its last value, keyed by the packed state's bytes: rk45
+    checks the state its last stage just evaluated, and rk4's next step
+    first evaluates the state just checked."""
+    last = [None, None]  # bytes, value
 
-    def memoized(y):
-        if (entry := memo.get(k := y.tobytes())) is None:
-            if len(memo) == 2:
-                old, new = memo
-                del memo[new if memo[new][1] and not memo[old][1] else old]
-            memo[k] = entry = [fn(y), False]
-        else:
-            entry[1] = True
-        return entry[0]
+    def kept(y):
+        if (k := y.tobytes()) != last[0]:
+            last[:] = k, fn(y)
+        return last[1]
 
-    return memoized
+    return kept
 
 
 def _samples(times, data: dict, monitors: dict) -> list[Sample]:
@@ -689,15 +682,16 @@ def _samples(times, data: dict, monitors: dict) -> list[Sample]:
 
 @dataclass(frozen=True)
 class _Flow:
-    """One flow as the step loop sees it: validity(y) is None for a state
-    with the seed's class, else the step check's refusal; record(t, y) keeps
-    what a checked state's sample reads, and samples(records) stacks them."""
+    """One flow as the step loop sees it: check(y) is (reason, found),
+    reason None for a state with the seed's class, else the refusal, and
+    found what the state's sample reads; found0 is the seed's, and
+    samples(records) stacks the (t, y, found) of checked states."""
 
     kind: str
     y0: np.ndarray
+    found0: tuple
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    validity: Callable[[np.ndarray], str | None]
-    record: Callable[[float, np.ndarray], tuple]
+    check: Callable[[np.ndarray], tuple]
     samples: Callable[[list], list[Sample]]
 
 
@@ -706,22 +700,21 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
 
     A trial state is valid when its split has the seed's class, which must
     be a structure; otherwise the step check names the classification's
-    reason, or the class.  A sample records f, rho6, the class and metric
-    g6 of (omega, rho) of the step check's classification, memoized with
-    the split: g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus (2,
-    0), and |s|^2 - 4 in g6, from the Gram of the S basis, is the
+    reason, or the class.  The check finds f, rho6, the class and metric g6
+    of (omega, rho): g8 = g6 + f^2 (e^phi)^2 + dr^2 has g6's signature plus
+    (2, 0), and |s|^2 - 4 in g6, from the Gram of the S basis, is the
     normalization monitor.  phi and *phi come from the frame's tables: no
     wedge.  The seed's split must reproduce the g8 signature that
     ``bundle_Phi`` gives the seed's pair, when it gives one."""
     problem, ops = seed.problem, seed.problem.operators()
     branch = 1.0 if seed.f >= 0 else -1.0
     y0 = problem.pack(seed.w, seed.f * seed.s)
-    split = _memo(lambda y: _derive_split(problem, y, branch))
-    classify = _memo(lambda y: (sp := split(y), *_split_class(ops, y, sp)))  # with its class
+    split = _last(lambda y: _derive_split(problem, y, branch))
     try:
-        seed_tag, why, sig6 = classify(y0)[1:4]
+        sp0 = split(y0)
     except UnstableForm as exc:  # f J*rho too small (or large) to split in floats
         raise PreconditionFailed("seed_split", f"no split at t = {seed.t}: {exc}") from exc
+    seed_tag, why, sig6, g6 = _split_class(ops, y0, sp0)
     if why is not None:
         raise PreconditionFailed("classification", f"the seed at t = {seed.t}: {why}")
     want = (sig6[0] + 2, sig6[1])  # the first sample's g8 signature
@@ -734,18 +727,17 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
         raise PreconditionFailed("seed_reference", f"the split's g8 signature {want} != {sig8} "
                                                    f"of the seed's pair at t = {seed.t}")
 
-    def validity(y):
-        tag, why = classify(y)[1:3]
-        return why or (None if tag is seed_tag else f"class {tag.value}")
-
-    def record(t, y):  # a state the step check (or the seed's) classified
-        sp, tag, _, (p, q), g6 = classify(y)
-        return t, y, sp.f, sp.rho6, tag.value, (p + 2, q), g6
+    def check(y):
+        tag, why, sig, g6 = _split_class(ops, y, sp := split(y))
+        if why or tag is not seed_tag:
+            return why or f"class {tag.value}", None
+        return None, (sp.f, sp.rho6, tag.value, (sig[0] + 2, sig[1]), g6)
 
     nw, s6 = len(ops.bivector), ops.lin[15:35, -len(ops.grad):]  # s6: S -> S6
 
     def samples(records):
-        times, ys, fs, rho6, tags, sig8, g6 = zip(*records)
+        times, ys, found = zip(*records)
+        fs, rho6, tags, sig8, g6 = zip(*found)
         Y, f, inv = np.array(ys), np.array(fs)[:, None], np.linalg.inv(g6)
         w, s = Y[:, :nw], Y[:, nw:] / f
         phi = np.hstack([f * w, rho6]) @ ops.phi.T
@@ -758,29 +750,33 @@ def _degenerate_flow(seed: DegenerateFlowState) -> _Flow:
             "normalization_residual": norm, "class": tags, "g8_signature": sig8})
 
     rhs = lambda t, y: _rhs_packed(problem, y, branch, split(y))
-    return _Flow("degenerate", y0, rhs, validity, record, samples)
+    found0 = (sp0.f, sp0.rho6, seed_tag.value, want, g6)
+    return _Flow("degenerate", y0, found0, rhs, check, samples)
 
 
 def _generic_flow(seed: GenericFlowState) -> _Flow:
     """A trial state is valid when its phi has the seed's class, which must
-    be stable: so is every sample's."""
+    be stable: so is every sample's.  The check finds phi, *phi and the
+    class of its ``seven_structure``."""
     problem, y0 = seed.problem, np.asarray(seed.x, dtype=float)
-    seven = _memo(lambda y: seven_structure(problem.phi(y)))
-    if not (s0 := seven(y0)).ok:  # the first sample reuses it
+    seven = _last(lambda y: seven_structure(problem.phi(y)))
+    if not (s0 := seven(y0)).ok:  # the first rhs reuses it
         raise PreconditionFailed("classification", f"the seed at t = {seed.t}: phi is not stable")
-    seed_class = s0.klass
-    validity = lambda y: None if (k := seven(y).klass) is seed_class else f"class {k.value}"
 
-    record = lambda t, y: (t, y, (s := seven(y)).phi.coeffs, s.star_phi.coeffs, s.klass.value)
+    def check(y):
+        if (k := (s := seven(y)).klass) is not s0.klass:
+            return f"class {k.value}", None
+        return None, (s.phi.coeffs, s.star_phi.coeffs, k.value)
 
     def samples(records):
-        times, x, phi, star, klass = zip(*records)
+        times, x, found = zip(*records)
+        phi, star, klass = zip(*found)
         star = np.array(star)
         return _samples(times, {"x": np.array(x), "phi": np.array(phi), "star_phi": star}, {
             "cocal_residual": cocal_residual(problem.space, star).tolist(), "class": klass})
 
     rhs = lambda t, y: generic_rhs(GenericFlowState(t, y, problem), seven(y))
-    return _Flow("generic", y0, rhs, validity, record, samples)
+    return _Flow("generic", y0, check(y0)[1], rhs, check, samples)
 
 
 def integrate(config: FlowConfig, seed) -> Trajectory:
@@ -823,23 +819,20 @@ def integrate(config: FlowConfig, seed) -> Trajectory:
         flow = _generic_flow(seed)
     stats, times = ode.Stats(), ode.sample_times(seed.t, config.t_end, config.sample_dt)
     if config.kind() == "rk4":
-        states = ode.rk4_states(flow.rhs, times, flow.y0, config.step, flow.validity, stats)
+        states = ode.rk4_states(flow.rhs, times, flow.y0, config.step, flow.check, stats)
     else:
-        states = ode.rk45_states(flow.rhs, times, flow.y0, config.tol, flow.validity, stats)
-    stop, cause, records, sample_s = "completed", None, [], 0.0
+        states = ode.rk45_states(flow.rhs, times, flow.y0, config.tol, flow.check, stats)
+    stop, cause, records = "completed", None, [(times[0], flow.y0, flow.found0)]
     try:
-        for t, y in itertools.chain([(times[0], flow.y0)], states):  # the seed's sample first
-            start = time.perf_counter()
-            records.append(flow.record(t, y))
-            sample_s += time.perf_counter() - start
+        for record in states:
+            records.append(record)
     except ode.Stop as exc:
         stop, cause = exc.args
     start, samples = time.perf_counter(), []
     for i in range(0, len(records), _PASS_ROWS):  # the stacked pass, its transients bounded
         samples += flow.samples(records[i:i + _PASS_ROWS])
-    sample_s += time.perf_counter() - start
     return Trajectory(flow.kind, tuple(samples), stop, config, seed.problem, cause,
-                      asdict(stats), sample_s)
+                      asdict(stats), time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------

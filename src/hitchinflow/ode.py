@@ -7,8 +7,10 @@ before it ("first same as last"), and a sample inside a step is read from
 that step's stages by the continuous extension of order 4, at no rhs cost
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6).
 
-A caller's validity(y) is None for an acceptable state, else why it
-refuses it.  A run ends early in one way: ``Stop(stop_reason,
+A caller's check(y) is (reason, found): reason None for an acceptable
+state, else why it refuses it, and found what the check learned of it.
+Each sample is yielded as (t, y, found), with the finding of the check
+of its own state.  A run ends early in one way: ``Stop(stop_reason,
 stop_cause)``, with 'blow_up' past ``BLOWUP_NORM``, 'step_budget' past
 ``MAX_RK45_STEPS`` accepted rk45 steps, or 'step_failure' when no
 acceptable step exists.  ``Stats`` counts what the integrator did.
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import DegenerateMetric, DegenerateOmega, NonpositiveF, UnstableForm
 
 BLOWUP_NORM = 1e8
-# An rk45 step (6 rhs and a validity check) takes about 0.35 ms on n11's
+# An rk45 step (6 rhs and a step check) takes about 0.35 ms on n11's
 # degenerate flow and 1.3 ms on its generic one (2 x86 cores, numpy 2.4):
 # 10^4 accepted steps are about 3.5 s and 13 s.
 MAX_RK45_STEPS = 10**4
@@ -93,15 +95,15 @@ def rk4_step(f, t, y, h):
 
 # Dormand-Prince 5(4) tableau
 DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+])
 DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 # the continuous extension of order 4 (Shampine 1986; Hairer, Norsett &
@@ -122,11 +124,11 @@ def dp_step(f, t, y, h, k1):
     5th-order solution is the 7th stage's argument itself, so the last
     stage f(t + h, y5) is the next step's first ("first same as last");
     returns (y5, error estimate, the 7 stages as rows)."""
-    k = [k1]
+    stages = np.empty((7, len(y)))
+    stages[0] = k1
     for i in range(1, 7):
-        yi = y + h * sum(a * kk for a, kk in zip(DP_A[i], k))
-        k.append(f(t + DP_C[i] * h, yi))
-    stages = np.stack(k)
+        yi = y + h * (DP_A[i, :i, None] * stages[:i]).sum(axis=0)
+        stages[i] = f(t + DP_C[i] * h, yi)
     return yi, h * ((DP_B5 - DP_B4) @ stages), stages
 
 
@@ -141,10 +143,11 @@ def check_norm(t, y):
         raise Stop("blow_up", f"coefficient norm {norm:.3g} at t = {t:.6g}")
 
 
-def rk4_states(f, times, y, step, validity, stats):
-    """(t, y) at each sample time after the first, from fixed steps of
-    about `step` that divide each sample interval.  Each step's state
-    passes the blow-up cap, then validity."""
+def rk4_states(f, times, y, step, check, stats):
+    """(t, y, found) at each sample time after the first, from fixed steps
+    of about `step` that divide each sample interval.  Each step's state
+    passes the blow-up cap, then the check; a sample carries the finding
+    of its last step's check."""
     f = stats.counted(f)
     for t0, t1 in zip(times[:-1], times[1:]):
         n = max(1, int(round(abs(t1 - t0) / step)))
@@ -153,7 +156,7 @@ def rk4_states(f, times, y, step, validity, stats):
             try:
                 ynew = rk4_step(f, t, y, h)
                 check_norm(t + h, ynew)
-                reason = validity(ynew)
+                reason, found = check(ynew)
             except NUMERICAL_FAILURES as exc:
                 stats.reject(type(exc).__name__)
                 raise Stop("step_failure", f"step failed at t = {t:.6g}: {exc}") from exc
@@ -163,17 +166,17 @@ def rk4_states(f, times, y, step, validity, stats):
                            f"fixed-step state check failed at t = {t + h:.6g}: {reason}")
             stats.accept(h)
             t, y = t + h, ynew
-        yield t1, y
+        yield t1, y, found
 
 
-def rk45_states(f, times, y, tol, validity, stats):
-    """(t, y) at each sample time after the first, from adaptive steps
-    bounded by the last time only.  A step starts from the last stage of
-    the step before it, or from the first stage of a rejected attempt.  A
-    trial within the error norm passes the blow-up cap, then validity.  A
-    sample on a step's end is its state; one inside a step is read from
-    the step's stages (``dense``) and must pass validity, or the run stops
-    with the reason."""
+def rk45_states(f, times, y, tol, check, stats):
+    """(t, y, found) at each sample time after the first, from adaptive
+    steps bounded by the last time only.  A step starts from the last stage
+    of the step before it, or from the first stage of a rejected attempt.  A
+    trial within the error norm passes the blow-up cap, then the check.  A
+    sample on a step's end is its state, with that check's finding; one
+    inside a step is read from the step's stages (``dense``) and must pass
+    a check of its own, or the run stops with the reason."""
     f = stats.counted(f)
     t, t1, k1, h, retries, i = times[0], times[-1], None, 1e-2, 0, 1
     direction = 1.0 if t1 >= t else -1.0
@@ -192,7 +195,7 @@ def rk45_states(f, times, y, tol, validity, stats):
             cause = "error_norm"
             if np.all(np.isfinite(ynew)) and enorm <= 1.0:
                 check_norm(t + h, ynew)
-                cause = validity(ynew)
+                cause, found = check(ynew)
         except NUMERICAL_FAILURES as exc:
             cause, enorm = type(exc).__name__, np.inf
         if cause is not None:
@@ -204,16 +207,16 @@ def rk45_states(f, times, y, tol, validity, stats):
             continue
         stats.accept(h)
         while i < len(times) and (times[i] - (t + h)) * direction <= 1e-15:
-            ts, ys, i = times[i], ynew, i + 1
+            ts, ys, fs, i = times[i], ynew, found, i + 1
             if abs(ts - (t + h)) > 1e-15:  # inside the step
                 try:
-                    reason = validity(ys := dense(y, h, stages, (ts - t) / h))
+                    reason, fs = check(ys := dense(y, h, stages, (ts - t) / h))
                 except NUMERICAL_FAILURES as exc:
                     reason = type(exc).__name__
                 if reason is not None:
                     raise Stop("step_failure",
                                f"interpolated state check failed at t = {ts:.6g}: {reason}")
-            yield ts, ys
+            yield ts, ys, fs
         t, y, k1, retries = t + h, ynew, stages[-1], 0
         grow = 0.9 * enorm ** (-0.2) if enorm > 0 else 5.0
         h = h * min(5.0, max(0.2, grow))

@@ -307,14 +307,13 @@ def test_problems_on_one_frame_share_its_tables():
 
 @pytest.mark.parametrize("integrator", ["rk4-fixed", "rk45-adaptive"])
 def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
-    # the rhs, the step check and the sample of one state share its split:
-    # one _derive_split per rhs evaluation, plus the seed's; a sample that
-    # rk45 reads inside a step is a state no rhs saw, with a split of its own.
-    # A sample reads its class from the classification of its step check:
+    # the rhs and the step check of one state share its split: one
+    # _derive_split per rhs evaluation (the first reads the seed's), plus
+    # one for the check of rk4's last step, which no rhs reads; a sample
+    # that rk45 reads inside a step is a state no rhs saw, with a split of
+    # its own.  A sample reads its class from what its step check found:
     # stable.classify_coeffs runs once per step check, plus once for the
-    # seed's split and once for bundle_Phi's pair in the seed's g8 check.
-    # The end of rk45's last step is sampled after the states read inside
-    # that step, and its classification outlives theirs in the memo
+    # seed's split and once for bundle_Phi's pair in the seed's g8 check
     calls, inside, checks, classified = [], [], [], []
     derive, dense, classify = fl._derive_split, ode.dense, stable.classify_coeffs
     monkeypatch.setattr(fl, "_derive_split", lambda *a: calls.append(a) or derive(*a))
@@ -324,7 +323,7 @@ def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
 
     def counted(seed):
         flow = flow_of(seed)
-        return replace(flow, validity=lambda y: checks.append(y) or flow.validity(y))
+        return replace(flow, check=lambda y: checks.append(y) or flow.check(y))
 
     monkeypatch.setattr(fl, "_degenerate_flow", counted)
     # to t = 0.2 rk45's last step holds samples (t_end 0.1: none)
@@ -333,10 +332,11 @@ def test_degenerate_run_splits_each_state_once(monkeypatch, integrator):
     classified.clear()
     traj = integrate(cfg, seed)
     assert traj.stop_reason == "completed"
-    assert len(calls) <= traj.stats["rhs_evals"] + len(inside) + 2
-    assert integrator == "rk45-adaptive" or not inside
-    assert len(checks) >= len(traj.samples) - 1
-    assert len(classified) <= len(checks) + 2
+    counts = (len(calls), traj.stats["rhs_evals"], len(inside), len(classified), len(checks))
+    assert counts == ((401, 400, 0, 102, 100) if integrator == "rk4-fixed" else
+                      (85, 67, 18, 31, 29))
+    assert len(calls) == traj.stats["rhs_evals"] + len(inside) + (integrator == "rk4-fixed")
+    assert len(classified) == len(checks) + 2
 
 
 def test_generic_run_builds_one_seven_structure_per_state(monkeypatch):
@@ -513,7 +513,8 @@ def test_rk45_samples_match_the_grid_clipped_oracle(params):
     assert traj.stop_reason == "completed"
     flow = fl._degenerate_flow(seed)
     times = ode.sample_times(seed.t, cfg.t_end, cfg.sample_dt)
-    states, stats = grid_clipped_rk45(flow.rhs, flow.validity, flow.y0, times, cfg.tol)
+    states, stats = grid_clipped_rk45(flow.rhs, lambda y: flow.check(y)[0], flow.y0, times,
+                                      cfg.tol)
     assert np.array_equal(traj.times(), times)
     assert traj.stats["rhs_evals"] <= 0.6 * stats.rhs_evals
     for smp, want in zip(traj.samples, states, strict=True):
@@ -957,7 +958,7 @@ def test_torsion_residual_matches_the_oracle():
 
 def _sample(flow, t, y):
     """The sample of one state: the stacked pass over a stack of one."""
-    return flow.samples([flow.record(t, y)])[0]
+    return flow.samples([(t, y, flow.check(y)[1])])[0]
 
 
 def test_one_seven_structure_per_sample_and_none_in_torsion(monkeypatch):
@@ -1086,7 +1087,7 @@ def _checked_states(monkeypatch, seed, cfg):
 
     def collecting(seed):
         flow = flow_of(seed)
-        return replace(flow, validity=lambda y: states.append(y) or flow.validity(y))
+        return replace(flow, check=lambda y: states.append(y) or flow.check(y))
 
     monkeypatch.setattr(fl, "_degenerate_flow", collecting)
     traj = integrate(cfg, seed)

@@ -25,7 +25,7 @@ def run(states):
     """The (t, y) a run yields and how it ended, (stop_reason, stop_cause)."""
     out = []
     try:
-        for t, y in states:
+        for t, y, _ in states:
             out.append((t, y))
     except ode.Stop as exc:
         return out, exc.args
@@ -36,7 +36,7 @@ def run(states):
 def test_harmonic_oscillator_follows_cos_and_sin(kind, arg, bound):
     states = ode.rk4_states if kind == "rk4" else ode.rk45_states
     times, stats = ode.sample_times(0.0, 10.0, 0.5), ode.Stats()
-    out, end = run(states(oscillator, times, cos_sin(0.0), arg, lambda y: None, stats))
+    out, end = run(states(oscillator, times, cos_sin(0.0), arg, lambda y: (None, None), stats))
     assert end == ("completed", None)
     assert [t for t, _ in out] == list(times[1:])
     assert max(np.max(np.abs(y - cos_sin(t))) for t, y in out) <= bound
@@ -46,6 +46,45 @@ def test_harmonic_oscillator_follows_cos_and_sin(kind, arg, bound):
         assert stats.h_min == pytest.approx(1e-2) and stats.h_max == pytest.approx(1e-2)
     else:  # first same as last: 6 evaluations a step, and the first stage
         assert stats.rhs_evals == 6 * stats.accepted_steps + 1
+
+
+def _numbered_check(seen):
+    """A check that accepts every state and finds its call number and the
+    state, each state it sees kept in seen."""
+    def check(y):
+        seen.append(y.copy())
+        return None, (len(seen) - 1, y.copy())
+    return check
+
+
+def test_rk45_samples_carry_their_own_checks_finding(monkeypatch):
+    # the end of a step is checked before the states read inside it: the
+    # samples of the last step, which ends on t = 1, come in the other order
+    # from their checks, and each still carries its own state's finding.
+    # The check runs once per accepted step and once per interpolated sample
+    reads, dense = [], ode.dense
+    monkeypatch.setattr(ode, "dense", lambda *a: reads.append(a) or dense(*a))
+    seen, stats, times = [], ode.Stats(), ode.sample_times(0.0, 1.0, 0.01)
+    out = list(ode.rk45_states(oscillator, times, cos_sin(0.0), 1e-9, _numbered_check(seen),
+                               stats))
+    assert [t for t, _, _ in out] == list(times[1:])
+    for t, y, (n, state) in out:
+        assert np.array_equal(state, y) and np.array_equal(seen[n], y), t
+    assert stats.rejected_steps == 0 and len(seen) == stats.accepted_steps + len(reads)
+    numbers = [n for _, _, (n, _) in out]
+    inside = [n for n in numbers if n > numbers[-1]]  # checked after the last step's end
+    assert len(inside) >= 3 and numbers[-1 - len(inside):-1] == inside
+
+
+def test_rk4_samples_carry_their_last_steps_finding():
+    # ten steps per sample interval: a sample carries the finding of the
+    # check of its own state, its interval's last step
+    seen, stats, times = [], ode.Stats(), ode.sample_times(0.0, 1.0, 0.1)
+    out = list(ode.rk4_states(oscillator, times, cos_sin(0.0), 1e-2, _numbered_check(seen),
+                              stats))
+    assert len(out) == 10 and len(seen) == stats.accepted_steps == 100
+    for k, (t, y, (n, state)) in enumerate(out):
+        assert n == 10 * k + 9 and np.array_equal(state, y), t
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
@@ -66,15 +105,15 @@ def sqrt_end(t, y):  # y' = -1/(2y), y(0) = 1: y = sqrt(1 - t) ends at t* = 1
 
 
 def positive(y):
-    return None if y[0] > 0 else "y <= 0"
+    return None if y[0] > 0 else "y <= 0", None
 
 
-def _model(f, t1, validity=lambda y: None):
+def _model(f, t1, check=lambda y: (None, None)):
     """rk45 at tol 1e-9 from y(0) = 1 to t1 over 11 samples."""
     stats = ode.Stats()
     times = ode.sample_times(0.0, t1, t1 / 10)
     assert len(times) == 11
-    out, end = run(ode.rk45_states(f, times, np.array([1.0]), 1e-9, validity, stats))
+    out, end = run(ode.rk45_states(f, times, np.array([1.0]), 1e-9, check, stats))
     return [float(t) for t, _ in out], end, stats
 
 
@@ -137,7 +176,8 @@ def test_rk45_follows_dop853_on_the_scalar_models(name):
     scipy_integrate = pytest.importorskip("scipy.integrate")
     f, t1, y0, bound = _CROSS_CHECKED[name]
     times = ode.sample_times(0.0, t1, t1 / 10)
-    out, end = run(ode.rk45_states(f, times, np.array(y0), 1e-9, lambda y: None, ode.Stats()))
+    out, end = run(ode.rk45_states(f, times, np.array(y0), 1e-9, lambda y: (None, None),
+                                   ode.Stats()))
     assert end == ("completed", None) and len(out) == 10
     ref = scipy_integrate.solve_ivp(f, (0.0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-13,
                                     t_eval=[t for t, _ in out]).y.T
